@@ -19,7 +19,6 @@ from .errors import (
     ResourceLimitError,
     UnboundedRegionError,
 )
-from .frobenius import FrobeniusInstance
 from .qpoly import BOTTOM
 
 EXIT_INPUT = 2
@@ -79,11 +78,11 @@ def compute(tuple_text, m, l, h_excerpt, fmt, out):
 
     def body():
         coins = formats.parse_coins(tuple_text)
-        inst = FrobeniusInstance(coins, m, l)
-        f = frobenius.frobenius_number(coins)
-        g = frobenius.genus(coins)
-        fml = frobenius.generalized_frobenius(inst)
-        gm = frobenius.generalized_genus(coins, m)
+        table = frobenius.apery_table(coins, m)
+        f = table.frobenius(1, 1)
+        g = table.genus(1)
+        fml = table.frobenius(m, l)
+        gm = table.genus(m)
         excerpt = frobenius.rep_count_table(coins, h_excerpt, cap=max(m, 2))
         if fmt == "machine":
             lines = [f"F {f}", f"G {g}", f"F_m_l {fml}", f"G_m {gm}"]
@@ -130,11 +129,9 @@ def series(family_path, t_min, t_max, out_prefix):
                 if path.exists() else {}
             )
         have = set(existing["fml"]) & set(existing["gm"])
-        missing = [t for t in range(t_min, t_max + 1) if t not in have]
-        if missing:
-            lo, hi = min(missing), max(missing)
-            f_new, g_new = reduction.direct_series(fam, lo, hi)
-            for t in missing:
+        for t in range(t_min, t_max + 1):
+            if t not in have:
+                f_new, g_new = reduction.direct_series(fam, t, t)
                 existing["fml"][t] = f_new.value_at(t)
                 existing["gm"][t] = g_new.value_at(t)
         for key, path in targets.items():

@@ -2,17 +2,21 @@
 
 h(k) counts the nonnegative integer tuples (b_1, ..., b_n) with
 sum b_i * a_i = k (ordered tuples: duplicate denominations count
-separately). Everything is computed by a capped coin DP over a window that
-provably contains all k with h(k) below the cap, so the answers are exact.
+separately). F, G, F_{m,l} and G_m all come from one residue table per
+tuple and m; the capped coin DP gives h(k) itself and is its oracle.
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush, merge, nlargest
+from itertools import islice
 from math import gcd
 
 from .errors import GcdNotOneError, InputError, ResourceLimitError
 
 # A DP table larger than this many cells aborts instead of thrashing.
 DEFAULT_CELL_BUDGET = 10**8
+# A residue table with a*m*n above this aborts: a the smallest reduced entry.
+APERY_LIMIT = 10**7
 
 
 class Coins:
@@ -172,77 +176,98 @@ def qualifying_bound(coins: Coins, m: int) -> int:
     return coins.g * _window(coins.reduced(), m)
 
 
-def _reduced_table(coins: Coins, m: int, cell_budget: int) -> RepCountTable:
-    reduced = coins.reduced()
-    bound = max(_window(reduced, m), 0)
-    return rep_count_table(reduced, bound, cap=m, cell_budget=cell_budget)
+@dataclass(frozen=True)
+class AperyTable:
+    """values[(j-1)*a + r] = w_r at level j: the least k = r (mod a) with
+    h(k) >= j on the reduced tuple, j = 1..m, a the smallest reduced entry."""
+
+    coins: Coins
+    m: int
+    a: int
+    values: tuple
+
+    def _level(self, m: int) -> tuple:
+        if not 1 <= m <= self.m:
+            raise InputError(f"the table answers m = 1..{self.m}")
+        return self.values[(m - 1) * self.a:m * self.a]
+
+    def frobenius(self, m: int, l: int) -> int:
+        """The l-th largest multiple of the gcd with h(k) < m; class r holds
+        w_r - a, w_r - 2a, ... >= 0, so the l largest w_r hold the answer."""
+        if l < 1:
+            raise InputError("l must be >= 1")
+        a, w = self.a, self._level(m)
+        nonnegative = sum((w_r - r) // a for r, w_r in enumerate(w))
+        if nonnegative < l:
+            return -self.coins.g * (l - nonnegative)
+        below = merge(*(range(x - a, -1, -a) for x in nlargest(l, w)), reverse=True)
+        return self.coins.g * next(islice(below, l - 1, None))
+
+    def genus(self, m: int) -> int:
+        """Number of positive multiples of the gcd with h(k) < m (k = 0
+        qualifies, uncounted, when w_0 > 0)."""
+        w = self._level(m)
+        return sum((w_r - r) // self.a for r, w_r in enumerate(w)) - (w[0] > 0)
 
 
-def _missing_bits(coins: Coins, cell_budget: int) -> tuple:
-    """(bitmask of non-representable values in 0..bound, gcd, bound).
+def apery_table(coins: Coins, m: int) -> AperyTable:
+    """Least k = r (mod a) with h(k) >= m' for each level m' <= m and class r
+    mod the smallest reduced entry a: the m'-th smallest combination of the
+    other entries in class r. A heap pops combinations in value order, each
+    walk adding entries in nondecreasing index order, and expands a (class,
+    last index) state at most m times, since m cheaper walks through it
+    outdo any later one with the same continuation."""
+    if m < 1:
+        raise InputError("m must be >= 1")
+    rest = sorted(coins.reduced().a)
+    a = rest.pop(0)
+    size = a * m * (len(rest) + 1)
+    if size > APERY_LIMIT:
+        raise ResourceLimitError(f"residue table a*m*n = {size} exceeds {APERY_LIMIT}")
+    values = [0] * (a * m)
+    found = [0] * a
+    expanded = [0] * (a * len(rest))
+    left = a * m
+    heap = [(0, 0, 0)]
+    while left:
+        v, r, i = heappop(heap)
+        state = r * len(rest) + i
+        if expanded[state] == m:
+            continue
+        expanded[state] += 1
+        if found[r] < m:
+            values[found[r] * a + r] = v
+            found[r] += 1
+            left -= 1
+        for j in range(i, len(rest)):
+            heappush(heap, (v + rest[j], (r + rest[j]) % a, j))
+    return AperyTable(coins, m, a, tuple(values))
 
-    Reachability as a big-int set: closing under +a via doubled shifts
-    costs O(n log bound) word-level operations, which keeps whole-range
-    sweeps (every coprime pair up to 60, say) cheap.
-    """
-    reduced = coins.reduced()
-    bound = max(_frobenius_upper(reduced), 0)
-    if bound + 1 > cell_budget:
-        raise ResourceLimitError(
-            f"window of {bound + 1} cells exceeds the budget of {cell_budget}"
-        )
-    mask = (1 << (bound + 1)) - 1
-    bits = 1
-    for a in reduced.a:
-        step = a
-        while step <= bound:
-            bits |= (bits << step) & mask
-            step <<= 1
-    return ~bits & mask, coins.g, bound
 
-
-def frobenius_number(coins: Coins, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+def frobenius_number(coins: Coins) -> int:
     """Largest multiple of the gcd that is not a nonnegative combination.
 
     Returns -gcd when every nonnegative multiple of the gcd is
     representable.
     """
-    missing, g, _ = _missing_bits(coins, cell_budget)
-    if missing == 0:
-        return -g
-    return g * (missing.bit_length() - 1)
+    return apery_table(coins, 1).frobenius(1, 1)
 
 
-def genus(coins: Coins, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+def genus(coins: Coins) -> int:
     """Number of positive multiples of the gcd that are not representable."""
-    missing, _, _ = _missing_bits(coins, cell_budget)
-    return missing.bit_count()
+    return apery_table(coins, 1).genus(1)
 
 
-def generalized_frobenius(inst: FrobeniusInstance,
-                          cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+def generalized_frobenius(inst: FrobeniusInstance) -> int:
     """The l-th largest multiple k of the gcd with h(k) < m.
 
     The qualifying set contains every negative multiple of the gcd (h = 0
     there) and contains 0 exactly when m >= 2, so the answer may be
     negative, but never below -l * gcd.
     """
-    coins, m, l = inst.coins, inst.m, inst.l
-    table = _reduced_table(coins, m, cell_budget)
-    found = 0
-    for k in range(table.bound, -1, -1):
-        if table.counts[k] < m:
-            found += 1
-            if found == l:
-                return coins.g * k
-    # Not enough nonnegative qualifiers: continue into the negatives.
-    return -coins.g * (l - found)
+    return apery_table(inst.coins, inst.m).frobenius(inst.m, inst.l)
 
 
-def generalized_genus(coins: Coins, m: int,
-                      cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+def generalized_genus(coins: Coins, m: int) -> int:
     """Number of positive multiples of the gcd with h(k) < m."""
-    if m < 1:
-        raise InputError("m must be >= 1")
-    table = _reduced_table(coins, m, cell_budget)
-    return sum(1 for k in range(1, table.bound + 1) if table.counts[k] < m)
+    return apery_table(coins, m).genus(m)

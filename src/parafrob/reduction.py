@@ -16,7 +16,7 @@ from math import ceil, gcd
 from . import frobenius, pilp
 from .eqpfit import SampleSeries
 from .errors import InputError, NonIntegerQuotientError, ResourceLimitError
-from .frobenius import Coins, FrobeniusInstance
+from .frobenius import Coins
 from .qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp, eventually_positive
 
 
@@ -184,21 +184,19 @@ def frobenius_to_exclusion(fam: PolyFamily, r: int) -> pilp.ExclusionProblem:
     return pilp.ExclusionProblem(fam.m, n, 1, sys1, sys2, (one,))
 
 
-def direct_series(fam: PolyFamily, t_min: int, t_max: int,
-                  cell_budget: int = frobenius.DEFAULT_CELL_BUDGET):
-    """(series of the l-th answers, series of the counts) by direct DP.
+def direct_series(fam: PolyFamily, t_min: int, t_max: int):
+    """(series of the l-th answers, series of the counts), computed directly.
 
-    This is the oracle path: each t is handled independently by the capped
-    representation-count table, never via the exclusion construction.
+    This is the oracle path: each t is handled independently by its own
+    residue table, never via the exclusion construction.
     """
     _check_range(fam, t_min, t_max)
     f_vals = []
     g_vals = []
     for t in range(t_min, t_max + 1):
-        coins = Coins(fam.values(t))
-        inst = FrobeniusInstance(coins, fam.m, fam.l)
-        f_vals.append(frobenius.generalized_frobenius(inst, cell_budget))
-        g_vals.append(frobenius.generalized_genus(coins, fam.m, cell_budget))
+        table = frobenius.apery_table(Coins(fam.values(t)), fam.m)
+        f_vals.append(table.frobenius(fam.m, fam.l))
+        g_vals.append(table.genus(fam.m))
     return SampleSeries(t_min, tuple(f_vals)), SampleSeries(t_min, tuple(g_vals))
 
 
@@ -287,11 +285,9 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             ))
             continue
 
-        coins = Coins(values)
-        f_direct = frobenius.generalized_frobenius(
-            FrobeniusInstance(coins, fam.m, fam.l)
-        )
-        g_direct = frobenius.generalized_genus(coins, fam.m)
+        table = frobenius.apery_table(Coins(values), fam.m)
+        f_direct = table.frobenius(fam.m, fam.l)
+        g_direct = table.genus(fam.m)
 
         f_val = f_vals[fam.l - 1]
         f_shifted = f_val - fam.l if f_val is not BOTTOM else BOTTOM

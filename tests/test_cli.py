@@ -2,6 +2,7 @@
 
 from click.testing import CliRunner
 
+from parafrob import frobenius
 from parafrob.cli import main
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
@@ -54,6 +55,42 @@ def test_compute_resource_limit_exit_code():
     assert res.exit_code == 3
 
 
+def test_compute_large_m_and_wide_entries():
+    # (3, 5) at m = 10^6; the expected values are those of the capped DP.
+    res = run("compute", "--a", "3,5", "--m", "1000000", "--l", "3",
+              "--format", "machine")
+    assert res.exit_code == 0
+    assert "F_m_l 14999987" in res.output and "G_m 14999988" in res.output
+    # s1 * s2 = 10^9, yet the residue table needs only a = 1000 classes.
+    # Values agree with an m-Apery enumeration over the pair bound.
+    res = run("compute", "--a", "1000,1000001,1001999", "--m", "2", "--l", "2",
+              "--format", "machine")
+    assert res.exit_code == 0
+    for line in ("F 499999500", "G 250249001", "F_m_l 501000499",
+                 "G_m 252248998"):
+        assert line in res.output
+
+
+def count_tables(monkeypatch):
+    """Record the largest entry of every tuple apery_table is built for."""
+    built = []
+    real = frobenius.apery_table
+
+    def counting(coins, m):
+        built.append(max(coins.a))
+        return real(coins, m)
+
+    monkeypatch.setattr(frobenius, "apery_table", counting)
+    return built
+
+
+def test_compute_builds_one_table(monkeypatch):
+    built = count_tables(monkeypatch)
+    res = run("compute", "--a", "6,10,15", "--m", "3", "--l", "2",
+              "--format", "machine")
+    assert res.exit_code == 0 and built == [15]
+
+
 def test_determinism_byte_identical(tmp_path):
     a = run("compute", "--a", "6,10,15", "--m", "2", "--l", "3",
             "--format", "machine")
@@ -83,6 +120,22 @@ def test_series_write_and_resume(tmp_path):
     res3 = run("series", "--family", str(fam), "--t-min", "2", "--t-max", "15",
                "--out", str(out))
     assert (tmp_path / "out.fml.series").read_text() == after
+
+
+def test_series_resume_fills_only_missing(tmp_path, monkeypatch):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    out = tmp_path / "out"
+    run("series", "--family", str(fam), "--t-min", "5", "--t-max", "8",
+        "--out", str(out))
+    built = count_tables(monkeypatch)
+    res = run("series", "--family", str(fam), "--t-min", "2", "--t-max", "12",
+              "--out", str(out))
+    assert res.exit_code == 0
+    assert built == [2, 3, 4, 9, 10, 11, 12]  # entries (t, t - 1)
+    values = (tmp_path / "out.fml.series").read_text().split()
+    assert values[:4] == ["2", "-1", "3", "1"]  # F(2, 1) = -1, F(3, 2) = 1
+    assert len(values) == 22
 
 
 def test_series_invalid_family(tmp_path):

@@ -1,10 +1,12 @@
 """Frobenius quantities against independent brute-force oracles."""
 
 import random
+import tracemalloc
 from itertools import count
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parafrob import frobenius as fr
 from parafrob.errors import GcdNotOneError, InputError, ResourceLimitError
@@ -149,17 +151,77 @@ def test_generalized_values_match_brute_force():
         assert fr.generalized_genus(coins, m) == want_count
 
 
-def test_bitmask_route_agrees_with_capped_dp_route():
-    # frobenius_number/genus use reachability bits; the (m=1, l=1) DP path
-    # must land on the same answers.
+def dp_answers(coins, m, l):
+    """(F_{m,l}, G_m) from the capped DP over the qualifying_bound window."""
+    g = coins.g
+    bound = max(fr.qualifying_bound(coins, m) // g, 0)
+    counts = fr.rep_count_table(coins.reduced(), bound, cap=m).counts
+    qualifying = [k for k in range(bound, -1, -1) if counts[k] < m]
+    if l <= len(qualifying):
+        f = g * qualifying[l - 1]
+    else:
+        f = -g * (l - len(qualifying))
+    return f, sum(1 for k in qualifying if k > 0)
+
+
+def assert_table_matches_dp(a, m):
+    coins = Coins(a)
+    table = fr.apery_table(coins, m)
+    for level in range(1, m + 1):
+        for l in range(1, 6):
+            want_f, want_g = dp_answers(coins, level, l)
+            assert table.frobenius(level, l) == want_f, (a, level, l)
+            assert table.genus(level) == want_g, (a, level)
+
+
+def test_apery_table_agrees_with_capped_dp_at_every_level():
+    # Duplicates, an entry equal to 1 and gcd > 1 by construction, then
+    # random tuples with n <= 5.
+    for a in ([3, 3, 5], [1, 4], [1, 1, 3], [6, 10, 15], [4, 6, 6, 9], [2, 2]):
+        assert_table_matches_dp(a, 5)
     rng = random.Random(8)
-    for _ in range(40):
-        a = [rng.randint(1, 35) for _ in range(rng.randint(2, 4))]
-        coins = Coins(a)
-        assert fr.frobenius_number(coins) == fr.generalized_frobenius(
-            FrobeniusInstance(coins, 1, 1)
-        )
-        assert fr.genus(coins) == fr.generalized_genus(coins, 1)
+    for _ in range(60):
+        c = rng.choice([1, 1, 2, 3])
+        a = [c * rng.randint(1, 15) for _ in range(rng.randint(2, 5))]
+        assert_table_matches_dp(a, rng.randint(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=5),
+       st.integers(1, 3), st.integers(1, 5))
+def test_apery_table_agrees_with_capped_dp_hypothesis(a, c, m):
+    assert_table_matches_dp([c * e for e in a], m)
+
+
+def test_apery_table_levels_and_limit():
+    table = fr.apery_table(Coins([3, 5]), 2)
+    with pytest.raises(InputError):
+        table.genus(3)
+    with pytest.raises(InputError):
+        table.frobenius(1, 0)
+    with pytest.raises(InputError):
+        fr.apery_table(Coins([3, 5]), 0)
+    # a * m * n just above the limit fails before any allocation.
+    with pytest.raises(ResourceLimitError, match=str(fr.APERY_LIMIT)):
+        fr.apery_table(Coins([fr.APERY_LIMIT // 2 + 1, fr.APERY_LIMIT]), 1)
+
+
+def test_generalized_frobenius_large_l():
+    # Expected values are those of the capped DP. For (1000, 1001) there
+    # are a * l = 10^9 candidates, and at m = 2 the l-th qualifier is found
+    # by a lazy walk that keeps no list of them.
+    big = 10**6
+    assert fr.generalized_frobenius(FrobeniusInstance(Coins([3, 5]), 2, big)) == -999981
+    assert fr.generalized_frobenius(FrobeniusInstance(Coins([3, 5]), 1, big)) == -999996
+    assert fr.generalized_frobenius(
+        FrobeniusInstance(Coins([1000, 1001]), 1, big)) == -500500
+    tracemalloc.start()
+    try:
+        assert fr.generalized_frobenius(
+            FrobeniusInstance(Coins([1000, 1001]), 2, big)) == 500500
+        assert tracemalloc.get_traced_memory()[1] < 4 * 10**6
+    finally:
+        tracemalloc.stop()
 
 
 def test_sylvester_random_pairs():

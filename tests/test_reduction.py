@@ -164,6 +164,25 @@ def test_direct_series_stays_inside_cubic_box():
         assert 0 <= v < t**3
 
 
+def test_one_table_per_t(monkeypatch):
+    built = []
+    real = frobenius.apery_table
+
+    def counting(coins, m):
+        built.append(max(coins.a))
+        return real(coins, m)
+
+    monkeypatch.setattr(frobenius, "apery_table", counting)
+    family = fam([U, U - Poly.constant(1)], m=2, l=2)
+    reduction.direct_series(family, 2, 10)
+    assert built == list(range(2, 11))
+    built.clear()
+    report = reduction.crosscheck(family, 2, 10)
+    checked = [row.t for row in report.rows if row.status != reduction.SKIPPED]
+    assert report.checked == len(checked) > 0
+    assert built == checked
+
+
 def test_frobenius_to_exclusion_matches_direct():
     family = fam([U, U - Poly.constant(1)])
     report = reduction.crosscheck(family, 2, 12)
