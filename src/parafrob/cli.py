@@ -310,35 +310,25 @@ def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):
 
     def body():
         parsed = formats.parse_system_file(Path(system_path).read_text())
-        lines = []
+        l = None if mode == "count" else l_value
         if parsed[0] == "exclusion":
-            ex = parsed[1]
-            if mode == "count":
-                feasible = pilp.exclusion_feasible(ex, t_value, point_cap)
-                lines.append(f"size {len(feasible)}")
-            else:
-                values, size = pilp.exclusion_values(ex, l_value, t_value,
-                                                     point_cap)
-                lines.append(f"size {size}")
-                for i, v in enumerate(values, start=1):
-                    lines.append(f"objective {i} {formats.format_extended(v)}")
-                if mode == "exclusion":
-                    feasible = pilp.exclusion_feasible(ex, t_value, point_cap)
-                    for pt in feasible.points:
-                        lines.append("point " + " ".join(str(x) for x in pt))
+            feasible, top = pilp.exclusion_profile(parsed[1], t_value, l,
+                                                   point_cap)
+            lines = [f"size {len(feasible)}"]
         else:
             _, system, objective = parsed
             if mode == "exclusion":
                 raise InputError("--exclusion needs an exclusion file")
-            if mode == "count":
-                lines.append(f"count {pilp.size_function(system, t_value, point_cap)}")
-            else:
-                if objective is None:
-                    raise InputError("--objective needs a c: line in the file")
-                for i in range(1, l_value + 1):
-                    v = pilp.lth_largest_objective(system, objective, i,
-                                                   t_value, point_cap)
-                    lines.append(f"objective {i} {formats.format_extended(v)}")
+            if mode == "objective" and objective is None:
+                raise InputError("--objective needs a c: line in the file")
+            size, top = pilp.lattice_profile(system, t_value, objective, l,
+                                             point_cap)
+            lines = [f"count {size}"] if mode == "count" else []
+        lines += [f"objective {i} {formats.format_extended(v)}"
+                  for i, v in enumerate(top, start=1)]
+        if mode == "exclusion":
+            lines += ["point " + " ".join(str(x) for x in pt)
+                      for pt in feasible.points]
         _emit(lines, out)
 
     _guard(body)

@@ -3,13 +3,15 @@
 A system is instantiated at a concrete integer parameter t, its integer
 points are enumerated exactly (interval bound propagation followed by
 depth-first search), and counting / ranking / projection-exclusion
-questions are answered from the enumeration. Also home to the base-t digit
-bijections and the disjoint-disjunction expansion of DNF formulas.
+questions are answered from one enumeration per system. Also home to the
+base-t digit bijections and the disjoint-disjunction expansion of DNF
+formulas.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappush, heapreplace
 
 from .errors import (
     DigitRangeError,
@@ -286,42 +288,59 @@ def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
     return LatticeSet(tuple(points), t)
 
 
+class _Ranking:
+    """Counts offered points and keeps the l largest values of c . x over
+    them, with multiplicity, in a min-heap of at most l values. l = None
+    asks for the count only: no objective value is computed."""
+
+    def __init__(self, c, t: int, l):
+        if l is not None and l < 1:
+            raise InputError("l must be >= 1")
+        self.l = l or 0
+        self.c = [_int_value(p, t) for p in c] if l else ()
+        self.heap = []
+        self.size = 0
+
+    def offer(self, point):
+        self.size += 1
+        if self.l:
+            value = sum(ci * xi for ci, xi in zip(self.c, point))
+            if len(self.heap) < self.l:
+                heappush(self.heap, value)
+            elif value > self.heap[0]:
+                heapreplace(self.heap, value)
+
+    def top(self) -> tuple:
+        """The kept values, largest first, padded with BOTTOM to length l."""
+        top = sorted(self.heap, reverse=True)
+        return tuple(top) + (BOTTOM,) * (self.l - len(top))
+
+
+def lattice_profile(sys: ParametricConstraintSystem, t: int, c, l,
+                    point_cap: int = DEFAULT_POINT_CAP):
+    """(number of lattice points, the l largest objective values c . x).
+
+    One enumeration. The values count multiplicity and are padded with
+    BOTTOM past the last point; l = None returns () for them.
+    """
+    if l is not None and len(c) != sys.n:
+        raise InputError("objective width must match variable count")
+    ranking = _Ranking(c, t, l)
+    _stream(sys, t, ranking.offer, point_cap)
+    return ranking.size, ranking.top()
+
+
 def size_function(sys: ParametricConstraintSystem, t: int,
                   point_cap: int = DEFAULT_POINT_CAP) -> int:
     """Number of lattice points of the instantiated system."""
-    count = 0
-
-    def visit(_):
-        nonlocal count
-        count += 1
-
-    _stream(sys, t, visit, point_cap)
-    return count
-
-
-def _objective_values(c, points, t):
-    ct = [_int_value(p, t) for p in c]
-    return [sum(ci * xi for ci, xi in zip(ct, pt)) for pt in points]
+    return lattice_profile(sys, t, None, None, point_cap)[0]
 
 
 def lth_largest_objective(sys: ParametricConstraintSystem, c, l: int, t: int,
                           point_cap: int = DEFAULT_POINT_CAP) -> ExtendedValue:
     """The l-th largest objective value with multiplicity, BOTTOM when
     fewer than l points exist."""
-    if l < 1:
-        raise InputError("l must be >= 1")
-    if len(c) != sys.n:
-        raise InputError("objective width must match variable count")
-    values = []
-
-    def visit(pt):
-        values.append(pt)
-
-    _stream(sys, t, visit, point_cap)
-    vals = sorted(_objective_values(c, values, t), reverse=True)
-    if len(vals) < l:
-        return BOTTOM
-    return vals[l - 1]
+    return lattice_profile(sys, t, c, l, point_cap)[1][l - 1]
 
 
 @dataclass(frozen=True)
@@ -352,40 +371,36 @@ class ExclusionProblem:
             raise InputError("objective must have n2 entries")
 
 
-def exclusion_feasible(ex: ExclusionProblem, t: int,
-                       point_cap: int = DEFAULT_POINT_CAP) -> LatticeSet:
-    """The feasible set: sys2 points covered by fewer than m sys1 fibers.
+def exclusion_profile(ex: ExclusionProblem, t: int, l,
+                      point_cap: int = DEFAULT_POINT_CAP):
+    """(the feasible set, the l largest objective values over it).
 
-    Fiber counts saturate at m; only "< m versus >= m" matters.
+    The feasible set holds the sys2 points covered by fewer than m sys1
+    fibers. Each system is enumerated once; fiber counts saturate at m,
+    since only "< m versus >= m" matters. The values are ranked as in
+    lattice_profile.
     """
-    n2 = ex.n2
-    m = ex.m
+    ranking = _Ranking(ex.c, t, l)
+    n2, m = ex.n2, ex.m
     fibers = {}
 
-    def visit(pt):
+    def cover(pt):
         key = pt[:n2]
         cnt = fibers.get(key, 0)
         if cnt < m:
             fibers[key] = cnt + 1
 
-    _stream(ex.sys1, t, visit, point_cap)
-    outer = enumerate_lattice(ex.sys2, t, point_cap)
-    kept = tuple(p for p in outer.points if fibers.get(p, 0) < m)
-    return LatticeSet(kept, t)
+    _stream(ex.sys1, t, cover, point_cap)
+    kept = []
 
+    def keep(pt):
+        if fibers.get(pt, 0) < m:
+            kept.append(pt)
+            ranking.offer(pt)
 
-def exclusion_values(ex: ExclusionProblem, l_max: int, t: int,
-                     point_cap: int = DEFAULT_POINT_CAP):
-    """(the l_max largest objective values over the feasible set, its size).
-
-    The value list is BOTTOM-padded once the feasible set is exhausted.
-    """
-    if l_max < 1:
-        raise InputError("l_max must be >= 1")
-    feasible = exclusion_feasible(ex, t, point_cap)
-    vals = sorted(_objective_values(ex.c, feasible.points, t), reverse=True)
-    out = tuple(vals[i] if i < len(vals) else BOTTOM for i in range(l_max))
-    return out, len(feasible.points)
+    _stream(ex.sys2, t, keep, point_cap)
+    kept.sort()
+    return LatticeSet(tuple(kept), t), ranking.top()
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +506,6 @@ class Atom:
     def holds(self, z, t) -> bool:
         lhs = sum(c(t) * zi for c, zi in zip(self.coeffs, z))
         return lhs <= self.rhs(t)
-
-    def _key(self):
-        return tuple(p.coeffs for p in self.coeffs), self.rhs.coeffs
-
-    def base_literal(self):
-        """(canonical base atom key, polarity): an atom and its negation
-        share the base and differ in polarity."""
-        mine = self._key()
-        other = self.negated()._key()
-        if mine <= other:
-            return mine, True
-        return other, False
 
 
 @dataclass(frozen=True)

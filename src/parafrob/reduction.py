@@ -126,12 +126,13 @@ def _eventually_sorted(polys) -> list:
 
 
 def window_bound_poly(fam: PolyFamily) -> Poly:
-    """Upper bound (as a polynomial in t) for l plus the largest answer.
+    """The polynomial in t that picks the box exponent r, and nothing else.
 
     l + (m-1)*s1*s2 + EG where s1, s2 are the two eventually-smallest
-    entries and EG = 2*x_max*(x_min/n) - x_min over the distinct entries is
-    the polynomial relaxation of the coprime Frobenius bound. Valid
-    wherever the entries are positive with gcd 1.
+    entries and EG = 2*x_max*(x_min/n) - x_min over the distinct entries.
+    This EG is the index-swapped Erdos-Graham form, which is not a proven
+    Frobenius bound, so this is no bound on the answers either: crosscheck
+    checks each t against the proven frobenius.qualifying_bound instead.
     """
     ordered = _eventually_sorted(fam.polys)
     s1, s2 = ordered[0], ordered[1]
@@ -163,7 +164,7 @@ def frobenius_to_exclusion(fam: PolyFamily, r: int) -> pilp.ExclusionProblem:
     coordinate k satisfies k - sum b_i P_i(t) = l, so k runs over l plus
     the integers representable in each multiplicity. Fibers of size below
     m survive, hence the l-th largest surviving k is l plus the family's
-    l-th answer, valid wherever the window bound stays below t^r.
+    l-th answer, valid wherever qualifying_bound + l stays below t^r.
     """
     n = len(fam.polys)
     box_edge = Poly.variable() ** r - Poly.constant(1)
@@ -247,14 +248,14 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
                point_cap: int = pilp.DEFAULT_POINT_CAP) -> CrosscheckReport:
     """Compare exclusion-path and direct-path answers on a t window.
 
-    Rows are SKIPPED (with the reason) where the construction is not yet
-    valid: an entry nonpositive, entry gcd not 1, the window bound not
-    below t^r, or the box too large for the point cap.
+    Rows are SKIPPED (with the reason) where the construction is not
+    provably valid: an entry nonpositive, entry gcd not 1, the proven
+    bound frobenius.qualifying_bound + l on l plus every answer not below
+    t^r, or the box too large for the point cap.
     """
     if t_min > t_max:
         raise InputError("empty t range")
     r = box_exponent(fam)
-    bound = window_bound_poly(fam)
     ex = frobenius_to_exclusion(fam, r)
 
     rows = []
@@ -268,8 +269,9 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             skip = "entry not positive"
         elif gcd(*values) != 1:
             skip = "entry gcd is not 1"
-        elif bound(t) >= t**r:
-            skip = f"window bound {bound(t)} not below t^{r}"
+        elif (bound := frobenius.qualifying_bound(Coins(values), fam.m)
+                       + fam.l) >= t**r:
+            skip = f"window bound {bound} not below t^{r}"
         elif t**r > point_cap:
             skip = f"box size t^{r} exceeds the point cap"
         if skip is not None:
@@ -277,7 +279,7 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             continue
 
         try:
-            f_vals, g_val = pilp.exclusion_values(ex, fam.l, t, point_cap)
+            feasible, top = pilp.exclusion_profile(ex, t, fam.l, point_cap)
         except ResourceLimitError:
             rows.append(CrosscheckRow(
                 t, SKIPPED, None, None, None, None,
@@ -289,7 +291,8 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
         f_direct = table.frobenius(fam.m, fam.l)
         g_direct = table.genus(fam.m)
 
-        f_val = f_vals[fam.l - 1]
+        g_val = len(feasible)
+        f_val = top[fam.l - 1]
         f_shifted = f_val - fam.l if f_val is not BOTTOM else BOTTOM
         f_equal = f_shifted == f_direct and f_val is not BOTTOM
         checked += 1

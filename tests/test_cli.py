@@ -2,7 +2,7 @@
 
 from click.testing import CliRunner
 
-from parafrob import frobenius
+from parafrob import frobenius, pilp
 from parafrob.cli import main
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
@@ -213,6 +213,60 @@ def test_pilp_exclusion_listing(tmp_path):
     assert "point 1" in res.output and "point 9" in res.output
     count_only = run("pilp", str(sysfile), "--t", "10")
     assert "size 7" in count_only.output
+
+
+def test_pilp_rank_below_one_exit(tmp_path):
+    plain = tmp_path / "tri.txt"
+    plain.write_text(TRIANGLE)
+    exclusion = tmp_path / "ex5.txt"
+    exclusion.write_text(EXAMPLE5)
+    for sysfile, mode in ((plain, "--objective"), (exclusion, "--objective"),
+                          (exclusion, "--exclusion")):
+        for l in ("0", "-2"):
+            res = run("pilp", str(sysfile), "--t", "4", mode, "--l", l)
+            assert res.exit_code == 2, (sysfile.name, mode, l)
+            assert res.output == "error: l must be >= 1\n"
+    # --count ignores --l
+    assert run("pilp", str(plain), "--t", "4", "--l", "0").output == "count 15\n"
+    assert run("pilp", str(exclusion), "--t", "10", "--l", "0").output == "size 7\n"
+
+
+def count_enumerations(monkeypatch):
+    """Record the box of every system pilp enumerates."""
+    boxes = []
+    real = pilp._iter_points
+
+    def counting(rows, lo, hi, visit, point_cap):
+        boxes.append((tuple(lo), tuple(hi)))
+        return real(rows, lo, hi, visit, point_cap)
+
+    monkeypatch.setattr(pilp, "_iter_points", counting)
+    return boxes
+
+
+def test_pilp_enumerates_each_system_once(tmp_path, monkeypatch):
+    boxes = count_enumerations(monkeypatch)
+    sysfile = tmp_path / "tri.txt"
+    sysfile.write_text(TRIANGLE)
+    res = run("pilp", str(sysfile), "--t", "9", "--objective", "--l", "10")
+    assert res.exit_code == 0 and len(res.output.splitlines()) == 10
+    assert boxes == [((0, 0), (9, 9))]
+    boxes.clear()
+    sysfile = tmp_path / "ex5.txt"
+    sysfile.write_text(EXAMPLE5)
+    res = run("pilp", str(sysfile), "--t", "10", "--exclusion", "--l", "3")
+    assert res.exit_code == 0 and "size 7" in res.output
+    assert [hi for _, hi in boxes] == [(10, 6), (10,)]  # sys1, then sys2
+
+
+def test_crosscheck_enumerates_two_systems_per_checked_t(tmp_path, monkeypatch):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    boxes = count_enumerations(monkeypatch)
+    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
+              "--t-max", "10", "--format", "machine")
+    assert res.exit_code == 0 and "checked 9" in res.output
+    assert len(boxes) == 2 * 9
 
 
 def test_pilp_unbounded_exit(tmp_path):

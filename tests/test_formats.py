@@ -118,7 +118,7 @@ row: 1 | <= | t
     assert ex.m == 1 and ex.n1 == 1 and ex.n2 == 1
     assert ex.sys1.n == 2 and ex.sys2.n == 1
     from parafrob import pilp
-    assert [p[0] for p in pilp.exclusion_feasible(ex, 10).points] == \
+    assert [p[0] for p in pilp.exclusion_profile(ex, 10, None)[0].points] == \
         [1, 2, 3, 4, 6, 7, 9]
 
 

@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parafrob import pilp
 from parafrob.errors import (
@@ -148,6 +149,84 @@ def test_lth_largest_monotone_and_counts():
         assert b <= a
 
 
+def test_lattice_profile_rejects_bad_rank():
+    for l in (0, -2):
+        with pytest.raises(InputError, match="l must be >= 1"):
+            pilp.lattice_profile(triangle(), 3, (ONE, ONE), l)
+    with pytest.raises(InputError):
+        pilp.lattice_profile(triangle(), 3, (ONE,), 1)
+    assert pilp.lattice_profile(triangle(), 3, None, None) == (10, ())
+
+
+def boxed_system(bounds, extra):
+    """x_i <= bounds[i] for every i, then the extra (coeffs, sense, rhs)
+    rows with constant entries."""
+    n = len(bounds)
+    rows = []
+    for i, b in enumerate(bounds):
+        coeffs = [ZERO] * n
+        coeffs[i] = ONE
+        rows.append(Row(tuple(coeffs), LE, const(b)))
+    for coeffs, sense, rhs in extra:
+        rows.append(Row(tuple(const(c) for c in coeffs), sense, const(rhs)))
+    return system(n, rows)
+
+
+def extra_rows(n):
+    return st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                              st.sampled_from([LE, LE, EQ]), st.integers(-4, 12)),
+                    max_size=3)
+
+
+@st.composite
+def ranked_systems(draw):
+    n = draw(st.integers(1, 3))
+    bounds = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    c = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    return boxed_system(bounds, draw(extra_rows(n))), tuple(map(const, c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ranked_systems(), st.integers(1, 40))
+def test_lattice_profile_matches_box_scan(sys_c, l):
+    sys, c = sys_c
+    t = 0  # every entry is constant
+    points = box_scan(sys, t)
+    values = sorted((sum(int(ci(t)) * x for ci, x in zip(c, p)) for p in points),
+                    reverse=True)
+    size, top = pilp.lattice_profile(sys, t, c, l)
+    assert size == len(points)
+    assert top == tuple(values[:l]) + (BOTTOM,) * (l - min(l, size))
+    assert pilp.lattice_profile(sys, t, c, None) == (size, ())
+
+
+@st.composite
+def exclusion_problems(draw):
+    n2 = draw(st.integers(1, 2))
+    n1 = draw(st.integers(1, 2))
+    bounds1 = draw(st.lists(st.integers(0, 5), min_size=n1 + n2, max_size=n1 + n2))
+    bounds2 = draw(st.lists(st.integers(0, 5), min_size=n2, max_size=n2))
+    sys1 = boxed_system(bounds1, draw(extra_rows(n1 + n2)))
+    sys2 = boxed_system(bounds2, draw(extra_rows(n2)))
+    c = tuple(const(draw(st.integers(-3, 3))) for _ in range(n2))
+    return ExclusionProblem(draw(st.integers(1, 3)), n1, n2, sys1, sys2, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exclusion_problems(), st.integers(1, 30))
+def test_exclusion_profile_matches_brute_fibers(ex, l):
+    t = 0  # every entry is constant
+    fibers = {}
+    for p in box_scan(ex.sys1, t):
+        fibers[p[:ex.n2]] = fibers.get(p[:ex.n2], 0) + 1
+    kept = [p for p in box_scan(ex.sys2, t) if fibers.get(p, 0) < ex.m]
+    values = sorted((sum(int(ci(t)) * x for ci, x in zip(ex.c, p)) for p in kept),
+                    reverse=True)
+    got, top = pilp.exclusion_profile(ex, t, l)
+    assert list(got.points) == kept
+    assert top == tuple(values[:l]) + (BOTTOM,) * (l - min(l, len(kept)))
+
+
 def example5():
     sys1 = system(2, [
         Row((const(3), const(-5)), LE, ZERO),   # 3 x2 <= 5 x1
@@ -170,29 +249,39 @@ def brute_example5_feasible(t, m):
     return kept
 
 
+def feasible(ex, t):
+    return pilp.exclusion_profile(ex, t, None)[0]
+
+
+def ranked(ex, l, t):
+    """(the l largest objective values over the feasible set, its size)."""
+    feasible_set, top = pilp.exclusion_profile(ex, t, l)
+    return top, len(feasible_set)
+
+
 def test_exclusion_example5():
     sys1, sys2 = example5()
     ex = ExclusionProblem(1, 1, 1, sys1, sys2, (ONE,))
-    feasible = pilp.exclusion_feasible(ex, 10)
-    assert (1,) in feasible.points
-    assert list(feasible.points) == brute_example5_feasible(10, 1)
+    got = feasible(ex, 10)
+    assert (1,) in got.points
+    assert list(got.points) == brute_example5_feasible(10, 1)
     for t in (3, 7, 12):
-        got = pilp.exclusion_feasible(ex, t)
+        got = feasible(ex, t)
         assert list(got.points) == brute_example5_feasible(t, 1)
 
 
 def test_exclusion_large_m_keeps_everything():
     sys1, sys2 = example5()
     ex = ExclusionProblem(50, 1, 1, sys1, sys2, (ONE,))
-    feasible = pilp.exclusion_feasible(ex, 9)
-    assert list(feasible.points) == [(x,) for x in range(10)]
+    got = feasible(ex, 9)
+    assert list(got.points) == [(x,) for x in range(10)]
 
 
 def test_exclusion_values_shape():
     sys1, sys2 = example5()
     ex = ExclusionProblem(1, 1, 1, sys1, sys2, (ONE,))
-    values, size = pilp.exclusion_values(ex, 12, 10)
-    assert size == len(pilp.exclusion_feasible(ex, 10).points)
+    values, size = ranked(ex, 12, 10)
+    assert size == len(feasible(ex, 10).points)
     finite = [v for v in values if v is not BOTTOM]
     assert len(finite) == min(size, 12)
     assert finite == sorted(finite, reverse=True)
@@ -287,9 +376,7 @@ def test_digit_transform_preserves_exclusion_answers():
     for ex in cases:
         transformed = pilp.digit_transform_exclusion(ex, 2)
         for t in (5, 7, 11):
-            assert pilp.exclusion_values(ex, 3, t) == pilp.exclusion_values(
-                transformed, 3, t
-            )
+            assert ranked(ex, 3, t) == ranked(transformed, 3, t)
 
 
 def test_digit_transform_requires_nonneg():
@@ -305,13 +392,24 @@ def atom(cx, cy, rhs):
     return Atom((const(cx), const(cy)), rhs if isinstance(rhs, Poly) else const(rhs))
 
 
+def base_literal(a):
+    """(canonical base atom key, polarity): an atom and its negation
+    share the base and differ in polarity."""
+    mine = (tuple(p.coeffs for p in a.coeffs), a.rhs.coeffs)
+    neg = a.negated()
+    other = (tuple(p.coeffs for p in neg.coeffs), neg.rhs.coeffs)
+    if mine <= other:
+        return mine, True
+    return other, False
+
+
 def base_map(formulas):
     order = []
     seen = set()
     for f in formulas:
         for clause in f.clauses:
             for a in clause:
-                key, _ = a.base_literal()
+                key, _ = base_literal(a)
                 if key not in seen:
                     seen.add(key)
                     order.append(key)
@@ -322,7 +420,7 @@ def truth_table_sets(f, bases):
     """Oracle: satisfying assignments and per-assignment clause counts."""
     index = {key: i for i, key in enumerate(bases)}
     compiled = [
-        [(index[key], polarity) for key, polarity in map(Atom.base_literal, clause)]
+        [(index[key], polarity) for key, polarity in map(base_literal, clause)]
         for clause in f.clauses
     ]
     sat = set()

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parafrob import eqpfit, frobenius, reduction
 from parafrob.errors import InputError, NonIntegerQuotientError
@@ -12,6 +13,7 @@ from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial
 from parafrob.reduction import PolyFamily
 
 U = Poly.variable()
+ONE = Poly.constant(1)
 
 
 def fam(polys, m=1, l=1):
@@ -218,3 +220,42 @@ def test_crosscheck_skips_when_box_over_cap():
     assert report.checked < 11
     assert any("cap" in row.note for row in report.rows
                if row.status == reduction.SKIPPED)
+
+
+def test_crosscheck_mixed_degree_family_reports_no_diff():
+    # deg x_min < deg x_{n-1}: the box exponent comes out as 3, yet F + 1 is
+    # 200, 896 and 3168 at t = 5, 8 and 12. Rows whose proven bound is not
+    # below t^3 are skipped, never reported as DIFF.
+    family = fam([U, 2 * U**2 + ONE, 2 * U**2 + U, 2 * U**2 + 2 * U,
+                  2 * U**2 + 3 * U])
+    assert reduction.box_exponent(family) == 3
+    report = reduction.crosscheck(family, 2, 12)
+    assert all(row.status != reduction.DIFF for row in report.rows)
+    assert report.f_all_equal
+    for row in report.rows:
+        if row.status == reduction.SKIPPED:
+            continue
+        assert row.f_exclusion == row.f_direct < row.t**3
+
+
+@st.composite
+def mixed_families(draw):
+    """A linear entry and up to five entries of degree 1 or 2, which is
+    where the eventual order of the entries and their degrees can part."""
+    polys = [Poly((draw(st.integers(0, 3)), draw(st.integers(1, 2))))]
+    for _ in range(draw(st.integers(1, 5))):
+        lower = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2))
+        polys.append(Poly(tuple(lower) + (draw(st.integers(1, 2)),)))
+    return PolyFamily(tuple(polys), draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_families(), st.integers(1, 4))
+def test_crosscheck_never_reports_diff(family, t_min):
+    # Small t is where a bound that holds only eventually fails first.
+    report = reduction.crosscheck(family, t_min, t_min + 3, point_cap=3000)
+    r = reduction.box_exponent(family)
+    for row in report.rows:
+        assert row.status != reduction.DIFF, report
+        if row.status != reduction.SKIPPED:
+            assert row.f_direct + family.l < row.t**r
