@@ -3,7 +3,8 @@
 Commands: compute, series, fit, crosscheck, pilp. All numeric output is
 exact (integer or rational strings); the machine format is line-oriented
 key/value text so runs can be diffed byte for byte. Exit codes: 0 success,
-2 input error, 3 resource limit, 4 crosscheck mismatch.
+2 input error, 3 resource limit, 4 crosscheck mismatch, 5 crosscheck
+window with no checked row.
 """
 
 import sys
@@ -24,6 +25,7 @@ from .qpoly import BOTTOM
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_MISMATCH = 4
+EXIT_UNCHECKED = 5
 
 
 def _emit(lines, out: str | None):
@@ -56,6 +58,11 @@ format_option = click.option(
 )
 out_option = click.option(
     "--out", default=None, help="Write output to this file instead of stdout.",
+)
+point_cap_option = click.option(
+    "--point-cap", default=pilp.DEFAULT_POINT_CAP, show_default=True,
+    help="Work cap per enumerated system: search nodes entered below the "
+         "root plus lattice points taken.",
 )
 
 
@@ -232,7 +239,7 @@ def fit_report_lines(result, fmt: str) -> list:
               type=click.Path(exists=True))
 @click.option("--t-min", required=True, type=int)
 @click.option("--t-max", required=True, type=int)
-@click.option("--point-cap", default=pilp.DEFAULT_POINT_CAP, show_default=True)
+@point_cap_option
 @click.option("--inject-mismatch", is_flag=True, hidden=True,
               help="Corrupt one checked row (test mode).")
 @click.option("--seed", default=0, show_default=True,
@@ -265,10 +272,16 @@ def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
         lines.append(f"checked {report.checked}")
         lines.append(f"f_all_equal {report.f_all_equal}")
         lines.append(f"g_offsets {offsets}")
-        lines.append(f"verdict {'OK' if report.ok else 'MISMATCH'}")
+        if report.ok:
+            verdict, code = "OK", 0
+        elif report.checked == 0:
+            verdict, code = "UNCHECKED", EXIT_UNCHECKED
+        else:
+            verdict, code = "MISMATCH", EXIT_MISMATCH
+        lines.append(f"verdict {verdict}")
         _emit(lines, out)
-        if not report.ok:
-            sys.exit(EXIT_MISMATCH)
+        if code:
+            sys.exit(code)
 
     _guard(body)
 
@@ -302,7 +315,7 @@ def _corrupt(report, seed: int):
               help="Print the feasible set of an exclusion file.")
 @click.option("--l", "l_value", default=1, show_default=True,
               help="How many ranked objective values to print.")
-@click.option("--point-cap", default=pilp.DEFAULT_POINT_CAP, show_default=True)
+@point_cap_option
 @format_option
 @out_option
 def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):

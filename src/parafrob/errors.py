@@ -18,7 +18,8 @@ class BelowThresholdError(ParafrobError):
 
 
 class ResourceLimitError(ParafrobError):
-    """Table cells, lattice points, or clause counts over the configured budget."""
+    """Table cells, lattice search work, or clause counts over the configured
+    budget."""
 
 
 class GcdNotOneError(ParafrobError):

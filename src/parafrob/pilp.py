@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heapreplace
+from math import gcd
 
 from .errors import (
     DigitRangeError,
@@ -167,21 +168,41 @@ def propagated_box(sys: ParametricConstraintSystem, t: int):
     return _propagate(_instantiate(sys, t), sys.nonneg, sys.n)
 
 
-def _search_order(lo, hi):
-    """Static variable order for the search: smallest range first.
+def _search_order(lo, hi, n2=0):
+    """Static variable order for the search: smallest range first, except
+    that coordinates 0..n2-1 (the kept block of a fiber search) come first.
 
     Output order does not depend on this (points are re-sorted); it only
     controls how early equality rows pin their last free variable.
     """
-    n = len(lo)
-    return sorted(range(n), key=lambda i: (hi[i] - lo[i], i))
+    return sorted(range(len(lo)), key=lambda i: (i >= n2, hi[i] - lo[i], i))
 
 
-def _iter_points(rows, lo, hi, visit, point_cap):
+def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
     """Depth-first enumeration over the propagated box; calls visit(point)
-    for every lattice point satisfying all rows."""
+    for every lattice point satisfying all rows.
+
+    With fiber = (n2, m) it calls visit(key, count) instead, once per
+    assignment key of coordinates 0..n2-1 that has points above it, count
+    being their number capped at m: the kept block is searched first and
+    each fiber's search stops at its m-th point.
+
+    The last level is never searched: once every other coordinate is set,
+    the tightened range of the last one is exact, so all its values are
+    points. When the only row on the last coordinate is an equality, the
+    last two levels collapse together: the points are the values of the
+    second-last coordinate in one residue class, each fixing the last.
+
+    point_cap bounds the work, counted as search nodes entered below the
+    root plus points taken.
+    """
     n = len(lo)
-    order = _search_order(lo, hi)
+    n2, m = fiber or (0, None)
+    order = _search_order(lo, hi, n2)
+    # A <= row that holds at every corner of the box never tightens.
+    rows = [(coeffs, sense, rhs) for coeffs, sense, rhs in rows
+            if sense == EQ or rhs < sum(c * (hi[v] if c > 0 else lo[v])
+                                        for v, c in enumerate(coeffs))]
 
     # Per-row data in search order: coefficients, suffix min/max of the
     # still-unassigned terms, running partial sums.
@@ -204,23 +225,35 @@ def _iter_points(rows, lo, hi, visit, point_cap):
         sufmin.append(mins)
         sufmax.append(maxs)
 
+    # The level where the search stops. When an equality row e is the only
+    # row on the last coordinate y, it stops one level early unless that
+    # level is kept: e then reads ca * x + cb * y == s, and the points are
+    # the x in the tightened range with ca * x == s (mod cb), one residue
+    # class mod step, each with y = (s - ca * x) / cb.
+    leaf = n - 1
+    on_last = [r for r in range(nrows) if coeffs[r][n - 1] != 0]
+    if n - 2 >= n2 and len(on_last) == 1 and senses[on_last[0]] == EQ:
+        leaf = n - 2
+        e = on_last[0]
+        ca, cb = coeffs[e][n - 2], coeffs[e][n - 1]
+        g = gcd(ca, cb)
+        step = abs(cb) // g
+        inverse = pow(ca // g, -1, step)
+        y = order[n - 1]
+
     psum = [0] * nrows
     point = [0] * n
-    seen = 0
+    work = 0
+    found = 0  # points of the current fiber; stays 0 outside fiber mode
+
+    def over_cap():
+        return ResourceLimitError(
+            f"search exceeded the point cap of {point_cap} "
+            f"(search nodes plus lattice points)"
+        )
 
     def rec(i):
-        nonlocal seen
-        if i == n:
-            for r in range(nrows):
-                if psum[r] > rhss[r] or (senses[r] == EQ and psum[r] != rhss[r]):
-                    return
-            seen += 1
-            if seen > point_cap:
-                raise ResourceLimitError(
-                    f"more than {point_cap} lattice points"
-                )
-            visit(tuple(point))
-            return
+        nonlocal work, found
         v = order[i]
         lo_i, hi_i = lo[v], hi[v]
         for r in range(nrows):
@@ -250,6 +283,30 @@ def _iter_points(rows, lo, hi, visit, point_cap):
                         hi_i = b
         if lo_i > hi_i:
             return
+        if i == leaf:
+            if i == n - 1:
+                first, stride = lo_i, 1
+            else:
+                s = rhss[e] - psum[e]
+                if s % g:
+                    return
+                first, stride = lo_i + (s // g * inverse - lo_i) % step, step
+            if first > hi_i:
+                return
+            take = (hi_i - first) // stride + 1
+            if m is not None:
+                take = min(take, m - found)
+                found += take
+            work += take
+            if work > point_cap:
+                raise over_cap()
+            if m is None:
+                for value in range(first, hi_i + 1, stride):
+                    point[v] = value
+                    if i < n - 1:
+                        point[y] = (s - ca * value) // cb
+                    visit(tuple(point))
+            return
         touched = [r for r in range(nrows) if coeffs[r][i] != 0]
         point[v] = lo_i
         for r in touched:
@@ -259,20 +316,30 @@ def _iter_points(rows, lo, hi, visit, point_cap):
                 point[v] = value
                 for r in touched:
                     psum[r] += coeffs[r][i]
+            work += 1
+            if work > point_cap:
+                raise over_cap()
             rec(i + 1)
+            if i == n2 - 1:
+                if found:
+                    visit(tuple(point[:n2]), found)
+                    found = 0
+            elif found == m:
+                break
         for r in touched:
-            psum[r] -= coeffs[r][i] * hi_i
+            psum[r] -= coeffs[r][i] * point[v]
 
     rec(0)
 
 
-def _stream(sys: ParametricConstraintSystem, t: int, visit, point_cap):
+def _stream(sys: ParametricConstraintSystem, t: int, visit, point_cap,
+            fiber=None):
     rows = _instantiate(sys, t)
     box = _propagate(rows, sys.nonneg, sys.n)
     if box is None:
         return
     lo, hi = box
-    _iter_points(rows, lo, hi, visit, point_cap)
+    _iter_points(rows, lo, hi, visit, point_cap, fiber)
 
 
 def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
@@ -280,7 +347,8 @@ def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
     """All integer points of the instantiated system, lexicographic.
 
     Raises UnboundedRegionError when propagation cannot bound every
-    coordinate and ResourceLimitError past point_cap points.
+    coordinate and ResourceLimitError once search nodes plus points pass
+    point_cap.
     """
     points = []
     _stream(sys, t, points.append, point_cap)
@@ -376,25 +444,23 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     """(the feasible set, the l largest objective values over it).
 
     The feasible set holds the sys2 points covered by fewer than m sys1
-    fibers. Each system is enumerated once; fiber counts saturate at m,
-    since only "< m versus >= m" matters. The values are ranked as in
-    lattice_profile.
+    fibers. Each system is enumerated once; since only "< m versus >= m"
+    matters, the sys1 search stops each fiber at its m-th point. The
+    values are ranked as in lattice_profile.
     """
     ranking = _Ranking(ex.c, t, l)
-    n2, m = ex.n2, ex.m
-    fibers = {}
+    m = ex.m
+    full = set()  # keys with at least m sys1 points above them
 
-    def cover(pt):
-        key = pt[:n2]
-        cnt = fibers.get(key, 0)
-        if cnt < m:
-            fibers[key] = cnt + 1
+    def cover(key, count):
+        if count == m:
+            full.add(key)
 
-    _stream(ex.sys1, t, cover, point_cap)
+    _stream(ex.sys1, t, cover, point_cap, (ex.n2, m))
     kept = []
 
     def keep(pt):
-        if fibers.get(pt, 0) < m:
+        if pt not in full:
             kept.append(pt)
             ranking.offer(pt)
 

@@ -195,6 +195,35 @@ def test_crosscheck_skip_over_point_cap(tmp_path):
     assert "SKIPPED" in res.output
 
 
+def test_crosscheck_all_skipped_window_is_unchecked(tmp_path):
+    # The box exponent r = 3 is too small for this family at these t, so
+    # every row is skipped: nothing was compared, which is no mismatch.
+    fam = tmp_path / "fam.txt"
+    fam.write_text("poly: t\npoly: 2t^2 + 1\npoly: 2t^2 + t\npoly: 2t^2 + 2t\n"
+                   "poly: 2t^2 + 3t\nm: 1\nl: 1\n")
+    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
+              "--t-max", "6", "--format", "machine")
+    assert res.exit_code == 5
+    assert res.output.splitlines()[-4:] == [
+        "checked 0", "f_all_equal True", "g_offsets -", "verdict UNCHECKED"]
+
+
+def test_pilp_point_cap_counts_search_nodes(tmp_path):
+    # 2x - 2y is even, so sys1 has no point at all, yet its fiber search
+    # enters one node per kept value x: the cap stops that work too.
+    sysfile = tmp_path / "even.txt"
+    sysfile.write_text("m: 1\nn1: 1\nn2: 1\nc: 1\nsys1:\n"
+                       "row: 2, -2 | == | 1\nrow: 1, 0 | <= | t\n"
+                       "row: 0, 1 | <= | t\nsys2:\nrow: 1 | <= | 3\n")
+    res = run("pilp", str(sysfile), "--t", "1000", "--exclusion")
+    assert res.exit_code == 0 and res.output.startswith("size 4\n")
+    res = run("pilp", str(sysfile), "--t", "1000", "--exclusion",
+              "--point-cap", "100")
+    assert res.exit_code == 3
+    assert res.output == ("error: search exceeded the point cap of 100 "
+                          "(search nodes plus lattice points)\n")
+
+
 def test_pilp_count_and_objective(tmp_path):
     sysfile = tmp_path / "tri.txt"
     sysfile.write_text(TRIANGLE)
@@ -236,9 +265,9 @@ def count_enumerations(monkeypatch):
     boxes = []
     real = pilp._iter_points
 
-    def counting(rows, lo, hi, visit, point_cap):
+    def counting(rows, lo, hi, visit, point_cap, *rest):
         boxes.append((tuple(lo), tuple(hi)))
-        return real(rows, lo, hi, visit, point_cap)
+        return real(rows, lo, hi, visit, point_cap, *rest)
 
     monkeypatch.setattr(pilp, "_iter_points", counting)
     return boxes

@@ -158,18 +158,22 @@ def test_lattice_profile_rejects_bad_rank():
     assert pilp.lattice_profile(triangle(), 3, None, None) == (10, ())
 
 
-def boxed_system(bounds, extra):
+def boxed_system(bounds, extra, lows=None):
     """x_i <= bounds[i] for every i, then the extra (coeffs, sense, rhs)
-    rows with constant entries."""
+    rows with constant entries. Without lows every x_i is nonnegative;
+    with them the variables are free and x_i >= lows[i]."""
     n = len(bounds)
     rows = []
     for i, b in enumerate(bounds):
         coeffs = [ZERO] * n
         coeffs[i] = ONE
         rows.append(Row(tuple(coeffs), LE, const(b)))
+        if lows is not None:
+            coeffs[i] = -ONE
+            rows.append(Row(tuple(coeffs), LE, const(-lows[i])))
     for coeffs, sense, rhs in extra:
         rows.append(Row(tuple(const(c) for c in coeffs), sense, const(rhs)))
-    return system(n, rows)
+    return system(n, rows, None if lows is None else (False,) * n)
 
 
 def extra_rows(n):
@@ -200,31 +204,63 @@ def test_lattice_profile_matches_box_scan(sys_c, l):
     assert pilp.lattice_profile(sys, t, c, None) == (size, ())
 
 
+def lower_bounds(n):
+    return st.one_of(st.none(),
+                     st.lists(st.integers(-3, 0), min_size=n, max_size=n))
+
+
 @st.composite
 def exclusion_problems(draw):
     n2 = draw(st.integers(1, 2))
     n1 = draw(st.integers(1, 2))
     bounds1 = draw(st.lists(st.integers(0, 5), min_size=n1 + n2, max_size=n1 + n2))
     bounds2 = draw(st.lists(st.integers(0, 5), min_size=n2, max_size=n2))
-    sys1 = boxed_system(bounds1, draw(extra_rows(n1 + n2)))
-    sys2 = boxed_system(bounds2, draw(extra_rows(n2)))
+    # Negative lower bounds give free kept coordinates and fibers longer
+    # than m.
+    sys1 = boxed_system(bounds1, draw(extra_rows(n1 + n2)),
+                        draw(lower_bounds(n1 + n2)))
+    sys2 = boxed_system(bounds2, draw(extra_rows(n2)), draw(lower_bounds(n2)))
     c = tuple(const(draw(st.integers(-3, 3))) for _ in range(n2))
-    return ExclusionProblem(draw(st.integers(1, 3)), n1, n2, sys1, sys2, c)
+    return ExclusionProblem(draw(st.integers(1, 4)), n1, n2, sys1, sys2, c)
 
 
-@settings(max_examples=80, deadline=None)
-@given(exclusion_problems(), st.integers(1, 30))
-def test_exclusion_profile_matches_brute_fibers(ex, l):
-    t = 0  # every entry is constant
+def brute_feasible(ex, t):
+    """The sys2 points with fewer than m sys1 points above them, from box
+    scans."""
     fibers = {}
     for p in box_scan(ex.sys1, t):
         fibers[p[:ex.n2]] = fibers.get(p[:ex.n2], 0) + 1
-    kept = [p for p in box_scan(ex.sys2, t) if fibers.get(p, 0) < ex.m]
+    return [p for p in box_scan(ex.sys2, t) if fibers.get(p, 0) < ex.m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(exclusion_problems(), st.integers(1, 30))
+def test_exclusion_profile_matches_brute_fibers(ex, l):
+    t = 0  # every entry is constant
+    kept = brute_feasible(ex, t)
     values = sorted((sum(int(ci(t)) * x for ci, x in zip(ex.c, p)) for p in kept),
                     reverse=True)
     got, top = pilp.exclusion_profile(ex, t, l)
     assert list(got.points) == kept
     assert top == tuple(values[:l]) + (BOTTOM,) * (l - min(l, len(kept)))
+
+
+def test_equality_pair_collapse_matches_box_scan():
+    # When one equality is the only row on the last search coordinate, the
+    # last two levels collapse: the points step through one residue class.
+    for a, b, rhs in product(range(-4, 5), (2, 3, -4, 6), range(-7, 8)):
+        for coeffs in ((a, b), (b, a)):
+            sys = boxed_system([6, 9], [(coeffs, EQ, rhs)], lows=[-3, -2])
+            got = pilp.enumerate_lattice(sys, 0).points
+            assert list(got) == box_scan(sys, 0)
+    # The same with a kept coordinate k in front: k - a x - b y == rhs.
+    for a, b, rhs, m in product((1, 2, 3), (2, 3, 5), (-2, 0, 1), (1, 2, 3)):
+        sys1 = boxed_system([12, 5, 6], [((1, -a, -b), EQ, rhs)],
+                            lows=[-3, 0, -2])
+        sys2 = boxed_system([12], [], lows=[-3])
+        ex = ExclusionProblem(m, 2, 1, sys1, sys2, (ONE,))
+        feasible = pilp.exclusion_profile(ex, 0, None)[0]
+        assert list(feasible.points) == brute_feasible(ex, 0)
 
 
 def example5():

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parafrob import eqpfit, frobenius, reduction
+from parafrob import eqpfit, frobenius, pilp, reduction
 from parafrob.errors import InputError, NonIntegerQuotientError
 from parafrob.frobenius import Coins, FrobeniusInstance
 from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial
@@ -220,6 +220,19 @@ def test_crosscheck_skips_when_box_over_cap():
     assert report.checked < 11
     assert any("cap" in row.note for row in report.rows
                if row.status == reduction.SKIPPED)
+
+
+def test_crosscheck_fibers_stop_at_m():
+    # At t = 7 the exclusion system sys1 of this family has 114030 points,
+    # far above the cap, but the search stops each fiber at m points, so
+    # the row is checked all the same.
+    family = fam([U, U**2 + ONE, U**2 + 2 * U - ONE], m=2, l=2)
+    r = reduction.box_exponent(family)
+    ex = reduction.frobenius_to_exclusion(family, r)
+    cap = 20_000
+    assert 7**r <= cap < pilp.size_function(ex.sys1, 7)
+    report = reduction.crosscheck(family, 7, 7, point_cap=cap)
+    assert report.checked == 1 and report.ok
 
 
 def test_crosscheck_mixed_degree_family_reports_no_diff():
