@@ -5,6 +5,9 @@ exact (integer or rational strings); the machine format is line-oriented
 key/value text so runs can be diffed byte for byte. Exit codes: 0 success,
 2 input error, 3 resource limit, 4 crosscheck mismatch, 5 crosscheck
 window with no checked row.
+
+Each command imports the modules it runs inside its body, so a cold start
+loads only those.
 """
 
 import sys
@@ -12,8 +15,9 @@ from pathlib import Path
 
 import click
 
-from . import eqpfit, formats, frobenius, pilp, reduction
+from . import formats
 from .errors import (
+    DEFAULT_POINT_CAP,
     InputError,
     InsufficientDataError,
     ParafrobError,
@@ -60,7 +64,8 @@ out_option = click.option(
     "--out", default=None, help="Write output to this file instead of stdout.",
 )
 point_cap_option = click.option(
-    "--point-cap", default=pilp.DEFAULT_POINT_CAP, show_default=True,
+    "--point-cap", default=DEFAULT_POINT_CAP, show_default=True,
+    type=click.IntRange(min=1),
     help="Work cap per enumerated system: search nodes entered below the "
          "root plus lattice points taken.",
 )
@@ -82,6 +87,7 @@ def main():
 @out_option
 def compute(tuple_text, m, l, h_excerpt, fmt, out):
     """Frobenius number, genus, and their (m, l) generalizations."""
+    from . import frobenius
 
     def body():
         coins = formats.parse_coins(tuple_text)
@@ -122,8 +128,11 @@ def series(family_path, t_min, t_max, out_prefix):
     Re-running with an existing output only computes the missing t values
     and rewrites the merged, sorted series.
     """
+    from . import eqpfit, reduction
 
     def body():
+        if t_min > t_max:
+            raise InputError("empty t range")
         fam = formats.parse_family(Path(family_path).read_text())
         targets = {
             "fml": Path(f"{out_prefix}.fml.series"),
@@ -147,12 +156,6 @@ def series(family_path, t_min, t_max, out_prefix):
             click.echo(f"wrote {path} ({len(merged)} samples)")
 
     _guard(body)
-
-
-def _fit_config(d_max, deg_max, holdout, min_support):
-    return eqpfit.FitConfig(
-        d_max=d_max, deg_max=deg_max, holdout=holdout, min_support=min_support
-    )
 
 
 fit_options = [
@@ -180,10 +183,12 @@ def _apply(options):
 @out_option
 def fit(series_path, d_max, deg_max, holdout, min_support, fmt, out):
     """Fit an eventual quasi-polynomial to a series file."""
+    from . import eqpfit
 
     def body():
         data = formats.parse_series(Path(series_path).read_text())
-        cfg = _fit_config(d_max, deg_max, holdout, min_support)
+        cfg = eqpfit.FitConfig(d_max=d_max, deg_max=deg_max, holdout=holdout,
+                               min_support=min_support)
         result = eqpfit.fit_quasipolynomial(data, cfg)
         lines = fit_report_lines(result, fmt)
         _emit(lines, out)
@@ -192,6 +197,8 @@ def fit(series_path, d_max, deg_max, holdout, min_support, fmt, out):
 
 
 def fit_report_lines(result, fmt: str) -> list:
+    from . import eqpfit
+
     if isinstance(result, eqpfit.Fit):
         qp = result.qp
         if fmt == "machine":
@@ -249,6 +256,7 @@ def fit_report_lines(result, fmt: str) -> list:
 def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
                fmt, out):
     """Compare the exclusion path against the direct path per t."""
+    from . import reduction
 
     def body():
         fam = formats.parse_family(Path(family_path).read_text())
@@ -288,6 +296,8 @@ def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
 
 def _corrupt(report, seed: int):
     """Shift one checked row's direct value; for exercising exit code 4."""
+    from . import reduction
+
     checked = [i for i, row in enumerate(report.rows)
                if row.status != reduction.SKIPPED]
     if not checked:
@@ -320,6 +330,7 @@ def _corrupt(report, seed: int):
 @out_option
 def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):
     """Lattice count, ranked objective values, or exclusion feasible set."""
+    from . import pilp
 
     def body():
         parsed = formats.parse_system_file(Path(system_path).read_text())

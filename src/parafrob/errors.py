@@ -4,6 +4,9 @@ The CLI maps these onto exit codes (see cli.py): input problems exit 2,
 resource limits exit 3.
 """
 
+# Default work cap of one lattice search (search nodes plus points).
+DEFAULT_POINT_CAP = 1_000_000
+
 
 class ParafrobError(Exception):
     """Base class for all package errors."""

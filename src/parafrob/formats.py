@@ -8,15 +8,22 @@ one "t value" pair per line with "-inf" for the bottom value; '#' starts a
 comment in every file format.
 """
 
+from __future__ import annotations
+
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .eqpfit import SampleSeries
 from .errors import InputError
-from .frobenius import Coins
-from .pilp import EQ, LE, ExclusionProblem, ParametricConstraintSystem, Row
 from .qpoly import BOTTOM, Poly
-from .reduction import PolyFamily
+
+# Each parser imports the domain class it builds, so a command loads only
+# the modules it runs.
+if TYPE_CHECKING:
+    from .eqpfit import SampleSeries
+    from .frobenius import Coins
+    from .pilp import ParametricConstraintSystem, Row
+    from .reduction import PolyFamily
 
 
 def parse_rational(text: str) -> Fraction:
@@ -149,6 +156,8 @@ def _content_lines(text: str):
 
 def parse_coins(text: str) -> Coins:
     """Tuple grammar: "a: [6, 10, 15]", "[6, 10, 15]", or "6,10,15"."""
+    from .frobenius import Coins
+
     s = text.strip()
     if s.startswith("a:"):
         s = s[2:].strip()
@@ -167,6 +176,8 @@ def format_coins(coins: Coins) -> str:
 
 
 def parse_series(text: str) -> SampleSeries:
+    from .eqpfit import SampleSeries
+
     pairs = []
     for line in _content_lines(text):
         fields = line.split()
@@ -189,6 +200,8 @@ def format_series(series: SampleSeries) -> str:
 
 def parse_family(text: str) -> PolyFamily:
     """Family grammar: one "poly:" line per entry plus "m:" and "l:"."""
+    from .reduction import PolyFamily
+
     polys = []
     m = None
     l = None
@@ -233,6 +246,8 @@ def _split_top_level(text: str) -> list:
 
 
 def _parse_row(line: str, n: int) -> Row:
+    from .pilp import EQ, LE, Row
+
     pieces = [p.strip() for p in line.split("|")]
     if len(pieces) != 3:
         raise InputError(f"rows are 'coeffs | sense | rhs': {line!r}")
@@ -257,6 +272,8 @@ def _parse_nonneg(value: str, n: int) -> tuple:
 
 
 def _build_system(header: dict, rows: list) -> ParametricConstraintSystem:
+    from .pilp import ParametricConstraintSystem
+
     if "vars" not in header:
         raise InputError("system is missing 'vars:'")
     n = int(header["vars"])
@@ -330,6 +347,8 @@ def parse_system_file(text: str):
         if int(header["vars"]) != n:
             raise InputError("section vars: disagrees with n1/n2")
         return _build_system(header, rows)
+
+    from .pilp import ExclusionProblem
 
     sys1 = build(sections["sys1:"], n1 + n2)
     sys2 = build(sections["sys2:"], n2)

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heapreplace
 from math import gcd
+from operator import mul
 
 from .errors import (
+    DEFAULT_POINT_CAP,
     DigitRangeError,
     InputError,
     OutOfRangeError,
@@ -29,7 +31,6 @@ EQ = "=="
 # Propagation sweeps before giving up on deriving finite bounds.
 MAX_SWEEPS = 100
 
-DEFAULT_POINT_CAP = 1_000_000
 DEFAULT_CLAUSE_CAP = 100_000
 
 
@@ -179,8 +180,11 @@ def _search_order(lo, hi, n2=0):
 
 
 def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
-    """Depth-first enumeration over the propagated box; calls visit(point)
-    for every lattice point satisfying all rows.
+    """Depth-first enumeration over the propagated box of the lattice
+    points satisfying all rows. They come in leaf runs, arithmetic
+    progressions along the last search level: visit(first, step, length)
+    gets the points first + k * step for k = 0..length-1 at once, step
+    being the same tuple for every run.
 
     With fiber = (n2, m) it calls visit(key, count) instead, once per
     assignment key of coordinates 0..n2-1 that has points above it, count
@@ -191,7 +195,8 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
     the tightened range of the last one is exact, so all its values are
     points. When the only row on the last coordinate is an equality, the
     last two levels collapse together: the points are the values of the
-    second-last coordinate in one residue class, each fixing the last.
+    second-last coordinate in one residue class, each fixing the last, so
+    a run steps both coordinates.
 
     point_cap bounds the work, counted as search nodes entered below the
     root plus points taken.
@@ -229,17 +234,22 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
     # row on the last coordinate y, it stops one level early unless that
     # level is kept: e then reads ca * x + cb * y == s, and the points are
     # the x in the tightened range with ca * x == s (mod cb), one residue
-    # class mod step, each with y = (s - ca * x) / cb.
-    leaf = n - 1
+    # class mod stride, each with y = (s - ca * x) / cb. Along a run x
+    # steps by stride and y by -ca * stride / cb.
+    leaf, stride = n - 1, 1
+    run_step = [0] * n
     on_last = [r for r in range(nrows) if coeffs[r][n - 1] != 0]
     if n - 2 >= n2 and len(on_last) == 1 and senses[on_last[0]] == EQ:
         leaf = n - 2
         e = on_last[0]
         ca, cb = coeffs[e][n - 2], coeffs[e][n - 1]
         g = gcd(ca, cb)
-        step = abs(cb) // g
-        inverse = pow(ca // g, -1, step)
+        stride = abs(cb) // g
+        inverse = pow(ca // g, -1, stride)
         y = order[n - 1]
+        run_step[y] = -ca * stride // cb
+    run_step[order[leaf]] = stride
+    run_step = tuple(run_step)
 
     psum = [0] * nrows
     point = [0] * n
@@ -285,12 +295,12 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
             return
         if i == leaf:
             if i == n - 1:
-                first, stride = lo_i, 1
+                first = lo_i
             else:
                 s = rhss[e] - psum[e]
                 if s % g:
                     return
-                first, stride = lo_i + (s // g * inverse - lo_i) % step, step
+                first = lo_i + (s // g * inverse - lo_i) % stride
             if first > hi_i:
                 return
             take = (hi_i - first) // stride + 1
@@ -301,11 +311,10 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
             if work > point_cap:
                 raise over_cap()
             if m is None:
-                for value in range(first, hi_i + 1, stride):
-                    point[v] = value
-                    if i < n - 1:
-                        point[y] = (s - ca * value) // cb
-                    visit(tuple(point))
+                point[v] = first
+                if i < n - 1:
+                    point[y] = (s - ca * first) // cb
+                visit(tuple(point), run_step, take)
             return
         touched = [r for r in range(nrows) if coeffs[r][i] != 0]
         point[v] = lo_i
@@ -351,15 +360,32 @@ def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
     point_cap.
     """
     points = []
-    _stream(sys, t, points.append, point_cap)
+
+    def collect(first, step, length):
+        points.extend(_run_points(first, step, length))
+
+    _stream(sys, t, collect, point_cap)
     points.sort()
     return LatticeSet(tuple(points), t)
 
 
+def _run_points(first, step, length):
+    """The points first + k * step, k = 0..length-1, of one leaf run."""
+    moving = [(i, d) for i, d in enumerate(step) if d]
+    point = list(first)
+    points = [first]
+    for _ in range(length - 1):
+        for i, d in moving:
+            point[i] += d
+        points.append(tuple(point))
+    return points
+
+
 class _Ranking:
-    """Counts offered points and keeps the l largest values of c . x over
-    them, with multiplicity, in a min-heap of at most l values. l = None
-    asks for the count only: no objective value is computed."""
+    """Counts the points of the offered runs and keeps the l largest values
+    of c . x over them, with multiplicity, in a min-heap of at most l
+    values. l = None asks for the count only: no objective value is
+    computed."""
 
     def __init__(self, c, t: int, l):
         if l is not None and l < 1:
@@ -369,14 +395,27 @@ class _Ranking:
         self.heap = []
         self.size = 0
 
-    def offer(self, point):
-        self.size += 1
-        if self.l:
-            value = sum(ci * xi for ci, xi in zip(self.c, point))
-            if len(self.heap) < self.l:
-                heappush(self.heap, value)
-            elif value > self.heap[0]:
-                heapreplace(self.heap, value)
+    def offer(self, first, step, length):
+        """Take the run first + k * step, k = 0..length-1. The objective is
+        linear along it, so its values are tried from the better end, at
+        most l of them, until one cannot enter the heap."""
+        self.size += length
+        if not self.l:
+            return
+        value = sum(map(mul, self.c, first))
+        slope = sum(map(mul, self.c, step))
+        if slope > 0:
+            value += (length - 1) * slope
+            slope = -slope
+        heap = self.heap
+        for _ in range(min(length, self.l)):
+            if len(heap) < self.l:
+                heappush(heap, value)
+            elif value > heap[0]:
+                heapreplace(heap, value)
+            else:
+                break
+            value += slope
 
     def top(self) -> tuple:
         """The kept values, largest first, padded with BOTTOM to length l."""
@@ -459,10 +498,18 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     _stream(ex.sys1, t, cover, point_cap, (ex.n2, m))
     kept = []
 
-    def keep(pt):
-        if pt not in full:
-            kept.append(pt)
-            ranking.offer(pt)
+    def keep(first, step, length):
+        # The points in full split the run; each part is ranked as a run.
+        parts = [[]]
+        for pt in _run_points(first, step, length):
+            if pt in full:
+                parts.append([])
+            else:
+                parts[-1].append(pt)
+        for part in parts:
+            if part:
+                kept.extend(part)
+                ranking.offer(part[0], step, len(part))
 
     _stream(ex.sys2, t, keep, point_cap)
     kept.sort()

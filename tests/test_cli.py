@@ -1,7 +1,13 @@
 """Command-line behavior: outputs, determinism, exit codes, resumption."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from click.testing import CliRunner
 
+import parafrob
 from parafrob import frobenius, pilp
 from parafrob.cli import main
 
@@ -138,6 +144,31 @@ def test_series_resume_fills_only_missing(tmp_path, monkeypatch):
     assert len(values) == 22
 
 
+def test_series_rejects_empty_t_range(tmp_path):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    out = tmp_path / "out"
+
+    def empty_range():
+        res = run("series", "--family", str(fam), "--t-min", "10",
+                  "--t-max", "3", "--out", str(out))
+        assert res.exit_code == 2
+        assert res.output == "error: empty t range\n"
+
+    empty_range()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.txt"]
+    # Existing series are neither read nor rewritten: a comment line, which
+    # a rewrite would drop, and a malformed family both stay unnoticed.
+    run("series", "--family", str(fam), "--t-min", "2", "--t-max", "5",
+        "--out", str(out))
+    series = tmp_path / "out.fml.series"
+    series.write_text("# kept\n" + series.read_text())
+    before = series.read_text()
+    fam.write_text("not a family\n")
+    empty_range()
+    assert series.read_text() == before
+
+
 def test_series_invalid_family(tmp_path):
     fam = tmp_path / "fam.txt"
     fam.write_text("poly: [0, 1]\npoly: [0, -1]\nm: 1\nl: 1\n")
@@ -224,6 +255,20 @@ def test_pilp_point_cap_counts_search_nodes(tmp_path):
                           "(search nodes plus lattice points)\n")
 
 
+def test_point_cap_below_one_is_an_input_error(tmp_path):
+    sysfile = tmp_path / "tri.txt"
+    sysfile.write_text(TRIANGLE)
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    for cap in ("0", "-5"):
+        for args in (("pilp", str(sysfile), "--t", "4"),
+                     ("crosscheck", "--family", str(fam), "--t-min", "2",
+                      "--t-max", "4")):
+            res = run(*args, "--point-cap", cap)
+            assert res.exit_code == 2, (args[0], cap)
+            assert "Invalid value for '--point-cap'" in res.output
+
+
 def test_pilp_count_and_objective(tmp_path):
     sysfile = tmp_path / "tri.txt"
     sysfile.write_text(TRIANGLE)
@@ -296,6 +341,45 @@ def test_crosscheck_enumerates_two_systems_per_checked_t(tmp_path, monkeypatch):
               "--t-max", "10", "--format", "machine")
     assert res.exit_code == 0 and "checked 9" in res.output
     assert len(boxes) == 2 * 9
+
+
+# Runs one command in a fresh interpreter, then prints the parafrob modules
+# it loaded.
+PROBE = """
+import sys
+from parafrob import cli
+try:
+    cli.main(args=sys.argv[1:], prog_name="parafrob")
+except SystemExit:
+    pass
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "parafrob")))
+"""
+
+
+def loaded_modules(workdir, *args):
+    src = str(Path(parafrob.__file__).parents[1])
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *args], cwd=workdir,
+                          env=env, capture_output=True, text=True, check=True)
+    *output, modules = proc.stdout.splitlines()
+    return output, {m.removeprefix("parafrob.") for m in modules.split()}
+
+
+def test_commands_load_only_their_modules(tmp_path):
+    (tmp_path / "tri.txt").write_text(TRIANGLE)
+    (tmp_path / "s.series").write_text(
+        "\n".join(f"{t} {t // 2}" for t in range(1, 61)) + "\n")
+    common = {"parafrob", "cli", "errors", "formats", "qpoly"}
+    output, modules = loaded_modules(tmp_path, "compute", "--a", "3,5",
+                                     "--format", "machine")
+    assert output[0] == "F 7" and modules == common | {"frobenius"}
+    output, modules = loaded_modules(tmp_path, "fit", "s.series",
+                                     "--format", "machine")
+    assert output[0] == "fit FIT" and modules == common | {"eqpfit"}
+    output, modules = loaded_modules(tmp_path, "pilp", "tri.txt", "--t", "9",
+                                     "--objective")
+    assert output == ["objective 1 9"] and modules == common | {"pilp"}
 
 
 def test_pilp_unbounded_exit(tmp_path):

@@ -182,12 +182,25 @@ def extra_rows(n):
                     max_size=3)
 
 
+def lower_bounds(n):
+    return st.one_of(st.none(),
+                     st.lists(st.integers(-3, 0), min_size=n, max_size=n))
+
+
 @st.composite
 def ranked_systems(draw):
     n = draw(st.integers(1, 3))
     bounds = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
     c = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-    return boxed_system(bounds, draw(extra_rows(n))), tuple(map(const, c))
+    sys = boxed_system(bounds, draw(extra_rows(n)), draw(lower_bounds(n)))
+    return sys, tuple(map(const, c))
+
+
+def top_values(points, c, l):
+    """The l largest values of c . x over points, padded with BOTTOM."""
+    values = sorted((sum(ci * x for ci, x in zip(c, p)) for p in points),
+                    reverse=True)[:l]
+    return tuple(values) + (BOTTOM,) * (l - len(values))
 
 
 @settings(max_examples=80, deadline=None)
@@ -196,17 +209,10 @@ def test_lattice_profile_matches_box_scan(sys_c, l):
     sys, c = sys_c
     t = 0  # every entry is constant
     points = box_scan(sys, t)
-    values = sorted((sum(int(ci(t)) * x for ci, x in zip(c, p)) for p in points),
-                    reverse=True)
     size, top = pilp.lattice_profile(sys, t, c, l)
     assert size == len(points)
-    assert top == tuple(values[:l]) + (BOTTOM,) * (l - min(l, size))
+    assert top == top_values(points, [int(ci(t)) for ci in c], l)
     assert pilp.lattice_profile(sys, t, c, None) == (size, ())
-
-
-def lower_bounds(n):
-    return st.one_of(st.none(),
-                     st.lists(st.integers(-3, 0), min_size=n, max_size=n))
 
 
 @st.composite
@@ -238,21 +244,27 @@ def brute_feasible(ex, t):
 def test_exclusion_profile_matches_brute_fibers(ex, l):
     t = 0  # every entry is constant
     kept = brute_feasible(ex, t)
-    values = sorted((sum(int(ci(t)) * x for ci, x in zip(ex.c, p)) for p in kept),
-                    reverse=True)
     got, top = pilp.exclusion_profile(ex, t, l)
     assert list(got.points) == kept
-    assert top == tuple(values[:l]) + (BOTTOM,) * (l - min(l, len(kept)))
+    assert top == top_values(kept, [int(ci(t)) for ci in ex.c], l)
 
 
 def test_equality_pair_collapse_matches_box_scan():
     # When one equality is the only row on the last search coordinate, the
-    # last two levels collapse: the points step through one residue class.
+    # last two levels collapse: the points step through one residue class,
+    # and each run of them is counted and ranked in one step. The
+    # objectives have slopes of both signs and zero along the runs, and the
+    # ranks are shorter and longer than the runs.
+    objectives = ((1, 0), (0, 1), (2, -3), (-1, -1), (0, 0))
     for a, b, rhs in product(range(-4, 5), (2, 3, -4, 6), range(-7, 8)):
         for coeffs in ((a, b), (b, a)):
             sys = boxed_system([6, 9], [(coeffs, EQ, rhs)], lows=[-3, -2])
+            want = box_scan(sys, 0)
             got = pilp.enumerate_lattice(sys, 0).points
-            assert list(got) == box_scan(sys, 0)
+            assert list(got) == want
+            for c, l in product(objectives, (1, 3, 12)):
+                size, top = pilp.lattice_profile(sys, 0, tuple(map(const, c)), l)
+                assert (size, top) == (len(want), top_values(want, c, l))
     # The same with a kept coordinate k in front: k - a x - b y == rhs.
     for a, b, rhs, m in product((1, 2, 3), (2, 3, 5), (-2, 0, 1), (1, 2, 3)):
         sys1 = boxed_system([12, 5, 6], [((1, -a, -b), EQ, rhs)],
