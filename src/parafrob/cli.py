@@ -4,13 +4,15 @@ Commands: compute, series, fit, crosscheck, pilp. All numeric output is
 exact (integer or rational strings); the machine format is line-oriented
 key/value text so runs can be diffed byte for byte. Exit codes: 0 success,
 2 input error, 3 resource limit, 4 crosscheck mismatch, 5 crosscheck
-window with no checked row.
+window with no checked row. Package errors are mapped to exit codes in one
+place, the group's ``invoke``.
 
 Each command imports the modules it runs inside its body, so a cold start
 loads only those.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -19,10 +21,8 @@ from . import formats
 from .errors import (
     DEFAULT_POINT_CAP,
     InputError,
-    InsufficientDataError,
     ParafrobError,
     ResourceLimitError,
-    UnboundedRegionError,
 )
 from .qpoly import BOTTOM
 
@@ -40,22 +40,6 @@ def _emit(lines, out: str | None):
         Path(out).write_text(text)
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _guard(body):
-    try:
-        body()
-    except (InputError, UnboundedRegionError, InsufficientDataError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except ResourceLimitError as exc:
-        _fail(EXIT_RESOURCE, str(exc))
-    except ParafrobError as exc:
-        _fail(EXIT_INPUT, str(exc))
-
-
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["table", "machine"]),
     default="table", show_default=True, help="Output style.",
@@ -71,7 +55,19 @@ point_cap_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends any command that raises a package error with its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ParafrobError as exc:
+            click.echo(f"error: {exc}", err=True)
+            limit = isinstance(exc, ResourceLimitError)
+            sys.exit(EXIT_RESOURCE if limit else EXIT_INPUT)
+
+
+@click.group(cls=_Group)
 def main():
     """Exact Frobenius quantities, lattice enumeration, and series fitting."""
 
@@ -89,30 +85,27 @@ def compute(tuple_text, m, l, h_excerpt, fmt, out):
     """Frobenius number, genus, and their (m, l) generalizations."""
     from . import frobenius
 
-    def body():
-        coins = formats.parse_coins(tuple_text)
-        table = frobenius.apery_table(coins, m)
-        f = table.frobenius(1, 1)
-        g = table.genus(1)
-        fml = table.frobenius(m, l)
-        gm = table.genus(m)
-        excerpt = frobenius.rep_count_table(coins, h_excerpt, cap=max(m, 2))
-        if fmt == "machine":
-            lines = [f"F {f}", f"G {g}", f"F_m_l {fml}", f"G_m {gm}"]
-            lines += [f"h {k} {c}" for k, c in enumerate(excerpt.counts)]
-        else:
-            lines = [
-                f"tuple          {formats.format_coins(coins)}",
-                f"F              {f}",
-                f"G              {g}",
-                f"F_m_l (m={m}, l={l})  {fml}",
-                f"G_m   (m={m})        {gm}",
-                f"h(k) capped at {excerpt.cap}, k = 0..{excerpt.bound}:",
-                "  " + " ".join(str(c) for c in excerpt.counts),
-            ]
-        _emit(lines, out)
-
-    _guard(body)
+    coins = formats.parse_coins(tuple_text)
+    table = frobenius.apery_table(coins, m)
+    f = table.frobenius(1, 1)
+    g = table.genus(1)
+    fml = table.frobenius(m, l)
+    gm = table.genus(m)
+    excerpt = frobenius.rep_count_table(coins, h_excerpt, cap=max(m, 2))
+    if fmt == "machine":
+        lines = [f"F {f}", f"G {g}", f"F_m_l {fml}", f"G_m {gm}"]
+        lines += [f"h {k} {c}" for k, c in enumerate(excerpt.counts)]
+    else:
+        lines = [
+            f"tuple          {formats.format_coins(coins)}",
+            f"F              {f}",
+            f"G              {g}",
+            f"F_m_l (m={m}, l={l})  {fml}",
+            f"G_m   (m={m})        {gm}",
+            f"h(k) capped at {excerpt.cap}, k = 0..{excerpt.bound}:",
+            "  " + " ".join(str(c) for c in excerpt.counts),
+        ]
+    _emit(lines, out)
 
 
 @main.command()
@@ -130,70 +123,51 @@ def series(family_path, t_min, t_max, out_prefix):
     """
     from . import eqpfit, reduction
 
-    def body():
-        if t_min > t_max:
-            raise InputError("empty t range")
-        fam = formats.parse_family(Path(family_path).read_text())
-        targets = {
-            "fml": Path(f"{out_prefix}.fml.series"),
-            "gm": Path(f"{out_prefix}.gm.series"),
-        }
-        existing = {}
-        for key, path in targets.items():
-            existing[key] = (
-                dict(formats.parse_series(path.read_text()).items())
-                if path.exists() else {}
-            )
-        have = set(existing["fml"]) & set(existing["gm"])
-        for t in range(t_min, t_max + 1):
-            if t not in have:
-                f_new, g_new = reduction.direct_series(fam, t, t)
-                existing["fml"][t] = f_new.value_at(t)
-                existing["gm"][t] = g_new.value_at(t)
-        for key, path in targets.items():
-            merged = eqpfit.SampleSeries.from_pairs(existing[key].items())
-            path.write_text(formats.format_series(merged))
-            click.echo(f"wrote {path} ({len(merged)} samples)")
-
-    _guard(body)
-
-
-fit_options = [
-    click.option("--d-max", default=24, show_default=True),
-    click.option("--deg-max", default=6, show_default=True),
-    click.option("--holdout", default=None, type=int,
-                 help="Trailing samples reserved for validation [default: 2*d_max]."),
-    click.option("--min-support", default=None, type=int,
-                 help="Training points required per residue class [default: deg_max+3]."),
-]
-
-
-def _apply(options):
-    def wrap(f):
-        for option in reversed(options):
-            f = option(f)
-        return f
-    return wrap
+    if t_min > t_max:
+        raise InputError("empty t range")
+    fam = formats.parse_family(Path(family_path).read_text())
+    targets = {
+        "fml": Path(f"{out_prefix}.fml.series"),
+        "gm": Path(f"{out_prefix}.gm.series"),
+    }
+    existing = {}
+    for key, path in targets.items():
+        existing[key] = (
+            dict(formats.parse_series(path.read_text()).items())
+            if path.exists() else {}
+        )
+    have = set(existing["fml"]) & set(existing["gm"])
+    for t in range(t_min, t_max + 1):
+        if t not in have:
+            f_new, g_new = reduction.direct_series(fam, t, t)
+            existing["fml"][t] = f_new.value_at(t)
+            existing["gm"][t] = g_new.value_at(t)
+    for key, path in targets.items():
+        merged = eqpfit.SampleSeries.from_pairs(existing[key].items())
+        path.write_text(formats.format_series(merged))
+        click.echo(f"wrote {path} ({len(merged)} samples)")
 
 
 @main.command()
 @click.argument("series_path", type=click.Path(exists=True))
-@_apply(fit_options)
+@click.option("--d-max", default=24, show_default=True)
+@click.option("--deg-max", default=6, show_default=True)
+@click.option("--holdout", default=None, type=int,
+              help="Trailing samples reserved for validation [default: 2*d_max].")
+@click.option("--min-support", default=None, type=int,
+              help="Training points required per residue class [default: deg_max+3].")
 @format_option
 @out_option
 def fit(series_path, d_max, deg_max, holdout, min_support, fmt, out):
     """Fit an eventual quasi-polynomial to a series file."""
     from . import eqpfit
 
-    def body():
-        data = formats.parse_series(Path(series_path).read_text())
-        cfg = eqpfit.FitConfig(d_max=d_max, deg_max=deg_max, holdout=holdout,
-                               min_support=min_support)
-        result = eqpfit.fit_quasipolynomial(data, cfg)
-        lines = fit_report_lines(result, fmt)
-        _emit(lines, out)
-
-    _guard(body)
+    data = formats.parse_series(Path(series_path).read_text())
+    cfg = eqpfit.FitConfig(d_max=d_max, deg_max=deg_max, holdout=holdout,
+                           min_support=min_support)
+    result = eqpfit.fit_quasipolynomial(data, cfg)
+    lines = fit_report_lines(result, fmt)
+    _emit(lines, out)
 
 
 def fit_report_lines(result, fmt: str) -> list:
@@ -258,40 +232,37 @@ def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
     """Compare the exclusion path against the direct path per t."""
     from . import reduction
 
-    def body():
-        fam = formats.parse_family(Path(family_path).read_text())
-        report = reduction.crosscheck(fam, t_min, t_max, point_cap)
-        if inject_mismatch:
-            report = _corrupt(report, seed)
-        lines = []
-        header = "t | f_l(t)-l | F_direct | g(t) | G_direct+l | status"
-        if fmt == "table":
-            lines.append(header)
-        for row in report.rows:
-            if row.status == reduction.SKIPPED:
-                lines.append(f"{row.t} | - | - | - | - | SKIPPED ({row.note})")
-                continue
-            lines.append(
-                f"{row.t} | {formats.format_extended(row.f_exclusion)} | "
-                f"{row.f_direct} | {row.g_exclusion} | {row.g_direct} | "
-                f"{row.status}"
-            )
-        offsets = ",".join(str(d) for d in report.g_offsets) or "-"
-        lines.append(f"checked {report.checked}")
-        lines.append(f"f_all_equal {report.f_all_equal}")
-        lines.append(f"g_offsets {offsets}")
-        if report.ok:
-            verdict, code = "OK", 0
-        elif report.checked == 0:
-            verdict, code = "UNCHECKED", EXIT_UNCHECKED
-        else:
-            verdict, code = "MISMATCH", EXIT_MISMATCH
-        lines.append(f"verdict {verdict}")
-        _emit(lines, out)
-        if code:
-            sys.exit(code)
-
-    _guard(body)
+    fam = formats.parse_family(Path(family_path).read_text())
+    report = reduction.crosscheck(fam, t_min, t_max, point_cap)
+    if inject_mismatch:
+        report = _corrupt(report, seed)
+    lines = []
+    header = "t | f_l(t)-l | F_direct | g(t) | G_direct+l | status"
+    if fmt == "table":
+        lines.append(header)
+    for row in report.rows:
+        if row.status == reduction.SKIPPED:
+            lines.append(f"{row.t} | - | - | - | - | SKIPPED ({row.note})")
+            continue
+        lines.append(
+            f"{row.t} | {formats.format_extended(row.f_exclusion)} | "
+            f"{row.f_direct} | {row.g_exclusion} | {row.g_direct} | "
+            f"{row.status}"
+        )
+    offsets = ",".join(str(d) for d in report.g_offsets) or "-"
+    lines.append(f"checked {report.checked}")
+    lines.append(f"f_all_equal {report.f_all_equal}")
+    lines.append(f"g_offsets {offsets}")
+    if report.ok:
+        verdict, code = "OK", 0
+    elif report.checked == 0:
+        verdict, code = "UNCHECKED", EXIT_UNCHECKED
+    else:
+        verdict, code = "MISMATCH", EXIT_MISMATCH
+    lines.append(f"verdict {verdict}")
+    _emit(lines, out)
+    if code:
+        sys.exit(code)
 
 
 def _corrupt(report, seed: int):
@@ -305,13 +276,9 @@ def _corrupt(report, seed: int):
     target = checked[seed % len(checked)]
     rows = list(report.rows)
     row = rows[target]
-    rows[target] = reduction.CrosscheckRow(
-        row.t, reduction.DIFF, row.f_exclusion, row.f_direct + 1,
-        row.g_exclusion, row.g_direct, "injected mismatch",
-    )
-    return reduction.CrosscheckReport(
-        tuple(rows), report.checked, False, report.g_offsets
-    )
+    rows[target] = replace(row, status=reduction.DIFF,
+                           f_direct=row.f_direct + 1, note="injected mismatch")
+    return reduction.CrosscheckReport(tuple(rows))
 
 
 @main.command(name="pilp")
@@ -332,30 +299,27 @@ def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):
     """Lattice count, ranked objective values, or exclusion feasible set."""
     from . import pilp
 
-    def body():
-        parsed = formats.parse_system_file(Path(system_path).read_text())
-        l = None if mode == "count" else l_value
-        if parsed[0] == "exclusion":
-            feasible, top = pilp.exclusion_profile(parsed[1], t_value, l,
-                                                   point_cap)
-            lines = [f"size {len(feasible)}"]
-        else:
-            _, system, objective = parsed
-            if mode == "exclusion":
-                raise InputError("--exclusion needs an exclusion file")
-            if mode == "objective" and objective is None:
-                raise InputError("--objective needs a c: line in the file")
-            size, top = pilp.lattice_profile(system, t_value, objective, l,
-                                             point_cap)
-            lines = [f"count {size}"] if mode == "count" else []
-        lines += [f"objective {i} {formats.format_extended(v)}"
-                  for i, v in enumerate(top, start=1)]
+    parsed = formats.parse_system_file(Path(system_path).read_text())
+    l = None if mode == "count" else l_value
+    if parsed[0] == "exclusion":
+        feasible, top = pilp.exclusion_profile(parsed[1], t_value, l,
+                                               point_cap)
+        lines = [f"size {len(feasible)}"]
+    else:
+        _, system, objective = parsed
         if mode == "exclusion":
-            lines += ["point " + " ".join(str(x) for x in pt)
-                      for pt in feasible.points]
-        _emit(lines, out)
-
-    _guard(body)
+            raise InputError("--exclusion needs an exclusion file")
+        if mode == "objective" and objective is None:
+            raise InputError("--objective needs a c: line in the file")
+        size, top = pilp.lattice_profile(system, t_value, objective, l,
+                                         point_cap)
+        lines = [f"count {size}"] if mode == "count" else []
+    lines += [f"objective {i} {formats.format_extended(v)}"
+              for i, v in enumerate(top, start=1)]
+    if mode == "exclusion":
+        lines += ["point " + " ".join(str(x) for x in pt)
+                  for pt in feasible.points]
+    _emit(lines, out)
 
 
 if __name__ == "__main__":

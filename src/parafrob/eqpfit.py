@@ -245,10 +245,7 @@ def _first_mismatch(qp: QuasiPolynomial, items) -> int | None:
     for t, v in items:
         if t <= qp.threshold:
             continue
-        got = qp.eval(t)
-        if (got is BOTTOM) != (v is BOTTOM):
-            return t
-        if got is not BOTTOM and got != v:
+        if qp.eval(t) != v:
             return t
     return None
 
@@ -263,10 +260,7 @@ def validate(qp: QuasiPolynomial, series: SampleSeries) -> ValidationReport:
             continue
         compared += 1
         got = qp.eval(t)
-        same = (got is BOTTOM and v is BOTTOM) or (
-            got is not BOTTOM and v is not BOTTOM and got == v
-        )
-        if same:
+        if got == v:
             agree += 1
         elif first is None:
             first = (t, v, got)

@@ -33,6 +33,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s.replace(" ", ""))
 
 
+def _parse_int(key: str, value: str) -> int:
+    """The integer value of a "key: value" header line."""
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"'{key}:' must be an integer: {value!r}") from None
+
+
 def format_rational(q) -> str:
     q = Fraction(q)
     if q.denominator == 1:
@@ -209,9 +217,9 @@ def parse_family(text: str) -> PolyFamily:
         if line.startswith("poly:"):
             polys.append(parse_poly(line))
         elif line.startswith("m:"):
-            m = int(line[2:].strip())
+            m = _parse_int("m", line[2:].strip())
         elif line.startswith("l:"):
-            l = int(line[2:].strip())
+            l = _parse_int("l", line[2:].strip())
         else:
             raise InputError(f"unexpected family line: {line!r}")
     if m is None or l is None:
@@ -276,7 +284,7 @@ def _build_system(header: dict, rows: list) -> ParametricConstraintSystem:
 
     if "vars" not in header:
         raise InputError("system is missing 'vars:'")
-    n = int(header["vars"])
+    n = _parse_int("vars", header["vars"])
     nonneg = _parse_nonneg(header.get("nonneg", "all"), n)
     return ParametricConstraintSystem(
         n, tuple(_parse_row(r, n) for r in rows), nonneg
@@ -291,20 +299,27 @@ def parse_system_file(text: str):
     sections and m/n1/n2 headers yields ("exclusion", problem).
     """
     lines = list(_content_lines(text))
-    if not any(line == "sys1:" for line in lines):
-        header = {}
-        rows = []
-        c = None
-        for line in lines:
-            if line.startswith("row:"):
-                rows.append(line[4:].strip())
-            elif line.startswith("c:"):
-                c = line[2:].strip()
-            elif ":" in line:
-                key, value = line.split(":", 1)
-                header[key.strip()] = value.strip()
-            else:
-                raise InputError(f"unexpected system line: {line!r}")
+    top = ([], {})  # rows, header
+    sections = ({"sys1:": ([], {}), "sys2:": ([], {})} if "sys1:" in lines
+                else {})
+    current = top
+    c = None
+    for line in lines:
+        if line in sections:
+            current = sections[line]
+        elif line.startswith("row:"):
+            if sections and current is top:
+                raise InputError("row outside sys1:/sys2: section")
+            current[0].append(line[4:].strip())
+        elif line.startswith("c:") and current is top:
+            c = line[2:].strip()
+        elif ":" in line:
+            key, value = line.split(":", 1)
+            current[1][key.strip()] = value.strip()
+        else:
+            raise InputError(f"unexpected system line: {line!r}")
+    rows, header = top
+    if not sections:
         system = _build_system(header, rows)
         objective = None
         if c is not None:
@@ -313,43 +328,21 @@ def parse_system_file(text: str):
                 raise InputError("objective width must match variable count")
         return "system", system, objective
 
-    top = {}
-    sections = {"sys1:": ([], {}), "sys2:": ([], {})}
-    current = None
-    c = None
-    for line in lines:
-        if line in sections:
-            current = sections[line]
-            continue
-        if line.startswith("row:"):
-            if current is None:
-                raise InputError("row outside sys1:/sys2: section")
-            current[0].append(line[4:].strip())
-        elif line.startswith("c:") and current is None:
-            c = line[2:].strip()
-        elif ":" in line:
-            key, value = line.split(":", 1)
-            (top if current is None else current[1])[key.strip()] = value.strip()
-        else:
-            raise InputError(f"unexpected system line: {line!r}")
     for key in ("m", "n1", "n2"):
-        if key not in top:
+        if key not in header:
             raise InputError(f"exclusion file is missing '{key}:'")
-    m, n1, n2 = int(top["m"]), int(top["n1"]), int(top["n2"])
+    m, n1, n2 = (_parse_int(key, header[key]) for key in ("m", "n1", "n2"))
     if c is None:
         raise InputError("exclusion file is missing 'c:'")
     objective = tuple(parse_poly(p) for p in _split_top_level(c))
 
-    def build(section, n):
-        rows, header = section
-        header = dict(header)
-        header.setdefault("vars", str(n))
-        if int(header["vars"]) != n:
-            raise InputError("section vars: disagrees with n1/n2")
-        return _build_system(header, rows)
-
     from .pilp import ExclusionProblem
 
-    sys1 = build(sections["sys1:"], n1 + n2)
-    sys2 = build(sections["sys2:"], n2)
-    return "exclusion", ExclusionProblem(m, n1, n2, sys1, sys2, objective)
+    systems = []
+    for name, n in (("sys1:", n1 + n2), ("sys2:", n2)):
+        rows, header = sections[name]
+        header.setdefault("vars", str(n))
+        if _parse_int("vars", header["vars"]) != n:
+            raise InputError("section vars: disagrees with n1/n2")
+        systems.append(_build_system(header, rows))
+    return "exclusion", ExclusionProblem(m, n1, n2, *systems, objective)

@@ -75,7 +75,6 @@ class LatticeSet:
     """Distinct integer points of an instantiated system, lexicographic."""
 
     points: tuple
-    t: int
 
     def __len__(self):
         return len(self.points)
@@ -366,7 +365,7 @@ def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
 
     _stream(sys, t, collect, point_cap)
     points.sort()
-    return LatticeSet(tuple(points), t)
+    return LatticeSet(tuple(points))
 
 
 def _run_points(first, step, length):
@@ -513,7 +512,7 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
 
     _stream(ex.sys2, t, keep, point_cap)
     kept.sort()
-    return LatticeSet(tuple(kept), t), ranking.top()
+    return LatticeSet(tuple(kept)), ranking.top()
 
 
 # ---------------------------------------------------------------------------

@@ -262,9 +262,4 @@ def eventually_equal(q1: QuasiPolynomial, q2: QuasiPolynomial) -> bool:
     d = lcm(q1.period, q2.period)
     a = q1.lifted(d // q1.period)
     b = q2.lifted(d // q2.period)
-    for c1, c2 in zip(a.components, b.components):
-        if (c1 is BOTTOM) != (c2 is BOTTOM):
-            return False
-        if c1 is not BOTTOM and c1 != c2:
-            return False
-    return True
+    return a.components == b.components

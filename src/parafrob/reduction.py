@@ -230,10 +230,23 @@ class CrosscheckRow:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    """The rows of one crosscheck; every total is read off them."""
+
     rows: tuple
-    checked: int
-    f_all_equal: bool
-    g_offsets: tuple  # sorted distinct g_exclusion - g_direct deltas
+
+    @property
+    def checked(self) -> int:
+        return sum(row.status != SKIPPED for row in self.rows)
+
+    @property
+    def f_all_equal(self) -> bool:
+        return all(row.status != DIFF for row in self.rows)
+
+    @property
+    def g_offsets(self) -> tuple:
+        """Sorted distinct g_exclusion - g_direct deltas of checked rows."""
+        return tuple(sorted({row.g_exclusion - row.g_direct
+                             for row in self.rows if row.status != SKIPPED}))
 
     @property
     def g_offset_constant(self) -> bool:
@@ -259,9 +272,6 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
     ex = frobenius_to_exclusion(fam, r)
 
     rows = []
-    f_all_equal = True
-    deltas = set()
-    checked = 0
     for t in range(t_min, t_max + 1):
         values = fam.values(t)
         skip = None
@@ -274,39 +284,30 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             skip = f"window bound {bound} not below t^{r}"
         elif t**r > point_cap:
             skip = f"box size t^{r} exceeds the point cap"
+        else:
+            try:
+                feasible, top = pilp.exclusion_profile(ex, t, fam.l,
+                                                       point_cap)
+            except ResourceLimitError:
+                skip = "enumeration exceeded the point cap"
         if skip is not None:
             rows.append(CrosscheckRow(t, SKIPPED, None, None, None, None, skip))
             continue
 
-        try:
-            feasible, top = pilp.exclusion_profile(ex, t, fam.l, point_cap)
-        except ResourceLimitError:
-            rows.append(CrosscheckRow(
-                t, SKIPPED, None, None, None, None,
-                "enumeration exceeded the point cap",
-            ))
-            continue
-
         table = frobenius.apery_table(Coins(values), fam.m)
         f_direct = table.frobenius(fam.m, fam.l)
-        g_direct = table.genus(fam.m)
+        g_direct = table.genus(fam.m) + fam.l
 
         g_val = len(feasible)
         f_val = top[fam.l - 1]
         f_shifted = f_val - fam.l if f_val is not BOTTOM else BOTTOM
-        f_equal = f_shifted == f_direct and f_val is not BOTTOM
-        checked += 1
-        f_all_equal = f_all_equal and f_equal
-        deltas.add(g_val - (g_direct + fam.l))
-        if not f_equal:
+        if f_shifted != f_direct:
             status = DIFF
-        elif g_val != g_direct + fam.l:
+        elif g_val != g_direct:
             status = G_OFFSET
         else:
             status = EQUAL
-        rows.append(CrosscheckRow(
-            t, status, f_shifted, f_direct, g_val, g_direct + fam.l,
-        ))
+        rows.append(CrosscheckRow(t, status, f_shifted, f_direct, g_val,
+                                  g_direct))
 
-    return CrosscheckReport(tuple(rows), checked, f_all_equal,
-                            tuple(sorted(deltas)))
+    return CrosscheckReport(tuple(rows))

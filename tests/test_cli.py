@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import parafrob
@@ -380,6 +381,47 @@ def test_commands_load_only_their_modules(tmp_path):
     output, modules = loaded_modules(tmp_path, "pilp", "tri.txt", "--t", "9",
                                      "--objective")
     assert output == ["objective 1 9"] and modules == common | {"pilp"}
+
+
+EXCLUSION_TEMPLATE = """m: {m}
+n1: {n1}
+n2: {n2}
+c: 1
+sys1:
+{vars}row: 1, 0 | <= | t
+row: 0, 1 | <= | t
+sys2:
+row: 1 | <= | t
+"""
+
+
+def exclusion_text(**fields):
+    return EXCLUSION_TEMPLATE.format(**{"m": "1", "n1": "1", "n2": "1",
+                                        "vars": "", **fields})
+
+
+@pytest.mark.parametrize("command, text, field, value", [
+    ("series", "poly: t\npoly: t + 1\nm: two\nl: 1\n", "m", "two"),
+    ("series", "poly: t\npoly: t + 1\nm: 1\nl: 1/2\n", "l", "1/2"),
+    ("pilp", "vars: x\nrow: 1, 1 | <= | t\n", "vars", "x"),
+    ("pilp", exclusion_text(m="1.5"), "m", "1.5"),
+    ("pilp", exclusion_text(n1="one"), "n1", "one"),
+    ("pilp", exclusion_text(n2=""), "n2", ""),
+    ("pilp", exclusion_text(vars="vars: 2x\n"), "vars", "2x"),
+], ids=["family-m", "family-l", "system-vars", "exclusion-m", "exclusion-n1",
+        "exclusion-n2", "section-vars"])
+def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
+                                                    field, value):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    if command == "series":
+        args = ("series", "--family", str(path), "--t-min", "1",
+                "--t-max", "3", "--out", str(tmp_path / "out"))
+    else:
+        args = ("pilp", str(path), "--t", "3", "--exclusion")
+    res = run(*args)
+    assert res.exit_code == 2
+    assert res.output == f"error: '{field}:' must be an integer: {value!r}\n"
 
 
 def test_pilp_unbounded_exit(tmp_path):

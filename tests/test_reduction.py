@@ -196,6 +196,38 @@ def test_frobenius_to_exclusion_matches_direct():
     assert statuses.count(reduction.EQUAL) == report.checked
 
 
+def test_crosscheck_report_totals_come_from_rows():
+    row = reduction.CrosscheckRow
+    skipped = row(2, reduction.SKIPPED, None, None, None, None, "entry gcd")
+    equal = row(3, reduction.EQUAL, 5, 5, 8, 8)
+    offset = row(4, reduction.G_OFFSET, 9, 9, 13, 12)
+    diff = row(5, reduction.DIFF, 11, 12, 15, 15)
+
+    report = reduction.CrosscheckReport((skipped, equal, offset))
+    assert report.checked == 2
+    assert report.f_all_equal
+    assert report.g_offsets == (0, 1)
+    assert not report.g_offset_constant and not report.ok
+
+    report = reduction.CrosscheckReport((equal, skipped, diff))
+    assert report.checked == 2
+    assert not report.f_all_equal
+    assert report.g_offsets == (0,)
+    assert report.g_offset_constant and not report.ok
+
+    report = reduction.CrosscheckReport((offset, skipped, offset))
+    assert report.checked == 2
+    assert report.f_all_equal
+    assert report.g_offsets == (1,)
+    assert report.g_offset_constant and report.ok
+
+    report = reduction.CrosscheckReport((skipped, skipped))
+    assert report.checked == 0
+    assert report.f_all_equal
+    assert report.g_offsets == ()
+    assert report.g_offset_constant and not report.ok
+
+
 def test_crosscheck_reports_constant_g_offset_for_higher_m():
     family = fam([U, U - Poly.constant(1)], m=2, l=1)
     report = reduction.crosscheck(family, 2, 10)
