@@ -3,19 +3,19 @@
 Commands: compute, series, fit, crosscheck, pilp. All numeric output is
 exact (integer or rational strings); the machine format is line-oriented
 key/value text so runs can be diffed byte for byte. Exit codes: 0 success,
-2 input error, 3 resource limit, 4 crosscheck mismatch, 5 crosscheck
-window with no checked row. Package errors are mapped to exit codes in one
-place, the group's ``invoke``.
+2 input error (usage errors included), 3 resource limit, 4 crosscheck
+mismatch, 5 crosscheck window with no checked row. Package errors are
+mapped to exit codes in one place, ``main``.
 
-Each command imports the modules it runs inside its body, so a cold start
-loads only those.
+Options are parsed by the standard library's argparse, and each command
+imports the modules it runs inside its body, so a cold start loads only
+those.
 """
 
+import argparse
 import sys
-from dataclasses import replace
+from functools import cache
 from pathlib import Path
-
-import click
 
 from . import formats
 from .errors import (
@@ -35,52 +35,11 @@ EXIT_UNCHECKED = 5
 def _emit(lines, out: str | None):
     text = "\n".join(lines) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         Path(out).write_text(text)
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["table", "machine"]),
-    default="table", show_default=True, help="Output style.",
-)
-out_option = click.option(
-    "--out", default=None, help="Write output to this file instead of stdout.",
-)
-point_cap_option = click.option(
-    "--point-cap", default=DEFAULT_POINT_CAP, show_default=True,
-    type=click.IntRange(min=1),
-    help="Work cap per enumerated system: search nodes entered below the "
-         "root plus lattice points taken.",
-)
-
-
-class _Group(click.Group):
-    """Ends any command that raises a package error with its exit code."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ParafrobError as exc:
-            click.echo(f"error: {exc}", err=True)
-            limit = isinstance(exc, ResourceLimitError)
-            sys.exit(EXIT_RESOURCE if limit else EXIT_INPUT)
-
-
-@click.group(cls=_Group)
-def main():
-    """Exact Frobenius quantities, lattice enumeration, and series fitting."""
-
-
-@main.command()
-@click.option("--a", "tuple_text", required=True,
-              help="Denomination tuple, e.g. '3,5' or '[6, 10, 15]'.")
-@click.option("--m", default=1, show_default=True, help="Multiplicity bound.")
-@click.option("--l", default=1, show_default=True, help="Rank of the answer.")
-@click.option("--h-excerpt", default=16, show_default=True,
-              help="Print min(h(k), m) for k up to this bound.")
-@format_option
-@out_option
 def compute(tuple_text, m, l, h_excerpt, fmt, out):
     """Frobenius number, genus, and their (m, l) generalizations."""
     from . import frobenius
@@ -108,13 +67,6 @@ def compute(tuple_text, m, l, h_excerpt, fmt, out):
     _emit(lines, out)
 
 
-@main.command()
-@click.option("--family", "family_path", required=True,
-              type=click.Path(exists=True), help="Family file (poly/m/l).")
-@click.option("--t-min", required=True, type=int)
-@click.option("--t-max", required=True, type=int)
-@click.option("--out", "out_prefix", required=True,
-              help="Series are written to <out>.fml.series and <out>.gm.series.")
 def series(family_path, t_min, t_max, out_prefix):
     """Sample the family's l-th answer and count over a t range.
 
@@ -145,19 +97,9 @@ def series(family_path, t_min, t_max, out_prefix):
     for key, path in targets.items():
         merged = eqpfit.SampleSeries.from_pairs(existing[key].items())
         path.write_text(formats.format_series(merged))
-        click.echo(f"wrote {path} ({len(merged)} samples)")
+        print(f"wrote {path} ({len(merged)} samples)")
 
 
-@main.command()
-@click.argument("series_path", type=click.Path(exists=True))
-@click.option("--d-max", default=24, show_default=True)
-@click.option("--deg-max", default=6, show_default=True)
-@click.option("--holdout", default=None, type=int,
-              help="Trailing samples reserved for validation [default: 2*d_max].")
-@click.option("--min-support", default=None, type=int,
-              help="Training points required per residue class [default: deg_max+3].")
-@format_option
-@out_option
 def fit(series_path, d_max, deg_max, holdout, min_support, fmt, out):
     """Fit an eventual quasi-polynomial to a series file."""
     from . import eqpfit
@@ -215,18 +157,6 @@ def fit_report_lines(result, fmt: str) -> list:
     return lines
 
 
-@main.command()
-@click.option("--family", "family_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--t-min", required=True, type=int)
-@click.option("--t-max", required=True, type=int)
-@point_cap_option
-@click.option("--inject-mismatch", is_flag=True, hidden=True,
-              help="Corrupt one checked row (test mode).")
-@click.option("--seed", default=0, show_default=True,
-              help="Selects the corrupted row in --inject-mismatch mode.")
-@format_option
-@out_option
 def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
                fmt, out):
     """Compare the exclusion path against the direct path per t."""
@@ -261,8 +191,7 @@ def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
         verdict, code = "MISMATCH", EXIT_MISMATCH
     lines.append(f"verdict {verdict}")
     _emit(lines, out)
-    if code:
-        sys.exit(code)
+    return code
 
 
 def _corrupt(report, seed: int):
@@ -276,25 +205,12 @@ def _corrupt(report, seed: int):
     target = checked[seed % len(checked)]
     rows = list(report.rows)
     row = rows[target]
-    rows[target] = replace(row, status=reduction.DIFF,
-                           f_direct=row.f_direct + 1, note="injected mismatch")
+    rows[target] = reduction.CrosscheckRow(
+        row.t, reduction.DIFF, row.f_exclusion, row.f_direct + 1,
+        row.g_exclusion, row.g_direct, "injected mismatch")
     return reduction.CrosscheckReport(tuple(rows))
 
 
-@main.command(name="pilp")
-@click.argument("system_path", type=click.Path(exists=True))
-@click.option("--t", "t_value", required=True, type=int)
-@click.option("--count", "mode", flag_value="count", default=True,
-              help="Print the lattice point count [default].")
-@click.option("--objective", "mode", flag_value="objective",
-              help="Print the l largest objective values (plain systems need c:).")
-@click.option("--exclusion", "mode", flag_value="exclusion",
-              help="Print the feasible set of an exclusion file.")
-@click.option("--l", "l_value", default=1, show_default=True,
-              help="How many ranked objective values to print.")
-@point_cap_option
-@format_option
-@out_option
 def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):
     """Lattice count, ranked objective values, or exclusion feasible set."""
     from . import pilp
@@ -321,6 +237,136 @@ def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):
                   for pt in feasible.points]
     _emit(lines, out)
 
+
+def _existing_path(text: str) -> str:
+    if not Path(text).exists():
+        raise argparse.ArgumentTypeError(f"Path {text!r} does not exist.")
+    return text
+
+
+class _AtLeastOne(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            parser.error(f"Invalid value for {option_string!r}: {value} is "
+                         "not in the range x>=1.")
+        setattr(namespace, self.dest, value)
+
+
+@cache  # parsing leaves the parser unchanged; in-process callers reuse it
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The option grammar; each command's namespace holds its keyword
+    arguments plus ``command``, the function to call with them."""
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Exact Frobenius quantities, lattice enumeration, and "
+                    "series fitting.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                     required=True)
+
+    def command(function, name=None):
+        doc = function.__doc__
+        sub = commands.add_parser(name or function.__name__,
+                                  help=doc.split("\n", 1)[0], description=doc,
+                                  allow_abbrev=False)
+        sub.set_defaults(command=function)
+        return sub.add_argument
+
+    def output_options(option):
+        option("--format", dest="fmt", choices=("table", "machine"),
+               default="table", help="Output style. [default: %(default)s]")
+        option("--out", help="Write output to this file instead of stdout.")
+
+    def point_cap_option(option):
+        option("--point-cap", type=int, default=DEFAULT_POINT_CAP,
+               action=_AtLeastOne,
+               help="Work cap per enumerated system: search nodes entered "
+                    "below the root plus lattice points taken. [default: "
+                    "%(default)s; x>=1]")
+
+    option = command(compute)
+    option("--a", dest="tuple_text", metavar="TUPLE", required=True,
+           help="Denomination tuple, e.g. '3,5' or '[6, 10, 15]'.")
+    option("--m", type=int, default=1,
+           help="Multiplicity bound. [default: %(default)s]")
+    option("--l", type=int, default=1,
+           help="Rank of the answer. [default: %(default)s]")
+    option("--h-excerpt", type=int, default=16,
+           help="Print min(h(k), m) for k up to this bound. "
+                "[default: %(default)s]")
+    output_options(option)
+
+    option = command(series)
+    option("--family", dest="family_path", metavar="PATH", required=True,
+           type=_existing_path, help="Family file (poly/m/l).")
+    option("--t-min", required=True, type=int)
+    option("--t-max", required=True, type=int)
+    option("--out", dest="out_prefix", metavar="PREFIX", required=True,
+           help="Series are written to <out>.fml.series and <out>.gm.series.")
+
+    option = command(fit)
+    option("series_path", metavar="SERIES_PATH", type=_existing_path)
+    option("--d-max", type=int, default=24, help="[default: %(default)s]")
+    option("--deg-max", type=int, default=6, help="[default: %(default)s]")
+    option("--holdout", type=int,
+           help="Trailing samples reserved for validation [default: 2*d_max].")
+    option("--min-support", type=int,
+           help="Training points required per residue class "
+                "[default: deg_max+3].")
+    output_options(option)
+
+    option = command(crosscheck)
+    option("--family", dest="family_path", metavar="PATH", required=True,
+           type=_existing_path)
+    option("--t-min", required=True, type=int)
+    option("--t-max", required=True, type=int)
+    point_cap_option(option)
+    # Hidden: corrupts one checked row, to exercise exit code 4.
+    option("--inject-mismatch", action="store_true", help=argparse.SUPPRESS)
+    option("--seed", type=int, default=0,
+           help="Selects the corrupted row in --inject-mismatch mode. "
+                "[default: %(default)s]")
+    output_options(option)
+
+    option = command(pilp_cmd, "pilp")
+    option("system_path", metavar="SYSTEM_PATH", type=_existing_path)
+    option("--t", dest="t_value", metavar="T", required=True, type=int)
+    option("--count", dest="mode", action="store_const", const="count",
+           default="count", help="Print the lattice point count [default].")
+    option("--objective", dest="mode", action="store_const",
+           const="objective",
+           help="Print the l largest objective values (plain systems need c:).")
+    option("--exclusion", dest="mode", action="store_const",
+           const="exclusion",
+           help="Print the feasible set of an exclusion file.")
+    option("--l", dest="l_value", metavar="L", type=int, default=1,
+           help="How many ranked objective values to print. "
+                "[default: %(default)s]")
+    point_cap_option(option)
+    output_options(option)
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Run one command line (default ``sys.argv[1:]``).
+
+    A usage error exits 2 from argparse; a package error prints
+    ``error: ...`` to stderr and exits 3 for a resource limit, 2 otherwise;
+    a command's nonzero exit code ends the run with ``SystemExit``.
+    """
+    namespace = vars(_parser(prog_name or "parafrob").parse_args(args))
+    command = namespace.pop("command")
+    try:
+        code = command(**namespace)
+    except ParafrobError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        limit = isinstance(exc, ResourceLimitError)
+        code = EXIT_RESOURCE if limit else EXIT_INPUT
+    if code:
+        sys.exit(code)
+
+
+# The click-era spelling of the entry point, still used by perfbench/run.py.
+main.main = main
 
 if __name__ == "__main__":
     main()

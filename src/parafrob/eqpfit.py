@@ -6,14 +6,13 @@ NO_FIT verdict only means no fit exists within the searched period/degree
 bounds; it is not a proof that the sampled function has no such structure.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, InsufficientDataError
+from .errors import InputError, InsufficientDataError, frozen
 from .qpoly import BOTTOM, ExtendedValue, Poly, QuasiPolynomial
 
 
-@dataclass(frozen=True)
+@frozen
 class SampleSeries:
     """Exact values on a contiguous integer range [t_min, t_min + len - 1]."""
 
@@ -50,7 +49,7 @@ class SampleSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@frozen
 class FitConfig:
     """Search bounds for the fitter.
 
@@ -79,7 +78,7 @@ class FitConfig:
             raise InputError("min_support must be >= deg_max + 2")
 
 
-@dataclass(frozen=True)
+@frozen
 class Fit:
     """Successful fit: qp reproduces all post-threshold samples exactly."""
 
@@ -88,7 +87,7 @@ class Fit:
     holdout_checked: int
 
 
-@dataclass(frozen=True)
+@frozen
 class NoFit:
     """Bounded-search failure verdict with per-(period, residue) reasons."""
 
@@ -100,7 +99,7 @@ class NoFit:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationReport:
     agree_count: int
     compared_count: int

@@ -1,7 +1,7 @@
-"""Exception types shared across the package.
+"""Exception types and the value-class decorator shared across the package.
 
-The CLI maps these onto exit codes (see cli.py): input problems exit 2,
-resource limits exit 3.
+The CLI maps the exceptions onto exit codes (see cli.py): input problems
+exit 2, resource limits exit 3.
 """
 
 # Default work cap of one lattice search (search nodes plus points).
@@ -47,3 +47,47 @@ class NonIntegerQuotientError(ParafrobError):
 
 class InsufficientDataError(ParafrobError):
     """Sample series too short for the requested fit configuration."""
+
+
+def frozen(cls):
+    """Make ``cls`` an immutable value class over its annotated fields.
+
+    Like ``dataclasses.dataclass(frozen=True)``, without its import cost:
+    ``__init__`` takes the fields positionally or by keyword (class-level
+    values are defaults) and then calls ``__post_init__`` if defined, which
+    may still set fields through ``object.__setattr__``; instances compare
+    and hash by their field tuple, print as ``Name(field=value, ...)``, and
+    refuse assignment with ``AttributeError``.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}")
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self):
+        return tuple([self.__dict__[n] for n in names])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, fields(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(fields(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls

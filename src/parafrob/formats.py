@@ -211,20 +211,18 @@ def parse_family(text: str) -> PolyFamily:
     from .reduction import PolyFamily
 
     polys = []
-    m = None
-    l = None
+    header = {}
     for line in _content_lines(text):
         if line.startswith("poly:"):
             polys.append(parse_poly(line))
-        elif line.startswith("m:"):
-            m = _parse_int("m", line[2:].strip())
-        elif line.startswith("l:"):
-            l = _parse_int("l", line[2:].strip())
+        elif line[:2] in ("m:", "l:"):
+            key = line[0]
+            _set_header(header, key, _parse_int(key, line[2:].strip()))
         else:
             raise InputError(f"unexpected family line: {line!r}")
-    if m is None or l is None:
+    if header.keys() != {"m", "l"}:
         raise InputError("family file must set m: and l:")
-    return PolyFamily(tuple(polys), m, l)
+    return PolyFamily(tuple(polys), header["m"], header["l"])
 
 
 def format_family(fam: PolyFamily) -> str:
@@ -279,6 +277,12 @@ def _parse_nonneg(value: str, n: int) -> tuple:
     return tuple(f == "1" for f in flags)
 
 
+def _set_header(header: dict, key: str, value):
+    if key in header:
+        raise InputError(f"repeated header '{key}:'")
+    header[key] = value
+
+
 def _build_system(header: dict, rows: list) -> ParametricConstraintSystem:
     from .pilp import ParametricConstraintSystem
 
@@ -302,23 +306,26 @@ def parse_system_file(text: str):
     top = ([], {})  # rows, header
     sections = ({"sys1:": ([], {}), "sys2:": ([], {})} if "sys1:" in lines
                 else {})
-    current = top
-    c = None
+    top_keys = ("m", "n1", "n2", "c") if sections else ("vars", "nonneg", "c")
+    current, name = top, None
     for line in lines:
         if line in sections:
-            current = sections[line]
-        elif line.startswith("row:"):
+            current, name = sections[line], line
+            continue
+        key, colon, value = (part.strip() for part in line.partition(":"))
+        if not colon:
+            raise InputError(f"unexpected system line: {line!r}")
+        if key == "row":
             if sections and current is top:
                 raise InputError("row outside sys1:/sys2: section")
-            current[0].append(line[4:].strip())
-        elif line.startswith("c:") and current is top:
-            c = line[2:].strip()
-        elif ":" in line:
-            key, value = line.split(":", 1)
-            current[1][key.strip()] = value.strip()
+            current[0].append(value)
+        elif key in (("vars", "nonneg") if name else top_keys):
+            _set_header(current[1], key, value)
         else:
-            raise InputError(f"unexpected system line: {line!r}")
+            where = f" in {name}" if name else ""
+            raise InputError(f"unknown header '{key}:'{where}")
     rows, header = top
+    c = header.get("c")
     if not sections:
         system = _build_system(header, rows)
         objective = None

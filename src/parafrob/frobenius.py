@@ -6,12 +6,11 @@ separately). F, G, F_{m,l} and G_m all come from one residue table per
 tuple and m; the capped coin DP gives h(k) itself and is its oracle.
 """
 
-from dataclasses import dataclass
 from heapq import heappop, heappush, merge, nlargest
 from itertools import islice
 from math import gcd
 
-from .errors import GcdNotOneError, InputError, ResourceLimitError
+from .errors import GcdNotOneError, InputError, ResourceLimitError, frozen
 
 # A DP table larger than this many cells aborts instead of thrashing.
 DEFAULT_CELL_BUDGET = 10**8
@@ -52,7 +51,7 @@ class Coins:
         return f"Coins({list(self.a)!r})"
 
 
-@dataclass(frozen=True)
+@frozen
 class FrobeniusInstance:
     """A tuple together with the multiplicity bound m and rank l."""
 
@@ -65,7 +64,7 @@ class FrobeniusInstance:
             raise InputError("m and l must be >= 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class RepCountTable:
     """counts[k] = min(h(k), cap) for k = 0..bound."""
 
@@ -176,7 +175,7 @@ def qualifying_bound(coins: Coins, m: int) -> int:
     return coins.g * _window(coins.reduced(), m)
 
 
-@dataclass(frozen=True)
+@frozen
 class AperyTable:
     """values[(j-1)*a + r] = w_r at level j: the least k = r (mod a) with
     h(k) >= j on the reduced tuple, j = 1..m, a the smallest reduced entry."""

@@ -9,7 +9,6 @@ formulas.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heapreplace
 from math import gcd
@@ -22,6 +21,7 @@ from .errors import (
     OutOfRangeError,
     ResourceLimitError,
     UnboundedRegionError,
+    frozen,
 )
 from .qpoly import BOTTOM, ExtendedValue, Poly
 
@@ -34,7 +34,7 @@ MAX_SWEEPS = 100
 DEFAULT_CLAUSE_CAP = 100_000
 
 
-@dataclass(frozen=True)
+@frozen
 class Row:
     """One constraint: coeffs . x  (<= or ==)  rhs, entries in Z[u]."""
 
@@ -52,7 +52,7 @@ class Row:
                 raise InputError("row entries must be integer-valued polynomials")
 
 
-@dataclass(frozen=True)
+@frozen
 class ParametricConstraintSystem:
     """Constraint rows over n integer variables with per-variable >=0 flags."""
 
@@ -70,7 +70,7 @@ class ParametricConstraintSystem:
                 raise InputError("row width must match variable count")
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeSet:
     """Distinct integer points of an instantiated system, lexicographic."""
 
@@ -449,7 +449,7 @@ def lth_largest_objective(sys: ParametricConstraintSystem, c, l: int, t: int,
     return lattice_profile(sys, t, c, l, point_cap)[1][l - 1]
 
 
-@dataclass(frozen=True)
+@frozen
 class ExclusionProblem:
     """Exclude from one lattice set the heavily-covered fibers of another.
 
@@ -604,7 +604,7 @@ def digit_transform_exclusion(ex: ExclusionProblem, r: int) -> ExclusionProblem:
 # DNF formulas over parametric inequalities, and disjoint expansion.
 
 
-@dataclass(frozen=True)
+@frozen
 class Atom:
     """A parametric inequality coeffs . z <= rhs over named integer
     variables; negation stays inside the atom language."""
@@ -620,7 +620,7 @@ class Atom:
         return lhs <= self.rhs(t)
 
 
-@dataclass(frozen=True)
+@frozen
 class DnfFormula:
     """Disjunction of conjunctions of atoms; clause and atom order matter
     (the expansion below is defined in terms of them)."""

@@ -6,11 +6,10 @@ point is used anywhere in the package. All types are immutable after
 construction and safe to share between threads.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BelowThresholdError, InputError
+from .errors import BelowThresholdError, InputError, frozen
 
 
 class _Bottom:
@@ -210,7 +209,7 @@ def eventual_cmp(p: Poly, q: Poly) -> int:
     return 1 if diff.leading_coefficient > 0 else -1
 
 
-@dataclass(frozen=True)
+@frozen
 class QuasiPolynomial:
     """Periodic family of polynomial components valid beyond a threshold.
 

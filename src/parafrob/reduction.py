@@ -8,19 +8,24 @@ projection-exclusion problem, and cross-validates the two computation paths
 against each other.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, gcd
 
-from . import frobenius, pilp
+from . import frobenius
 from .eqpfit import SampleSeries
-from .errors import InputError, NonIntegerQuotientError, ResourceLimitError
+from .errors import (
+    DEFAULT_POINT_CAP,
+    InputError,
+    NonIntegerQuotientError,
+    ResourceLimitError,
+    frozen,
+)
 from .frobenius import Coins
 from .qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp, eventually_positive
 
 
-@dataclass(frozen=True)
+@frozen
 class PolyFamily:
     """n >= 2 integer-valued polynomials with positive leading coefficients,
     plus the multiplicity bound m and rank l."""
@@ -157,7 +162,7 @@ def box_exponent(fam: PolyFamily) -> int:
     return r
 
 
-def frobenius_to_exclusion(fam: PolyFamily, r: int) -> pilp.ExclusionProblem:
+def frobenius_to_exclusion(fam: PolyFamily, r: int) -> "pilp.ExclusionProblem":
     """The exclusion problem whose answers shift the family's by +l.
 
     Variables are (k, b_1, ..., b_n), all in [0, t^r - 1]; the kept
@@ -166,6 +171,8 @@ def frobenius_to_exclusion(fam: PolyFamily, r: int) -> pilp.ExclusionProblem:
     m survive, hence the l-th largest surviving k is l plus the family's
     l-th answer, valid wherever qualifying_bound + l stays below t^r.
     """
+    from . import pilp  # here, so that `series` does not load the engine
+
     n = len(fam.polys)
     box_edge = Poly.variable() ** r - Poly.constant(1)
     zero = Poly()
@@ -207,7 +214,7 @@ DIFF = "DIFF"  # the l-th answers differ: hard failure
 SKIPPED = "SKIPPED"
 
 
-@dataclass(frozen=True)
+@frozen
 class CrosscheckRow:
     """One t of the exclusion-path versus direct-path comparison.
 
@@ -228,7 +235,7 @@ class CrosscheckRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class CrosscheckReport:
     """The rows of one crosscheck; every total is read off them."""
 
@@ -258,7 +265,7 @@ class CrosscheckReport:
 
 
 def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
-               point_cap: int = pilp.DEFAULT_POINT_CAP) -> CrosscheckReport:
+               point_cap: int = DEFAULT_POINT_CAP) -> CrosscheckReport:
     """Compare exclusion-path and direct-path answers on a t window.
 
     Rows are SKIPPED (with the reason) where the construction is not
@@ -266,6 +273,8 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
     bound frobenius.qualifying_bound + l on l plus every answer not below
     t^r, or the box too large for the point cap.
     """
+    from . import pilp
+
     if t_min > t_max:
         raise InputError("empty t range")
     r = box_exponent(fam)

@@ -8,10 +8,9 @@ import random
 import time
 from itertools import product
 from math import gcd
-from click.testing import CliRunner
 
+from clirun import run_cli
 from parafrob import eqpfit, formats, frobenius, pilp, reduction
-from parafrob.cli import main as cli_main
 from parafrob.eqpfit import Fit, FitConfig, NoFit, SampleSeries
 from parafrob.frobenius import Coins, FrobeniusInstance
 from parafrob.pilp import (
@@ -64,9 +63,8 @@ def test_criterion_02_parametric_pair_formula(tmp_path):
     start = time.perf_counter()
     family_file = tmp_path / "fam.txt"
     family_file.write_text("poly: [0, 1]\npoly: [-2, 1]\nm: 1\nl: 1\n")
-    runner = CliRunner()
     out_prefix = tmp_path / "series"
-    res = runner.invoke(cli_main, [
+    res = run_cli([
         "series", "--family", str(family_file),
         "--t-min", "4", "--t-max", "120", "--out", str(out_prefix),
     ])
@@ -79,7 +77,7 @@ def test_criterion_02_parametric_pair_formula(tmp_path):
         else:
             half, half2 = t // 2, (t - 2) // 2
             assert v == 2 * (half * half2 - half - half2)
-    fit_res = runner.invoke(cli_main, [
+    fit_res = run_cli([
         "fit", str(tmp_path / "series.fml.series"), "--format", "machine",
     ])
     assert fit_res.exit_code == 0

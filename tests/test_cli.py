@@ -1,16 +1,16 @@
 """Command-line behavior: outputs, determinism, exit codes, resumption."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirun import run_cli
 
 import parafrob
 from parafrob import frobenius, pilp
-from parafrob.cli import main
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
 TRIANGLE = "vars: 2\nnonneg: all\nc: 1, 1\nrow: 1, 1 | <= | t\n"
@@ -28,7 +28,7 @@ row: 1 | <= | t
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return run_cli(args)
 
 
 def test_compute_examples():
@@ -345,30 +345,39 @@ def test_crosscheck_enumerates_two_systems_per_checked_t(tmp_path, monkeypatch):
 
 
 # Runs one command in a fresh interpreter, then prints the parafrob modules
-# it loaded.
+# it loaded and every module loaded after the probe started.
 PROBE = """
 import sys
+before = set(sys.modules)
 from parafrob import cli
 try:
     cli.main(args=sys.argv[1:], prog_name="parafrob")
 except SystemExit:
     pass
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "parafrob")))
+print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
 def loaded_modules(workdir, *args):
+    """The command's output lines and the parafrob modules it loaded; fails
+    if it loaded a module that costs startup time and that parafrob does
+    not need."""
     src = str(Path(parafrob.__file__).parents[1])
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
     proc = subprocess.run([sys.executable, "-c", PROBE, *args], cwd=workdir,
                           env=env, capture_output=True, text=True, check=True)
-    *output, modules = proc.stdout.splitlines()
+    *output, modules, new = proc.stdout.splitlines()
+    slow = {m.split(".")[0] for m in new.split()} & {"click", "dataclasses",
+                                                     "inspect"}
+    assert not slow, (args, slow)
     return output, {m.removeprefix("parafrob.") for m in modules.split()}
 
 
 def test_commands_load_only_their_modules(tmp_path):
     (tmp_path / "tri.txt").write_text(TRIANGLE)
+    (tmp_path / "fam.txt").write_text(FAMILY_U_UM1)
     (tmp_path / "s.series").write_text(
         "\n".join(f"{t} {t // 2}" for t in range(1, 61)) + "\n")
     common = {"parafrob", "cli", "errors", "formats", "qpoly"}
@@ -381,6 +390,17 @@ def test_commands_load_only_their_modules(tmp_path):
     output, modules = loaded_modules(tmp_path, "pilp", "tri.txt", "--t", "9",
                                      "--objective")
     assert output == ["objective 1 9"] and modules == common | {"pilp"}
+    output, modules = loaded_modules(tmp_path, "series", "--family",
+                                     "fam.txt", "--t-min", "3", "--t-max",
+                                     "6", "--out", "out")
+    assert output == ["wrote out.fml.series (4 samples)",
+                      "wrote out.gm.series (4 samples)"]
+    assert modules == common | {"reduction", "frobenius", "eqpfit"}
+    output, modules = loaded_modules(tmp_path, "crosscheck", "--family",
+                                     "fam.txt", "--t-min", "3", "--t-max",
+                                     "6", "--format", "machine")
+    assert output[-2:] == ["g_offsets 0", "verdict OK"]
+    assert modules == common | {"reduction", "frobenius", "eqpfit", "pilp"}
 
 
 EXCLUSION_TEMPLATE = """m: {m}
@@ -424,6 +444,47 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
     assert res.output == f"error: '{field}:' must be an integer: {value!r}\n"
 
 
+FAMILY_PAIR = "poly: t\npoly: t + 1\n"
+PLAIN_ROWS = "row: 1, 1 | <= | t\nrow: -1, 0 | <= | 2\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("pilp", "vars: 2\nnonnge: 1 0\n" + PLAIN_ROWS,
+     "unknown header 'nonnge:'"),
+    ("pilp", "vars: 2\nnonneg: all\nsys2:\n" + PLAIN_ROWS,
+     "unknown header 'sys2:'"),
+    ("pilp", "vars: 2\nm: 1\n" + PLAIN_ROWS, "unknown header 'm:'"),
+    ("pilp", exclusion_text(vars="c: 1, 1\n"), "unknown header 'c:' in sys1:"),
+    ("pilp", exclusion_text() + "c: 1\n", "unknown header 'c:' in sys2:"),
+    ("pilp", "vars: 2\n" + exclusion_text(), "unknown header 'vars:'"),
+    ("pilp", "vars: 2\nnonneg: all\nnonneg: 1 0\n" + PLAIN_ROWS,
+     "repeated header 'nonneg:'"),
+    ("pilp", "vars: 2\nc: 1, 1\nc: 1, 0\n" + PLAIN_ROWS,
+     "repeated header 'c:'"),
+    ("pilp", "m: 2\n" + exclusion_text(), "repeated header 'm:'"),
+    ("pilp", exclusion_text(vars="vars: 2\nvars: 2\n"),
+     "repeated header 'vars:'"),
+    ("series", FAMILY_PAIR + "m: 1\nl: 1\nm: 2\n", "repeated header 'm:'"),
+    ("series", FAMILY_PAIR + "l: 1\nm: 1\nl: 1\n", "repeated header 'l:'"),
+], ids=["plain-typo", "plain-bare-sys2", "plain-exclusion-key",
+        "sys1-objective", "sys2-objective", "exclusion-vars", "plain-nonneg",
+        "plain-objective", "exclusion-m", "section-vars", "family-m",
+        "family-l"])
+def test_unknown_or_repeated_header_is_an_input_error(tmp_path, command,
+                                                       text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    if command == "series":
+        args = ("series", "--family", str(path), "--t-min", "1",
+                "--t-max", "3", "--out", str(tmp_path / "out"))
+    else:
+        args = ("pilp", str(path), "--t", "3")
+    res = run(*args)
+    assert res.exit_code == 2
+    assert res.output == f"error: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_pilp_unbounded_exit(tmp_path):
     sysfile = tmp_path / "ray.txt"
     sysfile.write_text("vars: 2\nrow: 1, -1 | == | 1\n")
@@ -437,3 +498,34 @@ def test_out_flag_writes_file(tmp_path):
               "--out", str(target))
     assert res.exit_code == 0
     assert "F 7" in target.read_text()
+
+
+COMMAND_OPTIONS = {
+    "compute": ["--a", "--m", "--l", "--h-excerpt", "--format", "--out"],
+    "series": ["--family", "--t-min", "--t-max", "--out"],
+    "fit": ["SERIES_PATH", "--d-max", "--deg-max", "--holdout",
+            "--min-support", "--format", "--out"],
+    "crosscheck": ["--family", "--t-min", "--t-max", "--point-cap", "--seed",
+                   "--format", "--out"],
+    "pilp": ["SYSTEM_PATH", "--t", "--count", "--objective", "--exclusion",
+             "--l", "--point-cap", "--format", "--out"],
+}
+
+
+def listed_options(text):
+    """Options named at the start of a help line or in brackets in usage."""
+    return set(re.findall(r"(?:^  |\[)(--[\w-]+)", text, re.M))
+
+
+def test_help_lists_every_option():
+    res = run("--help")
+    assert res.exit_code == 0
+    assert all(name in res.output for name in COMMAND_OPTIONS)
+    for name, options in COMMAND_OPTIONS.items():
+        res = run(name, "--help")
+        assert res.exit_code == 0, name
+        listed = listed_options(res.output)
+        for option in options:
+            assert (option in listed if option.startswith("--")
+                    else option in res.output), (name, option)
+        assert "--inject-mismatch" not in listed, name
