@@ -13,8 +13,8 @@ those.
 """
 
 import argparse
+import os
 import sys
-from functools import cache
 from pathlib import Path
 
 from . import formats
@@ -252,7 +252,6 @@ class _AtLeastOne(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-@cache  # parsing leaves the parser unchanged; in-process callers reuse it
 def _parser(prog: str) -> argparse.ArgumentParser:
     """The option grammar; each command's namespace holds its keyword
     arguments plus ``command``, the function to call with them."""
@@ -351,16 +350,26 @@ def main(args=None, prog_name=None):
 
     A usage error exits 2 from argparse; a package error prints
     ``error: ...`` to stderr and exits 3 for a resource limit, 2 otherwise;
-    a command's nonzero exit code ends the run with ``SystemExit``.
+    a command's nonzero exit code ends the run with ``SystemExit``. A reader
+    that closes stdout early (``parafrob ... | head``) ends the run quietly
+    with exit 1, and an interrupt prints ``Aborted!`` and exits 1.
     """
     namespace = vars(_parser(prog_name or "parafrob").parse_args(args))
     command = namespace.pop("command")
     try:
         code = command(**namespace)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
     except ParafrobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         limit = isinstance(exc, ResourceLimitError)
         code = EXIT_RESOURCE if limit else EXIT_INPUT
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    except (KeyboardInterrupt, EOFError):
+        print("\nAborted!", file=sys.stderr)
+        code = 1
     if code:
         sys.exit(code)
 

@@ -57,9 +57,12 @@ def frozen(cls):
     values are defaults) and then calls ``__post_init__`` if defined, which
     may still set fields through ``object.__setattr__``; instances compare
     and hash by their field tuple, print as ``Name(field=value, ...)``, and
-    refuse assignment with ``AttributeError``.
+    refuse assignment with ``AttributeError``. ``__match_args__`` lists the
+    fields, as a dataclass's does.
     """
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    # The class's own annotations: from 3.14 on they are no longer kept in
+    # its ``__dict__`` but evaluated on first access to this attribute.
+    names = tuple(cls.__annotations__)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
 
@@ -88,6 +91,7 @@ def frozen(cls):
         raise AttributeError(f"cannot set or delete field {name!r}")
 
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__match_args__ = names
     cls.__hash__ = lambda self: hash(fields(self))
     cls.__setattr__ = cls.__delattr__ = refuse
     return cls

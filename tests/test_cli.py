@@ -1,16 +1,19 @@
 """Command-line behavior: outputs, determinism, exit codes, resumption."""
 
+import errno
+import io
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from clirun import run_cli
 
 import parafrob
-from parafrob import frobenius, pilp
+from parafrob import cli, frobenius, pilp
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
 TRIANGLE = "vars: 2\nnonneg: all\nc: 1, 1\nrow: 1, 1 | <= | t\n"
@@ -268,6 +271,39 @@ def test_point_cap_below_one_is_an_input_error(tmp_path):
             res = run(*args, "--point-cap", cap)
             assert res.exit_code == 2, (args[0], cap)
             assert "Invalid value for '--point-cap'" in res.output
+
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, as under ``parafrob ... | head``."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_reader_exits_1_quietly(tmp_path):
+    sysfile = tmp_path / "tri.txt"
+    sysfile.write_text(TRIANGLE)
+    errors = io.StringIO()
+    with open(tmp_path / "stdout", "w") as sink, \
+            redirect_stdout(ClosedPipe(sink.fileno())), \
+            redirect_stderr(errors), pytest.raises(SystemExit) as stop:
+        cli.main(["pilp", str(sysfile), "--t", "4"], prog_name="parafrob")
+    assert stop.value.code == 1 and errors.getvalue() == ""
+
+
+def test_interrupt_prints_aborted(monkeypatch):
+    def interrupted(lines, out):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_emit", interrupted)
+    assert run("compute", "--a", "3,5") == (1, "\nAborted!\n")
 
 
 def test_pilp_count_and_objective(tmp_path):

@@ -1,6 +1,7 @@
 """The frozen value-class decorator against dataclass(frozen=True)."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -42,6 +43,7 @@ BAD_CALLS = [
 def test_frozen_matches_frozen_dataclass():
     ours = sample_class(frozen)
     theirs = sample_class(dataclasses.dataclass(frozen=True))
+    assert ours.__match_args__ == theirs.__match_args__ == ("a", "b", "c", "d")
     for args, kwargs in CALLS:
         x, y = ours(*args, **kwargs), theirs(*args, **kwargs)
         assert (x.a, x.b, x.c, x.d) == (y.a, y.b, y.c, y.d)
@@ -65,3 +67,37 @@ def test_frozen_matches_frozen_dataclass():
         with pytest.raises(AttributeError):
             del obj.a
         assert obj == cls(1, (), 2, "d")
+
+
+# Every value class of the package with its fields, in order: how annotations
+# are stored differs between Python versions, and a class whose field list
+# came out empty or short would break every command.
+VALUE_CLASSES = [
+    ("qpoly", "QuasiPolynomial", ("period", "components", "threshold")),
+    ("frobenius", "FrobeniusInstance", ("coins", "m", "l")),
+    ("frobenius", "RepCountTable", ("coins", "cap", "counts", "bound")),
+    ("frobenius", "AperyTable", ("coins", "m", "a", "values")),
+    ("eqpfit", "SampleSeries", ("t_min", "values")),
+    ("eqpfit", "FitConfig", ("d_max", "deg_max", "holdout", "min_support")),
+    ("eqpfit", "Fit", ("qp", "training_checked", "holdout_checked")),
+    ("eqpfit", "NoFit", ("diagnostics", "note")),
+    ("eqpfit", "ValidationReport",
+     ("agree_count", "compared_count", "first_disagreement")),
+    ("pilp", "Row", ("coeffs", "sense", "rhs")),
+    ("pilp", "ParametricConstraintSystem", ("n", "rows", "nonneg")),
+    ("pilp", "LatticeSet", ("points",)),
+    ("pilp", "ExclusionProblem", ("m", "n1", "n2", "sys1", "sys2", "c")),
+    ("pilp", "Atom", ("coeffs", "rhs")),
+    ("pilp", "DnfFormula", ("variables", "clauses")),
+    ("reduction", "PolyFamily", ("polys", "m", "l")),
+    ("reduction", "CrosscheckRow", ("t", "status", "f_exclusion", "f_direct",
+                                    "g_exclusion", "g_direct", "note")),
+    ("reduction", "CrosscheckReport", ("rows",)),
+]
+
+
+@pytest.mark.parametrize("module, name, fields", VALUE_CLASSES,
+                         ids=[name for _, name, _ in VALUE_CLASSES])
+def test_value_class_fields(module, name, fields):
+    cls = getattr(importlib.import_module(f"parafrob.{module}"), name)
+    assert cls.__match_args__ == fields
