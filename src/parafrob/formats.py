@@ -307,9 +307,12 @@ def parse_system_file(text: str):
     sections = ({"sys1:": ([], {}), "sys2:": ([], {})} if "sys1:" in lines
                 else {})
     top_keys = ("m", "n1", "n2", "c") if sections else ("vars", "nonneg", "c")
-    current, name = top, None
+    current, name, opened = top, None, set()
     for line in lines:
         if line in sections:
+            if line in opened:
+                raise InputError(f"repeated section '{line}'")
+            opened.add(line)
             current, name = sections[line], line
             continue
         key, colon, value = (part.strip() for part in line.partition(":"))

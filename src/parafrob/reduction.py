@@ -2,13 +2,12 @@
 
 A family is a tuple of integer-valued, eventually-positive polynomials
 together with the multiplicity bound m and rank l. This module reduces a
-family by its gcd along residue classes, derives the exponent of the
-bounding box that provably contains all answers, constructs the equivalent
-projection-exclusion problem, and cross-validates the two computation paths
-against each other.
+family by its gcd along residue classes, derives from Schur's bound on the
+Frobenius number the exponent r of the box [0, t^r) that holds all answers,
+constructs the equivalent projection-exclusion problem, and cross-validates
+the two computation paths against each other.
 """
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, gcd
 
@@ -51,28 +50,22 @@ class PolyFamily:
         return tuple(p(t) for p in self.polys)
 
 
-def _root_ceiling(p: Poly) -> int:
-    """An integer beyond which p has no real root (Cauchy bound)."""
-    if p.degree <= 0:
-        return 0
-    lead = abs(p.leading_coefficient)
-    cauchy = 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
-    return ceil(cauchy)
-
-
 def positivity_start(fam: PolyFamily) -> int:
     """Smallest t0 >= 1 with every family entry positive for all t >= t0.
 
-    Exact: beyond each entry's root bound the positive leading coefficient
-    keeps it positive, and the finitely many t up to the bound are checked
-    directly.
+    Exact: an entry p with positive leading coefficient is positive at
+    every t >= 1 + B, where B is the largest |c| / lead over its negative
+    coefficients c (Cauchy's bound on the positive roots; with none, p is
+    positive at every t >= 1). The scan runs down from just below that
+    bound and stops at the first t with p(t) <= 0.
     """
     start = 1
     for p in fam.polys:
-        limit = _root_ceiling(p)
-        for t in range(1, limit + 1):
-            if p(t) <= 0:
-                start = max(start, t + 1)
+        negative = [-c for c in p.coeffs[:-1] if c < 0]
+        t = ceil(max(negative, default=0) / p.leading_coefficient)
+        while t >= start and p(t) > 0:
+            t -= 1
+        start = max(start, t + 1)
     return start
 
 
@@ -131,21 +124,20 @@ def _eventually_sorted(polys) -> list:
 
 
 def window_bound_poly(fam: PolyFamily) -> Poly:
-    """The polynomial in t that picks the box exponent r, and nothing else.
+    """l + (m-1)*s1*s2 + (x_min-1)*(x_max-1) - 1, where x_min = s1 <= s2
+    <= ... <= x_max are the entries in eventual order.
 
-    l + (m-1)*s1*s2 + EG where s1, s2 are the two eventually-smallest
-    entries and EG = 2*x_max*(x_min/n) - x_min over the distinct entries.
-    This EG is the index-swapped Erdos-Graham form, which is not a proven
-    Frobenius bound, so this is no bound on the answers either: crosscheck
-    checks each t against the proven frobenius.qualifying_bound instead.
+    The last two terms are Schur's bound on F (A. Brauer, "On a problem of
+    partitions", Amer. J. Math. 64, 1942): with gcd 1, any entry x gives
+    F <= (x-1)*max - x, since every residue mod x is reached within x-1
+    steps of at most max each. The middle term is the exchange term of
+    frobenius.qualifying_bound. So l + F_{m,l}(t) <= bound(t) at every t
+    where the entries are positive with gcd 1 and x_max is the largest.
     """
     ordered = _eventually_sorted(fam.polys)
-    s1, s2 = ordered[0], ordered[1]
-    distinct = _eventually_sorted(set(fam.polys))
-    n = len(distinct)
-    x_min, x_max = distinct[0], distinct[-1]
-    eg = x_max * x_min * Fraction(2, n) - x_min
-    return Poly.constant(fam.l) + (fam.m - 1) * s1 * s2 + eg
+    s1, s2, x_max = ordered[0], ordered[1], ordered[-1]
+    return (Poly.constant(fam.l - 1) + (fam.m - 1) * s1 * s2
+            + (s1 - Poly.constant(1)) * (x_max - Poly.constant(1)))
 
 
 def box_exponent(fam: PolyFamily) -> int:
@@ -165,29 +157,26 @@ def box_exponent(fam: PolyFamily) -> int:
 def frobenius_to_exclusion(fam: PolyFamily, r: int) -> "pilp.ExclusionProblem":
     """The exclusion problem whose answers shift the family's by +l.
 
-    Variables are (k, b_1, ..., b_n), all in [0, t^r - 1]; the kept
-    coordinate k satisfies k - sum b_i P_i(t) = l, so k runs over l plus
-    the integers representable in each multiplicity. Fibers of size below
-    m survive, hence the l-th largest surviving k is l plus the family's
+    Variables are (k, b_1, ..., b_n), all nonnegative, with two rows: the
+    equality k - sum b_i P_i(t) = l and the box edge k <= t^r - 1. Where
+    every entry is positive, the equality bounds each b_i by
+    (t^r - 1 - l) / P_i(t). The kept coordinate k runs over l plus the
+    integers representable in each multiplicity. Fibers of size below m
+    survive, hence the l-th largest surviving k is l plus the family's
     l-th answer, valid wherever qualifying_bound + l stays below t^r.
     """
     from . import pilp  # here, so that `series` does not load the engine
 
     n = len(fam.polys)
-    box_edge = Poly.variable() ** r - Poly.constant(1)
-    zero = Poly()
     one = Poly.constant(1)
-
-    rows = [pilp.Row((one,) + tuple(-p for p in fam.polys), pilp.EQ,
-                     Poly.constant(fam.l))]
-    for i in range(n + 1):
-        coeffs = [zero] * (n + 1)
-        coeffs[i] = one
-        rows.append(pilp.Row(tuple(coeffs), pilp.LE, box_edge))
-    sys1 = pilp.ParametricConstraintSystem(n + 1, tuple(rows), (True,) * (n + 1))
-
+    box_edge = pilp.Row((one,) + (Poly(),) * n, pilp.LE,
+                        Poly.variable() ** r - one)
+    equality = pilp.Row((one,) + tuple(-p for p in fam.polys), pilp.EQ,
+                        Poly.constant(fam.l))
+    sys1 = pilp.ParametricConstraintSystem(n + 1, (equality, box_edge),
+                                           (True,) * (n + 1))
     sys2 = pilp.ParametricConstraintSystem(
-        1, (pilp.Row((one,), pilp.LE, box_edge),), (True,)
+        1, (pilp.Row((one,), pilp.LE, box_edge.rhs),), (True,)
     )
     return pilp.ExclusionProblem(fam.m, n, 1, sys1, sys2, (one,))
 
@@ -268,10 +257,12 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
                point_cap: int = DEFAULT_POINT_CAP) -> CrosscheckReport:
     """Compare exclusion-path and direct-path answers on a t window.
 
-    Rows are SKIPPED (with the reason) where the construction is not
-    provably valid: an entry nonpositive, entry gcd not 1, the proven
-    bound frobenius.qualifying_bound + l on l plus every answer not below
-    t^r, or the box too large for the point cap.
+    The box is [0, t^r) with r = box_exponent(fam). Since t^r lies above
+    window_bound_poly only for large t, each t is gated on its own: rows
+    are SKIPPED (with the reason) where an entry is nonpositive, the entry
+    gcd is not 1, the proven bound frobenius.qualifying_bound + l on l
+    plus every answer is not below t^r, or the box is too large for the
+    point cap.
     """
     from . import pilp
 

@@ -230,11 +230,10 @@ def test_criterion_07_exclusion_crosscheck():
                 PolyFamily((U, U + const(2)), m, l), gcd_fit.qp, 0), 2, 15))
             windows.append((reduction.reduce_by_gcd(
                 PolyFamily((U, U + const(2)), m, l), gcd_fit.qp, 1), 2, 20))
-            # m = 1 first checks at t = 4 (the bound ties t^3 at t = 3), so
-            # reach t = 11 there; m = 2 (a t^4 box) is valid from t = 3.
+            # Schur's bound puts this family in a t^4 box at m = 1 and 2,
+            # and every t from 3 on is checked there.
             windows.append((PolyFamily(
-                (U, U**2 + ONE, U**2 + 2 * U - ONE), m, l),
-                3, 11 if m == 1 else 10))
+                (U, U**2 + ONE, U**2 + 2 * U - ONE), m, l), 3, 11))
     checked_total = 0
     for fam, t_min, t_max in windows:
         rep = reduction.crosscheck(fam, t_min, t_max, point_cap=5_000_000)

@@ -231,16 +231,29 @@ def test_crosscheck_skip_over_point_cap(tmp_path):
 
 
 def test_crosscheck_all_skipped_window_is_unchecked(tmp_path):
-    # The box exponent r = 3 is too small for this family at these t, so
-    # every row is skipped: nothing was compared, which is no mismatch.
+    # The entries 2t and 2t + 2 share the factor 2 at every t, so every
+    # row is skipped: nothing was compared, which is no mismatch.
+    fam = tmp_path / "fam.txt"
+    fam.write_text("poly: 2t\npoly: 2t + 2\nm: 1\nl: 1\n")
+    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
+              "--t-max", "6", "--format", "machine")
+    assert res.exit_code == 5
+    assert res.output.count("SKIPPED (entry gcd is not 1)") == 5
+    assert res.output.splitlines()[-4:] == [
+        "checked 0", "f_all_equal True", "g_offsets -", "verdict UNCHECKED"]
+
+
+def test_crosscheck_mixed_degree_family_is_checked(tmp_path):
+    # Schur's bound gives this family a t^4 box, and every answer lies in
+    # it from t = 2 on, so every row of the window is compared.
     fam = tmp_path / "fam.txt"
     fam.write_text("poly: t\npoly: 2t^2 + 1\npoly: 2t^2 + t\npoly: 2t^2 + 2t\n"
                    "poly: 2t^2 + 3t\nm: 1\nl: 1\n")
     res = run("crosscheck", "--family", str(fam), "--t-min", "2",
-              "--t-max", "6", "--format", "machine")
-    assert res.exit_code == 5
+              "--t-max", "10", "--format", "machine")
+    assert res.exit_code == 0
     assert res.output.splitlines()[-4:] == [
-        "checked 0", "f_all_equal True", "g_offsets -", "verdict UNCHECKED"]
+        "checked 9", "f_all_equal True", "g_offsets 0", "verdict OK"]
 
 
 def test_pilp_point_cap_counts_search_nodes(tmp_path):
@@ -502,10 +515,13 @@ PLAIN_ROWS = "row: 1, 1 | <= | t\nrow: -1, 0 | <= | 2\n"
      "repeated header 'vars:'"),
     ("series", FAMILY_PAIR + "m: 1\nl: 1\nm: 2\n", "repeated header 'm:'"),
     ("series", FAMILY_PAIR + "l: 1\nm: 1\nl: 1\n", "repeated header 'l:'"),
+    ("pilp", exclusion_text() + "sys1:\nrow: 1, -1 | <= | 0\n",
+     "repeated section 'sys1:'"),
+    ("pilp", exclusion_text() + "sys2:\n", "repeated section 'sys2:'"),
 ], ids=["plain-typo", "plain-bare-sys2", "plain-exclusion-key",
         "sys1-objective", "sys2-objective", "exclusion-vars", "plain-nonneg",
         "plain-objective", "exclusion-m", "section-vars", "family-m",
-        "family-l"])
+        "family-l", "section-sys1", "section-sys2"])
 def test_unknown_or_repeated_header_is_an_input_error(tmp_path, command,
                                                        text, message):
     path = tmp_path / "input.txt"

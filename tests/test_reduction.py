@@ -1,7 +1,8 @@
 """Family pipeline: positivity, gcd reduction, box exponent, crosscheck."""
 
 from fractions import Fraction
-from math import gcd
+from functools import cmp_to_key
+from math import ceil, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from parafrob import eqpfit, frobenius, pilp, reduction
 from parafrob.errors import InputError, NonIntegerQuotientError
 from parafrob.frobenius import Coins, FrobeniusInstance
-from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial
+from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp
 from parafrob.reduction import PolyFamily
 
 U = Poly.variable()
@@ -38,6 +39,23 @@ def test_positivity_start_examples():
     assert reduction.positivity_start(fam([U - Poly.constant(10), U])) == 11
     for t in range(11, 40):
         assert all(p(t) > 0 for p in (U - Poly.constant(10), U))
+    # the scan starts below the root bound of the negative coefficients only
+    assert reduction.positivity_start(fam([U, U - Poly.constant(10**6)])) == 10**6 + 1
+    assert reduction.positivity_start(fam([U, U**2 + Poly.constant(10**5)])) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-30, 30), min_size=0, max_size=3),
+                min_size=2, max_size=3),
+       st.lists(st.integers(1, 3), min_size=3, max_size=3))
+def test_positivity_start_matches_brute_scan(lowers, leads):
+    polys = [Poly(tuple(lower) + (lead,)) for lower, lead in zip(lowers, leads)]
+    # Past the Cauchy bound on all coefficients no entry has a root.
+    ceiling = max(ceil(1 + max(map(abs, p.coeffs[:-1]), default=0)
+                       / p.leading_coefficient) for p in polys)
+    brute = 1 + max((t for t in range(1, ceiling + 1)
+                     if any(p(t) <= 0 for p in polys)), default=0)
+    assert reduction.positivity_start(fam(polys)) == brute
 
 
 def test_gcd_series_examples():
@@ -121,10 +139,22 @@ def test_reduction_identity_numerically():
             ) == frobenius.generalized_genus(Coins(red.values(s)), 2)
 
 
+MIXED5 = (U, 2 * U**2 + ONE, 2 * U**2 + U, 2 * U**2 + 2 * U, 2 * U**2 + 3 * U)
+
+
 def test_box_exponent_examples():
-    sec3 = fam([U, U**2 + Poly.constant(1), U**2 + 2 * U - Poly.constant(1)])
-    assert reduction.box_exponent(sec3) == 3
-    assert reduction.box_exponent(fam([U, U + Poly.constant(1)])) == 3
+    sec3 = (U, U**2 + Poly.constant(1), U**2 + 2 * U - Poly.constant(1))
+    assert reduction.box_exponent(PolyFamily(sec3, 1, 1)) == 4
+    assert reduction.box_exponent(PolyFamily(sec3, 2, 1)) == 4
+    assert reduction.box_exponent(fam([U, U + Poly.constant(1)])) == 2
+    assert reduction.box_exponent(fam([U, U - ONE])) == 2
+    assert reduction.box_exponent(fam([U, U - ONE], m=2)) == 3
+    assert reduction.box_exponent(fam(MIXED5)) == 4
+    # the benchmark's family shape at m = l = 2
+    for b in range(1, 5):
+        for c in range(-2, 7):
+            shape = fam([U, U**2 + ONE, U**2 + b * U + Poly.constant(c)], 2, 2)
+            assert reduction.box_exponent(shape) == 4
     # doubling m never decreases r
     for polys in ((U, U + Poly.constant(1)),
                   (U, U**2 + Poly.constant(1), U**2 + 2 * U - Poly.constant(1))):
@@ -132,20 +162,30 @@ def test_box_exponent_examples():
         assert rs == sorted(rs)
 
 
+def assert_window_bound_holds(family, ts):
+    """l + F_{m,l}(t) <= window_bound_poly(t) at each t of ts where the
+    entries are positive with gcd 1 and the eventually largest entry is
+    the largest: there the bound is proven."""
+    bound = reduction.window_bound_poly(family)
+    x_max = max(family.polys, key=cmp_to_key(eventual_cmp))
+    for t in ts:
+        values = family.values(t)
+        if min(values) <= 0 or gcd(*values) != 1 or x_max(t) != max(values):
+            continue
+        answer = frobenius.generalized_frobenius(
+            FrobeniusInstance(Coins(values), family.m, family.l)
+        )
+        assert family.l + answer <= bound(t), (family, t)
+
+
 def test_window_bound_holds_numerically():
     for family in (
         fam([U, U - Poly.constant(1)], m=2, l=2),
         fam([U, U**2 + Poly.constant(1), U**2 + 2 * U - Poly.constant(1)], m=2, l=1),
+        fam(MIXED5),  # F + 1 is 3168 at t = 12, above the old bound of 1544
     ):
-        bound = reduction.window_bound_poly(family)
-        for t in range(reduction.positivity_start(family) + 1, 15):
-            values = family.values(t)
-            if gcd(*values) != 1:
-                continue
-            answer = frobenius.generalized_frobenius(
-                FrobeniusInstance(Coins(values), family.m, family.l)
-            )
-            assert family.l + answer <= bound(t)
+        assert_window_bound_holds(
+            family, range(reduction.positivity_start(family) + 1, 15))
 
 
 def test_direct_series_matches_piecewise_formula():
@@ -268,19 +308,20 @@ def test_crosscheck_fibers_stop_at_m():
 
 
 def test_crosscheck_mixed_degree_family_reports_no_diff():
-    # deg x_min < deg x_{n-1}: the box exponent comes out as 3, yet F + 1 is
-    # 200, 896 and 3168 at t = 5, 8 and 12. Rows whose proven bound is not
-    # below t^3 are skipped, never reported as DIFF.
-    family = fam([U, 2 * U**2 + ONE, 2 * U**2 + U, 2 * U**2 + 2 * U,
-                  2 * U**2 + 3 * U])
-    assert reduction.box_exponent(family) == 3
+    # deg x_min < deg x_{n-1}, and F + 1 is 200, 896 and 3168 at t = 5, 8
+    # and 12: Schur's bound puts every answer in a t^4 box, and the rows
+    # are checked there, with no DIFF.
+    family = fam(MIXED5)
+    assert reduction.box_exponent(family) == 4
     report = reduction.crosscheck(family, 2, 12)
+    assert report.checked > 0
     assert all(row.status != reduction.DIFF for row in report.rows)
     assert report.f_all_equal
     for row in report.rows:
         if row.status == reduction.SKIPPED:
             continue
-        assert row.f_exclusion == row.f_direct < row.t**3
+        assert row.f_exclusion == row.f_direct
+        assert row.f_direct + family.l < row.t**4
 
 
 @st.composite
@@ -292,6 +333,13 @@ def mixed_families(draw):
         lower = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2))
         polys.append(Poly(tuple(lower) + (draw(st.integers(1, 2)),)))
     return PolyFamily(tuple(polys), draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_families())
+def test_window_bound_holds_on_mixed_families(family):
+    t0 = reduction.positivity_start(family)
+    assert_window_bound_holds(family, range(t0, t0 + 4))
 
 
 @settings(max_examples=150, deadline=None)
