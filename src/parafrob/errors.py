@@ -25,10 +25,6 @@ class ResourceLimitError(ParafrobError):
     budget."""
 
 
-class GcdNotOneError(ParafrobError):
-    """Operation requires a tuple with gcd 1."""
-
-
 class UnboundedRegionError(ParafrobError):
     """Bound propagation could not derive finite bounds for every coordinate."""
 

@@ -4,16 +4,18 @@ h(k) counts the nonnegative integer tuples (b_1, ..., b_n) with
 sum b_i * a_i = k (ordered tuples: duplicate denominations count
 separately). F, G, F_{m,l} and G_m all come from one residue table per
 tuple and m; the capped coin DP gives h(k) itself and is its oracle.
+window_end is the one bound past which every k has h(k) >= m: on ints it
+gives qualifying_bound, on Polys the box exponent of the reduction module.
 """
 
 from heapq import heappop, heappush, merge, nlargest
 from itertools import islice
 from math import gcd
 
-from .errors import GcdNotOneError, InputError, ResourceLimitError, frozen
+from .errors import InputError, ResourceLimitError, frozen
 
 # A DP table larger than this many cells aborts instead of thrashing.
-DEFAULT_CELL_BUDGET = 10**8
+CELL_LIMIT = 10**8
 # A residue table with a*m*n above this aborts: a the smallest reduced entry.
 APERY_LIMIT = 10**7
 
@@ -74,8 +76,7 @@ class RepCountTable:
     bound: int
 
 
-def rep_count_table(coins: Coins, bound: int, cap: int,
-                    cell_budget: int = DEFAULT_CELL_BUDGET) -> RepCountTable:
+def rep_count_table(coins: Coins, bound: int, cap: int) -> RepCountTable:
     """Capped representation counts by coin DP, one pass per denomination.
 
     Addition saturates at ``cap``, which keeps every cell small no matter
@@ -85,9 +86,9 @@ def rep_count_table(coins: Coins, bound: int, cap: int,
         raise InputError("bound must be >= 0")
     if cap < 1:
         raise InputError("cap must be >= 1")
-    if bound + 1 > cell_budget:
+    if bound + 1 > CELL_LIMIT:
         raise ResourceLimitError(
-            f"table of {bound + 1} cells exceeds the budget of {cell_budget}"
+            f"table of {bound + 1} cells exceeds the limit of {CELL_LIMIT}"
         )
     counts = [0] * (bound + 1)
     counts[0] = 1
@@ -125,54 +126,26 @@ def rep_count_exact(coins: Coins, k: int, bound: int = 10**4) -> int:
     return count(0, k)
 
 
-def erdos_graham_bound(coins: Coins) -> int:
-    """2 * x_{n-1} * floor(x_n / n) - x_n over the sorted distinct entries.
+def window_end(s1, s2, x_max, m):
+    """(m-1)*s1*s2 + (s1-1)*(x_max-1) - 1, on ints or on Polys.
 
-    Requires gcd 1; an upper bound for the largest non-representable
-    integer. (Beware the index-swapped variant 2*x_n*floor(x_1/n) - x_1
-    that circulates: it is not an upper bound, e.g. it gives 17 for
-    (5, 6, 11) whose largest non-representable integer is 19.)
+    With gcd 1, s1 <= s2 the two smallest entries and x_max the largest,
+    every k above this has h(k) >= m. The last two terms are Schur's bound
+    on F (A. Brauer, "On a problem of partitions", Amer. J. Math. 64,
+    1942): each residue mod s1 is reached within s1-1 steps of at most
+    x_max each. The first is the exchange term: for k past the bound,
+    k - (m-1)*s1*s2 is representable, and exchanging s1-coins for s2-coins
+    m-1 times yields m distinct representations of k.
     """
-    if coins.g != 1:
-        raise GcdNotOneError("bound applies to tuples with gcd 1")
-    xs = sorted(set(coins.a))
-    n = len(xs)
-    second = xs[-2] if n >= 2 else xs[-1]
-    return 2 * second * (xs[-1] // n) - xs[-1]
-
-
-def _frobenius_upper(reduced: Coins) -> int:
-    """A cheap upper bound for the largest non-representable integer.
-
-    The Erdos-Graham bound, improved by the two-denomination formula over
-    every coprime pair (dropping denominations never shrinks the
-    non-representable set, so any pair bounds the whole tuple).
-    """
-    best = erdos_graham_bound(reduced)
-    xs = sorted(set(reduced.a))
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if gcd(xs[i], xs[j]) == 1:
-                best = min(best, xs[i] * xs[j] - xs[i] - xs[j])
-    return best
-
-
-def _window(reduced: Coins, m: int) -> int:
-    """Window end B: every k > B (on the reduced tuple) has h(k) >= m.
-
-    B = (m-1)*s1*s2 + an upper bound for F, with s1 <= s2 the two smallest
-    entries: for k > B, k - (m-1)*s1*s2 is representable, and exchanging
-    s1-coins for s2-coins m-1 times yields m distinct representations of k.
-    """
-    s1, s2 = sorted(reduced.a)[:2]
-    return (m - 1) * s1 * s2 + _frobenius_upper(reduced)
+    return (m - 1) * s1 * s2 + (s1 - 1) * (x_max - 1) - 1
 
 
 def qualifying_bound(coins: Coins, m: int) -> int:
     """B such that every multiple k of the gcd with k > B has h(k) >= m."""
     if m < 1:
         raise InputError("m must be >= 1")
-    return coins.g * _window(coins.reduced(), m)
+    xs = sorted(coins.reduced().a)
+    return coins.g * window_end(xs[0], xs[1], xs[-1], m)
 
 
 @frozen

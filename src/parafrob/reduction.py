@@ -119,25 +119,15 @@ def reduce_by_gcd(fam: PolyFamily, gcd_fit: QuasiPolynomial,
     return PolyFamily(tuple(reduced), fam.m, fam.l)
 
 
-def _eventually_sorted(polys) -> list:
-    return sorted(polys, key=cmp_to_key(eventual_cmp))
-
-
 def window_bound_poly(fam: PolyFamily) -> Poly:
-    """l + (m-1)*s1*s2 + (x_min-1)*(x_max-1) - 1, where x_min = s1 <= s2
-    <= ... <= x_max are the entries in eventual order.
+    """l + frobenius.window_end over the entries in eventual order.
 
-    The last two terms are Schur's bound on F (A. Brauer, "On a problem of
-    partitions", Amer. J. Math. 64, 1942): with gcd 1, any entry x gives
-    F <= (x-1)*max - x, since every residue mod x is reached within x-1
-    steps of at most max each. The middle term is the exchange term of
-    frobenius.qualifying_bound. So l + F_{m,l}(t) <= bound(t) at every t
-    where the entries are positive with gcd 1 and x_max is the largest.
+    It bounds l + F_{m,l}(t) at every t where the entries are positive with
+    gcd 1 and their concrete order matches the eventual one.
     """
-    ordered = _eventually_sorted(fam.polys)
-    s1, s2, x_max = ordered[0], ordered[1], ordered[-1]
-    return (Poly.constant(fam.l - 1) + (fam.m - 1) * s1 * s2
-            + (s1 - Poly.constant(1)) * (x_max - Poly.constant(1)))
+    ordered = sorted(fam.polys, key=cmp_to_key(eventual_cmp))
+    return fam.l + frobenius.window_end(ordered[0], ordered[1], ordered[-1],
+                                        fam.m)
 
 
 def box_exponent(fam: PolyFamily) -> int:
@@ -163,7 +153,8 @@ def frobenius_to_exclusion(fam: PolyFamily, r: int) -> "pilp.ExclusionProblem":
     (t^r - 1 - l) / P_i(t). The kept coordinate k runs over l plus the
     integers representable in each multiplicity. Fibers of size below m
     survive, hence the l-th largest surviving k is l plus the family's
-    l-th answer, valid wherever qualifying_bound + l stays below t^r.
+    l-th answer, valid exactly where l plus the largest answer, F_{m,1}(t)
+    + l, stays below t^r; window_bound_poly bounds it, so eventually.
     """
     from . import pilp  # here, so that `series` does not load the engine
 
@@ -257,12 +248,13 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
                point_cap: int = DEFAULT_POINT_CAP) -> CrosscheckReport:
     """Compare exclusion-path and direct-path answers on a t window.
 
-    The box is [0, t^r) with r = box_exponent(fam). Since t^r lies above
-    window_bound_poly only for large t, each t is gated on its own: rows
-    are SKIPPED (with the reason) where an entry is nonpositive, the entry
-    gcd is not 1, the proven bound frobenius.qualifying_bound + l on l
-    plus every answer is not below t^r, or the box is too large for the
-    point cap.
+    The box is [0, t^r) with r = box_exponent(fam). The construction is
+    exact at t iff l plus the largest answer, F_{m,1}(t) + l, lies below
+    t^r, so each t is gated on that value itself, read from the direct
+    path's residue table. Rows are SKIPPED (with the reason) where an
+    entry is nonpositive, the entry gcd is not 1, the box is too large for
+    the point cap, the residue table or the enumeration hits its limit, or
+    the box truncates the feasible set.
     """
     from . import pilp
 
@@ -271,33 +263,31 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
     r = box_exponent(fam)
     ex = frobenius_to_exclusion(fam, r)
 
-    rows = []
-    for t in range(t_min, t_max + 1):
-        values = fam.values(t)
-        skip = None
-        if any(v <= 0 for v in values):
-            skip = "entry not positive"
-        elif gcd(*values) != 1:
-            skip = "entry gcd is not 1"
-        elif (bound := frobenius.qualifying_bound(Coins(values), fam.m)
-                       + fam.l) >= t**r:
-            skip = f"window bound {bound} not below t^{r}"
-        elif t**r > point_cap:
-            skip = f"box size t^{r} exceeds the point cap"
-        else:
-            try:
-                feasible, top = pilp.exclusion_profile(ex, t, fam.l,
-                                                       point_cap)
-            except ResourceLimitError:
-                skip = "enumeration exceeded the point cap"
-        if skip is not None:
-            rows.append(CrosscheckRow(t, SKIPPED, None, None, None, None, skip))
-            continue
+    def skipped(t, note):
+        return CrosscheckRow(t, SKIPPED, None, None, None, None, note)
 
-        table = frobenius.apery_table(Coins(values), fam.m)
+    def row(t):
+        values = fam.values(t)
+        if any(v <= 0 for v in values):
+            return skipped(t, "entry not positive")
+        if gcd(*values) != 1:
+            return skipped(t, "entry gcd is not 1")
+        if t**r > point_cap:
+            return skipped(t, f"box size t^{r} exceeds the point cap")
+        try:
+            table = frobenius.apery_table(Coins(values), fam.m)
+        except ResourceLimitError as exc:
+            return skipped(t, str(exc))
+        largest = table.frobenius(fam.m, 1) + fam.l
+        if largest >= t**r:
+            return skipped(t, f"largest answer plus l, {largest}, not below t^{r}")
+        try:
+            feasible, top = pilp.exclusion_profile(ex, t, fam.l, point_cap)
+        except ResourceLimitError:
+            return skipped(t, "enumeration exceeded the point cap")
+
         f_direct = table.frobenius(fam.m, fam.l)
         g_direct = table.genus(fam.m) + fam.l
-
         g_val = len(feasible)
         f_val = top[fam.l - 1]
         f_shifted = f_val - fam.l if f_val is not BOTTOM else BOTTOM
@@ -307,7 +297,6 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             status = G_OFFSET
         else:
             status = EQUAL
-        rows.append(CrosscheckRow(t, status, f_shifted, f_direct, g_val,
-                                  g_direct))
+        return CrosscheckRow(t, status, f_shifted, f_direct, g_val, g_direct)
 
-    return CrosscheckReport(tuple(rows))
+    return CrosscheckReport(tuple(row(t) for t in range(t_min, t_max + 1)))

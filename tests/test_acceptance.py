@@ -120,16 +120,16 @@ def test_criterion_04_bound_soundness():
         coins = Coins(a)
         if coins.g != 1:
             continue
-        bound = frobenius.erdos_graham_bound(coins)
-        assert frobenius.frobenius_number(coins) <= bound
+        assert frobenius.frobenius_number(coins) <= \
+            frobenius.qualifying_bound(coins, 1)
         for m in (1, 2, 3):
             window_end = frobenius.qualifying_bound(coins, m)
             table = frobenius.rep_count_table(coins, window_end + 50, cap=m)
             for k in range(window_end + 1, window_end + 51):
                 assert table.counts[k] >= m
         done += 1
-    report(4, "100 randomized coprime tuples: F within the Erdos-Graham "
-              "bound and h >= m on (B, B+50] for m <= 3")
+    report(4, "100 randomized coprime tuples: F within Schur's bound "
+              "and h >= m on (B, B+50] for m <= 3")
 
 
 def test_criterion_05_dp_vs_enumeration_oracle():

@@ -59,10 +59,12 @@ def test_compute_bad_input_exit_code():
 
 
 def test_compute_resource_limit_exit_code():
-    # entries force a table over the default cell budget? use tiny budget via
-    # huge tuple values instead: 2 coprime huge numbers blow the window.
+    # The smallest entry sets the residue table's size, and this one puts
+    # a*m*n far over its limit: refused, and the message names the limit.
     res = run("compute", "--a", "99999989,99999999")
     assert res.exit_code == 3
+    assert res.output == ("error: residue table a*m*n = 199999978 exceeds "
+                          "10000000\n")
 
 
 def test_compute_large_m_and_wide_entries():
@@ -254,6 +256,23 @@ def test_crosscheck_mixed_degree_family_is_checked(tmp_path):
     assert res.exit_code == 0
     assert res.output.splitlines()[-4:] == [
         "checked 9", "f_all_equal True", "g_offsets 0", "verdict OK"]
+
+
+def test_crosscheck_gates_rows_on_the_largest_answer(tmp_path):
+    # The box is t^3, and l plus the largest answer is 30, 54 and 105 at
+    # t = 2, 3 and 4, so those rows are skipped; from t = 5 on it lies in
+    # the box and every row is checked.
+    fam = tmp_path / "fam.txt"
+    fam.write_text("poly: 2t + 1\npoly: 3t + 2\npoly: 5t + 1\nm: 2\nl: 2\n")
+    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
+              "--t-max", "12", "--format", "machine")
+    assert res.exit_code == 0
+    for largest in (30, 54, 105):
+        assert (f"SKIPPED (largest answer plus l, {largest}, not below t^3)"
+                in res.output)
+    assert res.output.count("SKIPPED") == 3
+    assert res.output.splitlines()[-4:] == [
+        "checked 8", "f_all_equal True", "g_offsets 1", "verdict OK"]
 
 
 def test_pilp_point_cap_counts_search_nodes(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parafrob import frobenius as fr
-from parafrob.errors import GcdNotOneError, InputError, ResourceLimitError
+from parafrob.errors import InputError, ResourceLimitError
 from parafrob.frobenius import Coins, FrobeniusInstance
 
 
@@ -53,8 +53,9 @@ def test_rep_count_table_gcd_and_cap_invariants():
 
 
 def test_rep_count_table_budget():
+    # bound + 1 cells is one over the limit: refused before allocating.
     with pytest.raises(ResourceLimitError):
-        fr.rep_count_table(Coins([2, 3]), 100, 1, cell_budget=50)
+        fr.rep_count_table(Coins([2, 3]), fr.CELL_LIMIT, 1)
 
 
 def test_rep_count_exact_examples():
@@ -77,27 +78,14 @@ def test_dp_agrees_with_brute_force_oracle():
             assert table.counts[k] == min(brute_h(tuple(a), k), cap)
 
 
-def test_erdos_graham_examples():
-    assert fr.erdos_graham_bound(Coins([3, 5])) == 7
-    assert fr.erdos_graham_bound(Coins([6, 10, 15])) == 85
-    assert fr.erdos_graham_bound(Coins([2, 3])) == 1
-    with pytest.raises(GcdNotOneError):
-        fr.erdos_graham_bound(Coins([6, 10]))
-
-
-def test_erdos_graham_sound_where_swapped_variant_fails():
-    # F(5, 6, 11) = 19; the index-swapped formula would give 17.
-    assert fr.frobenius_number(Coins([5, 6, 11])) == 19
-    assert fr.erdos_graham_bound(Coins([5, 6, 11])) == 25
-    # F(2, 17, 23, 34) = 15; the swapped formula would give -2.
-    assert fr.frobenius_number(Coins([2, 17, 23, 34])) == 15
-    assert fr.erdos_graham_bound(Coins([2, 17, 23, 34])) >= 15
-
-
-def test_erdos_graham_collapses_duplicates():
-    assert fr.erdos_graham_bound(Coins([3, 3, 5])) == fr.erdos_graham_bound(
-        Coins([3, 5])
-    )
+def test_qualifying_bound_examples():
+    # Schur's bound (s1-1)*(x_max-1) - 1 over the sorted reduced entries,
+    # duplicates kept, plus (m-1)*s1*s2, times the gcd.
+    for a, bound in (([3, 5], 7), ([6, 10, 15], 69), ([5, 6, 11], 39),
+                     ([2, 17, 23, 34], 32), ([3, 3, 5], 7), ([1, 7], -1),
+                     ([6, 10], 14)):
+        assert fr.qualifying_bound(Coins(a), 1) == bound
+    assert fr.qualifying_bound(Coins([3, 5]), 2) == 22
 
 
 def test_frobenius_number_examples():
@@ -271,18 +259,6 @@ def test_qualifying_bound_scales():
     for c in (1, 2, 5):
         assert fr.qualifying_bound(Coins([3 * c, 5 * c]), 1) == \
             c * fr.qualifying_bound(Coins([3, 5]), 1)
-
-
-def test_frobenius_below_erdos_graham():
-    rng = random.Random(5)
-    done = 0
-    while done < 40:
-        a = [rng.randint(1, 40) for _ in range(rng.randint(2, 4))]
-        coins = Coins(a)
-        if coins.g != 1:
-            continue
-        assert fr.frobenius_number(coins) <= fr.erdos_graham_bound(coins)
-        done += 1
 
 
 def test_monotonicity_and_definition_consistency():

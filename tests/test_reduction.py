@@ -211,18 +211,30 @@ def test_one_table_per_t(monkeypatch):
     real = frobenius.apery_table
 
     def counting(coins, m):
-        built.append(max(coins.a))
+        built.append(coins.a)
         return real(coins, m)
 
     monkeypatch.setattr(frobenius, "apery_table", counting)
     family = fam([U, U - Poly.constant(1)], m=2, l=2)
     reduction.direct_series(family, 2, 10)
-    assert built == list(range(2, 11))
-    built.clear()
-    report = reduction.crosscheck(family, 2, 10)
-    checked = [row.t for row in report.rows if row.status != reduction.SKIPPED]
-    assert report.checked == len(checked) > 0
-    assert built == checked
+    assert built == [(t, t - 1) for t in range(2, 11)]
+    # One table per row that reaches the gate on the largest answer; rows
+    # skipped for positivity, gcd or the box size build none.
+    notes = set()
+    for case, point_cap in ((family, 200),
+                            (fam([U, U + Poly.constant(2)]), 10**6),
+                            (fam([2 * U + ONE, 3 * U + Poly.constant(2),
+                                  5 * U + ONE], m=2, l=2), 10**6)):
+        built.clear()
+        report = reduction.crosscheck(case, 1, 10, point_cap)
+        notes |= {row.note.split(",")[0] for row in report.rows}
+        gated = [row for row in report.rows if not row.note.startswith(
+            ("entry not positive", "entry gcd", "box size"))]
+        assert built == [case.values(row.t) for row in gated]
+    assert notes == {"", "entry not positive", "entry gcd is not 1",
+                     "box size t^3 exceeds the point cap",
+                     "largest answer plus l",
+                     "enumeration exceeded the point cap"}
 
 
 def test_frobenius_to_exclusion_matches_direct():
@@ -292,6 +304,10 @@ def test_crosscheck_skips_when_box_over_cap():
     assert report.checked < 11
     assert any("cap" in row.note for row in report.rows
                if row.status == reduction.SKIPPED)
+    # A residue table over its limit skips the row too, naming the limit.
+    family = fam([U + Poly.constant(10**7), U + Poly.constant(10**7 + 1)])
+    (row,) = reduction.crosscheck(family, 2, 2).rows
+    assert row.note == "residue table a*m*n = 20000004 exceeds 10000000"
 
 
 def test_crosscheck_fibers_stop_at_m():
@@ -343,12 +359,36 @@ def test_window_bound_holds_on_mixed_families(family):
 
 
 @settings(max_examples=150, deadline=None)
+@given(mixed_families())
+def test_window_bound_poly_is_qualifying_bound_plus_l(family):
+    # Both come from frobenius.window_end; they agree wherever the entries
+    # have gcd 1 and their concrete order is the eventual one.
+    bound = reduction.window_bound_poly(family)
+    ordered = sorted(family.polys, key=cmp_to_key(eventual_cmp))
+    t0 = reduction.positivity_start(family)
+    for t in range(t0, t0 + 6):
+        values = family.values(t)
+        if gcd(*values) != 1 or [p(t) for p in ordered] != sorted(values):
+            continue
+        assert bound(t) == family.l + frobenius.qualifying_bound(
+            Coins(values), family.m)
+
+
+@settings(max_examples=150, deadline=None)
 @given(mixed_families(), st.integers(1, 4))
 def test_crosscheck_never_reports_diff(family, t_min):
     # Small t is where a bound that holds only eventually fails first.
-    report = reduction.crosscheck(family, t_min, t_min + 3, point_cap=3000)
+    cap = 3000
+    report = reduction.crosscheck(family, t_min, t_min + 3, point_cap=cap)
     r = reduction.box_exponent(family)
     for row in report.rows:
         assert row.status != reduction.DIFF, report
         if row.status != reduction.SKIPPED:
             assert row.f_direct + family.l < row.t**r
+        values = family.values(row.t)
+        if min(values) <= 0 or gcd(*values) != 1 or row.t**r > cap:
+            continue
+        # The row reached the gate: skipped there iff the box truncates.
+        largest = family.l + frobenius.generalized_frobenius(
+            FrobeniusInstance(Coins(values), family.m, 1))
+        assert row.note.startswith("largest answer") == (largest >= row.t**r)
