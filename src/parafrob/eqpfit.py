@@ -145,56 +145,48 @@ def _newton_interpolate(points) -> Poly:
 def _fit_class(points, cfg: FitConfig, first_t: int):
     """Fit one residue class: (component, threshold) or (None, reason).
 
-    The component is BOTTOM when the trailing ``min_support`` values are all
-    BOTTOM; otherwise the finite samples after the last BOTTOM must be
-    interpolated exactly by the polynomial through their earliest
-    ``deg_max + 1`` points (no tail-window shopping: anchoring anywhere
-    later would let any series with a long polynomial stretch "fit"). The
-    threshold is the largest sampled t disagreeing with the component,
-    which here can only be a leading BOTTOM (first_t - 1 when none).
+    The class's suffix is its trailing run of points of the same kind,
+    BOTTOM or finite, as its last point, and must hold at least
+    ``min_support`` points. A BOTTOM suffix gives the component BOTTOM; a
+    finite one must be interpolated exactly by the polynomial through its
+    earliest ``deg_max + 1`` points (no tail-window shopping: anchoring
+    anywhere later would let any series with a long polynomial stretch
+    "fit"). The threshold is the last t before the suffix (first_t - 1
+    when none).
     """
-    trailing = points[-cfg.min_support:]
-    if all(v is BOTTOM for _, v in trailing):
-        finite_ts = [t for t, v in points if v is not BOTTOM]
-        return BOTTOM, (max(finite_ts) if finite_ts else first_t - 1)
-    if any(v is BOTTOM for _, v in trailing):
+    bottom = points[-1][1] is BOTTOM
+    start = len(points)
+    while start and (points[start - 1][1] is BOTTOM) == bottom:
+        start -= 1
+    if len(points) - start < cfg.min_support:
         return None, "trailing values mix -inf and finite samples"
-
-    last_bottom = -1
-    for i, (_, v) in enumerate(points):
-        if v is BOTTOM:
-            last_bottom = i
-    finite = points[last_bottom + 1:]
-    if len(finite) < cfg.min_support:
-        return None, (
-            f"only {len(finite)} finite points after the last -inf "
-            f"(min_support={cfg.min_support})"
-        )
-    poly = interpolate_component(finite, cfg.deg_max)
+    threshold = points[start - 1][0] if start else first_t - 1
+    if bottom:
+        return BOTTOM, threshold
+    poly = interpolate_component(points[start:], cfg.deg_max)
     if poly is None:
         return None, (
             f"the polynomial of degree <= {cfg.deg_max} through the "
             f"earliest points does not match the rest of the class"
         )
-    threshold = points[last_bottom][0] if last_bottom >= 0 else first_t - 1
     return poly, threshold
 
 
 def fit_quasipolynomial(series: SampleSeries, cfg: FitConfig | None = None):
     """Search periods 1..d_max for an exact eventual fit; minimal period wins.
 
-    For each candidate period the training samples (all but the trailing
-    holdout) are split by residue class and fitted independently; a
-    candidate succeeds when every class fits and the assembled
-    quasi-polynomial also reproduces every holdout sample. Periods whose
-    classes retain fewer than ``min_support`` training points are skipped
-    with a diagnostic rather than attempted.
+    A candidate period splits the training samples (all but the trailing
+    holdout) by residue class and fits each class on its own; it succeeds
+    when every class fits and ``validate`` finds no sample of the series
+    above the threshold that the assembled quasi-polynomial misses. The
+    training samples there lie in their classes' suffixes and agree by
+    construction, so a miss is always a holdout sample. A period with a
+    class of fewer than ``min_support`` training points is skipped with a
+    diagnostic.
     """
     cfg = cfg or FitConfig()
     reserved = min(cfg.holdout, len(series) // 2)
-    items = series.items()
-    training = items[: len(items) - reserved]
-    holdout = items[len(items) - reserved:]
+    training = series.items()[: len(series) - reserved]
     if len(training) < cfg.min_support:
         raise InsufficientDataError(
             f"{len(training)} training samples cannot support any fit "
@@ -215,38 +207,25 @@ def fit_quasipolynomial(series: SampleSeries, cfg: FitConfig | None = None):
             )
             continue
 
-        components = [None] * d
+        components = []
         threshold = series.t_min - 1
-        failed = False
         for r in range(d):
             comp, info = _fit_class(classes[r], cfg, series.t_min)
             if comp is None:
                 diagnostics.append((d, r, info))
-                failed = True
                 break
-            components[r] = comp
+            components.append(comp)
             threshold = max(threshold, info)
-        if failed:
-            continue
-
-        qp = QuasiPolynomial(d, tuple(components), threshold)
-        bad = _first_mismatch(qp, holdout)
-        if bad is not None:
-            diagnostics.append((d, None, f"holdout mismatch at t={bad}"))
-            continue
-        confirmed = sum(1 for t, _ in training if t > threshold)
-        return Fit(qp, training_checked=confirmed, holdout_checked=len(holdout))
+        else:
+            qp = QuasiPolynomial(d, tuple(components), threshold)
+            report = validate(qp, series)
+            if report.first_disagreement is None:
+                # Every holdout sample lies above the threshold.
+                return Fit(qp, report.compared_count - reserved, reserved)
+            t = report.first_disagreement[0]
+            diagnostics.append((d, None, f"holdout mismatch at t={t}"))
 
     return NoFit(tuple(diagnostics))
-
-
-def _first_mismatch(qp: QuasiPolynomial, items) -> int | None:
-    for t, v in items:
-        if t <= qp.threshold:
-            continue
-        if qp.eval(t) != v:
-            return t
-    return None
 
 
 def validate(qp: QuasiPolynomial, series: SampleSeries) -> ValidationReport:

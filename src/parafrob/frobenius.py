@@ -18,21 +18,24 @@ from .errors import InputError, ResourceLimitError, frozen
 CELL_LIMIT = 10**8
 # A residue table with a*m*n above this aborts: a the smallest reduced entry.
 APERY_LIMIT = 10**7
+# The brute-force oracle refuses k above this.
+EXACT_LIMIT = 10**4
 
 
+@frozen
 class Coins:
-    """An ordered tuple of n >= 2 positive integers with cached gcd."""
+    """An ordered tuple a of n >= 2 positive integers with cached gcd g."""
 
-    __slots__ = ("a", "g")
+    a: tuple
 
-    def __init__(self, entries):
-        a = tuple(int(e) for e in entries)
+    def __post_init__(self):
+        a = tuple(int(e) for e in self.a)
         if len(a) < 2:
             raise InputError("need at least two entries")
         if any(e <= 0 for e in a):
             raise InputError("entries must be strictly positive")
-        self.a = a
-        self.g = gcd(*a)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "g", gcd(*a))
 
     def reduced(self) -> "Coins":
         """The tuple divided through by its gcd."""
@@ -42,15 +45,6 @@ class Coins:
 
     def scaled(self, c: int) -> "Coins":
         return Coins(e * c for e in self.a)
-
-    def __eq__(self, other):
-        return isinstance(other, Coins) and self.a == other.a
-
-    def __hash__(self):
-        return hash(self.a)
-
-    def __repr__(self):
-        return f"Coins({list(self.a)!r})"
 
 
 @frozen
@@ -101,13 +95,14 @@ def rep_count_table(coins: Coins, bound: int, cap: int) -> RepCountTable:
     return RepCountTable(coins, cap, tuple(counts), bound)
 
 
-def rep_count_exact(coins: Coins, k: int, bound: int = 10**4) -> int:
+def rep_count_exact(coins: Coins, k: int) -> int:
     """Uncapped h(k) by recursive enumeration; the brute-force oracle.
 
-    Only intended for small k: raises ResourceLimitError beyond ``bound``.
+    Only intended for small k: raises ResourceLimitError beyond EXACT_LIMIT.
     """
-    if k > bound:
-        raise ResourceLimitError(f"exact enumeration capped at k <= {bound}")
+    if k > EXACT_LIMIT:
+        raise ResourceLimitError(
+            f"exact enumeration capped at k <= {EXACT_LIMIT}")
     if k < 0:
         return 0
 

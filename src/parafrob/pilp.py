@@ -31,7 +31,8 @@ EQ = "=="
 # Propagation sweeps before giving up on deriving finite bounds.
 MAX_SWEEPS = 100
 
-DEFAULT_CLAUSE_CAP = 100_000
+# A disjoint expansion with more clauses than this aborts.
+CLAUSE_LIMIT = 100_000
 
 
 @frozen
@@ -481,10 +482,10 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
                       point_cap: int = DEFAULT_POINT_CAP):
     """(the feasible set, the l largest objective values over it).
 
-    The feasible set holds the sys2 points covered by fewer than m sys1
-    fibers. Each system is enumerated once; since only "< m versus >= m"
-    matters, the sys1 search stops each fiber at its m-th point. The
-    values are ranked as in lattice_profile.
+    The feasible set holds the sys2 points whose sys1 fiber has fewer than
+    m points. Each system is searched once: sys1 by a fiber search that
+    stops each fiber at its m-th point, sys2 through enumerate_lattice.
+    Each kept point is ranked as a one-point run, as in lattice_profile.
     """
     ranking = _Ranking(ex.c, t, l)
     m = ex.m
@@ -495,24 +496,12 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
             full.add(key)
 
     _stream(ex.sys1, t, cover, point_cap, (ex.n2, m))
-    kept = []
-
-    def keep(first, step, length):
-        # The points in full split the run; each part is ranked as a run.
-        parts = [[]]
-        for pt in _run_points(first, step, length):
-            if pt in full:
-                parts.append([])
-            else:
-                parts[-1].append(pt)
-        for part in parts:
-            if part:
-                kept.extend(part)
-                ranking.offer(part[0], step, len(part))
-
-    _stream(ex.sys2, t, keep, point_cap)
-    kept.sort()
-    return LatticeSet(tuple(kept)), ranking.top()
+    points = enumerate_lattice(ex.sys2, t, point_cap).points
+    kept = tuple(pt for pt in points if pt not in full)
+    no_step = (0,) * ex.n2
+    for pt in kept:
+        ranking.offer(pt, no_step, 1)
+    return LatticeSet(kept), ranking.top()
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +546,11 @@ def digit_encode(x, t: int, r: int) -> tuple:
     return tuple(out)
 
 
+def _digit_weighted(polys, r: int) -> tuple:
+    """Each polynomial times u^j for digit j = 0..r-1, in digit order."""
+    return tuple(p.shift(j) for p in polys for j in range(r))
+
+
 def digit_transform(sys: ParametricConstraintSystem, r: int) -> ParametricConstraintSystem:
     """Rewrite each variable as r base-t digits.
 
@@ -569,13 +563,8 @@ def digit_transform(sys: ParametricConstraintSystem, r: int) -> ParametricConstr
         raise InputError("digit count r must be >= 1")
     if not all(sys.nonneg):
         raise InputError("digit transform requires all-nonnegative variables")
-    rows = []
-    for row in sys.rows:
-        coeffs = []
-        for p in row.coeffs:
-            for j in range(r):
-                coeffs.append(p.shift(j))
-        rows.append(Row(tuple(coeffs), row.sense, row.rhs))
+    rows = [Row(_digit_weighted(row.coeffs, r), row.sense, row.rhs)
+            for row in sys.rows]
     cap = Poly((-1, 1))  # u - 1
     for pos in range(sys.n * r):
         coeffs = [Poly()] * (sys.n * r)
@@ -586,17 +575,13 @@ def digit_transform(sys: ParametricConstraintSystem, r: int) -> ParametricConstr
 
 def digit_transform_exclusion(ex: ExclusionProblem, r: int) -> ExclusionProblem:
     """Digit-rewrite both systems and the objective of an exclusion problem."""
-    c = []
-    for p in ex.c:
-        for j in range(r):
-            c.append(p.shift(j))
     return ExclusionProblem(
         ex.m,
         ex.n1 * r,
         ex.n2 * r,
         digit_transform(ex.sys1, r),
         digit_transform(ex.sys2, r),
-        tuple(c),
+        _digit_weighted(ex.c, r),
     )
 
 
@@ -638,15 +623,15 @@ class DnfFormula:
         return any(all(a.holds(z, t) for a in clause) for clause in self.clauses)
 
 
-def disjoint_expand(f: DnfFormula,
-                    clause_cap: int = DEFAULT_CLAUSE_CAP) -> DnfFormula:
+def disjoint_expand(f: DnfFormula) -> DnfFormula:
     """Equivalent DNF whose clauses are pairwise unsatisfiable together.
 
     Each output clause extends an input clause S with, for every earlier
     clause R, a chosen "first failing atom" of R: the atoms of R before the
     choice hold and the chosen atom is negated. Distinct choices conflict
     on the chosen atom, so the output clauses are disjoint by construction
-    while their union is unchanged.
+    while their union is unchanged. More than CLAUSE_LIMIT output clauses
+    raise ResourceLimitError.
     """
     out = []
     for idx, clause in enumerate(f.clauses):
@@ -659,8 +644,8 @@ def disjoint_expand(f: DnfFormula,
                 prefix.extend(R[:w])
                 prefix.append(R[w].negated())
             out.append(tuple(prefix) + clause)
-            if len(out) > clause_cap:
+            if len(out) > CLAUSE_LIMIT:
                 raise ResourceLimitError(
-                    f"expansion exceeds {clause_cap} clauses"
+                    f"expansion exceeds {CLAUSE_LIMIT} clauses"
                 )
     return DnfFormula(f.variables, tuple(out))

@@ -600,3 +600,87 @@ def test_help_lists_every_option():
             assert (option in listed if option.startswith("--")
                     else option in res.output), (name, option)
         assert "--inject-mismatch" not in listed, name
+
+
+def test_fit_table_and_machine_formats(tmp_path):
+    # -inf on t = 0 (mod 3) and t^2 elsewhere: period 3 from the start.
+    series = tmp_path / "s.series"
+    series.write_text("".join(
+        f"{t} {'-inf' if t % 3 == 0 else t * t}\n" for t in range(1, 31)))
+    args = ("fit", str(series), "--d-max", "6", "--deg-max", "2")
+    table = run(*args)
+    assert table.exit_code == 0
+    assert table.output.splitlines() == [
+        "FIT",
+        "  period    3",
+        "  threshold 0 (valid for t > threshold)",
+        "  component t = 0 (mod 3):  -inf",
+        "  component t = 1 (mod 3):  t^2",
+        "  component t = 2 (mod 3):  t^2",
+        "  checked   18 training + 12 holdout samples, all exact",
+    ]
+    machine = run(*args, "--format", "machine")
+    assert machine.output.splitlines() == [
+        "fit FIT", "period 3", "threshold 0", "component 0 -inf",
+        "component 1 [0, 0, 1]", "component 2 [0, 0, 1]",
+        "training_checked 18", "holdout_checked 12",
+    ]
+
+
+def test_fit_holdout_mismatch_diagnostic(tmp_path):
+    # t up to 36, t + 1 above: every training class fits, the holdout
+    # disagrees from t = 37 on.
+    series = tmp_path / "s.series"
+    series.write_text("".join(
+        f"{t} {t if t <= 36 else t + 1}\n" for t in range(1, 41)))
+    args = ("fit", str(series), "--d-max", "2")
+    machine = run(*args, "--format", "machine")
+    assert machine.exit_code == 0
+    lines = machine.output.splitlines()
+    assert lines[:3] == ["fit NO_FIT", "diagnostic 1 - holdout mismatch at t=37",
+                         "diagnostic 2 - holdout mismatch at t=37"]
+    assert len(lines) == 4 and lines[3].startswith("note bounded-search")
+    table = run(*args)
+    assert table.output.splitlines()[1:3] == [
+        "  period 1: holdout mismatch at t=37",
+        "  period 2: holdout mismatch at t=37"]
+
+
+def test_pilp_per_variable_nonneg_and_equality_alias(tmp_path):
+    # x >= 0 and y >= -2 with x + y = 3: y runs over -2..3.
+    path = tmp_path / "sys.txt"
+    path.write_text("vars: 2\nnonneg: 1 0\nrow: 1, 1 | = | t\n"
+                    "row: 0, -1 | <= | 2\n")
+    res = run("pilp", str(path), "--t", "3")
+    assert (res.exit_code, res.output) == (0, "count 6\n")
+
+
+def test_pilp_mode_needs_matching_file(tmp_path):
+    plain = tmp_path / "sys.txt"
+    plain.write_text("vars: 2\nnonneg: all\nrow: 1, 1 | <= | t\n")
+    res = run("pilp", str(plain), "--t", "3", "--objective")
+    assert (res.exit_code, res.output) == (
+        2, "error: --objective needs a c: line in the file\n")
+    res = run("pilp", str(plain), "--t", "3", "--exclusion")
+    assert (res.exit_code, res.output) == (
+        2, "error: --exclusion needs an exclusion file\n")
+
+
+def test_crosscheck_table_header(tmp_path):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
+              "--t-max", "4")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[0] == (
+        "t | f_l(t)-l | F_direct | g(t) | G_direct+l | status")
+
+
+def test_inject_mismatch_on_all_skipped_window_stays_unchecked(tmp_path):
+    # No row is checked, so there is no row to corrupt.
+    fam = tmp_path / "fam.txt"
+    fam.write_text("poly: 2t\npoly: 2t + 2\nm: 1\nl: 1\n")
+    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
+              "--t-max", "6", "--inject-mismatch", "--format", "machine")
+    assert res.exit_code == 5
+    assert res.output.splitlines()[-1] == "verdict UNCHECKED"

@@ -63,7 +63,7 @@ def test_rep_count_exact_examples():
     assert fr.rep_count_exact(Coins([3, 5]), 8) == 1
     assert fr.rep_count_exact(Coins([6, 10, 15]), 29) == 0
     with pytest.raises(ResourceLimitError):
-        fr.rep_count_exact(Coins([2, 3]), 100, bound=50)
+        fr.rep_count_exact(Coins([2, 3]), fr.EXACT_LIMIT + 1)
 
 
 def test_dp_agrees_with_brute_force_oracle():

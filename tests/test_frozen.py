@@ -74,6 +74,7 @@ def test_frozen_matches_frozen_dataclass():
 # came out empty or short would break every command.
 VALUE_CLASSES = [
     ("qpoly", "QuasiPolynomial", ("period", "components", "threshold")),
+    ("frobenius", "Coins", ("a",)),
     ("frobenius", "FrobeniusInstance", ("coins", "m", "l")),
     ("frobenius", "RepCountTable", ("coins", "cap", "counts", "bound")),
     ("frobenius", "AperyTable", ("coins", "m", "a", "values")),

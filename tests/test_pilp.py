@@ -515,13 +515,14 @@ def test_disjoint_expand_single_clause_unchanged():
     assert disjoint_expand(f).clauses == f.clauses
 
 
-def test_disjoint_expand_clause_cap():
+def test_disjoint_expand_clause_cap(monkeypatch):
     clauses = tuple(
         tuple(atom(i, j, j) for j in range(3)) for i in range(4)
     )
     f = DnfFormula(("z1", "z2"), clauses)
+    monkeypatch.setattr(pilp, "CLAUSE_LIMIT", 5)
     with pytest.raises(ResourceLimitError):
-        disjoint_expand(f, clause_cap=5)
+        disjoint_expand(f)
 
 
 def random_formula(rng):
