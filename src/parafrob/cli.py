@@ -166,16 +166,22 @@ def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
     report = reduction.crosscheck(fam, t_min, t_max, point_cap)
     if inject_mismatch:
         report = _corrupt(report, seed)
+    # Only the table shows each row's box exponent r_t: scripts split a
+    # machine row into its six fields.
+    table = fmt == "table"
     lines = []
-    header = "t | f_l(t)-l | F_direct | g(t) | G_direct+l | status"
-    if fmt == "table":
-        lines.append(header)
+    if table:
+        lines.append(
+            "t | r_t | f_l(t)-l | F_direct | g(t) | G_direct+l | status")
     for row in report.rows:
+        lead = row.t
+        if table:
+            lead = f"{row.t} | {'-' if row.r is None else row.r}"
         if row.status == reduction.SKIPPED:
-            lines.append(f"{row.t} | - | - | - | - | SKIPPED ({row.note})")
+            lines.append(f"{lead} | - | - | - | - | SKIPPED ({row.note})")
             continue
         lines.append(
-            f"{row.t} | {formats.format_extended(row.f_exclusion)} | "
+            f"{lead} | {formats.format_extended(row.f_exclusion)} | "
             f"{row.f_direct} | {row.g_exclusion} | {row.g_direct} | "
             f"{row.status}"
         )
@@ -207,7 +213,7 @@ def _corrupt(report, seed: int):
     row = rows[target]
     rows[target] = reduction.CrosscheckRow(
         row.t, reduction.DIFF, row.f_exclusion, row.f_direct + 1,
-        row.g_exclusion, row.g_direct, "injected mismatch")
+        row.g_exclusion, row.g_direct, "injected mismatch", row.r)
     return reduction.CrosscheckReport(tuple(rows))
 
 

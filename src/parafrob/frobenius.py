@@ -4,8 +4,8 @@ h(k) counts the nonnegative integer tuples (b_1, ..., b_n) with
 sum b_i * a_i = k (ordered tuples: duplicate denominations count
 separately). F, G, F_{m,l} and G_m all come from one residue table per
 tuple and m; the capped coin DP gives h(k) itself and is its oracle.
-window_end is the one bound past which every k has h(k) >= m: on ints it
-gives qualifying_bound, on Polys the box exponent of the reduction module.
+window_end is the one bound past which every k has h(k) >= m; on Polys it
+gives the box exponent of the reduction module.
 """
 
 from heapq import heappop, heappush, merge, nlargest
@@ -133,14 +133,6 @@ def window_end(s1, s2, x_max, m):
     m-1 times yields m distinct representations of k.
     """
     return (m - 1) * s1 * s2 + (s1 - 1) * (x_max - 1) - 1
-
-
-def qualifying_bound(coins: Coins, m: int) -> int:
-    """B such that every multiple k of the gcd with k > B has h(k) >= m."""
-    if m < 1:
-        raise InputError("m must be >= 1")
-    xs = sorted(coins.reduced().a)
-    return coins.g * window_end(xs[0], xs[1], xs[-1], m)
 
 
 @frozen

@@ -3,9 +3,10 @@
 A family is a tuple of integer-valued, eventually-positive polynomials
 together with the multiplicity bound m and rank l. This module reduces a
 family by its gcd along residue classes, derives from Schur's bound on the
-Frobenius number the exponent r of the box [0, t^r) that holds all answers,
-constructs the equivalent projection-exclusion problem, and cross-validates
-the two computation paths against each other.
+Frobenius number the exponent r of a box [0, t^r) that eventually holds all
+answers, constructs the equivalent projection-exclusion problem, and
+cross-validates the two computation paths against each other, each t in
+the smallest box that holds its answers.
 """
 
 from functools import cmp_to_key
@@ -154,7 +155,8 @@ def frobenius_to_exclusion(fam: PolyFamily, r: int) -> "pilp.ExclusionProblem":
     integers representable in each multiplicity. Fibers of size below m
     survive, hence the l-th largest surviving k is l plus the family's
     l-th answer, valid exactly where l plus the largest answer, F_{m,1}(t)
-    + l, stays below t^r; window_bound_poly bounds it, so eventually.
+    + l, stays below t^r. crosscheck picks the smallest such r at each t;
+    box_exponent gives one r that holds eventually.
     """
     from . import pilp  # here, so that `series` does not load the engine
 
@@ -213,6 +215,7 @@ class CrosscheckRow:
     g_exclusion: int | None  # raw feasible-set size
     g_direct: int | None  # direct count plus l
     note: str = ""
+    r: int | None = None  # the row's box is [0, t^r); None if none was chosen
 
 
 @frozen
@@ -248,23 +251,24 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
                point_cap: int = DEFAULT_POINT_CAP) -> CrosscheckReport:
     """Compare exclusion-path and direct-path answers on a t window.
 
-    The box is [0, t^r) with r = box_exponent(fam). The construction is
-    exact at t iff l plus the largest answer, F_{m,1}(t) + l, lies below
-    t^r, so each t is gated on that value itself, read from the direct
-    path's residue table. Rows are SKIPPED (with the reason) where an
-    entry is nonpositive, the entry gcd is not 1, the box is too large for
-    the point cap, the residue table or the enumeration hits its limit, or
-    the box truncates the feasible set.
+    Each row reads l plus the largest answer, F_{m,1}(t) + l, from the
+    direct path's residue table and runs the exclusion construction in the
+    smallest box [0, t^r) that holds it, where the construction is exact;
+    rows that share r share one construction. At small t that r may lie
+    above box_exponent, which Schur's bound proves only eventually.
+    Rows are SKIPPED (with the reason) where an entry is nonpositive, the
+    entry gcd is not 1, the residue table hits its limit, t < 2 and no box
+    t^1 holds the answer, the box is too large for the point cap, or the
+    enumeration hits its limit.
     """
     from . import pilp
 
     if t_min > t_max:
         raise InputError("empty t range")
-    r = box_exponent(fam)
-    ex = frobenius_to_exclusion(fam, r)
+    problems = {}  # r -> frobenius_to_exclusion(fam, r)
 
-    def skipped(t, note):
-        return CrosscheckRow(t, SKIPPED, None, None, None, None, note)
+    def skipped(t, note, r=None):
+        return CrosscheckRow(t, SKIPPED, None, None, None, None, note, r)
 
     def row(t):
         values = fam.values(t)
@@ -272,19 +276,26 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             return skipped(t, "entry not positive")
         if gcd(*values) != 1:
             return skipped(t, "entry gcd is not 1")
-        if t**r > point_cap:
-            return skipped(t, f"box size t^{r} exceeds the point cap")
         try:
             table = frobenius.apery_table(Coins(values), fam.m)
         except ResourceLimitError as exc:
             return skipped(t, str(exc))
         largest = table.frobenius(fam.m, 1) + fam.l
-        if largest >= t**r:
-            return skipped(t, f"largest answer plus l, {largest}, not below t^{r}")
+        r = 1
+        while t >= 2 and largest >= t**r:
+            r += 1
+        if largest >= t**r:  # t < 2: no power of t grows, t^1 was the one try
+            return skipped(t, f"no box t^r holds the largest answer plus l, "
+                              f"{largest}, at t < 2")
+        if t**r > point_cap:
+            return skipped(t, f"box size t^{r} exceeds the point cap", r)
+        if r not in problems:
+            problems[r] = frobenius_to_exclusion(fam, r)
         try:
-            feasible, top = pilp.exclusion_profile(ex, t, fam.l, point_cap)
+            feasible, top = pilp.exclusion_profile(problems[r], t, fam.l,
+                                                   point_cap)
         except ResourceLimitError:
-            return skipped(t, "enumeration exceeded the point cap")
+            return skipped(t, "enumeration exceeded the point cap", r)
 
         f_direct = table.frobenius(fam.m, fam.l)
         g_direct = table.genus(fam.m) + fam.l
@@ -297,6 +308,7 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             status = G_OFFSET
         else:
             status = EQUAL
-        return CrosscheckRow(t, status, f_shifted, f_direct, g_val, g_direct)
+        return CrosscheckRow(t, status, f_shifted, f_direct, g_val, g_direct,
+                             r=r)
 
     return CrosscheckReport(tuple(row(t) for t in range(t_min, t_max + 1)))

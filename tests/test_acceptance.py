@@ -24,6 +24,7 @@ from parafrob.pilp import (
 )
 from parafrob.qpoly import Poly
 from parafrob.reduction import PolyFamily
+from windows import qualifying_bound
 
 U = Poly.variable()
 ONE = Poly.constant(1)
@@ -121,9 +122,9 @@ def test_criterion_04_bound_soundness():
         if coins.g != 1:
             continue
         assert frobenius.frobenius_number(coins) <= \
-            frobenius.qualifying_bound(coins, 1)
+            qualifying_bound(coins, 1)
         for m in (1, 2, 3):
-            window_end = frobenius.qualifying_bound(coins, m)
+            window_end = qualifying_bound(coins, m)
             table = frobenius.rep_count_table(coins, window_end + 50, cap=m)
             for k in range(window_end + 1, window_end + 51):
                 assert table.counts[k] >= m
@@ -230,8 +231,8 @@ def test_criterion_07_exclusion_crosscheck():
                 PolyFamily((U, U + const(2)), m, l), gcd_fit.qp, 0), 2, 15))
             windows.append((reduction.reduce_by_gcd(
                 PolyFamily((U, U + const(2)), m, l), gcd_fit.qp, 1), 2, 20))
-            # Schur's bound puts this family in a t^4 box at m = 1 and 2,
-            # and every t from 3 on is checked there.
+            # Schur's bound puts this family in a t^4 box at m = 1 and 2;
+            # every t from 3 on is checked in its own box, t^3 or t^4.
             windows.append((PolyFamily(
                 (U, U**2 + ONE, U**2 + 2 * U - ONE), m, l), 3, 11))
     checked_total = 0

@@ -259,20 +259,20 @@ def test_crosscheck_mixed_degree_family_is_checked(tmp_path):
 
 
 def test_crosscheck_gates_rows_on_the_largest_answer(tmp_path):
-    # The box is t^3, and l plus the largest answer is 30, 54 and 105 at
-    # t = 2, 3 and 4, so those rows are skipped; from t = 5 on it lies in
-    # the box and every row is checked.
+    # l plus the largest answer is 30, 54 and 105 at t = 2, 3 and 4, so
+    # those rows get the boxes t^5, t^4 and t^4; from t = 5 on it lies
+    # below t^3. Every row is checked in its own box.
     fam = tmp_path / "fam.txt"
     fam.write_text("poly: 2t + 1\npoly: 3t + 2\npoly: 5t + 1\nm: 2\nl: 2\n")
     res = run("crosscheck", "--family", str(fam), "--t-min", "2",
-              "--t-max", "12", "--format", "machine")
+              "--t-max", "12")
     assert res.exit_code == 0
-    for largest in (30, 54, 105):
-        assert (f"SKIPPED (largest answer plus l, {largest}, not below t^3)"
-                in res.output)
-    assert res.output.count("SKIPPED") == 3
-    assert res.output.splitlines()[-4:] == [
-        "checked 8", "f_all_equal True", "g_offsets 1", "verdict OK"]
+    lines = res.output.splitlines()
+    assert [line.split(" | ")[:2] for line in lines[1:12]] == [
+        [str(t), str(r)] for t, r in zip(range(2, 13), [5, 4, 4] + [3] * 8)]
+    assert "SKIPPED" not in res.output
+    assert lines[-4:] == [
+        "checked 11", "f_all_equal True", "g_offsets 1", "verdict OK"]
 
 
 def test_pilp_point_cap_counts_search_nodes(tmp_path):
@@ -669,11 +669,21 @@ def test_pilp_mode_needs_matching_file(tmp_path):
 def test_crosscheck_table_header(tmp_path):
     fam = tmp_path / "fam.txt"
     fam.write_text(FAMILY_U_UM1)
-    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
-              "--t-max", "4")
+    args = ("crosscheck", "--family", str(fam), "--t-min", "2", "--t-max", "4",
+            "--point-cap", "10")
+    res = run(*args)
     assert res.exit_code == 0
-    assert res.output.splitlines()[0] == (
-        "t | f_l(t)-l | F_direct | g(t) | G_direct+l | status")
+    assert res.output.splitlines()[:4] == [
+        "t | r_t | f_l(t)-l | F_direct | g(t) | G_direct+l | status",
+        "2 | 1 | -1 | -1 | 1 | 1 | EQUAL",
+        "3 | 1 | 1 | 1 | 2 | 2 | EQUAL",
+        "4 | 2 | - | - | - | - | SKIPPED (box size t^2 exceeds the point cap)"]
+    # Machine rows keep their six fields, without r_t.
+    res = run(*args, "--format", "machine")
+    assert res.output.splitlines()[:3] == [
+        "2 | -1 | -1 | 1 | 1 | EQUAL",
+        "3 | 1 | 1 | 2 | 2 | EQUAL",
+        "4 | - | - | - | - | SKIPPED (box size t^2 exceeds the point cap)"]
 
 
 def test_inject_mismatch_on_all_skipped_window_stays_unchecked(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from parafrob import frobenius as fr
 from parafrob.errors import InputError, ResourceLimitError
 from parafrob.frobenius import Coins, FrobeniusInstance
+from windows import qualifying_bound
 
 
 def brute_h(a, k):
@@ -84,8 +85,8 @@ def test_qualifying_bound_examples():
     for a, bound in (([3, 5], 7), ([6, 10, 15], 69), ([5, 6, 11], 39),
                      ([2, 17, 23, 34], 32), ([3, 3, 5], 7), ([1, 7], -1),
                      ([6, 10], 14)):
-        assert fr.qualifying_bound(Coins(a), 1) == bound
-    assert fr.qualifying_bound(Coins([3, 5]), 2) == 22
+        assert qualifying_bound(Coins(a), 1) == bound
+    assert qualifying_bound(Coins([3, 5]), 2) == 22
 
 
 def test_frobenius_number_examples():
@@ -127,7 +128,7 @@ def test_generalized_values_match_brute_force():
         coins = Coins(a)
         g = coins.g
         reduced = tuple(sorted(e // g for e in a))
-        bound = fr.qualifying_bound(coins, m) // g
+        bound = qualifying_bound(coins, m) // g
         qualifying = brute_qualifying(reduced, m, bound)
         if l <= len(qualifying):
             want = g * qualifying[l - 1]
@@ -142,7 +143,7 @@ def test_generalized_values_match_brute_force():
 def dp_answers(coins, m, l):
     """(F_{m,l}, G_m) from the capped DP over the qualifying_bound window."""
     g = coins.g
-    bound = max(fr.qualifying_bound(coins, m) // g, 0)
+    bound = max(qualifying_bound(coins, m) // g, 0)
     counts = fr.rep_count_table(coins.reduced(), bound, cap=m).counts
     qualifying = [k for k in range(bound, -1, -1) if counts[k] < m]
     if l <= len(qualifying):
@@ -246,7 +247,7 @@ def test_qualifying_bound_soundness():
         a = [rng.randint(1, 25) for _ in range(rng.randint(2, 3))]
         m = rng.randint(1, 3)
         coins = Coins(a)
-        bound = fr.qualifying_bound(coins, m)
+        bound = qualifying_bound(coins, m)
         table = fr.rep_count_table(
             coins.reduced(), bound // coins.g + 50, cap=m
         )
@@ -255,10 +256,10 @@ def test_qualifying_bound_soundness():
 
 
 def test_qualifying_bound_scales():
-    assert fr.qualifying_bound(Coins([3, 5]), 1) >= 7  # F(3, 5) = 7 qualifies
+    assert qualifying_bound(Coins([3, 5]), 1) >= 7  # F(3, 5) = 7 qualifies
     for c in (1, 2, 5):
-        assert fr.qualifying_bound(Coins([3 * c, 5 * c]), 1) == \
-            c * fr.qualifying_bound(Coins([3, 5]), 1)
+        assert qualifying_bound(Coins([3 * c, 5 * c]), 1) == \
+            c * qualifying_bound(Coins([3, 5]), 1)
 
 
 def test_monotonicity_and_definition_consistency():
@@ -293,7 +294,7 @@ def test_monotonicity_and_definition_consistency():
             assert brute_h(reduced, k) < m
             above = sum(
                 1
-                for j in range(max(k + 1, 0), fr.qualifying_bound(coins, m) // g + 1)
+                for j in range(max(k + 1, 0), qualifying_bound(coins, m) // g + 1)
                 if brute_h(reduced, j) < m
             )
             above += max(0, -k - 1) if k < 0 else 0  # negatives above val

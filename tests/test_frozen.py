@@ -92,7 +92,7 @@ VALUE_CLASSES = [
     ("pilp", "DnfFormula", ("variables", "clauses")),
     ("reduction", "PolyFamily", ("polys", "m", "l")),
     ("reduction", "CrosscheckRow", ("t", "status", "f_exclusion", "f_direct",
-                                    "g_exclusion", "g_direct", "note")),
+                                    "g_exclusion", "g_direct", "note", "r")),
     ("reduction", "CrosscheckReport", ("rows",)),
 ]
 

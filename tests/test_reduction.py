@@ -12,6 +12,7 @@ from parafrob.errors import InputError, NonIntegerQuotientError
 from parafrob.frobenius import Coins, FrobeniusInstance
 from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp
 from parafrob.reduction import PolyFamily
+from windows import qualifying_bound
 
 U = Poly.variable()
 ONE = Poly.constant(1)
@@ -218,8 +219,8 @@ def test_one_table_per_t(monkeypatch):
     family = fam([U, U - Poly.constant(1)], m=2, l=2)
     reduction.direct_series(family, 2, 10)
     assert built == [(t, t - 1) for t in range(2, 11)]
-    # One table per row that reaches the gate on the largest answer; rows
-    # skipped for positivity, gcd or the box size build none.
+    # One table per row with positive entries of gcd 1: the row reads its
+    # box from the table; rows skipped for positivity or gcd build none.
     notes = set()
     for case, point_cap in ((family, 200),
                             (fam([U, U + Poly.constant(2)]), 10**6),
@@ -229,12 +230,44 @@ def test_one_table_per_t(monkeypatch):
         report = reduction.crosscheck(case, 1, 10, point_cap)
         notes |= {row.note.split(",")[0] for row in report.rows}
         gated = [row for row in report.rows if not row.note.startswith(
-            ("entry not positive", "entry gcd", "box size"))]
+            ("entry not positive", "entry gcd"))]
         assert built == [case.values(row.t) for row in gated]
     assert notes == {"", "entry not positive", "entry gcd is not 1",
                      "box size t^3 exceeds the point cap",
-                     "largest answer plus l",
+                     "no box t^r holds the largest answer plus l",
                      "enumeration exceeded the point cap"}
+
+
+def test_crosscheck_below_t_two_terminates():
+    # No power of t grows at t <= 1, so there only the box t^1 is tried.
+    family = fam([2 * U + ONE, 3 * U + Poly.constant(2), 5 * U + ONE], m=2, l=2)
+    report = reduction.crosscheck(family, 0, 4)
+    assert [(row.t, row.r) for row in report.rows] == [
+        (0, None), (1, None), (2, 5), (3, 4), (4, 4)]
+    assert [row.note for row in report.rows[:2]] == [
+        "no box t^r holds the largest answer plus l, 2, at t < 2",
+        "no box t^r holds the largest answer plus l, 15, at t < 2"]
+    assert report.checked == 3 and report.ok
+    # Schur's bound gives r = 3, yet it lies above t^3 at t = 2, 3 and 4,
+    # where the entries are already in their eventual order.
+    assert reduction.box_exponent(family) == 3
+    bound = reduction.window_bound_poly(family)
+    assert all(bound(t) >= t**3 for t in (2, 3, 4))
+    # At t = 1 the box t^1 = [0, 1) holds l + F_{1,1}(1, 3) = 0.
+    (row,) = reduction.crosscheck(fam([U, U + Poly.constant(2)]), 1, 1).rows
+    assert (row.status, row.r) == (reduction.EQUAL, 1)
+    # Negative t with positive entries: skipped, never a search.
+    report = reduction.crosscheck(
+        fam([U + Poly.constant(5), U + Poly.constant(6)]), -4, 1)
+    assert report.checked == 0
+    assert all(row.note.startswith("no box t^r") for row in report.rows)
+
+
+def test_crosscheck_checks_the_readme_family_at_every_t():
+    family = fam([U, U**2 + ONE, U**2 + 2 * U - ONE])
+    report = reduction.crosscheck(family, 2, 30)
+    assert report.checked == 29 and report.ok
+    assert report.g_offsets == (0,)
 
 
 def test_frobenius_to_exclusion_matches_direct():
@@ -311,22 +344,26 @@ def test_crosscheck_skips_when_box_over_cap():
 
 
 def test_crosscheck_fibers_stop_at_m():
-    # At t = 7 the exclusion system sys1 of this family has 114030 points,
-    # far above the cap, but the search stops each fiber at m points, so
-    # the row is checked all the same.
+    # In the t^4 box at t = 7 the exclusion system sys1 of this family has
+    # 114030 points, far above the cap, but the search stops each fiber at
+    # m points, so the construction is solved all the same. (crosscheck
+    # runs this row in its own box, t^3, where sys1 has 487 points.)
     family = fam([U, U**2 + ONE, U**2 + 2 * U - ONE], m=2, l=2)
     r = reduction.box_exponent(family)
     ex = reduction.frobenius_to_exclusion(family, r)
     cap = 20_000
     assert 7**r <= cap < pilp.size_function(ex.sys1, 7)
+    _, top = pilp.exclusion_profile(ex, 7, family.l, cap)
+    assert top[family.l - 1] - family.l == frobenius.generalized_frobenius(
+        FrobeniusInstance(Coins(family.values(7)), family.m, family.l))
     report = reduction.crosscheck(family, 7, 7, point_cap=cap)
     assert report.checked == 1 and report.ok
 
 
 def test_crosscheck_mixed_degree_family_reports_no_diff():
     # deg x_min < deg x_{n-1}, and F + 1 is 200, 896 and 3168 at t = 5, 8
-    # and 12: Schur's bound puts every answer in a t^4 box, and the rows
-    # are checked there, with no DIFF.
+    # and 12: Schur's bound puts every answer in a t^4 box, and each row
+    # is checked in its own box, no larger, with no DIFF.
     family = fam(MIXED5)
     assert reduction.box_exponent(family) == 4
     report = reduction.crosscheck(family, 2, 12)
@@ -337,7 +374,8 @@ def test_crosscheck_mixed_degree_family_reports_no_diff():
         if row.status == reduction.SKIPPED:
             continue
         assert row.f_exclusion == row.f_direct
-        assert row.f_direct + family.l < row.t**4
+        assert row.f_direct + family.l < row.t**row.r
+        assert row.r <= 4
 
 
 @st.composite
@@ -370,7 +408,7 @@ def test_window_bound_poly_is_qualifying_bound_plus_l(family):
         values = family.values(t)
         if gcd(*values) != 1 or [p(t) for p in ordered] != sorted(values):
             continue
-        assert bound(t) == family.l + frobenius.qualifying_bound(
+        assert bound(t) == family.l + qualifying_bound(
             Coins(values), family.m)
 
 
@@ -378,17 +416,24 @@ def test_window_bound_poly_is_qualifying_bound_plus_l(family):
 @given(mixed_families(), st.integers(1, 4))
 def test_crosscheck_never_reports_diff(family, t_min):
     # Small t is where a bound that holds only eventually fails first.
-    cap = 3000
-    report = reduction.crosscheck(family, t_min, t_min + 3, point_cap=cap)
+    report = reduction.crosscheck(family, t_min, t_min + 3, point_cap=3000)
     r = reduction.box_exponent(family)
+    bound = reduction.window_bound_poly(family)
+    ordered = sorted(family.polys, key=cmp_to_key(eventual_cmp))
     for row in report.rows:
         assert row.status != reduction.DIFF, report
-        if row.status != reduction.SKIPPED:
-            assert row.f_direct + family.l < row.t**r
-        values = family.values(row.t)
-        if min(values) <= 0 or gcd(*values) != 1 or row.t**r > cap:
+        t, values = row.t, family.values(row.t)
+        if min(values) <= 0 or gcd(*values) != 1:
             continue
-        # The row reached the gate: skipped there iff the box truncates.
         largest = family.l + frobenius.generalized_frobenius(
             FrobeniusInstance(Coins(values), family.m, 1))
-        assert row.note.startswith("largest answer") == (largest >= row.t**r)
+        if row.r is None:
+            assert t < 2 and largest >= t, row
+            continue
+        # The row's box is the smallest t^r_t above l + F_{m,1}(t) ...
+        assert largest < t**row.r, row
+        assert row.r == 1 or t**(row.r - 1) <= largest, row
+        # ... and Schur's bound holds it wherever the bound lies below t^r
+        # and the entries are in their eventual order.
+        if bound(t) < t**r and [p(t) for p in ordered] == sorted(values):
+            assert row.r <= r, row
