@@ -84,10 +84,14 @@ def series(family_path, t_min, t_max, out_prefix):
     }
     existing = {}
     for key, path in targets.items():
-        existing[key] = (
-            dict(formats.parse_series(path.read_text()).items())
-            if path.exists() else {}
-        )
+        existing[key] = {}
+        if path.exists():
+            old = formats.parse_series(path.read_text())
+            if t_min > old.t_max + 1 or t_max < old.t_min - 1:
+                raise InputError(
+                    f"t = {t_min}..{t_max} and the t = {old.t_min}..{old.t_max}"
+                    f" in {path} would leave a gap in the merged series")
+            existing[key] = dict(old.items())
     have = set(existing["fml"]) & set(existing["gm"])
     for t in range(t_min, t_max + 1):
         if t not in have:
@@ -157,15 +161,15 @@ def fit_report_lines(result, fmt: str) -> list:
     return lines
 
 
-def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
-               fmt, out):
+def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, fmt,
+               out):
     """Compare the exclusion path against the direct path per t."""
     from . import reduction
 
     fam = formats.parse_family(Path(family_path).read_text())
     report = reduction.crosscheck(fam, t_min, t_max, point_cap)
     if inject_mismatch:
-        report = _corrupt(report, seed)
+        report = _corrupt(report)
     # Only the table shows each row's box exponent r_t: scripts split a
     # machine row into its six fields.
     table = fmt == "table"
@@ -200,20 +204,17 @@ def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, seed,
     return code
 
 
-def _corrupt(report, seed: int):
-    """Shift one checked row's direct value; for exercising exit code 4."""
+def _corrupt(report):
+    """Shift the first checked row's direct value; for exercising exit code 4."""
     from . import reduction
 
-    checked = [i for i, row in enumerate(report.rows)
-               if row.status != reduction.SKIPPED]
-    if not checked:
-        return report
-    target = checked[seed % len(checked)]
     rows = list(report.rows)
-    row = rows[target]
-    rows[target] = reduction.CrosscheckRow(
-        row.t, reduction.DIFF, row.f_exclusion, row.f_direct + 1,
-        row.g_exclusion, row.g_direct, "injected mismatch", row.r)
+    for i, row in enumerate(rows):
+        if row.status != reduction.SKIPPED:
+            rows[i] = reduction.CrosscheckRow(
+                row.t, reduction.DIFF, row.f_exclusion, row.f_direct + 1,
+                row.g_exclusion, row.g_direct, "injected mismatch", row.r)
+            break
     return reduction.CrosscheckReport(tuple(rows))
 
 
@@ -325,11 +326,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     option("--t-min", required=True, type=int)
     option("--t-max", required=True, type=int)
     point_cap_option(option)
-    # Hidden: corrupts one checked row, to exercise exit code 4.
+    # Hidden: corrupts the first checked row, to exercise exit code 4.
     option("--inject-mismatch", action="store_true", help=argparse.SUPPRESS)
-    option("--seed", type=int, default=0,
-           help="Selects the corrupted row in --inject-mismatch mode. "
-                "[default: %(default)s]")
     output_options(option)
 
     option = command(pilp_cmd, "pilp")

@@ -48,19 +48,6 @@ class Coins:
 
 
 @frozen
-class FrobeniusInstance:
-    """A tuple together with the multiplicity bound m and rank l."""
-
-    coins: Coins
-    m: int
-    l: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.l < 1:
-            raise InputError("m and l must be >= 1")
-
-
-@frozen
 class RepCountTable:
     """counts[k] = min(h(k), cap) for k = 0..bound."""
 
@@ -217,14 +204,14 @@ def genus(coins: Coins) -> int:
     return apery_table(coins, 1).genus(1)
 
 
-def generalized_frobenius(inst: FrobeniusInstance) -> int:
+def generalized_frobenius(coins: Coins, m: int, l: int) -> int:
     """The l-th largest multiple k of the gcd with h(k) < m.
 
     The qualifying set contains every negative multiple of the gcd (h = 0
     there) and contains 0 exactly when m >= 2, so the answer may be
     negative, but never below -l * gcd.
     """
-    return apery_table(inst.coins, inst.m).frobenius(inst.m, inst.l)
+    return apery_table(coins, m).frobenius(m, l)
 
 
 def generalized_genus(coins: Coins, m: int) -> int:

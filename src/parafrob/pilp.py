@@ -3,12 +3,11 @@
 A system is instantiated at a concrete integer parameter t, its integer
 points are enumerated exactly (interval bound propagation followed by
 depth-first search), and counting / ranking / projection-exclusion
-questions are answered from one enumeration per system. Also home to the
-base-t digit bijections and the disjoint-disjunction expansion of DNF
-formulas.
+questions are answered from one enumeration per system. This is the
+engine behind the pilp and crosscheck commands; the models of the paper's
+proof steps that build on it live in ``proofs``.
 """
 
-import itertools
 from fractions import Fraction
 from heapq import heappush, heapreplace
 from math import gcd
@@ -16,9 +15,7 @@ from operator import mul
 
 from .errors import (
     DEFAULT_POINT_CAP,
-    DigitRangeError,
     InputError,
-    OutOfRangeError,
     ResourceLimitError,
     UnboundedRegionError,
     frozen,
@@ -30,9 +27,6 @@ EQ = "=="
 
 # Propagation sweeps before giving up on deriving finite bounds.
 MAX_SWEEPS = 100
-
-# A disjoint expansion with more clauses than this aborts.
-CLAUSE_LIMIT = 100_000
 
 
 @frozen
@@ -186,10 +180,9 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
     gets the points first + k * step for k = 0..length-1 at once, step
     being the same tuple for every run.
 
-    With fiber = (n2, m) it calls visit(key, count) instead, once per
-    assignment key of coordinates 0..n2-1 that has points above it, count
-    being their number capped at m: the kept block is searched first and
-    each fiber's search stops at its m-th point.
+    With fiber = (n2, m) it calls visit(key) instead, once per assignment
+    key of coordinates 0..n2-1 with at least m points above it: the kept
+    block is searched first and each fiber's search stops at its m-th point.
 
     The last level is never searched: once every other coordinate is set,
     the tightened range of the last one is exact, so all its values are
@@ -227,8 +220,15 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
             cmax = c * hi[v] if c >= 0 else c * lo[v]
             mins[i] = mins[i + 1] + cmin
             maxs[i] = maxs[i + 1] + cmax
+        if mins[0] > rhss[r] or senses[r] == EQ and maxs[0] < rhss[r]:
+            return  # broken at the root: MAX_SWEEPS cut propagation short
         sufmin.append(mins)
         sufmax.append(maxs)
+    # Per level, (row, coefficient) for the rows with a nonzero coefficient
+    # there; any other row is still as satisfiable as its own last level
+    # (or the box, before its first) left it.
+    levels = [[(r, coeffs[r][i]) for r in range(nrows) if coeffs[r][i]]
+              for i in range(n)]
 
     # The level where the search stops. When an equality row e is the only
     # row on the last coordinate y, it stops one level early unless that
@@ -238,11 +238,11 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
     # steps by stride and y by -ca * stride / cb.
     leaf, stride = n - 1, 1
     run_step = [0] * n
-    on_last = [r for r in range(nrows) if coeffs[r][n - 1] != 0]
-    if n - 2 >= n2 and len(on_last) == 1 and senses[on_last[0]] == EQ:
+    on_last = levels[n - 1]
+    if n - 2 >= n2 and len(on_last) == 1 and senses[on_last[0][0]] == EQ:
         leaf = n - 2
-        e = on_last[0]
-        ca, cb = coeffs[e][n - 2], coeffs[e][n - 1]
+        e, cb = on_last[0]
+        ca = coeffs[e][n - 2]
         g = gcd(ca, cb)
         stride = abs(cb) // g
         inverse = pow(ca // g, -1, stride)
@@ -266,15 +266,9 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
         nonlocal work, found
         v = order[i]
         lo_i, hi_i = lo[v], hi[v]
-        for r in range(nrows):
-            c = coeffs[r][i]
+        on_level = levels[i]
+        for r, c in on_level:
             slack = rhss[r] - psum[r]
-            if c == 0:
-                if sufmin[r][i + 1] > slack:
-                    return
-                if senses[r] == EQ and sufmax[r][i + 1] < slack:
-                    return
-                continue
             if c > 0:
                 b = (slack - sufmin[r][i + 1]) // c
                 if b < hi_i:
@@ -316,27 +310,26 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
                     point[y] = (s - ca * first) // cb
                 visit(tuple(point), run_step, take)
             return
-        touched = [r for r in range(nrows) if coeffs[r][i] != 0]
         point[v] = lo_i
-        for r in touched:
-            psum[r] += coeffs[r][i] * lo_i
+        for r, c in on_level:
+            psum[r] += c * lo_i
         for value in range(lo_i, hi_i + 1):
             if value != lo_i:
                 point[v] = value
-                for r in touched:
-                    psum[r] += coeffs[r][i]
+                for r, c in on_level:
+                    psum[r] += c
             work += 1
             if work > point_cap:
                 raise over_cap()
             rec(i + 1)
             if i == n2 - 1:
-                if found:
-                    visit(tuple(point[:n2]), found)
-                    found = 0
+                if found == m:
+                    visit(tuple(point[:n2]))
+                found = 0
             elif found == m:
                 break
-        for r in touched:
-            psum[r] -= coeffs[r][i] * point[v]
+        for r, c in on_level:
+            psum[r] -= c * point[v]
 
     rec(0)
 
@@ -488,164 +481,11 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     Each kept point is ranked as a one-point run, as in lattice_profile.
     """
     ranking = _Ranking(ex.c, t, l)
-    m = ex.m
     full = set()  # keys with at least m sys1 points above them
-
-    def cover(key, count):
-        if count == m:
-            full.add(key)
-
-    _stream(ex.sys1, t, cover, point_cap, (ex.n2, m))
+    _stream(ex.sys1, t, full.add, point_cap, (ex.n2, ex.m))
     points = enumerate_lattice(ex.sys2, t, point_cap).points
     kept = tuple(pt for pt in points if pt not in full)
     no_step = (0,) * ex.n2
     for pt in kept:
         ranking.offer(pt, no_step, 1)
     return LatticeSet(kept), ranking.top()
-
-
-# ---------------------------------------------------------------------------
-# Base-t digit bijections.
-
-
-def _check_digit_args(t: int, r: int):
-    if t < 2:
-        raise InputError("base t must be >= 2")
-    if r < 1:
-        raise InputError("digit count r must be >= 1")
-
-
-def digit_decode(y, t: int, r: int) -> tuple:
-    """Per-coordinate base-t value of a digit vector of length r*n.
-
-    Digit j of coordinate i sits at position i*r + j (least significant
-    digit first).
-    """
-    _check_digit_args(t, r)
-    if len(y) % r != 0:
-        raise InputError("digit vector length must be a multiple of r")
-    if any(d < 0 or d >= t for d in y):
-        raise DigitRangeError(f"digits must lie in [0, {t - 1}]")
-    out = []
-    for i in range(len(y) // r):
-        block = y[i * r:(i + 1) * r]
-        out.append(sum(d * t**j for j, d in enumerate(block)))
-    return tuple(out)
-
-
-def digit_encode(x, t: int, r: int) -> tuple:
-    """The unique digit vector with digit_decode(result) == x."""
-    _check_digit_args(t, r)
-    out = []
-    for v in x:
-        if v < 0 or v >= t**r:
-            raise OutOfRangeError(f"value {v} outside [0, {t}^{r})")
-        for _ in range(r):
-            v, d = divmod(v, t)
-            out.append(d)
-    return tuple(out)
-
-
-def _digit_weighted(polys, r: int) -> tuple:
-    """Each polynomial times u^j for digit j = 0..r-1, in digit order."""
-    return tuple(p.shift(j) for p in polys for j in range(r))
-
-
-def digit_transform(sys: ParametricConstraintSystem, r: int) -> ParametricConstraintSystem:
-    """Rewrite each variable as r base-t digits.
-
-    Variable i becomes digits (i*r .. i*r + r - 1), each constrained to
-    [0, t-1]; the coefficient of digit j is the original coefficient times
-    u^j. Valid for systems whose variables are all nonnegative (the digit
-    image covers exactly [0, t^r)^n).
-    """
-    if r < 1:
-        raise InputError("digit count r must be >= 1")
-    if not all(sys.nonneg):
-        raise InputError("digit transform requires all-nonnegative variables")
-    rows = [Row(_digit_weighted(row.coeffs, r), row.sense, row.rhs)
-            for row in sys.rows]
-    cap = Poly((-1, 1))  # u - 1
-    for pos in range(sys.n * r):
-        coeffs = [Poly()] * (sys.n * r)
-        coeffs[pos] = Poly.constant(1)
-        rows.append(Row(tuple(coeffs), LE, cap))
-    return ParametricConstraintSystem(sys.n * r, tuple(rows), (True,) * (sys.n * r))
-
-
-def digit_transform_exclusion(ex: ExclusionProblem, r: int) -> ExclusionProblem:
-    """Digit-rewrite both systems and the objective of an exclusion problem."""
-    return ExclusionProblem(
-        ex.m,
-        ex.n1 * r,
-        ex.n2 * r,
-        digit_transform(ex.sys1, r),
-        digit_transform(ex.sys2, r),
-        _digit_weighted(ex.c, r),
-    )
-
-
-# ---------------------------------------------------------------------------
-# DNF formulas over parametric inequalities, and disjoint expansion.
-
-
-@frozen
-class Atom:
-    """A parametric inequality coeffs . z <= rhs over named integer
-    variables; negation stays inside the atom language."""
-
-    coeffs: tuple
-    rhs: Poly
-
-    def negated(self) -> "Atom":
-        return Atom(tuple(-c for c in self.coeffs), -self.rhs - Poly.constant(1))
-
-    def holds(self, z, t) -> bool:
-        lhs = sum(c(t) * zi for c, zi in zip(self.coeffs, z))
-        return lhs <= self.rhs(t)
-
-
-@frozen
-class DnfFormula:
-    """Disjunction of conjunctions of atoms; clause and atom order matter
-    (the expansion below is defined in terms of them)."""
-
-    variables: tuple
-    clauses: tuple
-
-    def __post_init__(self):
-        for clause in self.clauses:
-            for atom in clause:
-                if len(atom.coeffs) != len(self.variables):
-                    raise InputError("atom width must match variable count")
-
-    def holds(self, z, t) -> bool:
-        return any(all(a.holds(z, t) for a in clause) for clause in self.clauses)
-
-
-def disjoint_expand(f: DnfFormula) -> DnfFormula:
-    """Equivalent DNF whose clauses are pairwise unsatisfiable together.
-
-    Each output clause extends an input clause S with, for every earlier
-    clause R, a chosen "first failing atom" of R: the atoms of R before the
-    choice hold and the chosen atom is negated. Distinct choices conflict
-    on the chosen atom, so the output clauses are disjoint by construction
-    while their union is unchanged. More than CLAUSE_LIMIT output clauses
-    raise ResourceLimitError.
-    """
-    out = []
-    for idx, clause in enumerate(f.clauses):
-        earlier = f.clauses[:idx]
-        for choice in itertools.product(
-            *(range(len(R) - 1, -1, -1) for R in earlier)
-        ):
-            prefix = []
-            for R, w in zip(earlier, choice):
-                prefix.extend(R[:w])
-                prefix.append(R[w].negated())
-            out.append(tuple(prefix) + clause)
-            if len(out) > CLAUSE_LIMIT:
-                raise ResourceLimitError(
-                    f"expansion exceeds {CLAUSE_LIMIT} clauses"
-                )
-    return DnfFormula(f.variables, tuple(out))

@@ -1,0 +1,164 @@
+"""The paper's two proof steps, modelled on concrete systems and formulas.
+
+digit_transform rewrites each variable of a nonnegative system as r base-t
+digits, a bijection on the box [0, t^r); disjoint_expand turns a DNF
+formula over parametric inequalities into an equivalent one whose clauses
+are pairwise disjoint. No command runs them: the tests check both against
+the engine in ``pilp``.
+"""
+
+import itertools
+
+from .errors import (
+    DigitRangeError,
+    InputError,
+    OutOfRangeError,
+    ResourceLimitError,
+    frozen,
+)
+from .pilp import LE, ExclusionProblem, ParametricConstraintSystem, Row
+from .qpoly import Poly
+
+# A disjoint expansion with more clauses than this aborts.
+CLAUSE_LIMIT = 100_000
+
+# Base-t digit bijections.
+
+
+def _check_digit_args(t: int, r: int):
+    if t < 2:
+        raise InputError("base t must be >= 2")
+    if r < 1:
+        raise InputError("digit count r must be >= 1")
+
+
+def digit_decode(y, t: int, r: int) -> tuple:
+    """Per-coordinate base-t value of a digit vector of length r*n.
+
+    Digit j of coordinate i sits at position i*r + j (least significant
+    digit first).
+    """
+    _check_digit_args(t, r)
+    if len(y) % r != 0:
+        raise InputError("digit vector length must be a multiple of r")
+    if any(d < 0 or d >= t for d in y):
+        raise DigitRangeError(f"digits must lie in [0, {t - 1}]")
+    out = []
+    for i in range(len(y) // r):
+        block = y[i * r:(i + 1) * r]
+        out.append(sum(d * t**j for j, d in enumerate(block)))
+    return tuple(out)
+
+
+def digit_encode(x, t: int, r: int) -> tuple:
+    """The unique digit vector with digit_decode(result) == x."""
+    _check_digit_args(t, r)
+    out = []
+    for v in x:
+        if v < 0 or v >= t**r:
+            raise OutOfRangeError(f"value {v} outside [0, {t}^{r})")
+        for _ in range(r):
+            v, d = divmod(v, t)
+            out.append(d)
+    return tuple(out)
+
+
+def _digit_weighted(polys, r: int) -> tuple:
+    """Each polynomial times u^j for digit j = 0..r-1, in digit order."""
+    return tuple(p.shift(j) for p in polys for j in range(r))
+
+
+def digit_transform(sys: ParametricConstraintSystem, r: int) -> ParametricConstraintSystem:
+    """Rewrite each variable as r base-t digits.
+
+    Variable i becomes digits (i*r .. i*r + r - 1), each constrained to
+    [0, t-1]; the coefficient of digit j is the original coefficient times
+    u^j. Valid for systems whose variables are all nonnegative (the digit
+    image covers exactly [0, t^r)^n).
+    """
+    if r < 1:
+        raise InputError("digit count r must be >= 1")
+    if not all(sys.nonneg):
+        raise InputError("digit transform requires all-nonnegative variables")
+    rows = [Row(_digit_weighted(row.coeffs, r), row.sense, row.rhs)
+            for row in sys.rows]
+    cap = Poly((-1, 1))  # u - 1
+    for pos in range(sys.n * r):
+        coeffs = [Poly()] * (sys.n * r)
+        coeffs[pos] = Poly.constant(1)
+        rows.append(Row(tuple(coeffs), LE, cap))
+    return ParametricConstraintSystem(sys.n * r, tuple(rows), (True,) * (sys.n * r))
+
+
+def digit_transform_exclusion(ex: ExclusionProblem, r: int) -> ExclusionProblem:
+    """Digit-rewrite both systems and the objective of an exclusion problem."""
+    return ExclusionProblem(
+        ex.m,
+        ex.n1 * r,
+        ex.n2 * r,
+        digit_transform(ex.sys1, r),
+        digit_transform(ex.sys2, r),
+        _digit_weighted(ex.c, r),
+    )
+
+
+# DNF formulas over parametric inequalities, and disjoint expansion.
+
+
+@frozen
+class Atom:
+    """A parametric inequality coeffs . z <= rhs over named integer
+    variables; negation stays inside the atom language."""
+
+    coeffs: tuple
+    rhs: Poly
+
+    def negated(self) -> "Atom":
+        return Atom(tuple(-c for c in self.coeffs), -self.rhs - Poly.constant(1))
+
+    def holds(self, z, t) -> bool:
+        lhs = sum(c(t) * zi for c, zi in zip(self.coeffs, z))
+        return lhs <= self.rhs(t)
+
+
+@frozen
+class DnfFormula:
+    """Disjunction of conjunctions of atoms; clause and atom order matter
+    (the expansion below is defined in terms of them)."""
+
+    variables: tuple
+    clauses: tuple
+
+    def __post_init__(self):
+        for clause in self.clauses:
+            for atom in clause:
+                if len(atom.coeffs) != len(self.variables):
+                    raise InputError("atom width must match variable count")
+
+
+def disjoint_expand(f: DnfFormula) -> DnfFormula:
+    """Equivalent DNF whose clauses are pairwise unsatisfiable together.
+
+    Each output clause extends an input clause S with, for every earlier
+    clause R, a chosen "first failing atom" of R: the atoms of R before the
+    choice hold and the chosen atom is negated. Distinct choices conflict
+    on the chosen atom, so the output clauses are disjoint by construction
+    while their union is unchanged. More than CLAUSE_LIMIT output clauses
+    raise ResourceLimitError.
+    """
+    out = []
+    for idx, clause in enumerate(f.clauses):
+        earlier = f.clauses[:idx]
+        for choice in itertools.product(
+            *(range(len(R) - 1, -1, -1) for R in earlier)
+        ):
+            prefix = []
+            for R, w in zip(earlier, choice):
+                prefix.extend(R[:w])
+                prefix.append(R[w].negated())
+            out.append(tuple(prefix) + clause)
+            if len(out) > CLAUSE_LIMIT:
+                raise ResourceLimitError(
+                    f"expansion exceeds {CLAUSE_LIMIT} clauses"
+                )
+    return DnfFormula(f.variables, tuple(out))

@@ -10,18 +10,17 @@ from itertools import product
 from math import gcd
 
 from clirun import run_cli
-from parafrob import eqpfit, formats, frobenius, pilp, reduction
+from parafrob import eqpfit, formats, frobenius, pilp, proofs, reduction
 from parafrob.eqpfit import Fit, FitConfig, NoFit, SampleSeries
-from parafrob.frobenius import Coins, FrobeniusInstance
+from parafrob.frobenius import Coins
 from parafrob.pilp import (
     EQ,
     LE,
-    Atom,
-    DnfFormula,
     ExclusionProblem,
     ParametricConstraintSystem,
     Row,
 )
+from parafrob.proofs import Atom, DnfFormula
 from parafrob.qpoly import Poly
 from parafrob.reduction import PolyFamily
 from windows import qualifying_bound
@@ -105,8 +104,8 @@ def test_criterion_03_scaling_identities():
         assert frobenius.frobenius_number(scaled) == \
             c * frobenius.frobenius_number(coins)
         assert frobenius.genus(scaled) == frobenius.genus(coins)
-        assert frobenius.generalized_frobenius(FrobeniusInstance(scaled, m, l)) \
-            == c * frobenius.generalized_frobenius(FrobeniusInstance(coins, m, l))
+        assert frobenius.generalized_frobenius(scaled, m, l) \
+            == c * frobenius.generalized_frobenius(coins, m, l)
         assert frobenius.generalized_genus(scaled, m) == \
             frobenius.generalized_genus(coins, m)
     report(3, "200 randomized scaling cases hold exactly for F, G, and both "
@@ -276,7 +275,7 @@ def test_criterion_09_digit_bijection():
         r = rng.randint(1, 4)
         n = rng.randint(1, 4)
         x = tuple(rng.randrange(t**r) for _ in range(n))
-        assert pilp.digit_decode(pilp.digit_encode(x, t, r), t, r) == x
+        assert proofs.digit_decode(proofs.digit_encode(x, t, r), t, r) == x
 
     edge = U * U - ONE
     example5_sys1 = system(2, [
@@ -305,7 +304,7 @@ def test_criterion_09_digit_bijection():
         ]), (const(2), ONE)),
     ]
     for ex in cases:
-        transformed = pilp.digit_transform_exclusion(ex, 2)
+        transformed = proofs.digit_transform_exclusion(ex, 2)
         for t in (5, 7, 11):
             assert _ranked(ex, 3, t) == _ranked(transformed, 3, t)
     report(9, "500 random digit round-trips are the identity; 3 exclusion "
@@ -356,12 +355,12 @@ def test_criterion_10_disjoint_disjunction():
 
     # the 2-clause case must expand to exactly this 3-clause form
     A, B, C, D = atom(1, 0, 3), atom(0, 1, 2), atom(1, 1, 5), atom(1, -1, 1)
-    expanded = pilp.disjoint_expand(DnfFormula(("z1", "z2"), ((A, B), (C, D))))
+    expanded = proofs.disjoint_expand(DnfFormula(("z1", "z2"), ((A, B), (C, D))))
     assert expanded.clauses == (
         (A, B), (A, B.negated(), C, D), (A.negated(), C, D))
 
     def check(formula):
-        out = pilp.disjoint_expand(formula)
+        out = proofs.disjoint_expand(formula)
         bases = _base_map([formula, out])
         assert len(bases) <= 12
         sat_in, _ = _truth_table(formula, bases)
@@ -407,12 +406,10 @@ def test_criterion_11_negative_controls():
     cfg = FitConfig(d_max=12, deg_max=6)
     series = {
         "l growing with t": SampleSeries(3, tuple(
-            frobenius.generalized_frobenius(
-                FrobeniusInstance(Coins([t, t - 1]), 1, t))
+            frobenius.generalized_frobenius(Coins([t, t - 1]), 1, t)
             for t in range(3, 81))),
         "m growing with t (ranked)": SampleSeries(3, tuple(
-            frobenius.generalized_frobenius(
-                FrobeniusInstance(Coins([6, 10, 15]), t, 1))
+            frobenius.generalized_frobenius(Coins([6, 10, 15]), t, 1)
             for t in range(3, 81))),
         "m growing with t (count)": SampleSeries(3, tuple(
             frobenius.generalized_genus(Coins([6, 10, 15]), t)

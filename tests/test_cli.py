@@ -13,7 +13,7 @@ import pytest
 from clirun import run_cli
 
 import parafrob
-from parafrob import cli, frobenius, pilp
+from parafrob import cli, frobenius, pilp, reduction
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
 TRIANGLE = "vars: 2\nnonneg: all\nc: 1, 1\nrow: 1, 1 | <= | t\n"
@@ -150,6 +150,34 @@ def test_series_resume_fills_only_missing(tmp_path, monkeypatch):
     assert len(values) == 22
 
 
+def test_series_refuses_a_gap_before_computing(tmp_path, monkeypatch):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    out = tmp_path / "out"
+    run("series", "--family", str(fam), "--t-min", "3", "--t-max", "10",
+        "--out", str(out))
+    files = sorted(tmp_path.glob("out.*.series"))
+    before = [p.read_text() for p in files]
+    calls = []
+    monkeypatch.setattr(reduction, "direct_series",
+                        lambda *args: calls.append(args))
+    for t_min, t_max in [(20, 30), (12, 12), (-5, 1)]:
+        res = run("series", "--family", str(fam), "--t-min", str(t_min),
+                  "--t-max", str(t_max), "--out", str(out))
+        assert res.exit_code == 2
+        assert res.output == (
+            f"error: t = {t_min}..{t_max} and the t = 3..10 in "
+            f"{out}.fml.series would leave a gap in the merged series\n")
+    assert calls == []
+    assert [p.read_text() for p in files] == before
+    # Ranges that touch the existing span are merged.
+    monkeypatch.undo()
+    for t_min, t_max in [(11, 11), (2, 2)]:
+        assert run("series", "--family", str(fam), "--t-min", str(t_min),
+                   "--t-max", str(t_max), "--out", str(out)).exit_code == 0
+    assert len(files[0].read_text().splitlines()) == 10  # t = 2..11
+
+
 def test_series_rejects_empty_t_range(tmp_path):
     fam = tmp_path / "fam.txt"
     fam.write_text(FAMILY_U_UM1)
@@ -217,8 +245,7 @@ def test_crosscheck_ok_and_mismatch(tmp_path):
     assert "g_offsets 0" in res.output
 
     bad = run("crosscheck", "--family", str(fam), "--t-min", "2",
-              "--t-max", "10", "--inject-mismatch", "--seed", "3",
-              "--format", "machine")
+              "--t-max", "10", "--inject-mismatch", "--format", "machine")
     assert bad.exit_code == 4
     assert "verdict MISMATCH" in bad.output
     assert "DIFF" in bad.output
@@ -576,7 +603,7 @@ COMMAND_OPTIONS = {
     "series": ["--family", "--t-min", "--t-max", "--out"],
     "fit": ["SERIES_PATH", "--d-max", "--deg-max", "--holdout",
             "--min-support", "--format", "--out"],
-    "crosscheck": ["--family", "--t-min", "--t-max", "--point-cap", "--seed",
+    "crosscheck": ["--family", "--t-min", "--t-max", "--point-cap",
                    "--format", "--out"],
     "pilp": ["SYSTEM_PATH", "--t", "--count", "--objective", "--exclusion",
              "--l", "--point-cap", "--format", "--out"],

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from parafrob import frobenius as fr
 from parafrob.errors import InputError, ResourceLimitError
-from parafrob.frobenius import Coins, FrobeniusInstance
+from parafrob.frobenius import Coins
 from windows import qualifying_bound
 
 
@@ -104,11 +104,11 @@ def test_genus_examples():
 
 
 def test_generalized_frobenius_examples():
-    assert fr.generalized_frobenius(FrobeniusInstance(Coins([3, 5]), 1, 1)) == 7
-    assert fr.generalized_frobenius(FrobeniusInstance(Coins([1, 1]), 1, 1)) == -1
+    assert fr.generalized_frobenius(Coins([3, 5]), 1, 1) == 7
+    assert fr.generalized_frobenius(Coins([1, 1]), 1, 1) == -1
     # largest k with h(k) <= 1 for (3, 5), checked against the oracle
     want = next(k for k in count(100, -1) if brute_h((3, 5), k) <= 1)
-    assert fr.generalized_frobenius(FrobeniusInstance(Coins([3, 5]), 2, 1)) == want
+    assert fr.generalized_frobenius(Coins([3, 5]), 2, 1) == want
 
 
 def test_generalized_genus_examples():
@@ -134,8 +134,7 @@ def test_generalized_values_match_brute_force():
             want = g * qualifying[l - 1]
         else:
             want = -g * (l - len(qualifying))
-        inst = FrobeniusInstance(coins, m, l)
-        assert fr.generalized_frobenius(inst) == want
+        assert fr.generalized_frobenius(coins, m, l) == want
         want_count = sum(1 for k in qualifying if k > 0)
         assert fr.generalized_genus(coins, m) == want_count
 
@@ -200,14 +199,12 @@ def test_generalized_frobenius_large_l():
     # are a * l = 10^9 candidates, and at m = 2 the l-th qualifier is found
     # by a lazy walk that keeps no list of them.
     big = 10**6
-    assert fr.generalized_frobenius(FrobeniusInstance(Coins([3, 5]), 2, big)) == -999981
-    assert fr.generalized_frobenius(FrobeniusInstance(Coins([3, 5]), 1, big)) == -999996
-    assert fr.generalized_frobenius(
-        FrobeniusInstance(Coins([1000, 1001]), 1, big)) == -500500
+    assert fr.generalized_frobenius(Coins([3, 5]), 2, big) == -999981
+    assert fr.generalized_frobenius(Coins([3, 5]), 1, big) == -999996
+    assert fr.generalized_frobenius(Coins([1000, 1001]), 1, big) == -500500
     tracemalloc.start()
     try:
-        assert fr.generalized_frobenius(
-            FrobeniusInstance(Coins([1000, 1001]), 2, big)) == 500500
+        assert fr.generalized_frobenius(Coins([1000, 1001]), 2, big) == 500500
         assert tracemalloc.get_traced_memory()[1] < 4 * 10**6
     finally:
         tracemalloc.stop()
@@ -235,9 +232,8 @@ def test_scaling_identities():
         coins, scaled = Coins(a), Coins(a).scaled(c)
         assert fr.frobenius_number(scaled) == c * fr.frobenius_number(coins)
         assert fr.genus(scaled) == fr.genus(coins)
-        assert fr.generalized_frobenius(
-            FrobeniusInstance(scaled, m, l)
-        ) == c * fr.generalized_frobenius(FrobeniusInstance(coins, m, l))
+        assert fr.generalized_frobenius(scaled, m, l) \
+            == c * fr.generalized_frobenius(coins, m, l)
         assert fr.generalized_genus(scaled, m) == fr.generalized_genus(coins, m)
 
 
@@ -269,7 +265,7 @@ def test_monotonicity_and_definition_consistency():
         coins = Coins(a)
         m = rng.randint(1, 3)
         values = [
-            fr.generalized_frobenius(FrobeniusInstance(coins, m, l))
+            fr.generalized_frobenius(coins, m, l)
             for l in range(1, 6)
         ]
         # strictly decreasing in l, by at least the gcd per step
@@ -278,7 +274,7 @@ def test_monotonicity_and_definition_consistency():
         # non-decreasing in m (for fixed l), and same for the counts
         for l in (1, 2):
             series = [
-                fr.generalized_frobenius(FrobeniusInstance(coins, mm, l))
+                fr.generalized_frobenius(coins, mm, l)
                 for mm in range(1, 4)
             ]
             assert series == sorted(series)
@@ -288,7 +284,7 @@ def test_monotonicity_and_definition_consistency():
         g = coins.g
         reduced = tuple(sorted(e // g for e in a))
         for l in (1, 2, 3):
-            val = fr.generalized_frobenius(FrobeniusInstance(coins, m, l))
+            val = fr.generalized_frobenius(coins, m, l)
             assert val % g == 0
             k = val // g
             assert brute_h(reduced, k) < m

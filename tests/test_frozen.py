@@ -75,7 +75,6 @@ def test_frozen_matches_frozen_dataclass():
 VALUE_CLASSES = [
     ("qpoly", "QuasiPolynomial", ("period", "components", "threshold")),
     ("frobenius", "Coins", ("a",)),
-    ("frobenius", "FrobeniusInstance", ("coins", "m", "l")),
     ("frobenius", "RepCountTable", ("coins", "cap", "counts", "bound")),
     ("frobenius", "AperyTable", ("coins", "m", "a", "values")),
     ("eqpfit", "SampleSeries", ("t_min", "values")),
@@ -88,8 +87,8 @@ VALUE_CLASSES = [
     ("pilp", "ParametricConstraintSystem", ("n", "rows", "nonneg")),
     ("pilp", "LatticeSet", ("points",)),
     ("pilp", "ExclusionProblem", ("m", "n1", "n2", "sys1", "sys2", "c")),
-    ("pilp", "Atom", ("coeffs", "rhs")),
-    ("pilp", "DnfFormula", ("variables", "clauses")),
+    ("proofs", "Atom", ("coeffs", "rhs")),
+    ("proofs", "DnfFormula", ("variables", "clauses")),
     ("reduction", "PolyFamily", ("polys", "m", "l")),
     ("reduction", "CrosscheckRow", ("t", "status", "f_exclusion", "f_direct",
                                     "g_exclusion", "g_direct", "note", "r")),

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parafrob import pilp
+from parafrob import pilp, proofs
 from parafrob.errors import (
     DigitRangeError,
     InputError,
@@ -17,13 +17,11 @@ from parafrob.errors import (
 from parafrob.pilp import (
     EQ,
     LE,
-    Atom,
-    DnfFormula,
     ExclusionProblem,
     ParametricConstraintSystem,
     Row,
-    disjoint_expand,
 )
+from parafrob.proofs import Atom, DnfFormula, disjoint_expand
 from parafrob.qpoly import BOTTOM, Poly
 
 T = Poly.variable()
@@ -102,6 +100,37 @@ def test_enumerate_contradictory_is_empty():
 def test_enumerate_point_cap():
     with pytest.raises(ResourceLimitError):
         pilp.enumerate_lattice(triangle(), 50, point_cap=10)
+
+
+def test_point_cap_counts_exact_work():
+    # The work is search nodes plus points taken; the cap trips one below it.
+    # a + 2c <= t skips b and d, and b + c + 2d == 2t, the only row on b
+    # (searched last), collapses the last two levels.
+    plain = system(4, [
+        Row((ONE, ZERO, const(2), ZERO), LE, T),
+        Row((ZERO, ONE, ONE, const(2)), EQ, 2 * T),
+    ])
+    # README's exclusion example: the fiber search of sys1 does 15, sys2 11.
+    sys1, sys2 = example5()
+    ex = ExclusionProblem(1, 1, 1, sys1, sys2, (ONE,))
+    for run, work in [
+        (lambda cap: pilp.size_function(plain, 9, cap), 309),
+        (lambda cap: pilp.exclusion_profile(ex, 10, 1, cap), 15),
+    ]:
+        run(work)
+        with pytest.raises(ResourceLimitError):
+            run(work - 1)
+    # x < y < x creeps up 2 per sweep, and MAX_SWEEPS cuts the propagation
+    # short with y - x <= -1 broken by the whole box: the search of the
+    # empty region stops at the root, before z, its first level.
+    creep = system(3, [
+        Row((ZERO, ONE, ONE), LE, const(400)),
+        Row((ZERO, -ONE, ONE), LE, -ONE),
+        Row((ZERO, ONE, -ONE), LE, -ONE),
+        Row((ONE, ZERO, ZERO), LE, ONE),
+    ])
+    assert pilp.propagated_box(creep, 0) == ([0, 199, 200], [1, 200, 201])
+    assert pilp.size_function(creep, 0, point_cap=1) == 0
 
 
 def test_enumeration_matches_box_scan_oracle():
@@ -337,20 +366,20 @@ def test_exclusion_values_shape():
 
 
 def test_digit_decode_examples():
-    assert pilp.digit_decode((1, 2), 3, 2) == (7,)
-    assert pilp.digit_decode((0, 0, 0, 0), 9, 2) == (0, 0)
+    assert proofs.digit_decode((1, 2), 3, 2) == (7,)
+    assert proofs.digit_decode((0, 0, 0, 0), 9, 2) == (0, 0)
     t = 7
-    assert pilp.digit_decode((t - 1,) * 3 * 2, t, 3) == (t**3 - 1, t**3 - 1)
+    assert proofs.digit_decode((t - 1,) * 3 * 2, t, 3) == (t**3 - 1, t**3 - 1)
     with pytest.raises(DigitRangeError):
-        pilp.digit_decode((3, 0), 3, 2)
+        proofs.digit_decode((3, 0), 3, 2)
 
 
 def test_digit_encode_examples():
-    assert pilp.digit_encode((7,), 3, 2) == (1, 2)
+    assert proofs.digit_encode((7,), 3, 2) == (1, 2)
     with pytest.raises(OutOfRangeError):
-        pilp.digit_encode((9,), 3, 2)
+        proofs.digit_encode((9,), 3, 2)
     with pytest.raises(InputError):
-        pilp.digit_encode((1,), 1, 2)
+        proofs.digit_encode((1,), 1, 2)
 
 
 def test_digit_round_trips():
@@ -360,7 +389,7 @@ def test_digit_round_trips():
         r = rng.randint(1, 4)
         n = rng.randint(1, 4)
         x = tuple(rng.randrange(t**r) for _ in range(n))
-        assert pilp.digit_decode(pilp.digit_encode(x, t, r), t, r) == x
+        assert proofs.digit_decode(proofs.digit_encode(x, t, r), t, r) == x
 
 
 def test_digit_transform_bijection_on_lattice():
@@ -372,11 +401,11 @@ def test_digit_transform_bijection_on_lattice():
         Row((ZERO, ONE), LE, T * T - ONE),
     ])
     r = 2
-    transformed = pilp.digit_transform(sys, r)
+    transformed = proofs.digit_transform(sys, r)
     for t in (2, 3, 5):
         original = set(pilp.enumerate_lattice(sys, t).points)
         image = [
-            pilp.digit_decode(y, t, r)
+            proofs.digit_decode(y, t, r)
             for y in pilp.enumerate_lattice(transformed, t).points
         ]
         assert len(image) == len(set(image))
@@ -422,7 +451,7 @@ def test_digit_transform_preserves_exclusion_answers():
         two_kept_exclusion(),
     ]
     for ex in cases:
-        transformed = pilp.digit_transform_exclusion(ex, 2)
+        transformed = proofs.digit_transform_exclusion(ex, 2)
         for t in (5, 7, 11):
             assert ranked(ex, 3, t) == ranked(transformed, 3, t)
 
@@ -430,7 +459,7 @@ def test_digit_transform_preserves_exclusion_answers():
 def test_digit_transform_requires_nonneg():
     sys = system(1, [Row((ONE,), LE, T)], nonneg=[False])
     with pytest.raises(InputError):
-        pilp.digit_transform(sys, 2)
+        proofs.digit_transform(sys, 2)
 
 
 # --- DNF expansion ---------------------------------------------------------
@@ -520,7 +549,7 @@ def test_disjoint_expand_clause_cap(monkeypatch):
         tuple(atom(i, j, j) for j in range(3)) for i in range(4)
     )
     f = DnfFormula(("z1", "z2"), clauses)
-    monkeypatch.setattr(pilp, "CLAUSE_LIMIT", 5)
+    monkeypatch.setattr(proofs, "CLAUSE_LIMIT", 5)
     with pytest.raises(ResourceLimitError):
         disjoint_expand(f)
 

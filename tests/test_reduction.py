@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from parafrob import eqpfit, frobenius, pilp, reduction
 from parafrob.errors import InputError, NonIntegerQuotientError
-from parafrob.frobenius import Coins, FrobeniusInstance
+from parafrob.frobenius import Coins
 from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp
 from parafrob.reduction import PolyFamily
 from windows import qualifying_bound
@@ -129,11 +129,8 @@ def test_reduction_identity_numerically():
             t = residue + qp.period * s
             h = gcd(*family.values(t))
             whole = frobenius.generalized_frobenius(
-                FrobeniusInstance(Coins(family.values(t)), 2, 2)
-            )
-            part = frobenius.generalized_frobenius(
-                FrobeniusInstance(Coins(red.values(s)), 2, 2)
-            )
+                Coins(family.values(t)), 2, 2)
+            part = frobenius.generalized_frobenius(Coins(red.values(s)), 2, 2)
             assert whole == h * part
             assert frobenius.generalized_genus(
                 Coins(family.values(t)), 2
@@ -174,8 +171,7 @@ def assert_window_bound_holds(family, ts):
         if min(values) <= 0 or gcd(*values) != 1 or x_max(t) != max(values):
             continue
         answer = frobenius.generalized_frobenius(
-            FrobeniusInstance(Coins(values), family.m, family.l)
-        )
+            Coins(values), family.m, family.l)
         assert family.l + answer <= bound(t), (family, t)
 
 
@@ -355,7 +351,7 @@ def test_crosscheck_fibers_stop_at_m():
     assert 7**r <= cap < pilp.size_function(ex.sys1, 7)
     _, top = pilp.exclusion_profile(ex, 7, family.l, cap)
     assert top[family.l - 1] - family.l == frobenius.generalized_frobenius(
-        FrobeniusInstance(Coins(family.values(7)), family.m, family.l))
+        Coins(family.values(7)), family.m, family.l)
     report = reduction.crosscheck(family, 7, 7, point_cap=cap)
     assert report.checked == 1 and report.ok
 
@@ -426,7 +422,7 @@ def test_crosscheck_never_reports_diff(family, t_min):
         if min(values) <= 0 or gcd(*values) != 1:
             continue
         largest = family.l + frobenius.generalized_frobenius(
-            FrobeniusInstance(Coins(values), family.m, 1))
+            Coins(values), family.m, 1)
         if row.r is None:
             assert t < 2 and largest >= t, row
             continue
