@@ -15,6 +15,7 @@ those.
 import argparse
 import os
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from . import formats
@@ -40,8 +41,12 @@ def _emit(lines, out: str | None):
         Path(out).write_text(text)
 
 
-def compute(tuple_text, m, l, h_excerpt, fmt, out):
-    """Frobenius number, genus, and their (m, l) generalizations."""
+def compute(tuple_text, m, l, fmt, out):
+    """Frobenius number, genus, and their (m, l) generalizations.
+
+    Also prints min(h(k), max(m, 2)) for k = 0..16, where h(k) counts the
+    representations of k.
+    """
     from . import frobenius
 
     coins = formats.parse_coins(tuple_text)
@@ -50,7 +55,7 @@ def compute(tuple_text, m, l, h_excerpt, fmt, out):
     g = table.genus(1)
     fml = table.frobenius(m, l)
     gm = table.genus(m)
-    excerpt = frobenius.rep_count_table(coins, h_excerpt, cap=max(m, 2))
+    excerpt = frobenius.rep_count_table(coins, 16, cap=max(m, 2))
     if fmt == "machine":
         lines = [f"F {f}", f"G {g}", f"F_m_l {fml}", f"G_m {gm}"]
         lines += [f"h {k} {c}" for k, c in enumerate(excerpt.counts)]
@@ -93,25 +98,31 @@ def series(family_path, t_min, t_max, out_prefix):
                     f" in {path} would leave a gap in the merged series")
             existing[key] = dict(old.items())
     have = set(existing["fml"]) & set(existing["gm"])
-    for t in range(t_min, t_max + 1):
-        if t not in have:
-            f_new, g_new = reduction.direct_series(fam, t, t)
-            existing["fml"][t] = f_new.value_at(t)
-            existing["gm"][t] = g_new.value_at(t)
+    missing = [t for t in range(t_min, t_max + 1) if t not in have]
+    # One direct_series call per run of consecutive missing t: each call
+    # finds the family's positivity start again.
+    for _, run in groupby(enumerate(missing), lambda it: it[1] - it[0]):
+        ts = [t for _, t in run]
+        f_new, g_new = reduction.direct_series(fam, ts[0], ts[-1])
+        existing["fml"].update(f_new.items())
+        existing["gm"].update(g_new.items())
     for key, path in targets.items():
         merged = eqpfit.SampleSeries.from_pairs(existing[key].items())
         path.write_text(formats.format_series(merged))
         print(f"wrote {path} ({len(merged)} samples)")
 
 
-def fit(series_path, d_max, deg_max, holdout, min_support, fmt, out):
-    """Fit an eventual quasi-polynomial to a series file."""
+def fit(series_path, d_max, deg_max, fmt, out):
+    """Fit an eventual quasi-polynomial to a series file.
+
+    Of the N samples, the last min(2*d_max, N // 2) are held out and must be
+    reproduced exactly; each residue class of a period needs deg_max + 3
+    training points.
+    """
     from . import eqpfit
 
     data = formats.parse_series(Path(series_path).read_text())
-    cfg = eqpfit.FitConfig(d_max=d_max, deg_max=deg_max, holdout=holdout,
-                           min_support=min_support)
-    result = eqpfit.fit_quasipolynomial(data, cfg)
+    result = eqpfit.fit_quasipolynomial(data, d_max, deg_max)
     lines = fit_report_lines(result, fmt)
     _emit(lines, out)
 
@@ -296,9 +307,6 @@ def _parser(prog: str) -> argparse.ArgumentParser:
            help="Multiplicity bound. [default: %(default)s]")
     option("--l", type=int, default=1,
            help="Rank of the answer. [default: %(default)s]")
-    option("--h-excerpt", type=int, default=16,
-           help="Print min(h(k), m) for k up to this bound. "
-                "[default: %(default)s]")
     output_options(option)
 
     option = command(series)
@@ -311,13 +319,10 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
     option = command(fit)
     option("series_path", metavar="SERIES_PATH", type=_existing_path)
-    option("--d-max", type=int, default=24, help="[default: %(default)s]")
-    option("--deg-max", type=int, default=6, help="[default: %(default)s]")
-    option("--holdout", type=int,
-           help="Trailing samples reserved for validation [default: 2*d_max].")
-    option("--min-support", type=int,
-           help="Training points required per residue class "
-                "[default: deg_max+3].")
+    option("--d-max", type=int, default=24,
+           help="Largest period tried. [default: %(default)s]")
+    option("--deg-max", type=int, default=6,
+           help="Largest component degree. [default: %(default)s]")
     output_options(option)
 
     option = command(crosscheck)

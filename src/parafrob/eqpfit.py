@@ -50,35 +50,6 @@ class SampleSeries:
 
 
 @frozen
-class FitConfig:
-    """Search bounds for the fitter.
-
-    ``holdout`` trailing samples are excluded from fitting and must be
-    reproduced exactly afterwards (at most half the series is reserved, so
-    short series still leave something to train on); each residue class
-    needs at least ``min_support`` training points confirming its
-    component.
-    """
-
-    d_max: int = 24
-    deg_max: int = 6
-    holdout: int | None = None
-    min_support: int | None = None
-
-    def __post_init__(self):
-        if self.d_max < 1 or self.deg_max < 0:
-            raise InputError("d_max must be >= 1 and deg_max >= 0")
-        if self.holdout is None:
-            object.__setattr__(self, "holdout", 2 * self.d_max)
-        if self.min_support is None:
-            object.__setattr__(self, "min_support", self.deg_max + 3)
-        if self.holdout < 0:
-            raise InputError("holdout must be >= 0")
-        if self.min_support < self.deg_max + 2:
-            raise InputError("min_support must be >= deg_max + 2")
-
-
-@frozen
 class Fit:
     """Successful fit: qp reproduces all post-threshold samples exactly."""
 
@@ -92,7 +63,8 @@ class NoFit:
     """Bounded-search failure verdict with per-(period, residue) reasons."""
 
     diagnostics: tuple  # of (d, residue-or-None, reason)
-    note: str = (
+
+    note = (
         "bounded-search verdict: no fit within the configured period and "
         "degree bounds; this does not prove the series has no eventual "
         "quasi-polynomial structure"
@@ -142,75 +114,90 @@ def _newton_interpolate(points) -> Poly:
     return poly
 
 
-def _fit_class(points, cfg: FitConfig, first_t: int):
+def _fit_class(points, deg_max: int, first_t: int):
     """Fit one residue class: (component, threshold) or (None, reason).
 
     The class's suffix is its trailing run of points of the same kind,
     BOTTOM or finite, as its last point, and must hold at least
-    ``min_support`` points. A BOTTOM suffix gives the component BOTTOM; a
-    finite one must be interpolated exactly by the polynomial through its
-    earliest ``deg_max + 1`` points (no tail-window shopping: anchoring
-    anywhere later would let any series with a long polynomial stretch
-    "fit"). The threshold is the last t before the suffix (first_t - 1
-    when none).
+    ``deg_max + 3`` points (min_support). A BOTTOM suffix gives the
+    component BOTTOM; a finite one must be interpolated exactly by the
+    polynomial through its earliest ``deg_max + 1`` points (no tail-window
+    shopping: anchoring anywhere later would let any series with a long
+    polynomial stretch "fit"). The threshold is the last t before the
+    suffix (first_t - 1 when none).
     """
     bottom = points[-1][1] is BOTTOM
     start = len(points)
     while start and (points[start - 1][1] is BOTTOM) == bottom:
         start -= 1
-    if len(points) - start < cfg.min_support:
+    if len(points) - start < deg_max + 3:
         return None, "trailing values mix -inf and finite samples"
     threshold = points[start - 1][0] if start else first_t - 1
     if bottom:
         return BOTTOM, threshold
-    poly = interpolate_component(points[start:], cfg.deg_max)
+    poly = interpolate_component(points[start:], deg_max)
     if poly is None:
         return None, (
-            f"the polynomial of degree <= {cfg.deg_max} through the "
+            f"the polynomial of degree <= {deg_max} through the "
             f"earliest points does not match the rest of the class"
         )
     return poly, threshold
 
 
-def fit_quasipolynomial(series: SampleSeries, cfg: FitConfig | None = None):
+def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
+                        deg_max: int = 6):
     """Search periods 1..d_max for an exact eventual fit; minimal period wins.
 
-    A candidate period splits the training samples (all but the trailing
-    holdout) by residue class and fits each class on its own; it succeeds
-    when every class fits and ``validate`` finds no sample of the series
-    above the threshold that the assembled quasi-polynomial misses. The
-    training samples there lie in their classes' suffixes and agree by
-    construction, so a miss is always a holdout sample. A period with a
-    class of fewer than ``min_support`` training points is skipped with a
-    diagnostic.
+    The period bound ``d_max`` and the degree bound ``deg_max`` set the
+    whole search. The last ``min(2*d_max, len(series) // 2)`` samples are
+    the holdout: they are left out of fitting and must be reproduced
+    exactly afterwards (at most half the series is reserved, so a short
+    series still leaves something to train on). Each residue class needs
+    ``min_support = deg_max + 3`` training points: ``deg_max + 1`` fix its
+    polynomial and at least two more confirm it.
+
+    A candidate period splits the training samples by residue class and
+    fits each class on its own; it succeeds when every class fits and
+    ``validate`` finds no sample of the series above the threshold that
+    the assembled quasi-polynomial misses. The training samples there lie
+    in their classes' suffixes and agree by construction, so a miss is
+    always a holdout sample. A period with a class of fewer than
+    min_support training points is skipped with a diagnostic naming the
+    first such class.
     """
-    cfg = cfg or FitConfig()
-    reserved = min(cfg.holdout, len(series) // 2)
-    training = series.items()[: len(series) - reserved]
-    if len(training) < cfg.min_support:
+    if d_max < 1 or deg_max < 0:
+        raise InputError("d_max must be >= 1 and deg_max >= 0")
+    holdout = min(2 * d_max, len(series) // 2)
+    min_support = deg_max + 3
+    training = series.items()[: len(series) - holdout]
+    if len(training) < min_support:
         raise InsufficientDataError(
             f"{len(training)} training samples cannot support any fit "
-            f"(min_support={cfg.min_support})"
+            f"(min_support={min_support})"
         )
 
     diagnostics = []
-    for d in range(1, cfg.d_max + 1):
-        classes = {r: [] for r in range(d)}
+    for d in range(1, d_max + 1):
+        classes = {}
         for t, v in training:
-            classes[t % d].append((t, v))
-        short = [r for r in range(d) if len(classes[r]) < cfg.min_support]
-        if short:
+            classes.setdefault(t % d, []).append((t, v))
+        # At most len(training) / min_support classes are full, so this
+        # scan is bounded by the data, not by d.
+        r = 0
+        while r < d and len(classes.get(r, ())) >= min_support:
+            r += 1
+        if r < d:
             diagnostics.append(
-                (d, short[0],
-                 f"only {len(classes[short[0]])} training points in class "
-                 f"(min_support={cfg.min_support})")
+                (d, r,
+                 f"only {len(classes.get(r, ()))} training points in class "
+                 f"(min_support={min_support})")
             )
             continue
 
         components = []
         threshold = series.t_min - 1
         for r in range(d):
-            comp, info = _fit_class(classes[r], cfg, series.t_min)
+            comp, info = _fit_class(classes[r], deg_max, series.t_min)
             if comp is None:
                 diagnostics.append((d, r, info))
                 break
@@ -221,7 +208,7 @@ def fit_quasipolynomial(series: SampleSeries, cfg: FitConfig | None = None):
             report = validate(qp, series)
             if report.first_disagreement is None:
                 # Every holdout sample lies above the threshold.
-                return Fit(qp, report.compared_count - reserved, reserved)
+                return Fit(qp, report.compared_count - holdout, holdout)
             t = report.first_disagreement[0]
             diagnostics.append((d, None, f"holdout mismatch at t={t}"))
 

@@ -42,7 +42,7 @@ class NonIntegerQuotientError(ParafrobError):
 
 
 class InsufficientDataError(ParafrobError):
-    """Sample series too short for the requested fit configuration."""
+    """Sample series too short for the fit's search bounds."""
 
 
 def frozen(cls):

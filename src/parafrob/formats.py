@@ -113,7 +113,7 @@ def format_poly_list(p: Poly) -> str:
     return "[" + ", ".join(format_rational(c) for c in p.coeffs) + "]"
 
 
-def format_poly_expr(p: Poly, var: str = "t") -> str:
+def format_poly_expr(p: Poly) -> str:
     """Human form, descending degree: "t^2 - (3/2)t + 1"."""
     if p.is_zero():
         return "0"
@@ -133,7 +133,7 @@ def format_poly_expr(p: Poly, var: str = "t") -> str:
                 body = str(mag.numerator)
             else:
                 body = f"({format_rational(mag)})"
-            body += var if i == 1 else f"{var}^{i}"
+            body += "t" if i == 1 else f"t^{i}"
         if not parts:
             parts.append(("-" if sign == "-" else "") + body)
         else:

@@ -11,7 +11,7 @@ from math import gcd
 
 from clirun import run_cli
 from parafrob import eqpfit, formats, frobenius, pilp, proofs, reduction
-from parafrob.eqpfit import Fit, FitConfig, NoFit, SampleSeries
+from parafrob.eqpfit import Fit, NoFit, SampleSeries
 from parafrob.frobenius import Coins
 from parafrob.pilp import (
     EQ,
@@ -172,7 +172,6 @@ def _pilp_test_systems():
 
 
 def test_criterion_06_pilp_eqp_realization():
-    cfg = FitConfig(d_max=8, deg_max=4, holdout=16, min_support=7)
     fits = 0
     for name, sys, objective in _pilp_test_systems():
         samples = {
@@ -184,7 +183,7 @@ def test_criterion_06_pilp_eqp_realization():
         }
         for label, fn in samples.items():
             series = SampleSeries(1, tuple(fn(t) for t in range(1, 81)))
-            res = eqpfit.fit_quasipolynomial(series, cfg)
+            res = eqpfit.fit_quasipolynomial(series, d_max=8, deg_max=4)
             assert isinstance(res, Fit), (name, label, res)
             for t in range(81, 91):
                 assert res.qp.eval(t) == fn(t), (name, label, t)
@@ -192,7 +191,7 @@ def test_criterion_06_pilp_eqp_realization():
     periods = [
         eqpfit.fit_quasipolynomial(
             SampleSeries(1, tuple(pilp.size_function(s, t) for t in range(1, 81))),
-            cfg,
+            d_max=8, deg_max=4,
         ).qp.period
         for _, s, _ in _pilp_test_systems()
     ]
@@ -219,7 +218,7 @@ def test_criterion_07_exclusion_crosscheck():
     base = PolyFamily((U, U + const(2)), 1, 1)
     gcd_fit = eqpfit.fit_quasipolynomial(
         reduction.gcd_series(base, 1, 40),
-        FitConfig(d_max=4, deg_max=2, holdout=8, min_support=4),
+        d_max=4, deg_max=2,
     )
     assert isinstance(gcd_fit, Fit)
     windows = []
@@ -403,7 +402,6 @@ def test_criterion_10_disjoint_disjunction():
 
 
 def test_criterion_11_negative_controls():
-    cfg = FitConfig(d_max=12, deg_max=6)
     series = {
         "l growing with t": SampleSeries(3, tuple(
             frobenius.generalized_frobenius(Coins([t, t - 1]), 1, t)
@@ -416,7 +414,7 @@ def test_criterion_11_negative_controls():
             for t in range(3, 81))),
     }
     for label, s in series.items():
-        res = eqpfit.fit_quasipolynomial(s, cfg)
+        res = eqpfit.fit_quasipolynomial(s, d_max=12, deg_max=6)
         assert isinstance(res, NoFit), label
         assert "bounded-search" in res.note
         assert res.diagnostics

@@ -46,9 +46,11 @@ def test_compute_examples():
 
 
 def test_compute_h_excerpt_and_table():
-    res = run("compute", "--a", "2,3", "--m", "2", "--h-excerpt", "6",
-              "--format", "machine")
-    assert "h 0 1" in res.output and "h 6 2" in res.output
+    res = run("compute", "--a", "2,3", "--m", "2", "--format", "machine")
+    h_lines = [line for line in res.output.splitlines()
+               if line.startswith("h ")]
+    assert h_lines[0] == "h 0 1" and h_lines[6] == "h 6 2"
+    assert h_lines[-1] == "h 16 2" and len(h_lines) == 17
     table = run("compute", "--a", "2,3")
     assert table.exit_code == 0 and "F" in table.output
 
@@ -148,6 +150,24 @@ def test_series_resume_fills_only_missing(tmp_path, monkeypatch):
     values = (tmp_path / "out.fml.series").read_text().split()
     assert values[:4] == ["2", "-1", "3", "1"]  # F(2, 1) = -1, F(3, 2) = 1
     assert len(values) == 22
+
+
+def test_series_runs_one_direct_pass_per_missing_span(tmp_path,
+                                                      monkeypatch):
+    # Each direct pass finds the family's positivity start once.
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    out = str(tmp_path / "out")
+    calls = []
+    real = reduction.positivity_start
+    monkeypatch.setattr(reduction, "positivity_start",
+                        lambda family: calls.append(family) or real(family))
+    res = run("series", "--family", str(fam), "--t-min", "5", "--t-max", "8",
+              "--out", out)
+    assert res.exit_code == 0 and len(calls) == 1
+    res = run("series", "--family", str(fam), "--t-min", "2", "--t-max", "12",
+              "--out", out)
+    assert res.exit_code == 0 and len(calls) == 3  # t = 2..4 and 9..12
 
 
 def test_series_refuses_a_gap_before_computing(tmp_path, monkeypatch):
@@ -539,6 +559,48 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
     assert res.output == f"error: '{field}:' must be an integer: {value!r}\n"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("crosscheck", "poly: [1, 2\npoly: t\nm: 1\nl: 1\n",
+     "unterminated coefficient list: 'poly: [1, 2'"),
+    ("crosscheck", "poly:\npoly: t\nm: 1\nl: 1\n", "empty polynomial"),
+    ("crosscheck", "poly: t -\npoly: t\nm: 1\nl: 1\n",
+     "bad polynomial term: '-'"),
+    ("compute", ",", "empty tuple: ','"),
+    ("fit", "1 2 3\n", "series lines are 't value': '1 2 3'"),
+    ("fit", "x 2\n", "bad t in series line: 'x 2'"),
+    ("crosscheck", "poly: t\nn: 2\n", "unexpected family line: 'n: 2'"),
+    ("pilp", "vars: 2\nrow: 1, 1 <= t\n",
+     "rows are 'coeffs | sense | rhs': '1, 1 <= t'"),
+    ("pilp", "vars: 2\nnonneg: 1\nrow: 1, 1 | <= | t\n",
+     "nonneg wants 'all' or 2 0/1 flags: '1'"),
+    ("pilp", "vars 2\n", "unexpected system line: 'vars 2'"),
+    ("pilp", "row: 1 | <= | t\n" + exclusion_text(),
+     "row outside sys1:/sys2: section"),
+    ("pilp", "vars: 2\nc: 1\nrow: 1, 1 | <= | t\n",
+     "objective width must match variable count"),
+    ("pilp", exclusion_text().replace("m: 1\n", "", 1),
+     "exclusion file is missing 'm:'"),
+    ("pilp", exclusion_text(vars="vars: 3\n"),
+     "section vars: disagrees with n1/n2"),
+    ("fit --d-max 0", "1 1\n", "d_max must be >= 1 and deg_max >= 0"),
+], ids=["unterminated-list", "empty-poly", "bare-sign", "empty-tuple",
+        "series-fields", "series-t", "family-line", "row-bars", "nonneg",
+        "system-colon", "row-before-sys1", "objective-width", "exclusion-m",
+        "section-vars", "fit-d-max"])
+def test_malformed_input_is_an_input_error(tmp_path, command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    name, *options = command.split()
+    args = {
+        "compute": ["--a", text],
+        "fit": [str(path)],
+        "crosscheck": ["--family", str(path), "--t-min", "2", "--t-max", "3"],
+        "pilp": [str(path), "--t", "3"],
+    }[name]
+    res = run(name, *args, *options)
+    assert (res.exit_code, res.output) == (2, f"error: {message}\n")
+
+
 FAMILY_PAIR = "poly: t\npoly: t + 1\n"
 PLAIN_ROWS = "row: 1, 1 | <= | t\nrow: -1, 0 | <= | 2\n"
 
@@ -599,10 +661,9 @@ def test_out_flag_writes_file(tmp_path):
 
 
 COMMAND_OPTIONS = {
-    "compute": ["--a", "--m", "--l", "--h-excerpt", "--format", "--out"],
+    "compute": ["--a", "--m", "--l", "--format", "--out"],
     "series": ["--family", "--t-min", "--t-max", "--out"],
-    "fit": ["SERIES_PATH", "--d-max", "--deg-max", "--holdout",
-            "--min-support", "--format", "--out"],
+    "fit": ["SERIES_PATH", "--d-max", "--deg-max", "--format", "--out"],
     "crosscheck": ["--family", "--t-min", "--t-max", "--point-cap",
                    "--format", "--out"],
     "pilp": ["SYSTEM_PATH", "--t", "--count", "--objective", "--exclusion",
@@ -622,11 +683,10 @@ def test_help_lists_every_option():
     for name, options in COMMAND_OPTIONS.items():
         res = run(name, "--help")
         assert res.exit_code == 0, name
-        listed = listed_options(res.output)
-        for option in options:
-            assert (option in listed if option.startswith("--")
-                    else option in res.output), (name, option)
-        assert "--inject-mismatch" not in listed, name
+        named = {option for option in options if option.startswith("--")}
+        assert listed_options(res.output) == named, name
+        for positional in set(options) - named:
+            assert positional in res.output, (name, positional)
 
 
 def test_fit_table_and_machine_formats(tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from parafrob import eqpfit
-from parafrob.eqpfit import Fit, FitConfig, NoFit, SampleSeries
+from parafrob.eqpfit import Fit, NoFit, SampleSeries
 from parafrob.errors import InputError, InsufficientDataError
 from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventually_equal
 
@@ -24,11 +24,12 @@ def test_sample_series_contiguity():
         SampleSeries.from_pairs([(1, 0), (3, 0)])
 
 
-def test_fit_config_validation():
-    cfg = FitConfig()
-    assert cfg.holdout == 48 and cfg.min_support == 9
-    with pytest.raises(InputError):
-        FitConfig(deg_max=4, min_support=5)
+def test_fit_bounds_validation():
+    s = series_of(lambda t: t, 1, 60)
+    for bounds in ({"d_max": 0}, {"deg_max": -1}):
+        with pytest.raises(InputError, match="d_max must be >= 1 and "
+                                             "deg_max >= 0"):
+            eqpfit.fit_quasipolynomial(s, **bounds)
 
 
 def test_interpolate_examples():
@@ -61,7 +62,7 @@ def test_fit_floor_half():
 
 def test_fit_non_eqp_log_series():
     s = series_of(lambda t: t * (t.bit_length() - 1), 1, 120)
-    res = eqpfit.fit_quasipolynomial(s, FitConfig(d_max=6, deg_max=4))
+    res = eqpfit.fit_quasipolynomial(s, d_max=6, deg_max=4)
     assert isinstance(res, NoFit)
     assert "bounded-search" in res.note
     assert any(d == 1 for d, _, _ in res.diagnostics)
@@ -74,7 +75,7 @@ def test_fit_refuses_finite_transient_head():
         return 999 if t < 7 else 3 * t + 1
 
     s = series_of(f, 1, 70)
-    res = eqpfit.fit_quasipolynomial(s, FitConfig(d_max=4, deg_max=3))
+    res = eqpfit.fit_quasipolynomial(s, d_max=4, deg_max=3)
     assert isinstance(res, NoFit)
 
 
@@ -86,7 +87,7 @@ def test_fit_bottom_heads_and_components():
         return BOTTOM if t < 9 else t * t
 
     s = series_of(f, 1, 80)
-    res = eqpfit.fit_quasipolynomial(s, FitConfig(d_max=4, deg_max=3))
+    res = eqpfit.fit_quasipolynomial(s, d_max=4, deg_max=3)
     assert isinstance(res, Fit)
     qp = res.qp
     assert qp.period == 2
@@ -101,7 +102,7 @@ def test_fit_bottom_heads_and_components():
 def test_fit_rejects_mixed_trailing():
     values = tuple(BOTTOM if t % 3 == 0 else t for t in range(1, 41))
     res = eqpfit.fit_quasipolynomial(
-        SampleSeries(1, values), FitConfig(d_max=2, deg_max=2)
+        SampleSeries(1, values), d_max=2, deg_max=2
     )
     assert isinstance(res, NoFit)
     assert any("mix" in reason for _, _, reason in res.diagnostics)
@@ -109,7 +110,7 @@ def test_fit_rejects_mixed_trailing():
 
 def test_fit_minimality_period_one_never_inflated():
     s = series_of(lambda t: 5 * t - 3, 1, 50)
-    res = eqpfit.fit_quasipolynomial(s, FitConfig(d_max=8, deg_max=3))
+    res = eqpfit.fit_quasipolynomial(s, d_max=8, deg_max=3)
     assert isinstance(res, Fit) and res.qp.period == 1
 
 
@@ -118,11 +119,23 @@ def test_fit_insufficient_data():
         eqpfit.fit_quasipolynomial(series_of(lambda t: t, 1, 8))
 
 
+def test_fit_period_bound_far_above_the_data():
+    # 40 samples: 20 train, 20 held out, min_support 9. Every period from
+    # 3 on has a short class; at d = 8000 class 0 holds no training point.
+    rng = random.Random(5)
+    s = SampleSeries(1, tuple(rng.randint(-99, 99) for _ in range(40)))
+    res = eqpfit.fit_quasipolynomial(s, d_max=8000)
+    assert isinstance(res, NoFit) and len(res.diagnostics) == 8000
+    assert res.diagnostics[2] == (
+        3, 0, "only 6 training points in class (min_support=9)")
+    assert res.diagnostics[-1] == (
+        8000, 0, "only 0 training points in class (min_support=9)")
+
+
 def test_fit_determinism():
     s = series_of(lambda t: (t // 3) ** 2, 1, 90)
-    cfg = FitConfig(d_max=6, deg_max=4)
-    a = eqpfit.fit_quasipolynomial(s, cfg)
-    b = eqpfit.fit_quasipolynomial(s, cfg)
+    a = eqpfit.fit_quasipolynomial(s, d_max=6, deg_max=4)
+    b = eqpfit.fit_quasipolynomial(s, d_max=6, deg_max=4)
     assert a == b
 
 
@@ -161,7 +174,7 @@ def test_round_trip_random_quasipolynomials():
         if not ok:
             continue  # non-integer component; series would not be integral
         s = SampleSeries(t_min, tuple(values))
-        res = eqpfit.fit_quasipolynomial(s, FitConfig(d_max=6, deg_max=4))
+        res = eqpfit.fit_quasipolynomial(s, d_max=6, deg_max=4)
         assert isinstance(res, Fit)
         assert eventually_equal(res.qp, qp)
         done += 1
@@ -169,7 +182,7 @@ def test_round_trip_random_quasipolynomials():
 
 def test_fitted_period_divides_other_fitting_periods():
     s = series_of(lambda t: t // 3, 2, 120)
-    res = eqpfit.fit_quasipolynomial(s, FitConfig(d_max=9, deg_max=2))
+    res = eqpfit.fit_quasipolynomial(s, d_max=9, deg_max=2)
     assert isinstance(res, Fit)
     assert res.qp.period == 3
     # the same data admits fits at multiples of 3 only
@@ -197,7 +210,7 @@ def test_validate_reports():
 def test_fit_reproduces_every_post_threshold_sample():
     rng = random.Random(9)
     s = series_of(lambda t: (t // 2) * t, 1, 100)
-    res = eqpfit.fit_quasipolynomial(s, FitConfig(d_max=4, deg_max=4))
+    res = eqpfit.fit_quasipolynomial(s, d_max=4, deg_max=4)
     assert isinstance(res, Fit)
     rep = eqpfit.validate(res.qp, s)
     assert rep.agree_count == rep.compared_count

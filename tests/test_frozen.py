@@ -78,9 +78,8 @@ VALUE_CLASSES = [
     ("frobenius", "RepCountTable", ("coins", "cap", "counts", "bound")),
     ("frobenius", "AperyTable", ("coins", "m", "a", "values")),
     ("eqpfit", "SampleSeries", ("t_min", "values")),
-    ("eqpfit", "FitConfig", ("d_max", "deg_max", "holdout", "min_support")),
     ("eqpfit", "Fit", ("qp", "training_checked", "holdout_checked")),
-    ("eqpfit", "NoFit", ("diagnostics", "note")),
+    ("eqpfit", "NoFit", ("diagnostics",)),
     ("eqpfit", "ValidationReport",
      ("agree_count", "compared_count", "first_disagreement")),
     ("pilp", "Row", ("coeffs", "sense", "rhs")),

@@ -622,10 +622,9 @@ def test_size_function_series_is_quasipolynomial():
         system(1, [Row((const(2),), LE, T)]),
         system(2, [Row((ONE, const(3)), EQ, T)]),
     ]
-    cfg = eqpfit.FitConfig(d_max=6, deg_max=3, holdout=12, min_support=6)
     for sys in systems:
         series = eqpfit.SampleSeries(
             1, tuple(pilp.size_function(sys, t) for t in range(1, 61))
         )
-        res = eqpfit.fit_quasipolynomial(series, cfg)
+        res = eqpfit.fit_quasipolynomial(series, d_max=6, deg_max=3)
         assert isinstance(res, eqpfit.Fit)

@@ -14,7 +14,7 @@ def layout_rows():
     """(module, names) for each row of the "Library layout" table."""
     section = README.read_text().split("## Library layout", 1)[1]
     rows = re.findall(r"^\| `(parafrob\.\w+)` \| (.*) \|$", section, re.M)
-    return [(module, re.findall(r"`(\w+)`", contents))
+    return [(module, re.findall(r"`(\w+)[`(]", contents))
             for module, contents in rows]
 
 

@@ -78,8 +78,7 @@ def test_gcd_series_range_validation():
 def fit_gcd(family, t_min=None, t_max=40, **kw):
     t_min = t_min if t_min is not None else reduction.positivity_start(family)
     series = reduction.gcd_series(family, t_min, t_max)
-    cfg = eqpfit.FitConfig(d_max=4, deg_max=2, holdout=8, min_support=4)
-    res = eqpfit.fit_quasipolynomial(series, cfg)
+    res = eqpfit.fit_quasipolynomial(series, d_max=4, deg_max=2)
     assert isinstance(res, eqpfit.Fit)
     return res.qp
 
