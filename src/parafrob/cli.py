@@ -55,10 +55,11 @@ def compute(tuple_text, m, l, fmt, out):
     g = table.genus(1)
     fml = table.frobenius(m, l)
     gm = table.genus(m)
-    excerpt = frobenius.rep_count_table(coins, 16, cap=max(m, 2))
+    cap = max(m, 2)
+    excerpt = frobenius.rep_count_table(coins, 16, cap)
     if fmt == "machine":
         lines = [f"F {f}", f"G {g}", f"F_m_l {fml}", f"G_m {gm}"]
-        lines += [f"h {k} {c}" for k, c in enumerate(excerpt.counts)]
+        lines += [f"h {k} {c}" for k, c in enumerate(excerpt)]
     else:
         lines = [
             f"tuple          {formats.format_coins(coins)}",
@@ -66,8 +67,8 @@ def compute(tuple_text, m, l, fmt, out):
             f"G              {g}",
             f"F_m_l (m={m}, l={l})  {fml}",
             f"G_m   (m={m})        {gm}",
-            f"h(k) capped at {excerpt.cap}, k = 0..{excerpt.bound}:",
-            "  " + " ".join(str(c) for c in excerpt.counts),
+            f"h(k) capped at {cap}, k = 0..16:",
+            "  " + " ".join(str(c) for c in excerpt),
         ]
     _emit(lines, out)
 
@@ -252,7 +253,7 @@ def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):
               for i, v in enumerate(top, start=1)]
     if mode == "exclusion":
         lines += ["point " + " ".join(str(x) for x in pt)
-                  for pt in feasible.points]
+                  for pt in feasible]
     _emit(lines, out)
 
 

@@ -8,8 +8,8 @@ bounds; it is not a proof that the sampled function has no such structure.
 
 from fractions import Fraction
 
-from .errors import InputError, InsufficientDataError, frozen
-from .qpoly import BOTTOM, ExtendedValue, Poly, QuasiPolynomial
+from .errors import InputError, frozen
+from .qpoly import BOTTOM, Poly, QuasiPolynomial
 
 
 @frozen
@@ -36,11 +36,6 @@ class SampleSeries:
     @property
     def t_max(self) -> int:
         return self.t_min + len(self.values) - 1
-
-    def value_at(self, t: int) -> ExtendedValue:
-        if not self.t_min <= t <= self.t_max:
-            raise InputError(f"t={t} outside sampled range")
-        return self.values[t - self.t_min]
 
     def items(self):
         return [(self.t_min + i, v) for i, v in enumerate(self.values)]
@@ -161,9 +156,12 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
     ``validate`` finds no sample of the series above the threshold that
     the assembled quasi-polynomial misses. The training samples there lie
     in their classes' suffixes and agree by construction, so a miss is
-    always a holdout sample. A period with a class of fewer than
-    min_support training points is skipped with a diagnostic naming the
-    first such class.
+    always a holdout sample.
+
+    Every class of period d holds at least N // d of the N training
+    points, and some class holds no more, so a class falls short of
+    min_support exactly when d > N // min_support. Those periods are not
+    tried; one closing diagnostic covers them all.
     """
     if d_max < 1 or deg_max < 0:
         raise InputError("d_max must be >= 1 and deg_max >= 0")
@@ -171,29 +169,17 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
     min_support = deg_max + 3
     training = series.items()[: len(series) - holdout]
     if len(training) < min_support:
-        raise InsufficientDataError(
+        raise InputError(
             f"{len(training)} training samples cannot support any fit "
             f"(min_support={min_support})"
         )
 
     diagnostics = []
-    for d in range(1, d_max + 1):
+    supported = len(training) // min_support
+    for d in range(1, min(d_max, supported) + 1):
         classes = {}
         for t, v in training:
             classes.setdefault(t % d, []).append((t, v))
-        # At most len(training) / min_support classes are full, so this
-        # scan is bounded by the data, not by d.
-        r = 0
-        while r < d and len(classes.get(r, ())) >= min_support:
-            r += 1
-        if r < d:
-            diagnostics.append(
-                (d, r,
-                 f"only {len(classes.get(r, ()))} training points in class "
-                 f"(min_support={min_support})")
-            )
-            continue
-
         components = []
         threshold = series.t_min - 1
         for r in range(d):
@@ -211,7 +197,12 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
                 return Fit(qp, report.compared_count - holdout, holdout)
             t = report.first_disagreement[0]
             diagnostics.append((d, None, f"holdout mismatch at t={t}"))
-
+    if d_max > supported:
+        d = supported + 1
+        diagnostics.append(
+            (d, None,
+             f"up to period {d_max}, each period has a class of at most "
+             f"{len(training) // d} training points (min_support={min_support})"))
     return NoFit(tuple(diagnostics))
 
 

@@ -13,36 +13,14 @@ class ParafrobError(Exception):
 
 
 class InputError(ParafrobError):
-    """Malformed grammar, invalid construction arguments, or bad CLI input."""
-
-
-class BelowThresholdError(ParafrobError):
-    """Quasi-polynomial evaluated at or below its validity threshold."""
+    """Malformed or invalid input, or input the question cannot be answered
+    on: an unbounded region, a series too short to fit, a fitted gcd that
+    does not divide. Exit 2."""
 
 
 class ResourceLimitError(ParafrobError):
     """Table cells, lattice search work, or clause counts over the configured
-    budget."""
-
-
-class UnboundedRegionError(ParafrobError):
-    """Bound propagation could not derive finite bounds for every coordinate."""
-
-
-class DigitRangeError(ParafrobError):
-    """A digit vector entry lies outside {0, ..., t-1}."""
-
-
-class OutOfRangeError(ParafrobError):
-    """A value to encode lies outside [0, t^r)."""
-
-
-class NonIntegerQuotientError(ParafrobError):
-    """Polynomial division produced a non-integer-valued quotient."""
-
-
-class InsufficientDataError(ParafrobError):
-    """Sample series too short for the fit's search bounds."""
+    budget. Exit 3."""
 
 
 def frozen(cls):

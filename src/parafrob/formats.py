@@ -169,7 +169,10 @@ def parse_coins(text: str) -> Coins:
     s = text.strip()
     if s.startswith("a:"):
         s = s[2:].strip()
-    s = s.strip("[]")
+    if s.startswith("[") and s.endswith("]"):
+        s = s[1:-1]
+    if "[" in s or "]" in s:
+        raise InputError(f"misplaced bracket in tuple: {text!r}")
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
         raise InputError(f"empty tuple: {text!r}")
@@ -223,13 +226,6 @@ def parse_family(text: str) -> PolyFamily:
     if header.keys() != {"m", "l"}:
         raise InputError("family file must set m: and l:")
     return PolyFamily(tuple(polys), header["m"], header["l"])
-
-
-def format_family(fam: PolyFamily) -> str:
-    lines = [f"poly: {format_poly_list(p)}" for p in fam.polys]
-    lines.append(f"m: {fam.m}")
-    lines.append(f"l: {fam.l}")
-    return "\n".join(lines) + "\n"
 
 
 def _split_top_level(text: str) -> list:

@@ -3,7 +3,9 @@
 h(k) counts the nonnegative integer tuples (b_1, ..., b_n) with
 sum b_i * a_i = k (ordered tuples: duplicate denominations count
 separately). F, G, F_{m,l} and G_m all come from one residue table per
-tuple and m; the capped coin DP gives h(k) itself and is its oracle.
+tuple and m: apery_table(coins, m).frobenius(m, l) is F_{m,l}, its
+.genus(m) is G_m, and m = l = 1 gives F and G. The capped coin DP gives
+h(k) itself and is the table's oracle.
 window_end is the one bound past which every k has h(k) >= m; on Polys it
 gives the box exponent of the reduction module.
 """
@@ -43,22 +45,9 @@ class Coins:
             return self
         return Coins(e // self.g for e in self.a)
 
-    def scaled(self, c: int) -> "Coins":
-        return Coins(e * c for e in self.a)
 
-
-@frozen
-class RepCountTable:
-    """counts[k] = min(h(k), cap) for k = 0..bound."""
-
-    coins: Coins
-    cap: int
-    counts: tuple
-    bound: int
-
-
-def rep_count_table(coins: Coins, bound: int, cap: int) -> RepCountTable:
-    """Capped representation counts by coin DP, one pass per denomination.
+def rep_count_table(coins: Coins, bound: int, cap: int) -> tuple:
+    """min(h(k), cap) for k = 0..bound, by coin DP, one pass per denomination.
 
     Addition saturates at ``cap``, which keeps every cell small no matter
     how large the true counts grow.
@@ -79,7 +68,7 @@ def rep_count_table(coins: Coins, bound: int, cap: int) -> RepCountTable:
             if prev:
                 s = counts[k] + prev
                 counts[k] = s if s < cap else cap
-    return RepCountTable(coins, cap, tuple(counts), bound)
+    return tuple(counts)
 
 
 def rep_count_exact(coins: Coins, k: int) -> int:
@@ -138,8 +127,14 @@ class AperyTable:
         return self.values[(m - 1) * self.a:m * self.a]
 
     def frobenius(self, m: int, l: int) -> int:
-        """The l-th largest multiple of the gcd with h(k) < m; class r holds
-        w_r - a, w_r - 2a, ... >= 0, so the l largest w_r hold the answer."""
+        """F_{m,l}: the l-th largest multiple k of the gcd with h(k) < m.
+
+        Class r holds w_r - a, w_r - 2a, ... >= 0, so the l largest w_r hold
+        the answer. Every negative multiple qualifies (h = 0 there), and 0
+        does exactly when m >= 2, so the answer may be negative but is never
+        below -l * gcd; F = frobenius(1, 1) is -gcd when every nonnegative
+        multiple of the gcd is representable.
+        """
         if l < 1:
             raise InputError("l must be >= 1")
         a, w = self.a, self._level(m)
@@ -150,8 +145,8 @@ class AperyTable:
         return self.coins.g * next(islice(below, l - 1, None))
 
     def genus(self, m: int) -> int:
-        """Number of positive multiples of the gcd with h(k) < m (k = 0
-        qualifies, uncounted, when w_0 > 0)."""
+        """G_m: the number of positive multiples of the gcd with h(k) < m
+        (k = 0 qualifies, uncounted, when w_0 > 0); G = genus(1)."""
         w = self._level(m)
         return sum((w_r - r) // self.a for r, w_r in enumerate(w)) - (w[0] > 0)
 
@@ -188,32 +183,3 @@ def apery_table(coins: Coins, m: int) -> AperyTable:
         for j in range(i, len(rest)):
             heappush(heap, (v + rest[j], (r + rest[j]) % a, j))
     return AperyTable(coins, m, a, tuple(values))
-
-
-def frobenius_number(coins: Coins) -> int:
-    """Largest multiple of the gcd that is not a nonnegative combination.
-
-    Returns -gcd when every nonnegative multiple of the gcd is
-    representable.
-    """
-    return apery_table(coins, 1).frobenius(1, 1)
-
-
-def genus(coins: Coins) -> int:
-    """Number of positive multiples of the gcd that are not representable."""
-    return apery_table(coins, 1).genus(1)
-
-
-def generalized_frobenius(coins: Coins, m: int, l: int) -> int:
-    """The l-th largest multiple k of the gcd with h(k) < m.
-
-    The qualifying set contains every negative multiple of the gcd (h = 0
-    there) and contains 0 exactly when m >= 2, so the answer may be
-    negative, but never below -l * gcd.
-    """
-    return apery_table(coins, m).frobenius(m, l)
-
-
-def generalized_genus(coins: Coins, m: int) -> int:
-    """Number of positive multiples of the gcd with h(k) < m."""
-    return apery_table(coins, m).genus(m)

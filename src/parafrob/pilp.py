@@ -3,9 +3,12 @@
 A system is instantiated at a concrete integer parameter t, its integer
 points are enumerated exactly (interval bound propagation followed by
 depth-first search), and counting / ranking / projection-exclusion
-questions are answered from one enumeration per system. This is the
-engine behind the pilp and crosscheck commands; the models of the paper's
-proof steps that build on it live in ``proofs``.
+questions are answered from one enumeration per system: enumerate_lattice
+gives the points, lattice_profile the size and the l largest objective
+values (l = None for the size alone), and exclusion_profile the feasible
+set of an exclusion problem with its l largest values. This is the engine
+behind the pilp and crosscheck commands; the models of the paper's proof
+steps that build on it live in ``proofs``.
 """
 
 from fractions import Fraction
@@ -13,14 +16,8 @@ from heapq import heappush, heapreplace
 from math import gcd
 from operator import mul
 
-from .errors import (
-    DEFAULT_POINT_CAP,
-    InputError,
-    ResourceLimitError,
-    UnboundedRegionError,
-    frozen,
-)
-from .qpoly import BOTTOM, ExtendedValue, Poly
+from .errors import DEFAULT_POINT_CAP, InputError, ResourceLimitError, frozen
+from .qpoly import BOTTOM, Poly
 
 LE = "<="
 EQ = "=="
@@ -65,16 +62,6 @@ class ParametricConstraintSystem:
                 raise InputError("row width must match variable count")
 
 
-@frozen
-class LatticeSet:
-    """Distinct integer points of an instantiated system, lexicographic."""
-
-    points: tuple
-
-    def __len__(self):
-        return len(self.points)
-
-
 def _int_value(p: Poly, t: int) -> int:
     v = p(t)
     if isinstance(v, Fraction):
@@ -93,8 +80,8 @@ def _propagate(rows, nonneg, n):
     """Iterated single-row interval tightening to a fixpoint.
 
     Returns (lo, hi) integer bound lists, or None when a contradiction
-    proves the region empty. Raises UnboundedRegionError when some
-    coordinate still has no finite bound after MAX_SWEEPS sweeps.
+    proves the region empty. Raises InputError when some coordinate still
+    has no finite bound after MAX_SWEEPS sweeps.
     """
     lo = [0 if nonneg[i] else None for i in range(n)]
     hi = [None] * n
@@ -152,7 +139,7 @@ def _propagate(rows, nonneg, n):
 
     missing = [i for i in range(n) if lo[i] is None or hi[i] is None]
     if missing:
-        raise UnboundedRegionError(
+        raise InputError(
             f"no finite bounds derivable for coordinate(s) {missing}"
         )
     return lo, hi
@@ -345,10 +332,10 @@ def _stream(sys: ParametricConstraintSystem, t: int, visit, point_cap,
 
 
 def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
-                      point_cap: int = DEFAULT_POINT_CAP) -> LatticeSet:
-    """All integer points of the instantiated system, lexicographic.
+                      point_cap: int = DEFAULT_POINT_CAP) -> tuple:
+    """All integer points of the instantiated system, sorted.
 
-    Raises UnboundedRegionError when propagation cannot bound every
+    Raises InputError when propagation cannot bound every
     coordinate and ResourceLimitError once search nodes plus points pass
     point_cap.
     """
@@ -359,7 +346,7 @@ def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
 
     _stream(sys, t, collect, point_cap)
     points.sort()
-    return LatticeSet(tuple(points))
+    return tuple(points)
 
 
 def _run_points(first, step, length):
@@ -430,19 +417,6 @@ def lattice_profile(sys: ParametricConstraintSystem, t: int, c, l,
     return ranking.size, ranking.top()
 
 
-def size_function(sys: ParametricConstraintSystem, t: int,
-                  point_cap: int = DEFAULT_POINT_CAP) -> int:
-    """Number of lattice points of the instantiated system."""
-    return lattice_profile(sys, t, None, None, point_cap)[0]
-
-
-def lth_largest_objective(sys: ParametricConstraintSystem, c, l: int, t: int,
-                          point_cap: int = DEFAULT_POINT_CAP) -> ExtendedValue:
-    """The l-th largest objective value with multiplicity, BOTTOM when
-    fewer than l points exist."""
-    return lattice_profile(sys, t, c, l, point_cap)[1][l - 1]
-
-
 @frozen
 class ExclusionProblem:
     """Exclude from one lattice set the heavily-covered fibers of another.
@@ -475,7 +449,7 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
                       point_cap: int = DEFAULT_POINT_CAP):
     """(the feasible set, the l largest objective values over it).
 
-    The feasible set holds the sys2 points whose sys1 fiber has fewer than
+    The feasible set is the sorted tuple of the sys2 points whose sys1 fiber has fewer than
     m points. Each system is searched once: sys1 by a fiber search that
     stops each fiber at its m-th point, sys2 through enumerate_lattice.
     Each kept point is ranked as a one-point run, as in lattice_profile.
@@ -483,9 +457,9 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     ranking = _Ranking(ex.c, t, l)
     full = set()  # keys with at least m sys1 points above them
     _stream(ex.sys1, t, full.add, point_cap, (ex.n2, ex.m))
-    points = enumerate_lattice(ex.sys2, t, point_cap).points
+    points = enumerate_lattice(ex.sys2, t, point_cap)
     kept = tuple(pt for pt in points if pt not in full)
     no_step = (0,) * ex.n2
     for pt in kept:
         ranking.offer(pt, no_step, 1)
-    return LatticeSet(kept), ranking.top()
+    return kept, ranking.top()

@@ -9,13 +9,7 @@ the engine in ``pilp``.
 
 import itertools
 
-from .errors import (
-    DigitRangeError,
-    InputError,
-    OutOfRangeError,
-    ResourceLimitError,
-    frozen,
-)
+from .errors import InputError, ResourceLimitError, frozen
 from .pilp import LE, ExclusionProblem, ParametricConstraintSystem, Row
 from .qpoly import Poly
 
@@ -42,7 +36,7 @@ def digit_decode(y, t: int, r: int) -> tuple:
     if len(y) % r != 0:
         raise InputError("digit vector length must be a multiple of r")
     if any(d < 0 or d >= t for d in y):
-        raise DigitRangeError(f"digits must lie in [0, {t - 1}]")
+        raise InputError(f"digits must lie in [0, {t - 1}]")
     out = []
     for i in range(len(y) // r):
         block = y[i * r:(i + 1) * r]
@@ -56,7 +50,7 @@ def digit_encode(x, t: int, r: int) -> tuple:
     out = []
     for v in x:
         if v < 0 or v >= t**r:
-            raise OutOfRangeError(f"value {v} outside [0, {t}^{r})")
+            raise InputError(f"value {v} outside [0, {t}^{r})")
         for _ in range(r):
             v, d = divmod(v, t)
             out.append(d)

@@ -9,7 +9,7 @@ construction and safe to share between threads.
 from fractions import Fraction
 from math import lcm
 
-from .errors import BelowThresholdError, InputError, frozen
+from .errors import InputError, frozen
 
 
 class _Bottom:
@@ -232,9 +232,9 @@ class QuasiPolynomial:
                 raise InputError("components must be Poly or BOTTOM")
 
     def eval(self, t: int) -> ExtendedValue:
-        """Exact value at t; raises BelowThresholdError for t <= threshold."""
+        """Exact value at t; raises InputError for t <= threshold."""
         if t <= self.threshold:
-            raise BelowThresholdError(
+            raise InputError(
                 f"t={t} is not above the threshold {self.threshold}"
             )
         comp = self.components[t % self.period]

@@ -14,13 +14,7 @@ from math import ceil, gcd
 
 from . import frobenius
 from .eqpfit import SampleSeries
-from .errors import (
-    DEFAULT_POINT_CAP,
-    InputError,
-    NonIntegerQuotientError,
-    ResourceLimitError,
-    frozen,
-)
+from .errors import DEFAULT_POINT_CAP, InputError, ResourceLimitError, frozen
 from .frobenius import Coins
 from .qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp, eventually_positive
 
@@ -52,22 +46,41 @@ class PolyFamily:
 
 
 def positivity_start(fam: PolyFamily) -> int:
-    """Smallest t0 >= 1 with every family entry positive for all t >= t0.
-
-    Exact: an entry p with positive leading coefficient is positive at
-    every t >= 1 + B, where B is the largest |c| / lead over its negative
-    coefficients c (Cauchy's bound on the positive roots; with none, p is
-    positive at every t >= 1). The scan runs down from just below that
-    bound and stops at the first t with p(t) <= 0.
-    """
+    """Smallest t0 >= 1 with every family entry positive for all t >= t0."""
     start = 1
     for p in fam.polys:
-        negative = [-c for c in p.coeffs[:-1] if c < 0]
-        t = ceil(max(negative, default=0) / p.leading_coefficient)
-        while t >= start and p(t) > 0:
-            t -= 1
-        start = max(start, t + 1)
+        start = _positive_from(p, start)
     return start
+
+
+def _positive_from(p: Poly, low: int) -> int:
+    """Smallest t0 >= low with p(t) > 0 for all t >= t0; p's leading
+    coefficient is positive.
+
+    Exact: p increases strictly from s on, s the same start for its forward
+    difference p(t+1) - p(t). If p(s) <= 0, bisection finds the first
+    positive t in (s, 1 + ceil(B)], where B is the largest |c| / lead over
+    p's negative coefficients c: by Cauchy's bound every positive root lies
+    below 1 + B.
+    Otherwise the scan runs down from s and stops at the first t with
+    p(t) <= 0.
+    """
+    if p.degree < 1:
+        return low
+    s = _positive_from(p.compose(Poly((1, 1))) - p, low)
+    if p(s) <= 0:
+        negative = [-c for c in p.coeffs[:-1] if c < 0]
+        lo, hi = s, ceil(max(negative) / p.leading_coefficient) + 1
+        while hi - lo > 1:  # p(lo) <= 0 < p(hi)
+            mid = (lo + hi) // 2
+            if p(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+    while s > low and p(s - 1) > 0:
+        s -= 1
+    return s
 
 
 def _check_range(fam: PolyFamily, t_min: int, t_max: int):
@@ -95,7 +108,7 @@ def reduce_by_gcd(fam: PolyFamily, gcd_fit: QuasiPolynomial,
     d is the fitted period; the result is a family in the variable s whose
     entry gcd is eventually 1 along the class. Exact polynomial division
     with an integer-valued quotient is required; anything else means the
-    fit was not the true gcd and raises NonIntegerQuotientError.
+    fit was not the true gcd and raises InputError.
     """
     d = gcd_fit.period
     if not 0 <= residue < d:
@@ -109,11 +122,11 @@ def reduce_by_gcd(fam: PolyFamily, gcd_fit: QuasiPolynomial,
     for p in fam.polys:
         quo, rem = divmod(p.compose(substitution), divisor_s)
         if not rem.is_zero():
-            raise NonIntegerQuotientError(
+            raise InputError(
                 "fitted gcd does not divide the family symbolically"
             )
         if not quo.is_integer_valued():
-            raise NonIntegerQuotientError(
+            raise InputError(
                 "quotient is not integer-valued; fitted gcd too small"
             )
         reduced.append(quo)

@@ -50,8 +50,9 @@ def test_criterion_01_sylvester_suite():
             if gcd(a, b) != 1:
                 continue
             coins = Coins([a, b])
-            assert frobenius.frobenius_number(coins) == a * b - a - b
-            assert frobenius.genus(coins) == (a - 1) * (b - 1) // 2
+            table = frobenius.apery_table(coins, 1)
+            assert table.frobenius(1, 1) == a * b - a - b
+            assert table.genus(1) == (a - 1) * (b - 1) // 2
             pairs += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -100,14 +101,12 @@ def test_criterion_03_scaling_identities():
         c = rng.randint(1, 5)
         m = rng.randint(1, 3)
         l = rng.randint(1, 3)
-        coins, scaled = Coins(a), Coins(a).scaled(c)
-        assert frobenius.frobenius_number(scaled) == \
-            c * frobenius.frobenius_number(coins)
-        assert frobenius.genus(scaled) == frobenius.genus(coins)
-        assert frobenius.generalized_frobenius(scaled, m, l) \
-            == c * frobenius.generalized_frobenius(coins, m, l)
-        assert frobenius.generalized_genus(scaled, m) == \
-            frobenius.generalized_genus(coins, m)
+        table = frobenius.apery_table(Coins(a), m)
+        multiple = frobenius.apery_table(Coins([c * e for e in a]), m)
+        assert multiple.frobenius(1, 1) == c * table.frobenius(1, 1)
+        assert multiple.genus(1) == table.genus(1)
+        assert multiple.frobenius(m, l) == c * table.frobenius(m, l)
+        assert multiple.genus(m) == table.genus(m)
     report(3, "200 randomized scaling cases hold exactly for F, G, and both "
               "generalizations")
 
@@ -120,13 +119,13 @@ def test_criterion_04_bound_soundness():
         coins = Coins(a)
         if coins.g != 1:
             continue
-        assert frobenius.frobenius_number(coins) <= \
+        assert frobenius.apery_table(coins, 1).frobenius(1, 1) <= \
             qualifying_bound(coins, 1)
         for m in (1, 2, 3):
             window_end = qualifying_bound(coins, m)
-            table = frobenius.rep_count_table(coins, window_end + 50, cap=m)
+            counts = frobenius.rep_count_table(coins, window_end + 50, cap=m)
             for k in range(window_end + 1, window_end + 51):
-                assert table.counts[k] >= m
+                assert counts[k] >= m
         done += 1
     report(4, "100 randomized coprime tuples: F within Schur's bound "
               "and h >= m on (B, B+50] for m <= 3")
@@ -143,15 +142,15 @@ def test_criterion_05_dp_vs_enumeration_oracle():
             for k in range(0, 201, 7):
                 exact = frobenius.rep_count_exact(coins, k)
                 for cap in caps:
-                    assert tables[cap].counts[k] == min(exact, cap)
+                    assert tables[cap][k] == min(exact, cap)
                 checked += 1
     rng = random.Random(103)
     for _ in range(40):
         a = sorted(rng.randint(1, 30) for _ in range(3))
         coins = Coins(a)
-        table = frobenius.rep_count_table(coins, 200, 4)
+        counts = frobenius.rep_count_table(coins, 200, 4)
         for k in rng.sample(range(201), 12):
-            assert table.counts[k] == min(frobenius.rep_count_exact(coins, k), 4)
+            assert counts[k] == min(frobenius.rep_count_exact(coins, k), 4)
             checked += 1
     report(5, f"capped DP equals capped brute-force enumeration on "
               f"{checked} (tuple, k) probes with entries <= 30, k <= 200")
@@ -173,28 +172,25 @@ def _pilp_test_systems():
 
 def test_criterion_06_pilp_eqp_realization():
     fits = 0
+    periods = []
     for name, sys, objective in _pilp_test_systems():
+        # t = 1..80 train the fit, t = 81..90 are predicted.
+        profiles = [pilp.lattice_profile(sys, t, objective, 2)
+                    for t in range(1, 91)]
         samples = {
-            "size": lambda t, s=sys: pilp.size_function(s, t),
-            "f1": lambda t, s=sys, c=objective:
-                pilp.lth_largest_objective(s, c, 1, t),
-            "f2": lambda t, s=sys, c=objective:
-                pilp.lth_largest_objective(s, c, 2, t),
+            "size": [size for size, _ in profiles],
+            "f1": [top[0] for _, top in profiles],
+            "f2": [top[1] for _, top in profiles],
         }
-        for label, fn in samples.items():
-            series = SampleSeries(1, tuple(fn(t) for t in range(1, 81)))
+        for label, values in samples.items():
+            series = SampleSeries(1, tuple(values[:80]))
             res = eqpfit.fit_quasipolynomial(series, d_max=8, deg_max=4)
             assert isinstance(res, Fit), (name, label, res)
             for t in range(81, 91):
-                assert res.qp.eval(t) == fn(t), (name, label, t)
+                assert res.qp.eval(t) == values[t - 1], (name, label, t)
             fits += 1
-    periods = [
-        eqpfit.fit_quasipolynomial(
-            SampleSeries(1, tuple(pilp.size_function(s, t) for t in range(1, 81))),
-            d_max=8, deg_max=4,
-        ).qp.period
-        for _, s, _ in _pilp_test_systems()
-    ]
+            if label == "size":
+                periods.append(res.qp.period)
     assert max(periods) > 1  # a genuinely periodic system is in the set
     report(6, f"{fits} size/f1/f2 series over t=1..80 fitted exactly and all "
               f"10 held-out values t=81..90 predicted exactly per series")
@@ -404,13 +400,13 @@ def test_criterion_10_disjoint_disjunction():
 def test_criterion_11_negative_controls():
     series = {
         "l growing with t": SampleSeries(3, tuple(
-            frobenius.generalized_frobenius(Coins([t, t - 1]), 1, t)
+            frobenius.apery_table(Coins([t, t - 1]), 1).frobenius(1, t)
             for t in range(3, 81))),
         "m growing with t (ranked)": SampleSeries(3, tuple(
-            frobenius.generalized_frobenius(Coins([6, 10, 15]), t, 1)
+            frobenius.apery_table(Coins([6, 10, 15]), t).frobenius(t, 1)
             for t in range(3, 81))),
         "m growing with t (count)": SampleSeries(3, tuple(
-            frobenius.generalized_genus(Coins([6, 10, 15]), t)
+            frobenius.apery_table(Coins([6, 10, 15]), t).genus(t)
             for t in range(3, 81))),
     }
     for label, s in series.items():

@@ -566,6 +566,8 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
     ("crosscheck", "poly: t -\npoly: t\nm: 1\nl: 1\n",
      "bad polynomial term: '-'"),
     ("compute", ",", "empty tuple: ','"),
+    ("compute", "[6, 10, 15", "misplaced bracket in tuple: '[6, 10, 15'"),
+    ("compute", "6,10]]", "misplaced bracket in tuple: '6,10]]'"),
     ("fit", "1 2 3\n", "series lines are 't value': '1 2 3'"),
     ("fit", "x 2\n", "bad t in series line: 'x 2'"),
     ("crosscheck", "poly: t\nn: 2\n", "unexpected family line: 'n: 2'"),
@@ -583,10 +585,12 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
     ("pilp", exclusion_text(vars="vars: 3\n"),
      "section vars: disagrees with n1/n2"),
     ("fit --d-max 0", "1 1\n", "d_max must be >= 1 and deg_max >= 0"),
+    ("fit", "1 1\n2 2\n",
+     "1 training samples cannot support any fit (min_support=9)"),
 ], ids=["unterminated-list", "empty-poly", "bare-sign", "empty-tuple",
-        "series-fields", "series-t", "family-line", "row-bars", "nonneg",
+        "open-bracket", "extra-bracket", "series-fields", "series-t", "family-line", "row-bars", "nonneg",
         "system-colon", "row-before-sys1", "objective-width", "exclusion-m",
-        "section-vars", "fit-d-max"])
+        "section-vars", "fit-d-max", "fit-too-short"])
 def test_malformed_input_is_an_input_error(tmp_path, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)

@@ -7,7 +7,7 @@ import pytest
 
 from parafrob import eqpfit
 from parafrob.eqpfit import Fit, NoFit, SampleSeries
-from parafrob.errors import InputError, InsufficientDataError
+from parafrob.errors import InputError
 from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventually_equal
 
 U = Poly.variable()
@@ -19,7 +19,7 @@ def series_of(fn, t_min, t_max):
 
 def test_sample_series_contiguity():
     s = SampleSeries.from_pairs([(3, 1), (5, 3), (4, 2)])
-    assert s.t_min == 3 and s.t_max == 5 and s.value_at(4) == 2
+    assert s.t_min == 3 and s.t_max == 5 and s.values == (1, 2, 3)
     with pytest.raises(InputError):
         SampleSeries.from_pairs([(1, 0), (3, 0)])
 
@@ -115,21 +115,23 @@ def test_fit_minimality_period_one_never_inflated():
 
 
 def test_fit_insufficient_data():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InputError, match=r"4 training samples cannot support "
+                                         r"any fit \(min_support=9\)"):
         eqpfit.fit_quasipolynomial(series_of(lambda t: t, 1, 8))
 
 
 def test_fit_period_bound_far_above_the_data():
     # 40 samples: 20 train, 20 held out, min_support 9. Every period from
-    # 3 on has a short class; at d = 8000 class 0 holds no training point.
+    # 20 // 9 + 1 = 3 on has a class of at most 20 // 3 = 6 training
+    # points: periods 1 and 2 are tried, one diagnostic covers the rest.
     rng = random.Random(5)
     s = SampleSeries(1, tuple(rng.randint(-99, 99) for _ in range(40)))
-    res = eqpfit.fit_quasipolynomial(s, d_max=8000)
-    assert isinstance(res, NoFit) and len(res.diagnostics) == 8000
-    assert res.diagnostics[2] == (
-        3, 0, "only 6 training points in class (min_support=9)")
+    res = eqpfit.fit_quasipolynomial(s, d_max=200_000)
+    assert isinstance(res, NoFit)
+    assert [d for d, _, _ in res.diagnostics] == [1, 2, 3]
     assert res.diagnostics[-1] == (
-        8000, 0, "only 0 training points in class (min_support=9)")
+        3, None, "up to period 200000, each period has a class of at most "
+                 "6 training points (min_support=9)")
 
 
 def test_fit_determinism():

@@ -38,19 +38,20 @@ def test_coins_validation():
 
 
 def test_rep_count_table_examples():
-    assert fr.rep_count_table(Coins([2, 3]), 6, 10).counts[6] == 2
-    assert fr.rep_count_table(Coins([3, 5]), 7, 10).counts[7] == 0
+    assert fr.rep_count_table(Coins([2, 3]), 6, 10)[6] == 2
+    assert fr.rep_count_table(Coins([3, 5]), 7, 10)[7] == 0
     for a in ([2, 3], [3, 5], [1, 1]):
-        assert fr.rep_count_table(Coins(a), 0, 5).counts[0] == 1
+        assert fr.rep_count_table(Coins(a), 0, 5) == (1,)
 
 
 def test_rep_count_table_gcd_and_cap_invariants():
     coins = Coins([6, 10])
-    table = fr.rep_count_table(coins, 40, 3)
-    for k in range(41):
-        assert table.counts[k] <= 3
+    counts = fr.rep_count_table(coins, 40, 3)
+    assert len(counts) == 41
+    for k, count in enumerate(counts):
+        assert count <= 3
         if k % 2 == 1:
-            assert table.counts[k] == 0
+            assert count == 0
 
 
 def test_rep_count_table_budget():
@@ -74,9 +75,9 @@ def test_dp_agrees_with_brute_force_oracle():
         a = [rng.randint(1, 30) for _ in range(n)]
         cap = rng.choice([1, 2, 4])
         bound = rng.randint(0, 60)
-        table = fr.rep_count_table(Coins(a), bound, cap)
-        for k in range(bound + 1):
-            assert table.counts[k] == min(brute_h(tuple(a), k), cap)
+        counts = fr.rep_count_table(Coins(a), bound, cap)
+        assert counts == tuple(min(brute_h(tuple(a), k), cap)
+                               for k in range(bound + 1))
 
 
 def test_qualifying_bound_examples():
@@ -90,33 +91,27 @@ def test_qualifying_bound_examples():
 
 
 def test_frobenius_number_examples():
-    assert fr.frobenius_number(Coins([3, 5])) == 7
-    assert fr.frobenius_number(Coins([6, 10])) == 14
-    assert fr.frobenius_number(Coins([6, 10, 15])) == 29
-    assert fr.frobenius_number(Coins([1, 7])) == -1
-    assert fr.frobenius_number(Coins([2, 2])) == -2
+    # F is -gcd when every nonnegative multiple of the gcd is representable.
+    for a, want in (([3, 5], 7), ([6, 10], 14), ([6, 10, 15], 29),
+                    ([1, 7], -1), ([2, 2], -2)):
+        assert fr.apery_table(Coins(a), 1).frobenius(1, 1) == want
 
 
 def test_genus_examples():
-    assert fr.genus(Coins([3, 5])) == 4
-    assert fr.genus(Coins([6, 10])) == 4
-    assert fr.genus(Coins([2, 3])) == 1
+    for a, want in (([3, 5], 4), ([6, 10], 4), ([2, 3], 1)):
+        assert fr.apery_table(Coins(a), 1).genus(1) == want
 
 
 def test_generalized_frobenius_examples():
-    assert fr.generalized_frobenius(Coins([3, 5]), 1, 1) == 7
-    assert fr.generalized_frobenius(Coins([1, 1]), 1, 1) == -1
+    assert fr.apery_table(Coins([1, 1]), 1).frobenius(1, 1) == -1
     # largest k with h(k) <= 1 for (3, 5), checked against the oracle
     want = next(k for k in count(100, -1) if brute_h((3, 5), k) <= 1)
-    assert fr.generalized_frobenius(Coins([3, 5]), 2, 1) == want
+    assert fr.apery_table(Coins([3, 5]), 2).frobenius(2, 1) == want
 
 
 def test_generalized_genus_examples():
-    assert fr.generalized_genus(Coins([3, 5]), 1) == 4
-    assert fr.generalized_genus(Coins([6, 10]), 2) == fr.generalized_genus(
-        Coins([3, 5]), 2
-    )
-    assert fr.generalized_genus(Coins([2, 3]), 1) == 1
+    assert fr.apery_table(Coins([6, 10]), 2).genus(2) == \
+        fr.apery_table(Coins([3, 5]), 2).genus(2)
 
 
 def test_generalized_values_match_brute_force():
@@ -134,16 +129,16 @@ def test_generalized_values_match_brute_force():
             want = g * qualifying[l - 1]
         else:
             want = -g * (l - len(qualifying))
-        assert fr.generalized_frobenius(coins, m, l) == want
-        want_count = sum(1 for k in qualifying if k > 0)
-        assert fr.generalized_genus(coins, m) == want_count
+        table = fr.apery_table(coins, m)
+        assert table.frobenius(m, l) == want
+        assert table.genus(m) == sum(1 for k in qualifying if k > 0)
 
 
 def dp_answers(coins, m, l):
     """(F_{m,l}, G_m) from the capped DP over the qualifying_bound window."""
     g = coins.g
     bound = max(qualifying_bound(coins, m) // g, 0)
-    counts = fr.rep_count_table(coins.reduced(), bound, cap=m).counts
+    counts = fr.rep_count_table(coins.reduced(), bound, cap=m)
     qualifying = [k for k in range(bound, -1, -1) if counts[k] < m]
     if l <= len(qualifying):
         f = g * qualifying[l - 1]
@@ -199,12 +194,14 @@ def test_generalized_frobenius_large_l():
     # are a * l = 10^9 candidates, and at m = 2 the l-th qualifier is found
     # by a lazy walk that keeps no list of them.
     big = 10**6
-    assert fr.generalized_frobenius(Coins([3, 5]), 2, big) == -999981
-    assert fr.generalized_frobenius(Coins([3, 5]), 1, big) == -999996
-    assert fr.generalized_frobenius(Coins([1000, 1001]), 1, big) == -500500
+    table = fr.apery_table(Coins([3, 5]), 2)
+    assert table.frobenius(2, big) == -999981
+    assert table.frobenius(1, big) == -999996
+    table = fr.apery_table(Coins([1000, 1001]), 2)
+    assert table.frobenius(1, big) == -500500
     tracemalloc.start()
     try:
-        assert fr.generalized_frobenius(Coins([1000, 1001]), 2, big) == 500500
+        assert table.frobenius(2, big) == 500500
         assert tracemalloc.get_traced_memory()[1] < 4 * 10**6
     finally:
         tracemalloc.stop()
@@ -217,8 +214,9 @@ def test_sylvester_random_pairs():
         a, b = rng.randint(2, 60), rng.randint(2, 60)
         if a == b or gcd(a, b) != 1:
             continue
-        assert fr.frobenius_number(Coins([a, b])) == a * b - a - b
-        assert fr.genus(Coins([a, b])) == (a - 1) * (b - 1) // 2
+        table = fr.apery_table(Coins([a, b]), 1)
+        assert table.frobenius(1, 1) == a * b - a - b
+        assert table.genus(1) == (a - 1) * (b - 1) // 2
         done += 1
 
 
@@ -229,12 +227,12 @@ def test_scaling_identities():
         c = rng.randint(1, 5)
         m = rng.randint(1, 3)
         l = rng.randint(1, 3)
-        coins, scaled = Coins(a), Coins(a).scaled(c)
-        assert fr.frobenius_number(scaled) == c * fr.frobenius_number(coins)
-        assert fr.genus(scaled) == fr.genus(coins)
-        assert fr.generalized_frobenius(scaled, m, l) \
-            == c * fr.generalized_frobenius(coins, m, l)
-        assert fr.generalized_genus(scaled, m) == fr.generalized_genus(coins, m)
+        table = fr.apery_table(Coins(a), m)
+        multiple = fr.apery_table(Coins([c * e for e in a]), m)
+        assert multiple.frobenius(1, 1) == c * table.frobenius(1, 1)
+        assert multiple.genus(1) == table.genus(1)
+        assert multiple.frobenius(m, l) == c * table.frobenius(m, l)
+        assert multiple.genus(m) == table.genus(m)
 
 
 def test_qualifying_bound_soundness():
@@ -244,11 +242,11 @@ def test_qualifying_bound_soundness():
         m = rng.randint(1, 3)
         coins = Coins(a)
         bound = qualifying_bound(coins, m)
-        table = fr.rep_count_table(
+        counts = fr.rep_count_table(
             coins.reduced(), bound // coins.g + 50, cap=m
         )
         for k in range(bound // coins.g + 1, bound // coins.g + 51):
-            assert table.counts[k] >= m
+            assert counts[k] >= m
 
 
 def test_qualifying_bound_scales():
@@ -264,27 +262,22 @@ def test_monotonicity_and_definition_consistency():
         a = [rng.randint(1, 20) for _ in range(rng.randint(2, 3))]
         coins = Coins(a)
         m = rng.randint(1, 3)
-        values = [
-            fr.generalized_frobenius(coins, m, l)
-            for l in range(1, 6)
-        ]
+        table = fr.apery_table(coins, 3)
+        values = [table.frobenius(m, l) for l in range(1, 6)]
         # strictly decreasing in l, by at least the gcd per step
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev - coins.g
         # non-decreasing in m (for fixed l), and same for the counts
         for l in (1, 2):
-            series = [
-                fr.generalized_frobenius(coins, mm, l)
-                for mm in range(1, 4)
-            ]
+            series = [table.frobenius(mm, l) for mm in range(1, 4)]
             assert series == sorted(series)
-        counts = [fr.generalized_genus(coins, mm) for mm in range(1, 4)]
+        counts = [table.genus(mm) for mm in range(1, 4)]
         assert counts == sorted(counts)
         # exactly l-1 qualifying multiples above the answer; answer qualifies
         g = coins.g
         reduced = tuple(sorted(e // g for e in a))
         for l in (1, 2, 3):
-            val = fr.generalized_frobenius(coins, m, l)
+            val = table.frobenius(m, l)
             assert val % g == 0
             k = val // g
             assert brute_h(reduced, k) < m

@@ -75,7 +75,6 @@ def test_frozen_matches_frozen_dataclass():
 VALUE_CLASSES = [
     ("qpoly", "QuasiPolynomial", ("period", "components", "threshold")),
     ("frobenius", "Coins", ("a",)),
-    ("frobenius", "RepCountTable", ("coins", "cap", "counts", "bound")),
     ("frobenius", "AperyTable", ("coins", "m", "a", "values")),
     ("eqpfit", "SampleSeries", ("t_min", "values")),
     ("eqpfit", "Fit", ("qp", "training_checked", "holdout_checked")),
@@ -84,7 +83,6 @@ VALUE_CLASSES = [
      ("agree_count", "compared_count", "first_disagreement")),
     ("pilp", "Row", ("coeffs", "sense", "rhs")),
     ("pilp", "ParametricConstraintSystem", ("n", "rows", "nonneg")),
-    ("pilp", "LatticeSet", ("points",)),
     ("pilp", "ExclusionProblem", ("m", "n1", "n2", "sys1", "sys2", "c")),
     ("proofs", "Atom", ("coeffs", "rhs")),
     ("proofs", "DnfFormula", ("variables", "clauses")),

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from parafrob.errors import BelowThresholdError
+from parafrob.errors import InputError
 from parafrob.qpoly import (
     BOTTOM,
     Poly,
@@ -117,7 +117,7 @@ def test_qp_eval_examples():
 
 def test_qp_eval_below_threshold():
     q = QuasiPolynomial(2, (BOTTOM, U), 5)
-    with pytest.raises(BelowThresholdError):
+    with pytest.raises(InputError, match="t=5 is not above the threshold 5"):
         q.eval(5)
 
 

@@ -5,10 +5,10 @@ from functools import cmp_to_key
 from math import ceil, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from parafrob import eqpfit, frobenius, pilp, reduction
-from parafrob.errors import InputError, NonIntegerQuotientError
+from parafrob.errors import InputError
 from parafrob.frobenius import Coins
 from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp
 from parafrob.reduction import PolyFamily
@@ -43,12 +43,16 @@ def test_positivity_start_examples():
     # the scan starts below the root bound of the negative coefficients only
     assert reduction.positivity_start(fam([U, U - Poly.constant(10**6)])) == 10**6 + 1
     assert reduction.positivity_start(fam([U, U**2 + Poly.constant(10**5)])) == 1
+    # A deep root of a steep entry is found by bisection, not by a scan.
+    assert reduction.positivity_start(
+        fam([U, U**2 - Poly.constant(10**12)])) == 10**6 + 1
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.integers(-30, 30), min_size=0, max_size=3),
                 min_size=2, max_size=3),
        st.lists(st.integers(1, 3), min_size=3, max_size=3))
+@example([[-100_000, 0], [0]], [1, 1, 1])  # t^2 - 100000 and t
 def test_positivity_start_matches_brute_scan(lowers, leads):
     polys = [Poly(tuple(lower) + (lead,)) for lower, lead in zip(lowers, leads)]
     # Past the Cauchy bound on all coefficients no entry has a root.
@@ -112,7 +116,8 @@ def test_reduce_by_gcd_polynomial_divisor():
 def test_reduce_by_gcd_rejects_wrong_divisor():
     family = fam([U, U + Poly.constant(2)])
     wrong = QuasiPolynomial(1, (Poly.constant(2),), 0)
-    with pytest.raises(NonIntegerQuotientError):
+    with pytest.raises(InputError, match="quotient is not integer-valued; "
+                                         "fitted gcd too small"):
         reduction.reduce_by_gcd(family, wrong, 0)
     with pytest.raises(InputError):
         reduction.reduce_by_gcd(family, QuasiPolynomial(1, (BOTTOM,), 0), 0)
@@ -127,13 +132,10 @@ def test_reduction_identity_numerically():
         for s in range(3, 12):
             t = residue + qp.period * s
             h = gcd(*family.values(t))
-            whole = frobenius.generalized_frobenius(
-                Coins(family.values(t)), 2, 2)
-            part = frobenius.generalized_frobenius(Coins(red.values(s)), 2, 2)
-            assert whole == h * part
-            assert frobenius.generalized_genus(
-                Coins(family.values(t)), 2
-            ) == frobenius.generalized_genus(Coins(red.values(s)), 2)
+            whole = frobenius.apery_table(Coins(family.values(t)), 2)
+            part = frobenius.apery_table(Coins(red.values(s)), 2)
+            assert whole.frobenius(2, 2) == h * part.frobenius(2, 2)
+            assert whole.genus(2) == part.genus(2)
 
 
 MIXED5 = (U, 2 * U**2 + ONE, 2 * U**2 + U, 2 * U**2 + 2 * U, 2 * U**2 + 3 * U)
@@ -169,8 +171,8 @@ def assert_window_bound_holds(family, ts):
         values = family.values(t)
         if min(values) <= 0 or gcd(*values) != 1 or x_max(t) != max(values):
             continue
-        answer = frobenius.generalized_frobenius(
-            Coins(values), family.m, family.l)
+        answer = frobenius.apery_table(Coins(values), family.m).frobenius(
+            family.m, family.l)
         assert family.l + answer <= bound(t), (family, t)
 
 
@@ -347,10 +349,10 @@ def test_crosscheck_fibers_stop_at_m():
     r = reduction.box_exponent(family)
     ex = reduction.frobenius_to_exclusion(family, r)
     cap = 20_000
-    assert 7**r <= cap < pilp.size_function(ex.sys1, 7)
+    assert 7**r <= cap < pilp.lattice_profile(ex.sys1, 7, None, None)[0]
     _, top = pilp.exclusion_profile(ex, 7, family.l, cap)
-    assert top[family.l - 1] - family.l == frobenius.generalized_frobenius(
-        Coins(family.values(7)), family.m, family.l)
+    table = frobenius.apery_table(Coins(family.values(7)), family.m)
+    assert top[family.l - 1] - family.l == table.frobenius(family.m, family.l)
     report = reduction.crosscheck(family, 7, 7, point_cap=cap)
     assert report.checked == 1 and report.ok
 
@@ -420,8 +422,8 @@ def test_crosscheck_never_reports_diff(family, t_min):
         t, values = row.t, family.values(row.t)
         if min(values) <= 0 or gcd(*values) != 1:
             continue
-        largest = family.l + frobenius.generalized_frobenius(
-            Coins(values), family.m, 1)
+        largest = family.l + frobenius.apery_table(
+            Coins(values), family.m).frobenius(family.m, 1)
         if row.r is None:
             assert t < 2 and largest >= t, row
             continue

@@ -1,0 +1,64 @@
+"""The library's public surface, pinned name by name."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import parafrob
+
+# Each module's public top-level names: what its own statements define.
+# A name joins or leaves this list only together with the code behind it.
+LIBRARY_SURFACE = {
+    "cli": {"EXIT_INPUT", "EXIT_MISMATCH", "EXIT_RESOURCE", "EXIT_UNCHECKED",
+            "compute", "crosscheck", "fit", "fit_report_lines", "main",
+            "pilp_cmd", "series"},
+    "eqpfit": {"Fit", "NoFit", "SampleSeries", "ValidationReport",
+               "fit_quasipolynomial", "interpolate_component", "validate"},
+    "errors": {"DEFAULT_POINT_CAP", "InputError", "ParafrobError",
+               "ResourceLimitError", "frozen"},
+    "formats": {"format_coins", "format_extended", "format_poly_expr",
+                "format_poly_list", "format_rational", "format_series",
+                "parse_coins", "parse_extended", "parse_family", "parse_poly",
+                "parse_rational", "parse_series", "parse_system_file"},
+    "frobenius": {"APERY_LIMIT", "AperyTable", "CELL_LIMIT", "Coins",
+                  "EXACT_LIMIT", "apery_table", "rep_count_exact",
+                  "rep_count_table", "window_end"},
+    "pilp": {"EQ", "ExclusionProblem", "LE", "MAX_SWEEPS",
+             "ParametricConstraintSystem", "Row", "enumerate_lattice",
+             "exclusion_profile", "lattice_profile", "propagated_box"},
+    "proofs": {"Atom", "CLAUSE_LIMIT", "DnfFormula", "digit_decode",
+               "digit_encode", "digit_transform", "digit_transform_exclusion",
+               "disjoint_expand"},
+    "qpoly": {"BOTTOM", "ExtendedValue", "Poly", "QuasiPolynomial",
+              "eventual_cmp", "eventually_equal", "eventually_positive"},
+    "reduction": {"CrosscheckReport", "CrosscheckRow", "DIFF", "EQUAL",
+                  "G_OFFSET", "PolyFamily", "SKIPPED", "box_exponent",
+                  "crosscheck", "direct_series", "frobenius_to_exclusion",
+                  "gcd_series", "positivity_start", "reduce_by_gcd",
+                  "window_bound_poly"},
+}
+
+
+def defined_names(module) -> set:
+    """Public names bound by the module's top-level def, class and
+    assignment statements; imported names are not its own."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_library_surface_is_pinned():
+    modules = {path.stem for path in Path(parafrob.__file__).parent.glob("*.py")}
+    assert modules - {"__init__"} == LIBRARY_SURFACE.keys()
+    for name, surface in LIBRARY_SURFACE.items():
+        module = importlib.import_module(f"parafrob.{name}")
+        assert defined_names(module) == surface, name
+    assert set(parafrob.__all__) == {"BOTTOM", "Poly", "QuasiPolynomial",
+                                     "__version__"}
