@@ -1,4 +1,5 @@
-"""Batch command-line front end.
+"""Batch command line for exact Frobenius quantities, lattice enumeration,
+and series fitting.
 
 Commands: compute, series, fit, crosscheck, pilp. All numeric output is
 exact (integer or rational strings); the machine format is line-oriented
@@ -7,12 +8,11 @@ key/value text so runs can be diffed byte for byte. Exit codes: 0 success,
 mismatch, 5 crosscheck window with no checked row. Package errors are
 mapped to exit codes in one place, ``main``.
 
-Options are parsed by the standard library's argparse, and each command
-imports the modules it runs inside its body, so a cold start loads only
-those.
+Options are parsed from one grammar table, ``_COMMANDS``, which also
+gives the usage lines and help pages. Each command imports the modules it
+runs inside its body, so a cold start loads only those.
 """
 
-import argparse
 import os
 import sys
 from itertools import groupby
@@ -257,117 +257,184 @@ def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):
     _emit(lines, out)
 
 
-def _existing_path(text: str) -> str:
-    if not Path(text).exists():
-        raise argparse.ArgumentTypeError(f"Path {text!r} does not exist.")
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer.") from None
+
+
+def _point_cap(text: str) -> int:
+    if (cap := _int(text)) < 1:
+        raise ValueError(f"{cap} is not in the range x>=1.")
+    return cap
+
+
+def _format(text: str) -> str:
+    if text not in ("table", "machine"):
+        raise ValueError(f"{text!r} is not one of 'table', 'machine'.")
     return text
 
 
-class _AtLeastOne(argparse.Action):
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            parser.error(f"Invalid value for {option_string!r}: {value} is "
-                         "not in the range x>=1.")
-        setattr(namespace, self.dest, value)
+def _existing_path(text: str) -> str:
+    if not Path(text).exists():
+        raise ValueError(f"Path {text!r} does not exist.")
+    return text
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
-    """The option grammar; each command's namespace holds its keyword
-    arguments plus ``command``, the function to call with them."""
-    parser = argparse.ArgumentParser(
-        prog=prog, allow_abbrev=False,
-        description="Exact Frobenius quantities, lattice enumeration, and "
-                    "series fitting.")
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
-                                     required=True)
+# The option grammar, read by the parser, the usage lines and the help
+# pages: per command, its function and its rows (name, dest, converter,
+# default, help). A name without dashes is a positional argument. A
+# default of _REQUIRED makes the row required. A converter that is not
+# callable makes a flag: it takes no value and stores that constant in
+# dest. A help of None hides the row.
+_REQUIRED = object()
+_OUTPUT = (
+    ("--format", "fmt", _format, "table", "Output style: table or machine."),
+    ("--out", "out", str, None, "Write to this file, not stdout."))
+_RANGE = (("--family", "family_path", _existing_path, _REQUIRED,
+           "Family file (poly/m/l)."),
+          ("--t-min", "t_min", _int, _REQUIRED, "First t."),
+          ("--t-max", "t_max", _int, _REQUIRED, "Last t."))
+_POINT_CAP = ("--point-cap", "point_cap", _point_cap, DEFAULT_POINT_CAP,
+              "Work cap per system: search nodes plus points.")
+_COMMANDS = {
+    "compute": (compute, (
+        ("--a", "tuple_text", str, _REQUIRED,
+         "Denomination tuple, e.g. '3,5' or '[6, 10, 15]'."),
+        ("--m", "m", _int, 1, "Multiplicity bound."),
+        ("--l", "l", _int, 1, "Rank of the answer."), *_OUTPUT)),
+    "series": (series, (*_RANGE, (
+        "--out", "out_prefix", str, _REQUIRED,
+        "Write <out>.fml.series and <out>.gm.series."))),
+    "fit": (fit, (
+        ("SERIES_PATH", "series_path", _existing_path, _REQUIRED,
+         "Series file: 't value' lines."),
+        ("--d-max", "d_max", _int, 24, "Largest period tried."),
+        ("--deg-max", "deg_max", _int, 6, "Largest component degree."),
+        *_OUTPUT)),
+    "crosscheck": (crosscheck, (
+        *_RANGE, _POINT_CAP,
+        # Hidden: corrupts the first checked row, to exercise exit code 4.
+        ("--inject-mismatch", "inject_mismatch", True, False, None),
+        *_OUTPUT)),
+    "pilp": (pilp_cmd, (
+        ("SYSTEM_PATH", "system_path", _existing_path, _REQUIRED,
+         "Plain or exclusion system."),
+        ("--t", "t_value", _int, _REQUIRED, "The parameter t."),
+        ("--count", "mode", "count", "count",
+         "Print the lattice point count [default]."),
+        ("--objective", "mode", "objective", "count",
+         "Print the l largest objective values (plain systems need c:)."),
+        ("--exclusion", "mode", "exclusion", "count",
+         "Print the feasible set of an exclusion file."),
+        ("--l", "l_value", _int, 1, "How many objective values to print."),
+        _POINT_CAP, *_OUTPUT)),
+}
 
-    def command(function, name=None):
-        doc = function.__doc__
-        sub = commands.add_parser(name or function.__name__,
-                                  help=doc.split("\n", 1)[0], description=doc,
-                                  allow_abbrev=False)
-        sub.set_defaults(command=function)
-        return sub.add_argument
 
-    def output_options(option):
-        option("--format", dest="fmt", choices=("table", "machine"),
-               default="table", help="Output style. [default: %(default)s]")
-        option("--out", help="Write output to this file instead of stdout.")
+def _parse(prog: str, args: list):
+    """(function, keyword arguments) of one command line. A help page
+    exits 0 and a usage error exits 2, both by SystemExit."""
+    name = args[0] if args else None
+    if name in ("-h", "--help"):
+        _help(prog)
+    if name not in _COMMANDS:
+        _fail(prog, None, f"No such command {name!r}." if args
+              else "Missing argument 'COMMAND'.")
+    function, rows = _COMMANDS[name]
+    options = {row[0]: row for row in rows if row[0].startswith("-")}
+    positionals = [row for row in rows if not row[0].startswith("-")]
+    values = {}
+    for row in rows:
+        values.setdefault(row[1], None if row[3] is _REQUIRED else row[3])
+    args = iter(args[1:])
+    for arg in args:
+        if arg in ("-h", "--help"):
+            _help(prog, name)
+        key, eq, text = arg.partition("=")
+        if not arg.startswith("-"):
+            if not positionals:
+                _fail(prog, name, f"Got unexpected extra argument {arg!r}.")
+            row, text = positionals.pop(0), arg
+        elif (row := options.get(key)) is None:
+            _fail(prog, name, f"No such option {key!r}.")
+        elif not callable(row[2]):
+            if eq:
+                _fail(prog, name, f"Option {key!r} does not take a value.")
+        elif not eq and (text := next(args, None)) is None:
+            _fail(prog, name, f"Option {key!r} requires an argument.")
+        try:
+            values[row[1]] = row[2](text) if callable(row[2]) else row[2]
+        except ValueError as exc:
+            _fail(prog, name, f"Invalid value for {row[0]!r}: {exc}")
+    for row in rows:  # no converter returns None
+        if row[3] is _REQUIRED and values[row[1]] is None:
+            kind = "option" if row[0].startswith("-") else "argument"
+            _fail(prog, name, f"Missing {kind} {row[0]!r}.")
+    return function, values
 
-    def point_cap_option(option):
-        option("--point-cap", type=int, default=DEFAULT_POINT_CAP,
-               action=_AtLeastOne,
-               help="Work cap per enumerated system: search nodes entered "
-                    "below the root plus lattice points taken. [default: "
-                    "%(default)s; x>=1]")
 
-    option = command(compute)
-    option("--a", dest="tuple_text", metavar="TUPLE", required=True,
-           help="Denomination tuple, e.g. '3,5' or '[6, 10, 15]'.")
-    option("--m", type=int, default=1,
-           help="Multiplicity bound. [default: %(default)s]")
-    option("--l", type=int, default=1,
-           help="Rank of the answer. [default: %(default)s]")
-    output_options(option)
+def _head(row) -> str:
+    """A row as usage spells it: its name, and a placeholder for a value."""
+    if row[0].startswith("-") and callable(row[2]):
+        return f"{row[0]} {row[1].upper()}"
+    return row[0]
 
-    option = command(series)
-    option("--family", dest="family_path", metavar="PATH", required=True,
-           type=_existing_path, help="Family file (poly/m/l).")
-    option("--t-min", required=True, type=int)
-    option("--t-max", required=True, type=int)
-    option("--out", dest="out_prefix", metavar="PREFIX", required=True,
-           help="Series are written to <out>.fml.series and <out>.gm.series.")
 
-    option = command(fit)
-    option("series_path", metavar="SERIES_PATH", type=_existing_path)
-    option("--d-max", type=int, default=24,
-           help="Largest period tried. [default: %(default)s]")
-    option("--deg-max", type=int, default=6,
-           help="Largest component degree. [default: %(default)s]")
-    output_options(option)
+def _usage(prog: str, name) -> str:
+    if name is None:
+        return f"usage: {prog} [-h] COMMAND ..."
+    heads = [_head(row) if row[3] is _REQUIRED else f"[{_head(row)}]"
+             for row in _COMMANDS[name][1] if row[4]]
+    return " ".join([f"usage: {prog} {name} [-h]", *heads])
 
-    option = command(crosscheck)
-    option("--family", dest="family_path", metavar="PATH", required=True,
-           type=_existing_path)
-    option("--t-min", required=True, type=int)
-    option("--t-max", required=True, type=int)
-    point_cap_option(option)
-    # Hidden: corrupts the first checked row, to exercise exit code 4.
-    option("--inject-mismatch", action="store_true", help=argparse.SUPPRESS)
-    output_options(option)
 
-    option = command(pilp_cmd, "pilp")
-    option("system_path", metavar="SYSTEM_PATH", type=_existing_path)
-    option("--t", dest="t_value", metavar="T", required=True, type=int)
-    option("--count", dest="mode", action="store_const", const="count",
-           default="count", help="Print the lattice point count [default].")
-    option("--objective", dest="mode", action="store_const",
-           const="objective",
-           help="Print the l largest objective values (plain systems need c:).")
-    option("--exclusion", dest="mode", action="store_const",
-           const="exclusion",
-           help="Print the feasible set of an exclusion file.")
-    option("--l", dest="l_value", metavar="L", type=int, default=1,
-           help="How many ranked objective values to print. "
-                "[default: %(default)s]")
-    point_cap_option(option)
-    output_options(option)
-    return parser
+def _help(prog: str, name=None):
+    """Print the help page of the program, or of one command; exit 0."""
+    if name is None:
+        # Docstrings are None under python -OO.
+        doc, title = (__doc__ or "").split("\n\n", 1)[0], "commands"
+        entries = [(command, (function.__doc__ or "").split("\n", 1)[0])
+                   for command, (function, _) in _COMMANDS.items()]
+    else:
+        function, rows = _COMMANDS[name]
+        doc = (function.__doc__ or "").strip().replace("\n    ", "\n")
+        title = "options"
+        entries = [("-h, --help", "Show this help and exit.")]
+        for row in rows:
+            if row[4]:
+                shown = callable(row[2]) and row[3] not in (None, _REQUIRED)
+                default = f" [default: {row[3]}]" if shown else ""
+                entries.append((_head(row), row[4] + default))
+    width = max(len(head) for head, _ in entries)
+    print(_usage(prog, name), "", doc, "", f"{title}:", sep="\n")
+    print("\n".join(f"  {head:<{width}}  {text}" for head, text in entries))
+    sys.exit(0)
+
+
+def _fail(prog: str, name, message: str):
+    """Report a usage error on stderr and exit 2."""
+    where = prog if name is None else f"{prog} {name}"
+    print(f"{_usage(prog, name)}\n{where}: error: {message}", file=sys.stderr)
+    sys.exit(EXIT_INPUT)
 
 
 def main(args=None, prog_name=None):
     """Run one command line (default ``sys.argv[1:]``).
 
-    A usage error exits 2 from argparse; a package error prints
-    ``error: ...`` to stderr and exits 3 for a resource limit, 2 otherwise;
-    a command's nonzero exit code ends the run with ``SystemExit``. A reader
-    that closes stdout early (``parafrob ... | head``) ends the run quietly
-    with exit 1, and an interrupt prints ``Aborted!`` and exits 1.
+    A usage error prints the usage line and ``PROG CMD: error: ...`` to
+    stderr and exits 2; ``-h``/``--help`` prints a help page and exits 0.
+    A package error prints ``error: ...`` to stderr and exits 3 for a
+    resource limit, 2 otherwise; a command's nonzero exit code ends the run
+    with ``SystemExit``. A reader that closes stdout early (``parafrob ... |
+    head``) ends the run quietly with exit 1, and an interrupt prints
+    ``Aborted!`` and exits 1.
     """
-    namespace = vars(_parser(prog_name or "parafrob").parse_args(args))
-    command = namespace.pop("command")
+    command, options = _parse(prog_name or "parafrob",
+                              sys.argv[1:] if args is None else list(args))
     try:
-        code = command(**namespace)
+        code = command(**options)
         sys.stdout.flush()  # a closed reader shows up here, not at exit
     except ParafrobError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,6 @@ NO_FIT verdict only means no fit exists within the searched period/degree
 bounds; it is not a proof that the sampled function has no such structure.
 """
 
-from fractions import Fraction
-
 from .errors import InputError, frozen
 from .qpoly import BOTTOM, Poly, QuasiPolynomial
 
@@ -95,6 +93,8 @@ def interpolate_component(points, deg_max: int) -> Poly | None:
 
 def _newton_interpolate(points) -> Poly:
     """Exact Newton-form interpolation through all given points."""
+    from fractions import Fraction
+
     ts = [Fraction(t) for t, _ in points]
     coeffs = [Fraction(v) for _, v in points]
     # Divided differences in place.

@@ -8,29 +8,33 @@ one "t value" pair per line with "-inf" for the bottom value; '#' starts a
 comment in every file format.
 """
 
-from __future__ import annotations
-
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .qpoly import BOTTOM, Poly
+from .qpoly import BOTTOM, Poly, _normalize
 
 # Each parser imports the domain class it builds, so a command loads only
 # the modules it runs.
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .eqpfit import SampleSeries
     from .frobenius import Coins
     from .pilp import ParametricConstraintSystem, Row
     from .reduction import PolyFamily
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> "int | Fraction":
+    """An int for an integral rational, else a Fraction."""
     s = text.strip()
     if not re.fullmatch(r"[+-]?\d+(\s*/\s*\d+)?", s):
         raise InputError(f"not an exact rational: {text!r}")
-    return Fraction(s.replace(" ", ""))
+    if "/" not in s:
+        return int(s)
+    from fractions import Fraction
+
+    return _normalize(Fraction(s.replace(" ", "")))
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -42,13 +46,12 @@ def _parse_int(key: str, value: str) -> int:
 
 
 def format_rational(q) -> str:
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-_TERM_RE = re.compile(
+_TERM_PATTERN = (
     r"""^
     (?P<coef>
         [+-]? \( [+-]? \d+ (/\d+)? \) |   # (possibly signed) parenthesized rational
@@ -57,22 +60,22 @@ _TERM_RE = re.compile(
     )
     \*?
     (?P<var> [tu] (\^(?P<exp>\d+))? )?
-    $""",
-    re.VERBOSE,
+    $"""
 )
 
 
 def _parse_term(term: str):
-    m = _TERM_RE.match(term)
+    # Compiled (and cached by re) on first use: only expressions need it.
+    m = re.match(_TERM_PATTERN, term, re.VERBOSE)
     if m is None or (not m.group("coef") and not m.group("var")):
         raise InputError(f"bad polynomial term: {term!r}")
     coef_text = m.group("coef").replace("(", "").replace(")", "")
     if coef_text in ("", "+"):
-        coef = Fraction(1)
+        coef = 1
     elif coef_text == "-":
-        coef = Fraction(-1)
+        coef = -1
     else:
-        coef = Fraction(coef_text)
+        coef = parse_rational(coef_text)
     if m.group("var") is None:
         if coef_text in ("", "+", "-"):
             raise InputError(f"bad polynomial term: {term!r}")
@@ -102,9 +105,9 @@ def parse_poly(text: str) -> Poly:
     coeffs = {}
     for term in terms:
         coef, exp = _parse_term(term)
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
+        coeffs[exp] = coeffs.get(exp, 0) + coef
     top = max(coeffs) if coeffs else 0
-    return Poly(coeffs.get(i, Fraction(0)) for i in range(top + 1))
+    return Poly(coeffs.get(i, 0) for i in range(top + 1))
 
 
 def format_poly_list(p: Poly) -> str:
@@ -151,8 +154,7 @@ def parse_extended(text: str):
     s = text.strip()
     if s == "-inf":
         return BOTTOM
-    q = parse_rational(s)
-    return int(q) if q.denominator == 1 else q
+    return parse_rational(s)
 
 
 def _content_lines(text: str):
@@ -162,7 +164,7 @@ def _content_lines(text: str):
             yield line
 
 
-def parse_coins(text: str) -> Coins:
+def parse_coins(text: str) -> "Coins":
     """Tuple grammar: "a: [6, 10, 15]", "[6, 10, 15]", or "6,10,15"."""
     from .frobenius import Coins
 
@@ -182,11 +184,11 @@ def parse_coins(text: str) -> Coins:
         raise InputError(f"tuple entries must be integers: {text!r}") from None
 
 
-def format_coins(coins: Coins) -> str:
+def format_coins(coins: "Coins") -> str:
     return "a: [" + ", ".join(str(e) for e in coins.a) + "]"
 
 
-def parse_series(text: str) -> SampleSeries:
+def parse_series(text: str) -> "SampleSeries":
     from .eqpfit import SampleSeries
 
     pairs = []
@@ -204,12 +206,12 @@ def parse_series(text: str) -> SampleSeries:
     return SampleSeries.from_pairs(pairs)
 
 
-def format_series(series: SampleSeries) -> str:
+def format_series(series: "SampleSeries") -> str:
     lines = [f"{t} {format_extended(v)}" for t, v in series.items()]
     return "\n".join(lines) + "\n"
 
 
-def parse_family(text: str) -> PolyFamily:
+def parse_family(text: str) -> "PolyFamily":
     """Family grammar: one "poly:" line per entry plus "m:" and "l:"."""
     from .reduction import PolyFamily
 
@@ -247,7 +249,7 @@ def _split_top_level(text: str) -> list:
     return parts
 
 
-def _parse_row(line: str, n: int) -> Row:
+def _parse_row(line: str, n: int) -> "Row":
     from .pilp import EQ, LE, Row
 
     pieces = [p.strip() for p in line.split("|")]
@@ -279,7 +281,7 @@ def _set_header(header: dict, key: str, value):
     header[key] = value
 
 
-def _build_system(header: dict, rows: list) -> ParametricConstraintSystem:
+def _build_system(header: dict, rows: list) -> "ParametricConstraintSystem":
     from .pilp import ParametricConstraintSystem
 
     if "vars" not in header:

@@ -11,7 +11,6 @@ behind the pilp and crosscheck commands; the models of the paper's proof
 steps that build on it live in ``proofs``.
 """
 
-from fractions import Fraction
 from heapq import heappush, heapreplace
 from math import gcd
 from operator import mul
@@ -64,7 +63,7 @@ class ParametricConstraintSystem:
 
 def _int_value(p: Poly, t: int) -> int:
     v = p(t)
-    if isinstance(v, Fraction):
+    if not isinstance(v, int):
         raise InputError("non-integer instantiation; t must be an integer")
     return v
 

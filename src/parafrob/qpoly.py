@@ -1,15 +1,19 @@
 """Exact rational arithmetic substrate: one-variable polynomials with
 rational coefficients, the BOTTOM value, and quasi-polynomials.
 
-Everything here is exact (python ints and fractions.Fraction); no floating
-point is used anywhere in the package. All types are immutable after
-construction and safe to share between threads.
+Everything here is exact: ints, and fractions.Fraction only for numbers
+that are not integral; no floating point is used anywhere in the package.
+All types are immutable after construction and safe to share between
+threads.
 """
 
-from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING, Union
 
 from .errors import InputError, frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _Bottom:
@@ -40,29 +44,39 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 # An extended value is BOTTOM or an exact number.
-ExtendedValue = int | Fraction | _Bottom
+ExtendedValue = Union[int, "Fraction", _Bottom]
 
 
 def _normalize(value):
-    """Collapse integral Fractions to int."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
+    """An exact number as an int when it is integral, else unchanged."""
+    if value.__class__ is int or value.denominator != 1:
+        return value
+    return int(value)
+
+
+def _divide(a, b):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    quotient, remainder = divmod(a, b)
+    if not remainder:
+        return quotient
+    from fractions import Fraction
+
+    return Fraction(a) / b
 
 
 class Poly:
     """One-variable polynomial with exact rational coefficients.
 
-    Coefficients are stored in ascending degree; the zero polynomial has an
-    empty coefficient tuple. A polynomial may map the integers to the
-    integers without having integer coefficients (u*(u-1)/2 does); use
-    :meth:`is_integer_valued` for that test.
+    Coefficients are stored in ascending degree, as ints where integral;
+    the zero polynomial has an empty coefficient tuple. A polynomial may map
+    the integers to the integers without having integer coefficients
+    (u*(u-1)/2 does); use :meth:`is_integer_valued` for that test.
     """
 
     __slots__ = ("coeffs", "_integer_valued")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [_normalize(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -70,11 +84,11 @@ class Poly:
 
     @classmethod
     def constant(cls, c) -> "Poly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def variable(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -82,18 +96,18 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading_coefficient(self) -> "int | Fraction":
+        return self.coeffs[-1] if self.coeffs else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __call__(self, t):
         """Exact value at t (int when the result is integral)."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * t + c
-        return _normalize(acc)
+        return acc if acc.__class__ is int else _normalize(acc)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -104,8 +118,8 @@ class Poly:
     def __add__(self, other):
         other = self._coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
+        a = self.coeffs + (0,) * (n - len(self.coeffs))
+        b = other.coeffs + (0,) * (n - len(other.coeffs))
         return Poly(x + y for x, y in zip(a, b))
 
     __radd__ = __add__
@@ -123,7 +137,7 @@ class Poly:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -145,7 +159,7 @@ class Poly:
         """Multiply by u^k."""
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly((0,) * k + self.coeffs)
 
     def compose(self, inner: "Poly") -> "Poly":
         """Substitute ``inner`` for the variable."""
@@ -160,7 +174,7 @@ class Poly:
         quo = Poly()
         rem = self
         while not rem.is_zero() and rem.degree >= other.degree:
-            c = rem.leading_coefficient / other.leading_coefficient
+            c = _divide(rem.leading_coefficient, other.leading_coefficient)
             term = Poly.constant(c).shift(rem.degree - other.degree)
             quo = quo + term
             rem = rem - term * other
@@ -172,13 +186,13 @@ class Poly:
             return value
         return Poly.constant(value)
 
-    def binomial_coefficients(self) -> tuple[Fraction, ...]:
+    def binomial_coefficients(self) -> tuple:
         """Coefficients in the binomial basis (iterated forward differences
         at 0). The polynomial maps Z to Z iff all of these are integers."""
-        values = [Fraction(self(k)) for k in range(self.degree + 1)] or [Fraction(0)]
+        values = [self(k) for k in range(self.degree + 1)] or [0]
         out = []
         while values:
-            out.append(values[0])
+            out.append(_normalize(values[0]))
             values = [b - a for a, b in zip(values, values[1:])]
         return tuple(out)
 

@@ -10,7 +10,7 @@ the smallest box that holds its answers.
 """
 
 from functools import cmp_to_key
-from math import ceil, gcd
+from math import gcd
 
 from . import frobenius
 from .eqpfit import SampleSeries
@@ -70,7 +70,7 @@ def _positive_from(p: Poly, low: int) -> int:
     s = _positive_from(p.compose(Poly((1, 1))) - p, low)
     if p(s) <= 0:
         negative = [-c for c in p.coeffs[:-1] if c < 0]
-        lo, hi = s, ceil(max(negative) / p.leading_coefficient) + 1
+        lo, hi = s, -(-max(negative) // p.leading_coefficient) + 1
         while hi - lo > 1:  # p(lo) <= 0 < p(hi)
             mid = (lo + hi) // 2
             if p(mid) > 0:

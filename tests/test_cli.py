@@ -477,15 +477,20 @@ print(" ".join(sorted(set(sys.modules) - before)))
 def loaded_modules(workdir, *args):
     """The command's output lines and the parafrob modules it loaded; fails
     if it loaded a module that costs startup time and that parafrob does
-    not need."""
+    not need: an argument parser, and fractions (with decimal) anywhere
+    but in ``fit``, whose interpolation makes non-integral numbers. Every
+    input here is integral."""
     src = str(Path(parafrob.__file__).parents[1])
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
     proc = subprocess.run([sys.executable, "-c", PROBE, *args], cwd=workdir,
                           env=env, capture_output=True, text=True, check=True)
     *output, modules, new = proc.stdout.splitlines()
-    slow = {m.split(".")[0] for m in new.split()} & {"click", "dataclasses",
-                                                     "inspect"}
+    unwanted = {"click", "dataclasses", "inspect", "argparse", "gettext",
+                "locale"}
+    if args[0] != "fit":
+        unwanted |= {"fractions", "decimal"}
+    slow = {m.split(".")[0] for m in new.split()} & unwanted
     assert not slow, (args, slow)
     return output, {m.removeprefix("parafrob.") for m in modules.split()}
 
@@ -565,6 +570,8 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
     ("crosscheck", "poly:\npoly: t\nm: 1\nl: 1\n", "empty polynomial"),
     ("crosscheck", "poly: t -\npoly: t\nm: 1\nl: 1\n",
      "bad polynomial term: '-'"),
+    ("crosscheck", "poly: -(-3)t\npoly: t\nm: 1\nl: 1\n",
+     "not an exact rational: '--3'"),
     ("compute", ",", "empty tuple: ','"),
     ("compute", "[6, 10, 15", "misplaced bracket in tuple: '[6, 10, 15'"),
     ("compute", "6,10]]", "misplaced bracket in tuple: '6,10]]'"),
@@ -587,7 +594,8 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
     ("fit --d-max 0", "1 1\n", "d_max must be >= 1 and deg_max >= 0"),
     ("fit", "1 1\n2 2\n",
      "1 training samples cannot support any fit (min_support=9)"),
-], ids=["unterminated-list", "empty-poly", "bare-sign", "empty-tuple",
+], ids=["unterminated-list", "empty-poly", "bare-sign", "double-sign",
+        "empty-tuple",
         "open-bracket", "extra-bracket", "series-fields", "series-t", "family-line", "row-bars", "nonneg",
         "system-colon", "row-before-sys1", "objective-width", "exclusion-m",
         "section-vars", "fit-d-max", "fit-too-short"])
@@ -691,6 +699,79 @@ def test_help_lists_every_option():
         assert listed_options(res.output) == named, name
         for positional in set(options) - named:
             assert positional in res.output, (name, positional)
+
+
+def test_runs_without_docstrings(tmp_path):
+    # python -OO drops docstrings, which the help pages read.
+    src = str(Path(parafrob.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for args, first in ((["compute", "--a", "3,5", "--format", "machine"],
+                         "F 7"),
+                        (["compute", "--help"], "usage: parafrob compute")):
+        proc = subprocess.run([sys.executable, "-OO", "-m", "parafrob.cli",
+                               *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.startswith(first), args
+
+
+def run_split(*args):
+    """(exit code, stdout, stderr) of one in-process command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(list(args), prog_name="parafrob")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("args, code, expected", [
+    (("compute", "--a=3,5", "--format=machine"), 0, "F 7\n"),
+    (("compute", "--a", "4,9", "--a", "3,5", "--format", "table",
+      "--format", "machine"), 0, "F 7\n"),
+    (("pilp", "tri.txt", "--t", "-5"), 0, "count 0\n"),
+    (("pilp", "tri.txt", "--t=-5", "--objective", "--count"), 0, "count 0\n"),
+    (("-h",), 0, "usage: parafrob [-h] COMMAND"),
+    (("--help",), 0, "usage: parafrob [-h] COMMAND"),
+    (("fit", "-h"), 0, "usage: parafrob fit [-h] SERIES_PATH"),
+    (("pilp", "tri.txt", "--help"), 0, "usage: parafrob pilp [-h] SYSTEM_PATH"),
+    (("compute", "--m", "2"), 2, "Missing option '--a'."),
+    (("fit",), 2, "Missing argument 'SERIES_PATH'."),
+    (("compute", "--a", "3,5", "--bogus", "1"), 2, "No such option '--bogus'."),
+    (("compute", "--a", "3,5", "extra"), 2,
+     "Got unexpected extra argument 'extra'."),
+    (("compute", "--a", "3,5", "--m", "x"), 2,
+     "Invalid value for '--m': 'x' is not a valid integer."),
+    (("compute", "--a", "3,5", "--format", "xml"), 2,
+     "Invalid value for '--format': 'xml' is not one of 'table', 'machine'."),
+    (("compute", "--a"), 2, "Option '--a' requires an argument."),
+    (("pilp", "tri.txt", "--t", "3", "--count=1"), 2,
+     "Option '--count' does not take a value."),
+    (("pilp", "nofile", "--t", "3"), 2,
+     "Invalid value for 'SYSTEM_PATH': Path 'nofile' does not exist."),
+    (("foo", "--a", "3,5"), 2, "No such command 'foo'."),
+    ((), 2, "Missing argument 'COMMAND'."),
+], ids=["equals", "last-wins", "negative", "equals-negative-last-mode",
+        "top-h", "top-help", "command-h", "command-help", "missing-option",
+        "missing-positional", "unknown-option", "extra-positional", "bad-int",
+        "bad-format", "no-value", "flag-value", "missing-path",
+        "unknown-command", "no-command"])
+def test_parser_forms(tmp_path, monkeypatch, args, code, expected):
+    # Exit 0 pins the start of stdout; exit 2 pins the usage and error
+    # lines on stderr.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tri.txt").write_text(TRIANGLE)
+    got, out, err = run_split(*args)
+    assert got == code, (args, out, err)
+    if code == 0:
+        assert out.startswith(expected) and err == ""
+        return
+    command = f" {args[0]}" if args and args[0] in cli._COMMANDS else ""
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: parafrob{command} [-h]")
+    assert error == f"parafrob{command}: error: {expected}"
+    assert out == ""
 
 
 def test_fit_table_and_machine_formats(tmp_path):

@@ -73,6 +73,90 @@ def test_binomial_criterion_agrees_with_direct_evaluation(coeffs, offset):
     assert p.is_integer_valued() == direct
 
 
+# Coefficients as parsing and interpolation make them: ints, and Fractions
+# that may or may not be integral.
+EXACT = st.one_of(st.integers(-20, 20),
+                  st.fractions(-20, 20, max_denominator=6))
+
+
+def _trim(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim(x + y for x, y in zip(a + [0] * (n - len(a)),
+                                       b + [0] * (n - len(b))))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    quo, rem = [Fraction(0)] * len(a), list(a)
+    while len(rem) >= len(b):
+        k, c = len(rem) - len(b), rem[-1] / b[-1]
+        quo[k] = c
+        rem = _ref_add(rem, [-c * y for y in [0] * k + b])
+    return _trim(quo), rem
+
+
+def _ref_eval(a, t):
+    return sum((c * Fraction(t) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def _ref_compose(a, b):
+    acc = []
+    for c in reversed(a):
+        acc = _ref_add(_ref_mul(acc, b), [c])
+    return acc
+
+
+def _ref_binomial(a):
+    values = [_ref_eval(a, k) for k in range(len(a))] or [Fraction(0)]
+    out = []
+    while values:
+        out.append(values[0])
+        values = [y - x for x, y in zip(values, values[1:])]
+    return out
+
+
+def _assert_exact(value):
+    """An int when integral, else a Fraction; never a float."""
+    assert type(value) in (int, Fraction), value
+    assert type(value) is int or value.denominator != 1, value
+
+
+@given(st.lists(EXACT, max_size=5), st.lists(EXACT, max_size=4),
+       st.integers(-30, 30))
+def test_mixed_coefficients_match_a_fraction_reference(a, b, t):
+    p, q = Poly(a), Poly(b)
+    ra, rb = _trim(a), _trim(b)
+    pairs = [(p + q, _ref_add(ra, rb)),
+             (p - q, _ref_add(ra, [-c for c in rb])),
+             (p * q, _ref_mul(ra, rb)),
+             (p.compose(q), _ref_compose(ra, rb))]
+    if rb:
+        pairs += zip(divmod(p, q), _ref_divmod(ra, rb))
+    for got, want in pairs + [(p, ra), (q, rb)]:
+        assert got.coeffs == tuple(want)
+        for c in got.coeffs:
+            _assert_exact(c)
+    assert p(t) == _ref_eval(ra, t)
+    _assert_exact(p(t))
+    assert p.binomial_coefficients() == tuple(_ref_binomial(ra))
+    for c in p.binomial_coefficients():
+        _assert_exact(c)
+
+
 def test_poly_arith_round_trips():
     p = U**3 - 2 * U + Poly.constant(5)
     q = HALF_SQUARE

@@ -43,6 +43,9 @@ def test_positivity_start_examples():
     # the scan starts below the root bound of the negative coefficients only
     assert reduction.positivity_start(fam([U, U - Poly.constant(10**6)])) == 10**6 + 1
     assert reduction.positivity_start(fam([U, U**2 + Poly.constant(10**5)])) == 1
+    # The root bound is an exact ceiling, past the range of a float too.
+    assert reduction.positivity_start(
+        fam([U, U - Poly.constant(10**400)])) == 10**400 + 1
     # A deep root of a steep entry is found by bisection, not by a scan.
     assert reduction.positivity_start(
         fam([U, U**2 - Poly.constant(10**12)])) == 10**6 + 1
