@@ -431,6 +431,8 @@ def main(args=None, prog_name=None):
     head``) ends the run quietly with exit 1, and an interrupt prints
     ``Aborted!`` and exits 1.
     """
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 and later
+        sys.set_int_max_str_digits(0)  # exact answers may be long
     command, options = _parse(prog_name or "parafrob",
                               sys.argv[1:] if args is None else list(args))
     try:

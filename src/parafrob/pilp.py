@@ -6,13 +6,15 @@ depth-first search), and counting / ranking / projection-exclusion
 questions are answered from one enumeration per system: enumerate_lattice
 gives the points, lattice_profile the size and the l largest objective
 values (l = None for the size alone), and exclusion_profile the feasible
-set of an exclusion problem with its l largest values. This is the engine
-behind the pilp and crosscheck commands; the models of the paper's proof
-steps that build on it live in ``proofs``.
+set of an exclusion problem with its l largest values, its sys1 searched
+by a projection or a fiber search, whichever its box bounds smaller. This
+is the engine behind the pilp and crosscheck commands; the models of the
+paper's proof steps that build on it live in ``proofs``.
 """
 
 from heapq import heappush, heapreplace
-from math import gcd
+from itertools import accumulate, compress, product
+from math import gcd, prod
 from operator import mul
 
 from .errors import DEFAULT_POINT_CAP, InputError, ResourceLimitError, frozen
@@ -159,16 +161,20 @@ def _search_order(lo, hi, n2=0):
     return sorted(range(len(lo)), key=lambda i: (i >= n2, hi[i] - lo[i], i))
 
 
-def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
+def _leaf(rows, order, n2):
+    """The level where a search in this order stops: the second-last when
+    an equality is the only row on the last coordinate, unless kept."""
+    on_last = [sense for coeffs, sense, _ in rows if coeffs[order[-1]]]
+    n = len(order)
+    return n - 2 if n - 2 >= n2 and on_last == [EQ] else n - 1
+
+
+def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     """Depth-first enumeration over the propagated box of the lattice
     points satisfying all rows. They come in leaf runs, arithmetic
     progressions along the last search level: visit(first, step, length)
     gets the points first + k * step for k = 0..length-1 at once, step
-    being the same tuple for every run.
-
-    With fiber = (n2, m) it calls visit(key) instead, once per assignment
-    key of coordinates 0..n2-1 with at least m points above it: the kept
-    block is searched first and each fiber's search stops at its m-th point.
+    being the same tuple for every run. Returns the work done.
 
     The last level is never searched: once every other coordinate is set,
     the tightened range of the last one is exact, so all its values are
@@ -177,16 +183,37 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
     second-last coordinate in one residue class, each fixing the last, so
     a run steps both coordinates.
 
-    point_cap bounds the work, counted as search nodes entered below the
-    root plus points taken.
+    With fiber = (n2, m) it calls visit(key) instead, once per key of
+    coordinates 0..n2-1 with at least m points above it. Where B, the
+    product of the ranges above the leaf in the default order, is at most
+    K, the number of keys in the box, the projection searches in that
+    order and credits each leaf run in O(1) to a difference array over
+    the flattened keys, chained by the run step. Otherwise the fiber
+    search takes the kept block first and stops each key at m points.
+    project = True or False forces one pass.
+
+    point_cap bounds the work: search nodes entered below the root plus
+    points taken; the projection counts K, before it allocates the
+    counts, then search nodes plus leaf runs.
     """
     n = len(lo)
-    n2, m = fiber or (0, None)
-    order = _search_order(lo, hi, n2)
     # A <= row that holds at every corner of the box never tightens.
     rows = [(coeffs, sense, rhs) for coeffs, sense, rhs in rows
             if sense == EQ or rhs < sum(c * (hi[v] if c > 0 else lo[v])
                                         for v, c in enumerate(coeffs))]
+    n2, m, keys = 0, None, 0  # fiber search: kept block, stop; projection: K
+    order = _search_order(lo, hi)
+    leaf = _leaf(rows, order, 0)
+    if fiber:
+        kept, least = fiber
+        width = [h - l + 1 for l, h in zip(lo, hi)]
+        keys = prod(width[:kept])
+        if project is None:
+            project = prod(width[v] for v in order[:leaf]) <= keys
+        if not project:
+            keys, n2, m = 0, kept, least
+            order = _search_order(lo, hi, n2)
+            leaf = _leaf(rows, order, n2)
 
     # Per-row data in search order: coefficients, suffix min/max of the
     # still-unassigned terms, running partial sums.
@@ -207,7 +234,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
             mins[i] = mins[i + 1] + cmin
             maxs[i] = maxs[i + 1] + cmax
         if mins[0] > rhss[r] or senses[r] == EQ and maxs[0] < rhss[r]:
-            return  # broken at the root: MAX_SWEEPS cut propagation short
+            return 0  # broken at the root: MAX_SWEEPS cut propagation short
         sufmin.append(mins)
         sufmax.append(maxs)
     # Per level, (row, coefficient) for the rows with a nonzero coefficient
@@ -216,18 +243,15 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
     levels = [[(r, coeffs[r][i]) for r in range(nrows) if coeffs[r][i]]
               for i in range(n)]
 
-    # The level where the search stops. When an equality row e is the only
-    # row on the last coordinate y, it stops one level early unless that
-    # level is kept: e then reads ca * x + cb * y == s, and the points are
-    # the x in the tightened range with ca * x == s (mod cb), one residue
-    # class mod stride, each with y = (s - ca * x) / cb. Along a run x
-    # steps by stride and y by -ca * stride / cb.
-    leaf, stride = n - 1, 1
+    # At a collapsed leaf the equality e, the only row on the last
+    # coordinate y, reads ca * x + cb * y == s: the points are the x in the
+    # tightened range with ca * x == s (mod cb), one residue class mod
+    # stride, each with y = (s - ca * x) / cb. Along a run x steps by
+    # stride and y by -ca * stride / cb.
+    stride = 1
     run_step = [0] * n
-    on_last = levels[n - 1]
-    if n - 2 >= n2 and len(on_last) == 1 and senses[on_last[0][0]] == EQ:
-        leaf = n - 2
-        e, cb = on_last[0]
+    if leaf < n - 1:
+        (e, cb), = levels[n - 1]
         ca = coeffs[e][n - 2]
         g = gcd(ca, cb)
         stride = abs(cb) // g
@@ -243,10 +267,31 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
     found = 0  # points of the current fiber; stays 0 outside fiber mode
 
     def over_cap():
+        counted = ("kept keys plus search nodes plus leaf runs" if keys
+                   else "search nodes plus lattice points")
         return ResourceLimitError(
-            f"search exceeded the point cap of {point_cap} "
-            f"(search nodes plus lattice points)"
-        )
+            f"search exceeded the point cap of {point_cap} ({counted})")
+
+    if keys:
+        work = keys
+        if work > point_cap:
+            raise over_cap()
+        # Key k is cell sum_j (k_j - lo_j) * weight[j]. A run moves it by
+        # `move` cells a point: it adds its length to one cell, or 1 to every
+        # step-th cell from its lowest, x: +1 at x and -1 past its end.
+        weight = [prod(width[j + 1:kept]) for j in range(kept)]
+        offset = sum(map(mul, lo, weight))
+        move = sum(map(mul, run_step, weight))
+        step = abs(move)
+        counts = [0] * keys
+        full = visit  # gets the keys; the search's runs go to the counts
+
+        def visit(first, _, length):
+            x = (sum(map(mul, first, weight)) - offset
+                 + min(move, 0) * (length - 1))
+            counts[x] += 1 if move else length
+            if move and x + length * step < keys:
+                counts[x + length * step] -= 1
 
     def rec(i):
         nonlocal work, found
@@ -287,7 +332,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
             if m is not None:
                 take = min(take, m - found)
                 found += take
-            work += take
+            work += 1 if keys else take
             if work > point_cap:
                 raise over_cap()
             if m is None:
@@ -318,6 +363,13 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None):
             psum[r] -= c * point[v]
 
     rec(0)
+    if keys:
+        for r in range(min(step, keys)):  # a step of 0 or >= K chains nothing
+            counts[r::step] = accumulate(counts[r::step])
+        box = product(*(range(lo[j], hi[j] + 1) for j in range(kept)))
+        for key in compress(box, map(least.__le__, counts)):
+            full(key)  # the box in cell order, reaching m
+    return work
 
 
 def _stream(sys: ParametricConstraintSystem, t: int, visit, point_cap,
@@ -448,10 +500,12 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
                       point_cap: int = DEFAULT_POINT_CAP):
     """(the feasible set, the l largest objective values over it).
 
-    The feasible set is the sorted tuple of the sys2 points whose sys1 fiber has fewer than
-    m points. Each system is searched once: sys1 by a fiber search that
-    stops each fiber at its m-th point, sys2 through enumerate_lattice.
-    Each kept point is ranked as a one-point run, as in lattice_profile.
+    The feasible set is the sorted tuple of the sys2 points whose sys1 fiber
+    has fewer than m points. Each system is searched once: sys1 by the
+    projection where its search above the leaf is no larger than its kept
+    box, else by the fiber search (see _iter_points), and sys2 through
+    enumerate_lattice. Each kept point is ranked as a one-point run, as in
+    lattice_profile.
     """
     ranking = _Ranking(ex.c, t, l)
     full = set()  # keys with at least m sys1 points above them

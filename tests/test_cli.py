@@ -85,6 +85,15 @@ def test_compute_large_m_and_wide_entries():
         assert line in res.output
 
 
+def test_compute_entry_longer_than_the_int_digit_limit():
+    # 4400 digits pass Python's default 4300-digit limit on int <-> str; the
+    # CLI lifts it, so the entry parses and the answers print in full.
+    sevens = "7" * 4400
+    res = run("compute", "--a", f"3,{sevens}", "--format", "machine")
+    assert res.exit_code == 0 and "Traceback" not in res.output
+    assert f"F 1{'5' * 4399}1" in res.output.splitlines()  # 2 * b - 3
+
+
 def count_tables(monkeypatch):
     """Record the largest entry of every tuple apery_table is built for."""
     built = []
@@ -255,6 +264,16 @@ def test_fit_no_fit_and_insufficient(tmp_path):
     assert run("fit", str(short)).exit_code == 2
 
 
+def test_fit_value_longer_than_the_int_digit_limit(tmp_path):
+    # Values 10^4400 + 3t: each has 4401 digits, and so has the fitted
+    # constant term, which must print in full.
+    series = tmp_path / "long.series"
+    series.write_text("".join(f"{t} 1{3 * t:04400d}\n" for t in range(1, 41)))
+    res = run("fit", str(series), "--format", "machine")
+    assert res.exit_code == 0 and "Traceback" not in res.output
+    assert f"component 0 [1{'0' * 4400}, 3]" in res.output.splitlines()
+
+
 def test_crosscheck_ok_and_mismatch(tmp_path):
     fam = tmp_path / "fam.txt"
     fam.write_text(FAMILY_U_UM1)
@@ -323,8 +342,9 @@ def test_crosscheck_gates_rows_on_the_largest_answer(tmp_path):
 
 
 def test_pilp_point_cap_counts_search_nodes(tmp_path):
-    # 2x - 2y is even, so sys1 has no point at all, yet its fiber search
-    # enters one node per kept value x: the cap stops that work too.
+    # 2x - 2y is even, so sys1 has no point at all, yet its search does
+    # work: the projection counts the 1001 keys x of its box up front, and
+    # the cap stops it there, before it allocates their counts.
     sysfile = tmp_path / "even.txt"
     sysfile.write_text("m: 1\nn1: 1\nn2: 1\nc: 1\nsys1:\n"
                        "row: 2, -2 | == | 1\nrow: 1, 0 | <= | t\n"
@@ -335,7 +355,7 @@ def test_pilp_point_cap_counts_search_nodes(tmp_path):
               "--point-cap", "100")
     assert res.exit_code == 3
     assert res.output == ("error: search exceeded the point cap of 100 "
-                          "(search nodes plus lattice points)\n")
+                          "(kept keys plus search nodes plus leaf runs)\n")
 
 
 def test_point_cap_below_one_is_an_input_error(tmp_path):

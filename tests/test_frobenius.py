@@ -220,6 +220,24 @@ def test_sylvester_random_pairs():
         done += 1
 
 
+def test_pair_closed_forms_at_every_level():
+    # Popoviciu's formula for coprime a, b gives h(k + ab) = h(k) + 1 with
+    # h in {0, 1} on [0, ab) (Beck & Robins, Computing the Continuous
+    # Discretely, ch. 1), hence F_{m,1} and G_m in closed form.
+    cases = 0
+    for a in range(2, 25):
+        for b in range(a + 1, 40):
+            if gcd(a, b) != 1:
+                continue
+            for m in range(1, 5):
+                table = fr.apery_table(Coins([a, b]), m)
+                assert table.frobenius(m, 1) == m * a * b - a - b
+                assert table.genus(m) == ((m - 1) * a * b
+                                          + (a - 1) * (b - 1) // 2 - (m >= 2))
+                cases += 1
+    assert cases == 1460
+
+
 def test_scaling_identities():
     rng = random.Random(3)
     for _ in range(60):

@@ -106,12 +106,13 @@ def test_point_cap_counts_exact_work():
         Row((ONE, ZERO, const(2), ZERO), LE, T),
         Row((ZERO, ONE, ONE, const(2)), EQ, 2 * T),
     ])
-    # README's exclusion example: the fiber search of sys1 does 15, sys2 11.
+    # README's exclusion example: the projection of sys1 does 22 (11 keys,
+    # 7 nodes and 4 runs), sys2 11.
     sys1, sys2 = example5()
     ex = ExclusionProblem(1, 1, 1, sys1, sys2, (ONE,))
     for run, work in [
         (lambda cap: pilp.lattice_profile(plain, 9, None, None, cap), 309),
-        (lambda cap: pilp.exclusion_profile(ex, 10, 1, cap), 15),
+        (lambda cap: pilp.exclusion_profile(ex, 10, 1, cap), 22),
     ]:
         run(work)
         with pytest.raises(ResourceLimitError):
@@ -254,13 +255,30 @@ def exclusion_problems(draw):
     return ExclusionProblem(draw(st.integers(1, 4)), n1, n2, sys1, sys2, c)
 
 
-def brute_feasible(ex, t):
-    """The sys2 points with fewer than m sys1 points above them, from box
-    scans."""
+def brute_full(ex, t):
+    """The keys with at least m sys1 points above them, from a box scan."""
     fibers = {}
     for p in box_scan(ex.sys1, t):
         fibers[p[:ex.n2]] = fibers.get(p[:ex.n2], 0) + 1
-    return [p for p in box_scan(ex.sys2, t) if fibers.get(p, 0) < ex.m]
+    return {key for key, count in fibers.items() if count >= ex.m}
+
+
+def brute_feasible(ex, t):
+    """The sys2 points with fewer than m sys1 points above them, from box
+    scans."""
+    full = brute_full(ex, t)
+    return [p for p in box_scan(ex.sys2, t) if p not in full]
+
+
+def full_keys(ex, t, project):
+    """The keys that one sys1 pass finds full: the projection for project
+    True, the fiber search for False."""
+    full = set()
+    box = pilp.propagated_box(ex.sys1, t)
+    if box is not None:
+        pilp._iter_points(pilp._instantiate(ex.sys1, t), *box, full.add,
+                          10**6, (ex.n2, ex.m), project)
+    return full
 
 
 @settings(max_examples=150, deadline=None)
@@ -271,6 +289,35 @@ def test_exclusion_profile_matches_brute_fibers(ex, l):
     got, top = pilp.exclusion_profile(ex, t, l)
     assert list(got) == kept
     assert top == top_values(kept, [int(ci(t)) for ci in ex.c], l)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exclusion_problems())
+def test_both_sys1_passes_match_brute_fibers(ex):
+    # Small draws mostly take the projection by the rule; each pass is run
+    # here on every draw.
+    want = brute_full(ex, 0)
+    assert full_keys(ex, 0, True) == want
+    assert full_keys(ex, 0, False) == want
+
+
+def test_projection_runs_with_and_without_a_kept_move():
+    # k + 2x - y == 6 (k, x, y free): the leaf collapses onto x, and
+    # along a run k moves by -2, so runs of different y overlap on the keys.
+    moving = boxed_system([20, 5, 2], [((1, 2, -1), EQ, 6)], lows=[-6, 0, 0])
+    # k + x <= 9 with k <= 2: k is searched above the leaf x, so a run
+    # keeps its key and adds its whole length there.
+    still = boxed_system([2, 9], [((1, 1), LE, 9)])
+    sys2 = boxed_system([20], [], lows=[-6])
+    for sys1, n1, ms in ((moving, 2, (1, 2, 3)), (still, 1, (8, 9, 10, 11))):
+        for m in ms:
+            ex = ExclusionProblem(m, n1, 1, sys1, sys2, (ONE,))
+            want = brute_full(ex, 0)
+            assert full_keys(ex, 0, True) == full_keys(ex, 0, False) == want
+    assert brute_full(ExclusionProblem(2, 2, 1, moving, sys2, (ONE,)), 0) \
+        == {(6,), (4,), (2,), (0,), (-2,)}
+    assert brute_full(ExclusionProblem(9, 1, 1, still, sys2, (ONE,)), 0) \
+        == {(0,), (1,)}
 
 
 def test_equality_pair_collapse_matches_box_scan():

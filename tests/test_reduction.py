@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from parafrob import eqpfit, frobenius, pilp, reduction
-from parafrob.errors import InputError
+from parafrob.errors import InputError, ResourceLimitError
 from parafrob.frobenius import Coins
 from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp
 from parafrob.reduction import PolyFamily
@@ -222,7 +222,7 @@ def test_one_table_per_t(monkeypatch):
     # One table per row with positive entries of gcd 1: the row reads its
     # box from the table; rows skipped for positivity or gcd build none.
     notes = set()
-    for case, point_cap in ((family, 200),
+    for case, point_cap in ((family, 150),
                             (fam([U, U + Poly.constant(2)]), 10**6),
                             (fam([2 * U + ONE, 3 * U + Poly.constant(2),
                                   5 * U + ONE], m=2, l=2), 10**6)):
@@ -345,8 +345,9 @@ def test_crosscheck_skips_when_box_over_cap():
 
 def test_crosscheck_fibers_stop_at_m():
     # In the t^4 box at t = 7 the exclusion system sys1 of this family has
-    # 114030 points, far above the cap, but the search stops each fiber at
-    # m points, so the construction is solved all the same. (crosscheck
+    # 114030 points, far above the cap, but its search never takes them one
+    # by one: the projection does 2399 keys + 1011 nodes + 972 runs = 4382
+    # work, and the fiber search stops each fiber at m points. (crosscheck
     # runs this row in its own box, t^3, where sys1 has 487 points.)
     family = fam([U, U**2 + ONE, U**2 + 2 * U - ONE], m=2, l=2)
     r = reduction.box_exponent(family)
@@ -358,6 +359,31 @@ def test_crosscheck_fibers_stop_at_m():
     assert top[family.l - 1] - family.l == table.frobenius(family.m, family.l)
     report = reduction.crosscheck(family, 7, 7, point_cap=cap)
     assert report.checked == 1 and report.ok
+
+
+def test_crosscheck_sys1_takes_the_projection(monkeypatch):
+    # The crosscheck benchmark's seed-1 family. Each row's search above the
+    # leaf is smaller than its kept box, so sys1 takes the projection: 1595
+    # work over t = 3..8, where the fiber search takes 5728. Each row's work
+    # is exact: the cap trips one below it, on the projection's quantities.
+    works = []
+    real = pilp._iter_points
+
+    def recording(rows, lo, hi, visit, point_cap, fiber=None):
+        work = real(rows, lo, hi, visit, point_cap, fiber)
+        if fiber:
+            with pytest.raises(ResourceLimitError, match="kept keys plus"):
+                real(rows, lo, hi, set().add, work - 1, fiber)
+            fibers = real(rows, lo, hi, set().add, point_cap, fiber, False)
+            works.append((work, fibers))
+        return work
+
+    monkeypatch.setattr(pilp, "_iter_points", recording)
+    family = fam([U, U**2 + ONE, U**2 + 2 * U + Poly.constant(3)], m=2, l=2)
+    report = reduction.crosscheck(family, 3, 8)
+    assert report.checked == 6 and report.ok
+    assert len(works) == 6
+    assert [sum(column) for column in zip(*works)] == [1595, 5728]
 
 
 def test_crosscheck_mixed_degree_family_reports_no_diff():
