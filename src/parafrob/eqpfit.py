@@ -64,13 +64,6 @@ class NoFit:
     )
 
 
-@frozen
-class ValidationReport:
-    agree_count: int
-    compared_count: int
-    first_disagreement: tuple | None  # (t, sample value, qp value)
-
-
 def interpolate_component(points, deg_max: int) -> Poly | None:
     """The unique polynomial of degree <= deg_max through the first
     deg_max+1 points, provided it also matches every remaining point
@@ -153,10 +146,10 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
 
     A candidate period splits the training samples by residue class and
     fits each class on its own; it succeeds when every class fits and
-    ``validate`` finds no sample of the series above the threshold that
-    the assembled quasi-polynomial misses. The training samples there lie
-    in their classes' suffixes and agree by construction, so a miss is
-    always a holdout sample.
+    the assembled quasi-polynomial reproduces every holdout sample, all of
+    which lie above its threshold. Only the holdout is compared: the
+    training samples above the threshold lie in their classes' suffixes
+    and agree by construction.
 
     Every class of period d holds at least N // d of the N training
     points, and some class holds no more, so a class falls short of
@@ -167,7 +160,9 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
         raise InputError("d_max must be >= 1 and deg_max >= 0")
     holdout = min(2 * d_max, len(series) // 2)
     min_support = deg_max + 3
-    training = series.items()[: len(series) - holdout]
+    items = series.items()
+    split = len(items) - holdout
+    training, held = items[:split], items[split:]
     if len(training) < min_support:
         raise InputError(
             f"{len(training)} training samples cannot support any fit "
@@ -191,12 +186,11 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
             threshold = max(threshold, info)
         else:
             qp = QuasiPolynomial(d, tuple(components), threshold)
-            report = validate(qp, series)
-            if report.first_disagreement is None:
-                # Every holdout sample lies above the threshold.
-                return Fit(qp, report.compared_count - holdout, holdout)
-            t = report.first_disagreement[0]
-            diagnostics.append((d, None, f"holdout mismatch at t={t}"))
+            miss = next((t for t, v in held if qp.eval(t) != v), None)
+            if miss is None:
+                # The training t are contiguous and end at training[-1][0].
+                return Fit(qp, training[-1][0] - threshold, holdout)
+            diagnostics.append((d, None, f"holdout mismatch at t={miss}"))
     if d_max > supported:
         d = supported + 1
         diagnostics.append(
@@ -205,19 +199,3 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
              f"{len(training) // d} training points (min_support={min_support})"))
     return NoFit(tuple(diagnostics))
 
-
-def validate(qp: QuasiPolynomial, series: SampleSeries) -> ValidationReport:
-    """Compare qp against every sample above its threshold."""
-    agree = 0
-    compared = 0
-    first = None
-    for t, v in series.items():
-        if t <= qp.threshold:
-            continue
-        compared += 1
-        got = qp.eval(t)
-        if got == v:
-            agree += 1
-        elif first is None:
-            first = (t, v, got)
-    return ValidationReport(agree, compared, first)

@@ -19,8 +19,8 @@ class InputError(ParafrobError):
 
 
 class ResourceLimitError(ParafrobError):
-    """Table cells, lattice search work, or clause counts over the configured
-    budget. Exit 3."""
+    """Table cells or lattice search work over the configured budget.
+    Exit 3."""
 
 
 def frozen(cls):

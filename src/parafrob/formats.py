@@ -32,9 +32,12 @@ def parse_rational(text: str) -> "int | Fraction":
         raise InputError(f"not an exact rational: {text!r}")
     if "/" not in s:
         return int(s)
+    num, den = (int(part) for part in s.split("/"))
+    if not den:
+        raise InputError(f"zero denominator: {text!r}")
     from fractions import Fraction
 
-    return _normalize(Fraction(s.replace(" ", "")))
+    return _normalize(Fraction(num, den))
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -287,10 +290,14 @@ def _build_system(header: dict, rows: list) -> "ParametricConstraintSystem":
     if "vars" not in header:
         raise InputError("system is missing 'vars:'")
     n = _parse_int("vars", header["vars"])
+    # Each row is checked against n before n sizes a tuple, so a huge
+    # vars: fails on a row. A row-less system leaves every variable
+    # unbounded.
+    if not rows:
+        raise InputError("a system needs at least one row")
+    parsed = tuple(_parse_row(r, n) for r in rows)
     nonneg = _parse_nonneg(header.get("nonneg", "all"), n)
-    return ParametricConstraintSystem(
-        n, tuple(_parse_row(r, n) for r in rows), nonneg
-    )
+    return ParametricConstraintSystem(n, parsed, nonneg)
 
 
 def parse_system_file(text: str):

@@ -8,8 +8,7 @@ gives the points, lattice_profile the size and the l largest objective
 values (l = None for the size alone), and exclusion_profile the feasible
 set of an exclusion problem with its l largest values, its sys1 searched
 by a projection or a fiber search, whichever its box bounds smaller. This
-is the engine behind the pilp and crosscheck commands; the models of the
-paper's proof steps that build on it live in ``proofs``.
+is the engine behind the pilp and crosscheck commands.
 """
 
 from heapq import heappush, heapreplace

@@ -7,7 +7,6 @@ All types are immutable after construction and safe to share between
 threads.
 """
 
-from math import lcm
 from typing import TYPE_CHECKING, Union
 
 from .errors import InputError, frozen
@@ -197,11 +196,12 @@ class Poly:
         return tuple(out)
 
     def is_integer_valued(self) -> bool:
-        """True iff p(k) is an integer for every integer k."""
+        """True iff p(k) is an integer for every integer k: at once when
+        every coefficient is an int, else by the binomial-basis test."""
         if self._integer_valued is None:
             self._integer_valued = all(
-                c.denominator == 1 for c in self.binomial_coefficients()
-            )
+                c.__class__ is int for c in self.coeffs
+            ) or all(c.denominator == 1 for c in self.binomial_coefficients())
         return self._integer_valued
 
     def __repr__(self):
@@ -255,24 +255,3 @@ class QuasiPolynomial:
         if comp is BOTTOM:
             return BOTTOM
         return comp(t)
-
-    def lifted(self, factor: int) -> "QuasiPolynomial":
-        """The same function presented with period multiplied by ``factor``."""
-        if factor < 1:
-            raise InputError("lift factor must be >= 1")
-        comps = tuple(
-            self.components[r % self.period] for r in range(self.period * factor)
-        )
-        return QuasiPolynomial(self.period * factor, comps, self.threshold)
-
-
-def eventually_equal(q1: QuasiPolynomial, q2: QuasiPolynomial) -> bool:
-    """True iff the two quasi-polynomials agree for all sufficiently large t.
-
-    Decided symbolically: lift both to the lcm of the periods and compare
-    components; thresholds are irrelevant.
-    """
-    d = lcm(q1.period, q2.period)
-    a = q1.lifted(d // q1.period)
-    b = q2.lifted(d // q2.period)
-    return a.components == b.components

@@ -1,0 +1,94 @@
+"""Test-side oracles that share no code with the fitter.
+
+eventually_equal decides symbolically whether two quasi-polynomials agree
+for all large t; validate compares a quasi-polynomial with a sample series
+point by point. The closed forms are classical theorems, built as
+quasi-polynomials in t, that the fitted F and G series of their families
+must equal.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from parafrob.errors import InputError, frozen
+from parafrob.qpoly import Poly, QuasiPolynomial
+
+
+def lifted(q: QuasiPolynomial, factor: int) -> QuasiPolynomial:
+    """The same function presented with period multiplied by ``factor``."""
+    if factor < 1:
+        raise InputError("lift factor must be >= 1")
+    comps = tuple(q.components[r % q.period] for r in range(q.period * factor))
+    return QuasiPolynomial(q.period * factor, comps, q.threshold)
+
+
+def eventually_equal(q1: QuasiPolynomial, q2: QuasiPolynomial) -> bool:
+    """True iff the two quasi-polynomials agree for all sufficiently large t.
+
+    Decided symbolically: lift both to the lcm of the periods and compare
+    components; thresholds are irrelevant.
+    """
+    d = lcm(q1.period, q2.period)
+    a = lifted(q1, d // q1.period)
+    b = lifted(q2, d // q2.period)
+    return a.components == b.components
+
+
+@frozen
+class ValidationReport:
+    agree_count: int
+    compared_count: int
+    first_disagreement: tuple | None  # (t, sample value, qp value)
+
+
+def validate(qp: QuasiPolynomial, series) -> ValidationReport:
+    """Compare qp against every sample above its threshold."""
+    agree = 0
+    compared = 0
+    first = None
+    for t, v in series.items():
+        if t <= qp.threshold:
+            continue
+        compared += 1
+        got = qp.eval(t)
+        if got == v:
+            agree += 1
+        elif first is None:
+            first = (t, v, got)
+    return ValidationReport(agree, compared, first)
+
+
+def pair_closed_forms(p1: Poly, p2: Poly, m: int, gcd_period: int, t_min: int):
+    """(F_{m,1}, G_m) of the pair (p1(t), p2(t)) as quasi-polynomials.
+
+    For coprime a, b, Popoviciu's formula gives h(k + ab) = h(k) + 1 with h
+    in {0, 1} on [0, ab), hence F_{m,1}(a, b) = m*ab - a - b and G_m(a, b)
+    = (m-1)*ab + (a-1)(b-1)/2 - [m >= 2]. With g(t) = gcd(p1(t), p2(t)),
+    constant on each class mod ``gcd_period`` (read at the class's first t
+    from ``t_min``), a = p1/g and b = p2/g: F scales by g, and G counts the
+    multiples of g, so it does not.
+    """
+    f_comps, g_comps = [], []
+    for r in range(gcd_period):
+        t = t_min + (r - t_min) % gcd_period
+        g = gcd(p1(t), p2(t))
+        a, b = p1 * Fraction(1, g), p2 * Fraction(1, g)
+        f_comps.append((a * b * m - a - b) * g)
+        g_comps.append(a * b * (m - 1) + (a - 1) * (b - 1) * Fraction(1, 2)
+                       - (1 if m >= 2 else 0))
+    return (QuasiPolynomial(gcd_period, tuple(f_comps), t_min - 1),
+            QuasiPolynomial(gcd_period, tuple(g_comps), t_min - 1))
+
+
+def roberts_closed_form(s: int) -> QuasiPolynomial:
+    """F(t, t+1, ..., t+s) = (floor((t-2)/s) + 1)*t - 1 (Roberts, Proc. AMS
+    7, 1956, with a = t and d = 1), period s.
+
+    On the class t = r (mod s), floor((t-2)/s) = (t - c)/s with c = 2 +
+    ((r-2) mod s).
+    """
+    comps = []
+    for r in range(s):
+        c = 2 + (r - 2) % s
+        comps.append(Poly((-1, 1 - Fraction(c, s), Fraction(1, s))))
+    return QuasiPolynomial(s, tuple(comps), 1)

@@ -4,14 +4,14 @@ digit_transform rewrites each variable of a nonnegative system as r base-t
 digits, a bijection on the box [0, t^r); disjoint_expand turns a DNF
 formula over parametric inequalities into an equivalent one whose clauses
 are pairwise disjoint. No command runs them: the tests check both against
-the engine in ``pilp``.
+the engine in ``pilp``, and the expansion against a truth-table oracle.
 """
 
 import itertools
 
-from .errors import InputError, ResourceLimitError, frozen
-from .pilp import LE, ExclusionProblem, ParametricConstraintSystem, Row
-from .qpoly import Poly
+from parafrob.errors import InputError, ResourceLimitError, frozen
+from parafrob.pilp import LE, ExclusionProblem, ParametricConstraintSystem, Row
+from parafrob.qpoly import Poly
 
 # A disjoint expansion with more clauses than this aborts.
 CLAUSE_LIMIT = 100_000
@@ -156,3 +156,53 @@ def disjoint_expand(f: DnfFormula) -> DnfFormula:
                     f"expansion exceeds {CLAUSE_LIMIT} clauses"
                 )
     return DnfFormula(f.variables, tuple(out))
+
+
+# The truth-table oracle for DNF formulas: each atom is a boolean variable
+# shared with its negation, so equal satisfying sets mean equal formulas
+# whatever the atoms say about z.
+
+
+def base_literal(a):
+    """(canonical base atom key, polarity): an atom and its negation
+    share the base and differ in polarity."""
+    mine = (tuple(p.coeffs for p in a.coeffs), a.rhs.coeffs)
+    neg = a.negated()
+    other = (tuple(p.coeffs for p in neg.coeffs), neg.rhs.coeffs)
+    if mine <= other:
+        return mine, True
+    return other, False
+
+
+def base_map(formulas):
+    """The base atoms of the formulas, in order of first appearance."""
+    order = []
+    seen = set()
+    for f in formulas:
+        for clause in f.clauses:
+            for a in clause:
+                key, _ = base_literal(a)
+                if key not in seen:
+                    seen.add(key)
+                    order.append(key)
+    return order
+
+
+def truth_table_sets(f, bases):
+    """Satisfying assignments and per-assignment clause counts."""
+    index = {key: i for i, key in enumerate(bases)}
+    compiled = [
+        [(index[key], polarity) for key, polarity in map(base_literal, clause)]
+        for clause in f.clauses
+    ]
+    sat = set()
+    counts = []
+    for bits in itertools.product((False, True), repeat=len(bases)):
+        hits = 0
+        for clause in compiled:
+            if all(bits[i] == polarity for i, polarity in clause):
+                hits += 1
+        if hits:
+            sat.add(bits)
+        counts.append(hits)
+    return sat, counts

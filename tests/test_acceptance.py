@@ -9,8 +9,10 @@ import time
 from itertools import product
 from math import gcd
 
+import oracles
+import proofs
 from clirun import run_cli
-from parafrob import eqpfit, formats, frobenius, pilp, proofs, reduction
+from parafrob import eqpfit, formats, frobenius, pilp, reduction
 from parafrob.eqpfit import Fit, NoFit, SampleSeries
 from parafrob.frobenius import Coins
 from parafrob.pilp import (
@@ -20,9 +22,9 @@ from parafrob.pilp import (
     ParametricConstraintSystem,
     Row,
 )
-from parafrob.proofs import Atom, DnfFormula
 from parafrob.qpoly import Poly
 from parafrob.reduction import PolyFamily
+from proofs import Atom, DnfFormula, base_map, truth_table_sets
 from windows import qualifying_bound
 
 U = Poly.variable()
@@ -252,7 +254,7 @@ def test_criterion_08_degree_two_family_witness():
         res = eqpfit.fit_quasipolynomial(series)  # default config
         assert isinstance(res, Fit), label
         assert res.qp.period == 2
-        check = eqpfit.validate(res.qp, series)
+        check = oracles.validate(res.qp, series)
         assert check.agree_count == check.compared_count
     report(8, "the degree-2 family's F and G series over t=3..60 fit exactly "
               "under the default config and 0 <= F(t) < t^3 at every t")
@@ -307,43 +309,6 @@ def test_criterion_09_digit_bijection():
               "rewrite at t in {5, 7, 11}")
 
 
-def _base_literal(a):
-    mine = (tuple(p.coeffs for p in a.coeffs), a.rhs.coeffs)
-    neg = a.negated()
-    other = (tuple(p.coeffs for p in neg.coeffs), neg.rhs.coeffs)
-    return (mine, True) if mine <= other else (other, False)
-
-
-def _base_map(formulas):
-    order, seen = [], set()
-    for f in formulas:
-        for clause in f.clauses:
-            for a in clause:
-                key, _ = _base_literal(a)
-                if key not in seen:
-                    seen.add(key)
-                    order.append(key)
-    return order
-
-
-def _truth_table(f, bases):
-    index = {key: i for i, key in enumerate(bases)}
-    compiled = [
-        [(index[key], pol) for key, pol in map(_base_literal, clause)]
-        for clause in f.clauses
-    ]
-    sat, max_hits = set(), 0
-    for bits in product((False, True), repeat=len(bases)):
-        hits = sum(
-            1 for clause in compiled
-            if all(bits[i] == pol for i, pol in clause)
-        )
-        if hits:
-            sat.add(bits)
-        max_hits = max(max_hits, hits)
-    return sat, max_hits
-
-
 def test_criterion_10_disjoint_disjunction():
     def atom(cx, cy, rhs):
         return Atom((const(cx), const(cy)), const(rhs))
@@ -356,12 +321,12 @@ def test_criterion_10_disjoint_disjunction():
 
     def check(formula):
         out = proofs.disjoint_expand(formula)
-        bases = _base_map([formula, out])
+        bases = base_map([formula, out])
         assert len(bases) <= 12
-        sat_in, _ = _truth_table(formula, bases)
-        sat_out, max_hits = _truth_table(out, bases)
+        sat_in, _ = truth_table_sets(formula, bases)
+        sat_out, counts = truth_table_sets(out, bases)
         assert sat_in == sat_out
-        assert max_hits <= 1
+        assert max(counts) <= 1
 
     total = 0
     # every clause-count/clause-size shape, twice: all-distinct atoms

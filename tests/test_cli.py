@@ -614,11 +614,20 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
     ("fit --d-max 0", "1 1\n", "d_max must be >= 1 and deg_max >= 0"),
     ("fit", "1 1\n2 2\n",
      "1 training samples cannot support any fit (min_support=9)"),
+    ("fit", "1 1/0\n", "zero denominator: '1/0'"),
+    ("crosscheck", "poly: [1/0, 1]\npoly: t\nm: 1\nl: 1\n",
+     "zero denominator: '1/0'"),
+    ("pilp", "vars: 1\nrow: (1/0)t | <= | t\n", "zero denominator: '1/0'"),
+    ("pilp", "vars: 2\n", "a system needs at least one row"),
+    ("pilp", f"vars: {'7' * 4400}\nrow: 1 | <= | t\n",
+     f"expected {'7' * 4400} coefficients: '1 | <= | t'"),
 ], ids=["unterminated-list", "empty-poly", "bare-sign", "double-sign",
         "empty-tuple",
         "open-bracket", "extra-bracket", "series-fields", "series-t", "family-line", "row-bars", "nonneg",
         "system-colon", "row-before-sys1", "objective-width", "exclusion-m",
-        "section-vars", "fit-d-max", "fit-too-short"])
+        "section-vars", "fit-d-max", "fit-too-short", "zero-denominator-value",
+        "zero-denominator-list", "zero-denominator-term", "no-rows",
+        "vars-4400-digits"])
 def test_malformed_input_is_an_input_error(tmp_path, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)

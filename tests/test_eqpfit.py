@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import eventually_equal, lifted, validate
 from parafrob import eqpfit
 from parafrob.eqpfit import Fit, NoFit, SampleSeries
 from parafrob.errors import InputError
-from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventually_equal
+from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial
 
 U = Poly.variable()
 
@@ -188,25 +189,24 @@ def test_fitted_period_divides_other_fitting_periods():
     assert isinstance(res, Fit)
     assert res.qp.period == 3
     # the same data admits fits at multiples of 3 only
-    lifted = res.qp.lifted(2)
-    assert eventually_equal(res.qp, lifted)
+    assert eventually_equal(res.qp, lifted(res.qp, 2))
 
 
 def test_validate_reports():
     qp = QuasiPolynomial(1, (U,), 0)
     s = series_of(lambda t: t, 1, 20)
-    rep = eqpfit.validate(qp, s)
+    rep = validate(qp, s)
     assert rep.agree_count == rep.compared_count == 20
     assert rep.first_disagreement is None
 
     s2 = series_of(lambda t: t + 1, 1, 20)
-    rep2 = eqpfit.validate(qp, s2)
+    rep2 = validate(qp, s2)
     assert rep2.agree_count == 0
     assert rep2.first_disagreement == (1, 2, 1)
 
     qp3 = QuasiPolynomial(2, (BOTTOM, U), 0)
     s3 = SampleSeries(1, (1, BOTTOM, 3, BOTTOM))
-    assert eqpfit.validate(qp3, s3).agree_count == 4
+    assert validate(qp3, s3).agree_count == 4
 
 
 def test_fit_reproduces_every_post_threshold_sample():
@@ -214,5 +214,5 @@ def test_fit_reproduces_every_post_threshold_sample():
     s = series_of(lambda t: (t // 2) * t, 1, 100)
     res = eqpfit.fit_quasipolynomial(s, d_max=4, deg_max=4)
     assert isinstance(res, Fit)
-    rep = eqpfit.validate(res.qp, s)
+    rep = validate(res.qp, s)
     assert rep.agree_count == rep.compared_count

@@ -69,32 +69,35 @@ def test_frozen_matches_frozen_dataclass():
         assert obj == cls(1, (), 2, "d")
 
 
-# Every value class of the package with its fields, in order: how annotations
-# are stored differs between Python versions, and a class whose field list
-# came out empty or short would break every command.
+# Every value class of the package and of the test oracles with its fields,
+# in order: how annotations are stored differs between Python versions, and
+# a class whose field list came out empty or short would break every command.
 VALUE_CLASSES = [
-    ("qpoly", "QuasiPolynomial", ("period", "components", "threshold")),
-    ("frobenius", "Coins", ("a",)),
-    ("frobenius", "AperyTable", ("coins", "m", "a", "values")),
-    ("eqpfit", "SampleSeries", ("t_min", "values")),
-    ("eqpfit", "Fit", ("qp", "training_checked", "holdout_checked")),
-    ("eqpfit", "NoFit", ("diagnostics",)),
-    ("eqpfit", "ValidationReport",
+    ("parafrob.qpoly", "QuasiPolynomial",
+     ("period", "components", "threshold")),
+    ("parafrob.frobenius", "Coins", ("a",)),
+    ("parafrob.frobenius", "AperyTable", ("coins", "m", "a", "values")),
+    ("parafrob.eqpfit", "SampleSeries", ("t_min", "values")),
+    ("parafrob.eqpfit", "Fit", ("qp", "training_checked", "holdout_checked")),
+    ("parafrob.eqpfit", "NoFit", ("diagnostics",)),
+    ("oracles", "ValidationReport",
      ("agree_count", "compared_count", "first_disagreement")),
-    ("pilp", "Row", ("coeffs", "sense", "rhs")),
-    ("pilp", "ParametricConstraintSystem", ("n", "rows", "nonneg")),
-    ("pilp", "ExclusionProblem", ("m", "n1", "n2", "sys1", "sys2", "c")),
+    ("parafrob.pilp", "Row", ("coeffs", "sense", "rhs")),
+    ("parafrob.pilp", "ParametricConstraintSystem", ("n", "rows", "nonneg")),
+    ("parafrob.pilp", "ExclusionProblem",
+     ("m", "n1", "n2", "sys1", "sys2", "c")),
     ("proofs", "Atom", ("coeffs", "rhs")),
     ("proofs", "DnfFormula", ("variables", "clauses")),
-    ("reduction", "PolyFamily", ("polys", "m", "l")),
-    ("reduction", "CrosscheckRow", ("t", "status", "f_exclusion", "f_direct",
-                                    "g_exclusion", "g_direct", "note", "r")),
-    ("reduction", "CrosscheckReport", ("rows",)),
+    ("parafrob.reduction", "PolyFamily", ("polys", "m", "l")),
+    ("parafrob.reduction", "CrosscheckRow",
+     ("t", "status", "f_exclusion", "f_direct", "g_exclusion", "g_direct",
+      "note", "r")),
+    ("parafrob.reduction", "CrosscheckReport", ("rows",)),
 ]
 
 
 @pytest.mark.parametrize("module, name, fields", VALUE_CLASSES,
                          ids=[name for _, name, _ in VALUE_CLASSES])
 def test_value_class_fields(module, name, fields):
-    cls = getattr(importlib.import_module(f"parafrob.{module}"), name)
+    cls = getattr(importlib.import_module(module), name)
     assert cls.__match_args__ == fields

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parafrob import pilp, proofs
+import proofs
+from parafrob import pilp
 from parafrob.errors import InputError, ResourceLimitError
 from parafrob.pilp import (
     EQ,
@@ -15,8 +16,14 @@ from parafrob.pilp import (
     ParametricConstraintSystem,
     Row,
 )
-from parafrob.proofs import Atom, DnfFormula, disjoint_expand
 from parafrob.qpoly import BOTTOM, Poly
+from proofs import (
+    Atom,
+    DnfFormula,
+    base_map,
+    disjoint_expand,
+    truth_table_sets,
+)
 
 T = Poly.variable()
 ONE = Poly.constant(1)
@@ -509,50 +516,6 @@ def test_digit_transform_requires_nonneg():
 
 def atom(cx, cy, rhs):
     return Atom((const(cx), const(cy)), rhs if isinstance(rhs, Poly) else const(rhs))
-
-
-def base_literal(a):
-    """(canonical base atom key, polarity): an atom and its negation
-    share the base and differ in polarity."""
-    mine = (tuple(p.coeffs for p in a.coeffs), a.rhs.coeffs)
-    neg = a.negated()
-    other = (tuple(p.coeffs for p in neg.coeffs), neg.rhs.coeffs)
-    if mine <= other:
-        return mine, True
-    return other, False
-
-
-def base_map(formulas):
-    order = []
-    seen = set()
-    for f in formulas:
-        for clause in f.clauses:
-            for a in clause:
-                key, _ = base_literal(a)
-                if key not in seen:
-                    seen.add(key)
-                    order.append(key)
-    return order
-
-
-def truth_table_sets(f, bases):
-    """Oracle: satisfying assignments and per-assignment clause counts."""
-    index = {key: i for i, key in enumerate(bases)}
-    compiled = [
-        [(index[key], polarity) for key, polarity in map(base_literal, clause)]
-        for clause in f.clauses
-    ]
-    sat = set()
-    counts = []
-    for bits in product((False, True), repeat=len(bases)):
-        hits = 0
-        for clause in compiled:
-            if all(bits[i] == polarity for i, polarity in clause):
-                hits += 1
-        if hits:
-            sat.add(bits)
-        counts.append(hits)
-    return sat, counts
 
 
 def test_negation_is_an_involution_and_complement():

@@ -7,13 +7,13 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import eventually_equal, lifted
 from parafrob.errors import InputError
 from parafrob.qpoly import (
     BOTTOM,
     Poly,
     QuasiPolynomial,
     eventual_cmp,
-    eventually_equal,
     eventually_positive,
 )
 
@@ -39,6 +39,23 @@ def test_integer_valued_examples():
     assert not Poly([0, Fraction(1, 2)]).is_integer_valued()
     assert (3 * U**2 - U).is_integer_valued()
     assert Poly().is_integer_valued()
+
+
+def test_int_coefficients_skip_the_binomial_test(monkeypatch):
+    # The binomial test costs O(deg^2) big-int evaluations: a row with
+    # t^3000 took seconds to validate.
+    calls = []
+
+    def binomial_coefficients(self):
+        calls.append(self)
+        raise AssertionError("binomial test on int coefficients")
+
+    monkeypatch.setattr(Poly, "binomial_coefficients", binomial_coefficients)
+    assert (U**3000 - 7 * U).is_integer_valued()
+    half_square = Poly(HALF_SQUARE.coeffs)  # its own, unfilled cache
+    with pytest.raises(AssertionError):
+        half_square.is_integer_valued()
+    assert calls == [half_square]
 
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=6))
@@ -247,7 +264,7 @@ def test_eventually_equal_invariant_under_lifting():
     for _ in range(25):
         q = _random_qp(rng)
         k = rng.randint(1, 4)
-        assert eventually_equal(q, q.lifted(k))
+        assert eventually_equal(q, lifted(q, k))
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4),

@@ -20,7 +20,7 @@ def layout_rows():
 
 def test_library_layout_names_exist():
     rows = layout_rows()
-    assert len(rows) == 9
+    assert len(rows) == 8
     for module_name, names in rows:
         module = importlib.import_module(module_name)
         missing = [name for name in names if not hasattr(module, name)]

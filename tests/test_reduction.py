@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, gcd
 
+import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -205,6 +206,40 @@ def test_direct_series_stays_inside_cubic_box():
     f_series, _ = reduction.direct_series(family, 3, 25)
     for t, v in f_series.items():
         assert 0 <= v < t**3
+
+
+# Pair families with the period of their entry gcd.
+PAIR_FAMILIES = [
+    ((U, U + ONE), 1),
+    ((U, U + 3 * ONE), 3),
+    ((2 * U + ONE, 3 * U + 2 * ONE), 1),
+    ((U, U**2 + ONE), 1),
+    ((U + ONE, U**2 + U + ONE), 1),
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("polys, gcd_period", PAIR_FAMILIES,
+                         ids=["t,t+1", "t,t+3", "2t+1,3t+2", "t,t^2+1",
+                              "t+1,t^2+t+1"])
+def test_fitted_pair_series_equal_the_closed_forms(polys, gcd_period, m):
+    family = fam(polys, m)
+    t0 = reduction.positivity_start(family)
+    closed = oracles.pair_closed_forms(*polys, m, gcd_period, t0)
+    for series, expected in zip(reduction.direct_series(family, t0, t0 + 300),
+                                closed):
+        res = eqpfit.fit_quasipolynomial(series, d_max=40)
+        assert isinstance(res, eqpfit.Fit)
+        assert oracles.eventually_equal(res.qp, expected)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_fitted_arithmetic_series_equal_roberts(s):
+    family = fam([U + k * ONE for k in range(s + 1)])
+    f_series, _ = reduction.direct_series(family, 2, 200)
+    res = eqpfit.fit_quasipolynomial(f_series)
+    assert isinstance(res, eqpfit.Fit)
+    assert oracles.eventually_equal(res.qp, oracles.roberts_closed_form(s))
 
 
 def test_one_table_per_t(monkeypatch):
