@@ -297,7 +297,8 @@ _RANGE = (("--family", "family_path", _existing_path, _REQUIRED,
           ("--t-min", "t_min", _int, _REQUIRED, "First t."),
           ("--t-max", "t_max", _int, _REQUIRED, "Last t."))
 _POINT_CAP = ("--point-cap", "point_cap", _point_cap, DEFAULT_POINT_CAP,
-              "Work cap per system: search nodes plus points.")
+              "Work cap per system: search nodes plus points (a sys1 "
+              "projection: kept keys plus nodes plus leaf runs).")
 _COMMANDS = {
     "compute": (compute, (
         ("--a", "tuple_text", str, _REQUIRED,
@@ -328,7 +329,8 @@ _COMMANDS = {
          "Print the l largest objective values (plain systems need c:)."),
         ("--exclusion", "mode", "exclusion", "count",
          "Print the feasible set of an exclusion file."),
-        ("--l", "l_value", _int, 1, "How many objective values to print."),
+        ("--l", "l_value", _int, 1,
+         "How many objective values to print, at most the point cap."),
         _POINT_CAP, *_OUTPUT)),
 }
 
@@ -426,10 +428,11 @@ def main(args=None, prog_name=None):
     A usage error prints the usage line and ``PROG CMD: error: ...`` to
     stderr and exits 2; ``-h``/``--help`` prints a help page and exits 0.
     A package error prints ``error: ...`` to stderr and exits 3 for a
-    resource limit, 2 otherwise; a command's nonzero exit code ends the run
-    with ``SystemExit``. A reader that closes stdout early (``parafrob ... |
-    head``) ends the run quietly with exit 1, and an interrupt prints
-    ``Aborted!`` and exits 1.
+    resource limit, 2 otherwise; an OS error, or a file that is not UTF-8
+    text, prints the same way and exits 2. A command's nonzero exit code
+    ends the run with ``SystemExit``. A reader that closes stdout early
+    (``parafrob ... | head``) ends the run quietly with exit 1, and an
+    interrupt prints ``Aborted!`` and exits 1.
     """
     if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 and later
         sys.set_int_max_str_digits(0)  # exact answers may be long
@@ -446,6 +449,9 @@ def main(args=None, prog_name=None):
         # Point stdout at devnull, so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
     except (KeyboardInterrupt, EOFError):
         print("\nAborted!", file=sys.stderr)
         code = 1

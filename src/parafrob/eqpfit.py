@@ -64,26 +64,6 @@ class NoFit:
     )
 
 
-def interpolate_component(points, deg_max: int) -> Poly | None:
-    """The unique polynomial of degree <= deg_max through the first
-    deg_max+1 points, provided it also matches every remaining point
-    exactly; None otherwise.
-
-    Requires at least deg_max + 2 points with distinct, finite values.
-    """
-    if len(points) < deg_max + 2:
-        raise InputError(f"need at least {deg_max + 2} points")
-    ts = [t for t, _ in points]
-    if len(set(ts)) != len(ts):
-        raise InputError("interpolation points must have distinct t")
-    head = points[: deg_max + 1]
-    poly = _newton_interpolate(head)
-    for t, v in points[deg_max + 1:]:
-        if poly(t) != v:
-            return None
-    return poly
-
-
 def _newton_interpolate(points) -> Poly:
     """Exact Newton-form interpolation through all given points."""
     from fractions import Fraction
@@ -123,8 +103,8 @@ def _fit_class(points, deg_max: int, first_t: int):
     threshold = points[start - 1][0] if start else first_t - 1
     if bottom:
         return BOTTOM, threshold
-    poly = interpolate_component(points[start:], deg_max)
-    if poly is None:
+    poly = _newton_interpolate(points[start:start + deg_max + 1])
+    if any(poly(t) != v for t, v in points[start + deg_max + 1:]):
         return None, (
             f"the polynomial of degree <= {deg_max} through the "
             f"earliest points does not match the rest of the class"

@@ -4,7 +4,7 @@ The CLI maps the exceptions onto exit codes (see cli.py): input problems
 exit 2, resource limits exit 3.
 """
 
-# Default work cap of one lattice search (search nodes plus points).
+# Default work cap of one lattice search (see pilp._iter_points).
 DEFAULT_POINT_CAP = 1_000_000
 
 

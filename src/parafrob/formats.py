@@ -9,20 +9,12 @@ comment in every file format.
 """
 
 import re
-from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .qpoly import BOTTOM, Poly, _normalize
 
 # Each parser imports the domain class it builds, so a command loads only
 # the modules it runs.
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .eqpfit import SampleSeries
-    from .frobenius import Coins
-    from .pilp import ParametricConstraintSystem, Row
-    from .reduction import PolyFamily
 
 
 def parse_rational(text: str) -> "int | Fraction":

@@ -12,7 +12,7 @@ is the engine behind the pilp and crosscheck commands.
 """
 
 from heapq import heappush, heapreplace
-from itertools import accumulate, compress, product
+from itertools import accumulate, compress, product, repeat
 from math import gcd, prod
 from operator import mul
 
@@ -392,34 +392,26 @@ def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
     points = []
 
     def collect(first, step, length):
-        points.extend(_run_points(first, step, length))
+        points.extend(zip(*(range(a, a + d * length, d) if d else repeat(a)
+                            for a, d in zip(first, step))))
 
     _stream(sys, t, collect, point_cap)
     points.sort()
     return tuple(points)
 
 
-def _run_points(first, step, length):
-    """The points first + k * step, k = 0..length-1, of one leaf run."""
-    moving = [(i, d) for i, d in enumerate(step) if d]
-    point = list(first)
-    points = [first]
-    for _ in range(length - 1):
-        for i, d in moving:
-            point[i] += d
-        points.append(tuple(point))
-    return points
-
-
 class _Ranking:
     """Counts the points of the offered runs and keeps the l largest values
     of c . x over them, with multiplicity, in a min-heap of at most l
     values. l = None asks for the count only: no objective value is
-    computed."""
+    computed. An l above point_cap is refused before any search."""
 
-    def __init__(self, c, t: int, l):
+    def __init__(self, c, t: int, l, point_cap):
         if l is not None and l < 1:
             raise InputError("l must be >= 1")
+        if l is not None and l > point_cap:
+            raise ResourceLimitError(
+                f"l exceeds the point cap of {point_cap}")
         self.l = l or 0
         self.c = [_int_value(p, t) for p in c] if l else ()
         self.heap = []
@@ -462,7 +454,7 @@ def lattice_profile(sys: ParametricConstraintSystem, t: int, c, l,
     """
     if l is not None and len(c) != sys.n:
         raise InputError("objective width must match variable count")
-    ranking = _Ranking(c, t, l)
+    ranking = _Ranking(c, t, l, point_cap)
     _stream(sys, t, ranking.offer, point_cap)
     return ranking.size, ranking.top()
 
@@ -506,7 +498,7 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     enumerate_lattice. Each kept point is ranked as a one-point run, as in
     lattice_profile.
     """
-    ranking = _Ranking(ex.c, t, l)
+    ranking = _Ranking(ex.c, t, l, point_cap)
     full = set()  # keys with at least m sys1 points above them
     _stream(ex.sys1, t, full.add, point_cap, (ex.n2, ex.m))
     points = enumerate_lattice(ex.sys2, t, point_cap)

@@ -7,12 +7,9 @@ All types are immutable after construction and safe to share between
 threads.
 """
 
-from typing import TYPE_CHECKING, Union
+from math import lcm
 
 from .errors import InputError, frozen
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class _Bottom:
@@ -42,9 +39,6 @@ class _Bottom:
 
 BOTTOM = _Bottom()
 
-# An extended value is BOTTOM or an exact number.
-ExtendedValue = Union[int, "Fraction", _Bottom]
-
 
 def _normalize(value):
     """An exact number as an int when it is integral, else unchanged."""
@@ -72,14 +66,13 @@ class Poly:
     (u*(u-1)/2 does); use :meth:`is_integer_valued` for that test.
     """
 
-    __slots__ = ("coeffs", "_integer_valued")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [_normalize(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._integer_valued = None
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -185,24 +178,24 @@ class Poly:
             return value
         return Poly.constant(value)
 
-    def binomial_coefficients(self) -> tuple:
-        """Coefficients in the binomial basis (iterated forward differences
-        at 0). The polynomial maps Z to Z iff all of these are integers."""
-        values = [self(k) for k in range(self.degree + 1)] or [0]
-        out = []
-        while values:
-            out.append(_normalize(values[0]))
-            values = [b - a for a, b in zip(values, values[1:])]
-        return tuple(out)
-
     def is_integer_valued(self) -> bool:
         """True iff p(k) is an integer for every integer k: at once when
-        every coefficient is an int, else by the binomial-basis test."""
-        if self._integer_valued is None:
-            self._integer_valued = all(
-                c.__class__ is int for c in self.coeffs
-            ) or all(c.denominator == 1 for c in self.binomial_coefficients())
-        return self._integer_valued
+        every coefficient is an int, else iff p(0), ..., p(deg) are
+        integers (Polya: the binomial-basis coordinates are the forward
+        differences of those values), tested as d*p(k) = 0 mod d, where d
+        is the lcm of the denominators."""
+        if all(c.__class__ is int for c in self.coeffs):
+            return True
+        d = lcm(*(c.denominator for c in self.coeffs))
+        scaled = [c.numerator * (d // c.denominator)
+                  for c in reversed(self.coeffs)]
+        for k in range(len(scaled)):
+            acc = 0
+            for c in scaled:
+                acc = (acc * k + c) % d
+            if acc:
+                return False
+        return True
 
     def __repr__(self):
         from .formats import format_poly_expr
@@ -213,14 +206,6 @@ class Poly:
 def eventually_positive(p: Poly) -> bool:
     """True iff p(t) > 0 for all sufficiently large t."""
     return not p.is_zero() and p.leading_coefficient > 0
-
-
-def eventual_cmp(p: Poly, q: Poly) -> int:
-    """Sign of p(t) - q(t) for large t: -1, 0, or 1."""
-    diff = p - q
-    if diff.is_zero():
-        return 0
-    return 1 if diff.leading_coefficient > 0 else -1
 
 
 @frozen
@@ -245,7 +230,7 @@ class QuasiPolynomial:
             if not (comp is BOTTOM or isinstance(comp, Poly)):
                 raise InputError("components must be Poly or BOTTOM")
 
-    def eval(self, t: int) -> ExtendedValue:
+    def eval(self, t: int):
         """Exact value at t; raises InputError for t <= threshold."""
         if t <= self.threshold:
             raise InputError(

@@ -9,14 +9,13 @@ cross-validates the two computation paths against each other, each t in
 the smallest box that holds its answers.
 """
 
-from functools import cmp_to_key
 from math import gcd
 
 from . import frobenius
 from .eqpfit import SampleSeries
 from .errors import DEFAULT_POINT_CAP, InputError, ResourceLimitError, frozen
 from .frobenius import Coins
-from .qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp, eventually_positive
+from .qpoly import BOTTOM, Poly, QuasiPolynomial, eventually_positive
 
 
 @frozen
@@ -139,7 +138,8 @@ def window_bound_poly(fam: PolyFamily) -> Poly:
     It bounds l + F_{m,l}(t) at every t where the entries are positive with
     gcd 1 and their concrete order matches the eventual one.
     """
-    ordered = sorted(fam.polys, key=cmp_to_key(eventual_cmp))
+    # With positive leading coefficients this key is the eventual order.
+    ordered = sorted(fam.polys, key=lambda p: (p.degree, p.coeffs[::-1]))
     return fam.l + frobenius.window_end(ordered[0], ordered[1], ordered[-1],
                                         fam.m)
 

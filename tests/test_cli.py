@@ -497,17 +497,19 @@ print(" ".join(sorted(set(sys.modules) - before)))
 def loaded_modules(workdir, *args):
     """The command's output lines and the parafrob modules it loaded; fails
     if it loaded a module that costs startup time and that parafrob does
-    not need: an argument parser, and fractions (with decimal) anywhere
-    but in ``fit``, whose interpolation makes non-integral numbers. Every
-    input here is integral."""
+    not need: an argument parser, typing, and fractions (with decimal)
+    anywhere but in ``fit``, whose interpolation makes non-integral
+    numbers. Every input here is integral. The probe runs without ``site``,
+    whose ``.pth`` hooks may import such modules first and hide them."""
     src = str(Path(parafrob.__file__).parents[1])
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *args], cwd=workdir,
-                          env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, *args],
+                          cwd=workdir, env=env, capture_output=True,
+                          text=True, check=True)
     *output, modules, new = proc.stdout.splitlines()
     unwanted = {"click", "dataclasses", "inspect", "argparse", "gettext",
-                "locale"}
+                "locale", "typing"}
     if args[0] != "fit":
         unwanted |= {"fractions", "decimal"}
     slow = {m.split(".")[0] for m in new.split()} & unwanted
@@ -699,6 +701,50 @@ def test_out_flag_writes_file(tmp_path):
               "--out", str(target))
     assert res.exit_code == 0
     assert "F 7" in target.read_text()
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "directory",
+                                  "not UTF-8"])
+def test_file_errors_are_input_errors(tmp_path, kind):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "bytes.series").write_bytes(b"\xff\xfe")
+    missing, folder = str(tmp_path / "no" / "x"), str(tmp_path / "dir")
+    cases = {
+        "missing directory": [
+            ("compute", "--a", "3,5", "--out", missing),
+            ("series", "--family", str(fam), "--t-min", "3", "--t-max", "5",
+             "--out", missing)],
+        "directory": [("fit", folder), ("pilp", folder, "--t", "3"),
+                      ("crosscheck", "--family", folder, "--t-min", "3",
+                       "--t-max", "4")],
+        "not UTF-8": [("fit", str(tmp_path / "bytes.series"))],
+    }
+    for args in cases[kind]:
+        res = run(*args)
+        assert res.exit_code == 2, args
+        assert res.output.startswith("error: "), res.output
+        assert res.output.count("\n") == 1, res.output
+
+
+def test_pilp_l_above_the_point_cap_is_refused(tmp_path):
+    # The answer lists l values, so an l above the cap is refused before
+    # any search, without echoing l.
+    sysfile = tmp_path / "tri.txt"
+    sysfile.write_text(TRIANGLE)
+    args = ("pilp", str(sysfile), "--t", "3", "--objective")
+    for l in (str(10**20), "3000000000"):
+        assert run(*args, "--l", l) == (
+            3, "error: l exceeds the point cap of 1000000\n")
+    assert run(*args, "--l", "5", "--point-cap", "4") == (
+        3, "error: l exceeds the point cap of 4\n")
+    assert run(*args, "--l", "5", "--point-cap", "100").output.endswith(
+        "objective 4 3\nobjective 5 2\n")
+    exclusion = tmp_path / "ex5.txt"
+    exclusion.write_text(EXAMPLE5)
+    assert run("pilp", str(exclusion), "--t", "10", "--exclusion", "--l",
+               "8", "--point-cap", "7").exit_code == 3
 
 
 COMMAND_OPTIONS = {

@@ -163,7 +163,8 @@ FILES = {"family_path": family_text, "series_path": series_text,
          "system_path": system_text}
 VALUES = {
     "m": mostly(st.integers(1, 4), 0), "l": mostly(st.integers(1, 4), 0),
-    "l_value": mostly(st.integers(1, 4), 0), "t_value": T,
+    "l_value": mostly(mostly(st.integers(1, 4), 0), "7" * 4400),
+    "t_value": T,
     "d_max": mostly(st.integers(1, 6), 0),
     "deg_max": mostly(st.integers(0, 4), -1),
     "point_cap": mostly(st.integers(1, 10**4), 0),

@@ -34,20 +34,17 @@ def test_fit_bounds_validation():
 
 
 def test_interpolate_examples():
-    assert eqpfit.interpolate_component(
-        [(1, 2), (2, 3), (3, 4), (4, 5)], 1
-    ) == U + Poly.constant(1)
-    assert eqpfit.interpolate_component(
-        [(1, 1), (2, 4), (3, 9), (4, 16), (5, 25)], 2
-    ) == U**2
-    assert eqpfit.interpolate_component([(1, 1), (2, 2), (3, 4)], 1) is None
+    # A class's polynomial runs through the earliest deg_max + 1 points of
+    # its suffix and must match every later one.
+    def fit(fn, deg_max):
+        return eqpfit.fit_quasipolynomial(series_of(fn, 1, 20), d_max=1,
+                                          deg_max=deg_max)
 
-
-def test_interpolate_preconditions():
-    with pytest.raises(InputError):
-        eqpfit.interpolate_component([(1, 1), (2, 2)], 1)
-    with pytest.raises(InputError):
-        eqpfit.interpolate_component([(1, 1), (1, 2), (2, 3)], 1)
+    assert fit(lambda t: t + 1, 1).qp.components == (U + Poly.constant(1),)
+    assert fit(lambda t: t * t, 2).qp.components == (U**2,)
+    assert fit(lambda t: t * t, 1).diagnostics == (
+        (1, 0, "the polynomial of degree <= 1 through the earliest points "
+               "does not match the rest of the class"),)
 
 
 def test_fit_floor_half():

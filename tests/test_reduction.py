@@ -1,7 +1,6 @@
 """Family pipeline: positivity, gcd reduction, box exponent, crosscheck."""
 
 from fractions import Fraction
-from functools import cmp_to_key
 from math import ceil, gcd
 
 import oracles
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from parafrob import eqpfit, frobenius, pilp, reduction
 from parafrob.errors import InputError, ResourceLimitError
 from parafrob.frobenius import Coins
-from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, eventual_cmp
+from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial
 from parafrob.reduction import PolyFamily
 from windows import qualifying_bound
 
@@ -21,6 +20,12 @@ ONE = Poly.constant(1)
 
 def fam(polys, m=1, l=1):
     return PolyFamily(tuple(polys), m, l)
+
+
+def eventual_order(p):
+    """Sort key: the order of p(t) for large t, given a positive leading
+    coefficient, as every family entry has."""
+    return (p.degree, p.coeffs[::-1])
 
 
 def test_family_validation():
@@ -170,7 +175,7 @@ def assert_window_bound_holds(family, ts):
     entries are positive with gcd 1 and the eventually largest entry is
     the largest: there the bound is proven."""
     bound = reduction.window_bound_poly(family)
-    x_max = max(family.polys, key=cmp_to_key(eventual_cmp))
+    x_max = max(family.polys, key=eventual_order)
     for t in ts:
         values = family.values(t)
         if min(values) <= 0 or gcd(*values) != 1 or x_max(t) != max(values):
@@ -240,6 +245,26 @@ def test_fitted_arithmetic_series_equal_roberts(s):
     res = eqpfit.fit_quasipolynomial(f_series)
     assert isinstance(res, eqpfit.Fit)
     assert oracles.eventually_equal(res.qp, oracles.roberts_closed_form(s))
+
+
+@pytest.mark.parametrize("polys, m, t_max", [
+    ((U, U + 3 * ONE), 1, 55),
+    ((2 * U + ONE, 3 * U + 2 * ONE), 2, 53),
+], ids=["t,t+3", "2t+1,3t+2"])
+def test_exclusion_path_past_the_fitted_window(polys, m, t_max):
+    # Fits from t = 2..50 only; past that window the exclusion path, which
+    # shares no code with the fitter, lands on their values.
+    family = fam(polys, m)
+    fits = [eqpfit.fit_quasipolynomial(series, deg_max=2)
+            for series in reduction.direct_series(family, 2, 50)]
+    assert all(isinstance(res, eqpfit.Fit) for res in fits)
+    f_fit, g_fit = (res.qp for res in fits)
+    report = reduction.crosscheck(family, 51, t_max)
+    checked = [row for row in report.rows if row.status != reduction.SKIPPED]
+    assert len(checked) == 3
+    for row in checked:
+        assert row.f_exclusion == f_fit.eval(row.t)
+        assert row.g_exclusion - g_fit.eval(row.t) == family.l + (m >= 2)
 
 
 def test_one_table_per_t(monkeypatch):
@@ -463,7 +488,7 @@ def test_window_bound_poly_is_qualifying_bound_plus_l(family):
     # Both come from frobenius.window_end; they agree wherever the entries
     # have gcd 1 and their concrete order is the eventual one.
     bound = reduction.window_bound_poly(family)
-    ordered = sorted(family.polys, key=cmp_to_key(eventual_cmp))
+    ordered = sorted(family.polys, key=eventual_order)
     t0 = reduction.positivity_start(family)
     for t in range(t0, t0 + 6):
         values = family.values(t)
@@ -480,7 +505,7 @@ def test_crosscheck_never_reports_diff(family, t_min):
     report = reduction.crosscheck(family, t_min, t_min + 3, point_cap=3000)
     r = reduction.box_exponent(family)
     bound = reduction.window_bound_poly(family)
-    ordered = sorted(family.polys, key=cmp_to_key(eventual_cmp))
+    ordered = sorted(family.polys, key=eventual_order)
     for row in report.rows:
         assert row.status != reduction.DIFF, report
         t, values = row.t, family.values(row.t)

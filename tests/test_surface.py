@@ -13,8 +13,7 @@ LIBRARY_SURFACE = {
     "cli": {"EXIT_INPUT", "EXIT_MISMATCH", "EXIT_RESOURCE", "EXIT_UNCHECKED",
             "compute", "crosscheck", "fit", "fit_report_lines", "main",
             "pilp_cmd", "series"},
-    "eqpfit": {"Fit", "NoFit", "SampleSeries", "fit_quasipolynomial",
-               "interpolate_component"},
+    "eqpfit": {"Fit", "NoFit", "SampleSeries", "fit_quasipolynomial"},
     "errors": {"DEFAULT_POINT_CAP", "InputError", "ParafrobError",
                "ResourceLimitError", "frozen"},
     "formats": {"format_coins", "format_extended", "format_poly_expr",
@@ -27,8 +26,7 @@ LIBRARY_SURFACE = {
     "pilp": {"EQ", "ExclusionProblem", "LE", "MAX_SWEEPS",
              "ParametricConstraintSystem", "Row", "enumerate_lattice",
              "exclusion_profile", "lattice_profile", "propagated_box"},
-    "qpoly": {"BOTTOM", "ExtendedValue", "Poly", "QuasiPolynomial",
-              "eventual_cmp", "eventually_positive"},
+    "qpoly": {"BOTTOM", "Poly", "QuasiPolynomial", "eventually_positive"},
     "reduction": {"CrosscheckReport", "CrosscheckRow", "DIFF", "EQUAL",
                   "G_OFFSET", "PolyFamily", "SKIPPED", "box_exponent",
                   "crosscheck", "direct_series", "frobenius_to_exclusion",
