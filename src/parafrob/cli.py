@@ -6,7 +6,10 @@ exact (integer or rational strings); the machine format is line-oriented
 key/value text so runs can be diffed byte for byte. Exit codes: 0 success,
 2 input error (usage errors included), 3 resource limit, 4 crosscheck
 mismatch, 5 crosscheck window with no checked row. Package errors are
-mapped to exit codes in one place, ``main``.
+mapped to exit codes in one place, ``main``, which raises ``SystemExit``
+for any code but 0 and so can run in process. A process starts at
+``entry``: it runs ``main``, flushes stdout and stderr, and ends with
+``os._exit``, skipping the interpreter's teardown.
 
 Options are parsed from one grammar table, ``_COMMANDS``, which also
 gives the usage lines and help pages. Each command imports the modules it
@@ -35,10 +38,12 @@ EXIT_UNCHECKED = 5
 
 def _emit(lines, out: str | None):
     text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    if out is not None:
         Path(out).write_text(text)
+    elif sys.stdout is None:  # started with stdout closed (``>&-``)
+        raise BrokenPipeError("stdout is closed")
+    else:
+        sys.stdout.write(text)
 
 
 def compute(tuple_text, m, l, fmt, out):
@@ -91,13 +96,20 @@ def series(family_path, t_min, t_max, out_prefix):
     existing = {}
     for key, path in targets.items():
         existing[key] = {}
-        if path.exists():
+        new = not path.exists()
+        if not new:
             old = formats.parse_series(path.read_text())
             if t_min > old.t_max + 1 or t_max < old.t_min - 1:
                 raise InputError(
                     f"t = {t_min}..{t_max} and the t = {old.t_min}..{old.t_max}"
                     f" in {path} would leave a gap in the merged series")
             existing[key] = dict(old.items())
+        # An unwritable output fails here, before any sampling. A file this
+        # opens new is removed again, so a failed run leaves none behind.
+        with open(path, "a"):
+            pass
+        if new:
+            path.unlink()
     have = set(existing["fml"]) & set(existing["gm"])
     missing = [t for t in range(t_min, t_max + 1) if t not in have]
     # One direct_series call per run of consecutive missing t: each call
@@ -107,10 +119,12 @@ def series(family_path, t_min, t_max, out_prefix):
         f_new, g_new = reduction.direct_series(fam, ts[0], ts[-1])
         existing["fml"].update(f_new.items())
         existing["gm"].update(g_new.items())
+    lines = []
     for key, path in targets.items():
         merged = eqpfit.SampleSeries.from_pairs(existing[key].items())
         path.write_text(formats.format_series(merged))
-        print(f"wrote {path} ({len(merged)} samples)")
+        lines.append(f"wrote {path} ({len(merged)} samples)")
+    _emit(lines, None)
 
 
 def fit(series_path, d_max, deg_max, fmt, out):
@@ -431,23 +445,28 @@ def main(args=None, prog_name=None):
     resource limit, 2 otherwise; an OS error, or a file that is not UTF-8
     text, prints the same way and exits 2. A command's nonzero exit code
     ends the run with ``SystemExit``. A reader that closes stdout early
-    (``parafrob ... | head``) ends the run quietly with exit 1, and an
-    interrupt prints ``Aborted!`` and exits 1.
+    (``parafrob ... | head``), or a stdout closed from the start
+    (``parafrob ... >&-``), ends the run quietly with exit 1 unless the
+    command had nothing to print there; an interrupt prints ``Aborted!``
+    and exits 1. In process, ``main`` returns on exit 0 and raises
+    ``SystemExit`` otherwise; the process entry is ``entry``.
     """
     if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 and later
         sys.set_int_max_str_digits(0)  # exact answers may be long
-    command, options = _parse(prog_name or "parafrob",
-                              sys.argv[1:] if args is None else list(args))
     try:
+        command, options = _parse(prog_name or "parafrob",
+                                  sys.argv[1:] if args is None else list(args))
         code = command(**options)
-        sys.stdout.flush()  # a closed reader shows up here, not at exit
+        if sys.stdout is not None:  # a closed reader shows up here
+            sys.stdout.flush()
     except ParafrobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         limit = isinstance(exc, ResourceLimitError)
         code = EXIT_RESOURCE if limit else EXIT_INPUT
     except BrokenPipeError:
-        # Point stdout at devnull, so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Point stdout at devnull, so a later flush cannot fail again.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -462,5 +481,34 @@ def main(args=None, prog_name=None):
 # The click-era spelling of the entry point, still used by perfbench/run.py.
 main.main = main
 
+
+def entry():
+    """The process entry of ``python -m parafrob.cli`` and of the
+    ``parafrob`` script: run ``main``, flush stdout and stderr, and end the
+    process with ``os._exit``, without the interpreter's teardown.
+
+    The exit code is ``main``'s ``SystemExit`` code, an int or None for 0;
+    any other code is raised again, as is any other exception, so Python
+    reports it as usual. If a flush fails, the process ends by the normal
+    exit instead. Skipping teardown loses nothing: parafrob registers no
+    ``atexit`` handler, and each file it writes is closed before ``main``
+    returns.
+    """
+    try:
+        main()
+        code = 0
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    entry()

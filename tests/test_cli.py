@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, determinism, exit codes, resumption."""
 
+import ast
 import errno
+import importlib
 import io
 import os
 import re
@@ -14,6 +16,7 @@ from clirun import run_cli
 
 import parafrob
 from parafrob import cli, frobenius, pilp, reduction
+from parafrob.errors import ResourceLimitError
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
 TRIANGLE = "vars: 2\nnonneg: all\nc: 1, 1\nrow: 1, 1 | <= | t\n"
@@ -205,6 +208,35 @@ def test_series_refuses_a_gap_before_computing(tmp_path, monkeypatch):
         assert run("series", "--family", str(fam), "--t-min", str(t_min),
                    "--t-max", str(t_max), "--out", str(out)).exit_code == 0
     assert len(files[0].read_text().splitlines()) == 10  # t = 2..11
+
+
+def test_series_checks_its_outputs_before_sampling(tmp_path, monkeypatch):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    (tmp_path / "out.gm.series").mkdir()
+
+    def sampled(*args):
+        raise AssertionError("sampled before the outputs were checked")
+
+    monkeypatch.setattr(reduction, "direct_series", sampled)
+    for out, reason in ((tmp_path / "no" / "x", "No such file or directory"),
+                        (tmp_path / "out", "Is a directory")):
+        res = run("series", "--family", str(fam), "--t-min", "3",
+                  "--t-max", "800", "--out", str(out))
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("error: ") and reason in res.output
+    # The probe of out.fml.series is removed again, and so is a new output
+    # of a run that fails while sampling.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fam.txt", "out.gm.series"]
+
+    def limited(*args):
+        raise ResourceLimitError("sampling stopped")
+
+    monkeypatch.setattr(reduction, "direct_series", limited)
+    assert run("series", "--family", str(fam), "--t-min", "3", "--t-max",
+               "5", "--out", str(tmp_path / "new")).exit_code == 3
+    assert not list(tmp_path.glob("new.*"))
 
 
 def test_series_rejects_empty_t_range(tmp_path):
@@ -776,16 +808,22 @@ def test_help_lists_every_option():
             assert positional in res.output, (name, positional)
 
 
+def cli_process(*args):
+    """The argv and environment of a ``python -m parafrob.cli`` process
+    that runs this checkout's sources."""
+    src = str(Path(parafrob.__file__).parents[1])
+    return ([sys.executable, "-m", "parafrob.cli", *args],
+            dict(os.environ, PYTHONPATH=src))
+
+
 def test_runs_without_docstrings(tmp_path):
     # python -OO drops docstrings, which the help pages read.
-    src = str(Path(parafrob.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     for args, first in ((["compute", "--a", "3,5", "--format", "machine"],
                          "F 7"),
                         (["compute", "--help"], "usage: parafrob compute")):
-        proc = subprocess.run([sys.executable, "-OO", "-m", "parafrob.cli",
-                               *args], cwd=tmp_path, env=env,
-                              capture_output=True, text=True)
+        argv, env = cli_process(*args)
+        proc = subprocess.run([argv[0], "-OO", *argv[1:]], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.startswith(first), args
 
 
@@ -941,3 +979,167 @@ def test_inject_mismatch_on_all_skipped_window_stays_unchecked(tmp_path):
               "--t-max", "6", "--inject-mismatch", "--format", "machine")
     assert res.exit_code == 5
     assert res.output.splitlines()[-1] == "verdict UNCHECKED"
+
+
+# The process entry, cli.entry, ends a process with os._exit after
+# flushing stdout and stderr; these run it as a shell would.
+# An exclusion file whose sys1 is empty: pilp --exclusion lists every
+# x = 0..t, which at t = 20000 is 229 KB, well past a 64 KiB pipe buffer.
+ALL_POINTS = """m: 1
+n1: 1
+n2: 1
+c: 1
+sys1:
+row: 1, 0 | <= | -1
+sys2:
+row: 1 | <= | t
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (("compute", "--a", "3,5", "--format", "machine"), 0),
+    (("series", "--family", "fam.txt", "--t-min", "2", "--t-max", "6",
+      "--out", "s"), 0),
+    (("compute", "--a", "3,x"), 2),
+    (("compute", "--a", "3,5", "--m", "99999999"), 3),
+    (("crosscheck", "--family", "fam.txt", "--t-min", "2", "--t-max", "6",
+      "--inject-mismatch"), 4),
+    (("crosscheck", "--family", "gcd.txt", "--t-min", "2", "--t-max", "4",
+      "--format", "machine"), 5),
+    (("--help",), 0),
+    (("compute", "--bogus"), 2),
+], ids=["ok", "series", "input", "resource", "mismatch", "unchecked", "help",
+        "usage"])
+def test_process_matches_in_process(tmp_path, monkeypatch, args, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fam.txt").write_text(FAMILY_U_UM1)
+    (tmp_path / "gcd.txt").write_text("poly: 2t\npoly: 2t + 2\nm: 1\nl: 1\n")
+    argv, env = cli_process(*args)
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+    got, out, err = run_split(*args)
+    assert got == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), err.encode())
+
+
+def test_process_output_is_complete(tmp_path):
+    (tmp_path / "all.txt").write_text(ALL_POINTS)
+    args = ("pilp", "all.txt", "--t", "20000", "--exclusion")
+    expected = "\n".join(["size 20001", "objective 1 20000",
+                          *(f"point {x}" for x in range(20001))]) + "\n"
+    assert len(expected) > 3 * 65536
+    argv, env = cli_process(*args)
+    piped = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == expected.encode()
+    argv, env = cli_process(*args, "--out", "all.out")
+    to_file = subprocess.run(argv, cwd=tmp_path, env=env,
+                             capture_output=True)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (
+        0, b"", b"")
+    assert (tmp_path / "all.out").read_text() == expected
+
+
+def test_process_reader_that_closes_early(tmp_path):
+    (tmp_path / "all.txt").write_text(ALL_POINTS)
+    argv, env = cli_process("pilp", "all.txt", "--t", "20000", "--exclusion")
+    # Unbuffered, CPython's text stdout drops what a partial write left
+    # unwritten, so the program never sees the closed reader.
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"size 20001\n"
+        proc.stdout.close()  # as head -1 does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1 and err == b""
+
+
+def test_process_with_stdout_closed(tmp_path):
+    # sh's >&- starts the process with no fd 1, so sys.stdout is None.
+    (tmp_path / "fam.txt").write_text(FAMILY_U_UM1)
+
+    def closed(*args):
+        argv, env = cli_process(*args)
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                              cwd=tmp_path, env=env, capture_output=True)
+        assert proc.stderr == b"", proc.stderr
+        return proc.returncode
+
+    assert closed("compute", "--a", "3,5") == 1
+    assert closed("compute", "--a", "3,5", "--out", "f.txt") == 0
+    assert (tmp_path / "f.txt").read_text() == run("compute",
+                                                   "--a", "3,5").output
+    # series prints what it wrote, after writing both files.
+    assert closed("series", "--family", "fam.txt", "--t-min", "2",
+                  "--t-max", "6", "--out", "s") == 1
+    assert len((tmp_path / "s.gm.series").read_text().splitlines()) == 5
+
+
+class Exited(Exception):
+    """Raised in place of os._exit, which would end the test process."""
+
+
+def exited(status):
+    raise Exited(status)
+
+
+@pytest.mark.parametrize("args, code", [
+    (("compute", "--a", "3,5"), 0), (("--help",), 0),
+    (("compute", "--a", "3,x"), 2), (("compute", "--bogus"), 2)])
+def test_entry_flushes_and_ends_with_os_exit(monkeypatch, args, code):
+    flushed = []
+    out, err = io.StringIO(), io.StringIO()
+    for stream in (out, err):
+        monkeypatch.setattr(stream, "flush",
+                            lambda stream=stream: flushed.append(stream))
+    monkeypatch.setattr(os, "_exit", exited)
+    monkeypatch.setattr(sys, "argv", ["parafrob", *args])
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(Exited) as stop:
+        cli.entry()
+    assert stop.value.args == (code,)
+    assert flushed[-2:] == [out, err]
+
+
+class FailingFlush(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_entry_falls_back_to_a_normal_exit(monkeypatch):
+    monkeypatch.setattr(os, "_exit", exited)
+    monkeypatch.setattr(sys, "argv", ["parafrob", "--help"])
+    # A failed flush ends the process the normal way, with main's code.
+    with redirect_stdout(FailingFlush()), pytest.raises(SystemExit) as stop:
+        cli.entry()
+    assert stop.value.code == 0
+    # Any exception but SystemExit, and a code that is not an int, pass
+    # through as they would without the entry.
+    monkeypatch.setattr(sys, "argv", ["parafrob", "compute", "--a", "3,5"])
+
+    def broken(lines, out):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "_emit", broken)
+    with pytest.raises(RuntimeError):
+        cli.entry()
+    monkeypatch.setattr(cli, "main", lambda: sys.exit("message"))
+    with pytest.raises(SystemExit) as stop:
+        cli.entry()
+    assert stop.value.code == "message"
+
+
+def test_both_launchers_call_the_entry():
+    # pyproject.toml is read as text: tomllib is missing on Python 3.10.
+    root = Path(parafrob.__file__).parents[2]
+    scripts = (root / "pyproject.toml").read_text().split(
+        "[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.fullmatch(r'parafrob = "([\w.]+):(\w+)"', scripts.strip())
+    module, name = target.groups()
+    script = getattr(importlib.import_module(module), name)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    call, = block.body
+    assert getattr(cli, call.value.func.id) is script
+    assert script is not cli.main

@@ -11,8 +11,8 @@ import parafrob
 # A name joins or leaves this list only together with the code behind it.
 LIBRARY_SURFACE = {
     "cli": {"EXIT_INPUT", "EXIT_MISMATCH", "EXIT_RESOURCE", "EXIT_UNCHECKED",
-            "compute", "crosscheck", "fit", "fit_report_lines", "main",
-            "pilp_cmd", "series"},
+            "compute", "crosscheck", "entry", "fit", "fit_report_lines",
+            "main", "pilp_cmd", "series"},
     "eqpfit": {"Fit", "NoFit", "SampleSeries", "fit_quasipolynomial"},
     "errors": {"DEFAULT_POINT_CAP", "InputError", "ParafrobError",
                "ResourceLimitError", "frozen"},
