@@ -42,8 +42,13 @@ def _emit(lines, out: str | None):
         Path(out).write_text(text)
     elif sys.stdout is None:  # started with stdout closed (``>&-``)
         raise BrokenPipeError("stdout is closed")
-    else:
+    elif (raw := getattr(sys.stdout, "buffer", None)) is None:
         sys.stdout.write(text)
+    else:  # unbuffered, the text layer would drop a partial write's rest
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[raw.write(data):]
 
 
 def compute(tuple_text, m, l, fmt, out):

@@ -4,14 +4,13 @@ h(k) counts the nonnegative integer tuples (b_1, ..., b_n) with
 sum b_i * a_i = k (ordered tuples: duplicate denominations count
 separately). F, G, F_{m,l} and G_m all come from one residue table per
 tuple and m: apery_table(coins, m).frobenius(m, l) is F_{m,l}, its
-.genus(m) is G_m, and m = l = 1 gives F and G. The capped coin DP gives
-h(k) itself and is the table's oracle.
+.genus(m) is G_m, and m = l = 1 gives F and G, all from one count. The
+capped coin DP gives h(k) itself and is the table's oracle.
 window_end is the one bound past which every k has h(k) >= m; on Polys it
 gives the box exponent of the reduction module.
 """
 
-from heapq import heappop, heappush, merge, nlargest
-from itertools import islice
+from heapq import heappop, heappush
 from math import gcd
 
 from .errors import InputError, ResourceLimitError, frozen
@@ -114,7 +113,9 @@ def window_end(s1, s2, x_max, m):
 @frozen
 class AperyTable:
     """values[(j-1)*a + r] = w_r at level j: the least k = r (mod a) with
-    h(k) >= j on the reduced tuple, j = 1..m, a the smallest reduced entry."""
+    h(k) >= j on the reduced tuple, j = 1..m, a the smallest reduced entry.
+    As h(k + a) >= h(k), class r's qualifiers (h(k) < m) are its k < w_r;
+    C(x) = sum of (w_r - x) // a over w_r > x counts those >= x >= 0."""
 
     coins: Coins
     m: int
@@ -126,29 +127,34 @@ class AperyTable:
             raise InputError(f"the table answers m = 1..{self.m}")
         return self.values[(m - 1) * self.a:m * self.a]
 
+    def _count(self, w: tuple, x: int) -> int:
+        return sum((w_r - x) // self.a for w_r in w if w_r > x)
+
     def frobenius(self, m: int, l: int) -> int:
         """F_{m,l}: the l-th largest multiple k of the gcd with h(k) < m.
 
-        Class r holds w_r - a, w_r - 2a, ... >= 0, so the l largest w_r hold
-        the answer. Every negative multiple qualifies (h = 0 there), and 0
-        does exactly when m >= 2, so the answer may be negative but is never
-        below -l * gcd; F = frobenius(1, 1) is -gcd when every nonnegative
-        multiple of the gcd is representable.
+        With C(0) >= l, the largest x with C(x) >= l: a bisection from
+        max(0, W - a*l), where the class of W = max w_r holds l qualifiers,
+        to W - a + 1, where C is 0. Every negative multiple qualifies (h = 0
+        there) and 0 does exactly when m >= 2, so the answer is negative
+        for C(0) < l, but never below -l * gcd; F = frobenius(1, 1) is -gcd
+        when every nonnegative multiple of the gcd is representable.
         """
         if l < 1:
             raise InputError("l must be >= 1")
-        a, w = self.a, self._level(m)
-        nonnegative = sum((w_r - r) // a for r, w_r in enumerate(w))
-        if nonnegative < l:
+        w = self._level(m)
+        if (nonnegative := self._count(w, 0)) < l:
             return -self.coins.g * (l - nonnegative)
-        below = merge(*(range(x - a, -1, -a) for x in nlargest(l, w)), reverse=True)
-        return self.coins.g * next(islice(below, l - 1, None))
+        lo, hi = max(0, max(w) - self.a * l), max(w) - self.a + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self._count(w, mid) >= l else (lo, mid)
+        return self.coins.g * lo
 
     def genus(self, m: int) -> int:
-        """G_m: the number of positive multiples of the gcd with h(k) < m
-        (k = 0 qualifies, uncounted, when w_0 > 0); G = genus(1)."""
-        w = self._level(m)
-        return sum((w_r - r) // self.a for r, w_r in enumerate(w)) - (w[0] > 0)
+        """G_m = C(1): the number of positive multiples of the gcd with
+        h(k) < m; G = genus(1)."""
+        return self._count(self._level(m), 1)
 
 
 def apery_table(coins: Coins, m: int) -> AperyTable:

@@ -3,16 +3,17 @@
 A system is instantiated at a concrete integer parameter t, its integer
 points are enumerated exactly (interval bound propagation followed by
 depth-first search), and counting / ranking / projection-exclusion
-questions are answered from one enumeration per system: enumerate_lattice
-gives the points, lattice_profile the size and the l largest objective
-values (l = None for the size alone), and exclusion_profile the feasible
-set of an exclusion problem with its l largest values, its sys1 searched
-by a projection or a fiber search, whichever its box bounds smaller. This
-is the engine behind the pilp and crosscheck commands.
+questions are answered from one stream of leaf runs per system:
+lattice_profile gives the size and the l largest objective values (l =
+None for the size alone), and exclusion_profile the feasible set of an
+exclusion problem with its l largest values, its sys1 searched by a
+projection or a fiber search, whichever its box bounds smaller, and its
+sys2 runs cut at sys1's full keys. This is the engine behind the pilp and
+crosscheck commands.
 """
 
 from heapq import heappush, heapreplace
-from itertools import accumulate, compress, product, repeat
+from itertools import accumulate, compress, groupby, product, repeat
 from math import gcd, prod
 from operator import mul
 
@@ -375,29 +376,8 @@ def _stream(sys: ParametricConstraintSystem, t: int, visit, point_cap,
             fiber=None):
     rows = _instantiate(sys, t)
     box = _propagate(rows, sys.nonneg, sys.n)
-    if box is None:
-        return
-    lo, hi = box
-    _iter_points(rows, lo, hi, visit, point_cap, fiber)
-
-
-def enumerate_lattice(sys: ParametricConstraintSystem, t: int,
-                      point_cap: int = DEFAULT_POINT_CAP) -> tuple:
-    """All integer points of the instantiated system, sorted.
-
-    Raises InputError when propagation cannot bound every
-    coordinate and ResourceLimitError once search nodes plus points pass
-    point_cap.
-    """
-    points = []
-
-    def collect(first, step, length):
-        points.extend(zip(*(range(a, a + d * length, d) if d else repeat(a)
-                            for a, d in zip(first, step))))
-
-    _stream(sys, t, collect, point_cap)
-    points.sort()
-    return tuple(points)
+    if box is not None:
+        _iter_points(rows, *box, visit, point_cap, fiber)
 
 
 class _Ranking:
@@ -494,16 +474,24 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     The feasible set is the sorted tuple of the sys2 points whose sys1 fiber
     has fewer than m points. Each system is searched once: sys1 by the
     projection where its search above the leaf is no larger than its kept
-    box, else by the fiber search (see _iter_points), and sys2 through
-    enumerate_lattice. Each kept point is ranked as a one-point run, as in
-    lattice_profile.
+    box, else by the fiber search (see _iter_points), and sys2 as in
+    lattice_profile. Each kept stretch of a sys2 leaf run, cut at the keys
+    of sys1's full fibers, is ranked as one run.
     """
     ranking = _Ranking(ex.c, t, l, point_cap)
     full = set()  # keys with at least m sys1 points above them
     _stream(ex.sys1, t, full.add, point_cap, (ex.n2, ex.m))
-    points = enumerate_lattice(ex.sys2, t, point_cap)
-    kept = tuple(pt for pt in points if pt not in full)
-    no_step = (0,) * ex.n2
-    for pt in kept:
-        ranking.offer(pt, no_step, 1)
-    return kept, ranking.top()
+    kept = []
+
+    def keep(first, step, length):
+        points = zip(*(range(a, a + d * length, d) if d else repeat(a, length)
+                       for a, d in zip(first, step)))
+        for excluded, stretch in groupby(points, full.__contains__):
+            if not excluded:
+                stretch = list(stretch)
+                kept.extend(stretch)
+                ranking.offer(stretch[0], step, len(stretch))
+
+    _stream(ex.sys2, t, keep, point_cap)
+    kept.sort()
+    return tuple(kept), ranking.top()

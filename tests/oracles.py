@@ -1,5 +1,7 @@
-"""Test-side oracles that share no code with the fitter.
+"""Test-side oracles.
 
+enumerate_lattice lists the points of a system's leaf runs, for tests that
+check the search point by point. The rest share no code with the fitter:
 eventually_equal decides symbolically whether two quasi-polynomials agree
 for all large t; validate compares a quasi-polynomial with a sample series
 point by point. The closed forms are classical theorems, built as
@@ -8,10 +10,29 @@ must equal.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
-from parafrob.errors import InputError, frozen
+from parafrob import pilp
+from parafrob.errors import DEFAULT_POINT_CAP, InputError, frozen
 from parafrob.qpoly import Poly, QuasiPolynomial
+
+
+def enumerate_lattice(sys, t: int, point_cap: int = DEFAULT_POINT_CAP) -> tuple:
+    """All integer points of the instantiated system, sorted.
+
+    Raises InputError when propagation cannot bound every coordinate and
+    ResourceLimitError once search nodes plus points pass point_cap.
+    """
+    points = []
+
+    def collect(first, step, length):
+        points.extend(zip(*(range(a, a + d * length, d) if d else repeat(a)
+                            for a, d in zip(first, step))))
+
+    pilp._stream(sys, t, collect, point_cap)
+    points.sort()
+    return tuple(points)
 
 
 def lifted(q: QuasiPolynomial, factor: int) -> QuasiPolynomial:

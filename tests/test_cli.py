@@ -1044,14 +1044,18 @@ def test_process_reader_that_closes_early(tmp_path):
     (tmp_path / "all.txt").write_text(ALL_POINTS)
     argv, env = cli_process("pilp", "all.txt", "--t", "20000", "--exclusion")
     # Unbuffered, CPython's text stdout drops what a partial write left
-    # unwritten, so the program never sees the closed reader.
-    env.pop("PYTHONUNBUFFERED", None)
-    with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"size 20001\n"
-        proc.stdout.close()  # as head -1 does
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1 and err == b""
+    # unwritten, so the output goes through the byte layer.
+    for unbuffered in (None, "1"):
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with subprocess.Popen(argv, cwd=tmp_path, env=env,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"size 20001\n"
+            proc.stdout.close()  # as head -1 does
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1 and err == b"", unbuffered
 
 
 def test_process_with_stdout_closed(tmp_path):

@@ -134,27 +134,32 @@ def test_generalized_values_match_brute_force():
         assert table.genus(m) == sum(1 for k in qualifying if k > 0)
 
 
-def dp_answers(coins, m, l):
-    """(F_{m,l}, G_m) from the capped DP over the qualifying_bound window."""
+def dp_answers(coins, m):
+    """(F_{m,l} as a function of l, G_m, the number of nonnegative
+    qualifiers) from one capped DP over the qualifying_bound window."""
     g = coins.g
     bound = max(qualifying_bound(coins, m) // g, 0)
     counts = fr.rep_count_table(coins.reduced(), bound, cap=m)
     qualifying = [k for k in range(bound, -1, -1) if counts[k] < m]
-    if l <= len(qualifying):
-        f = g * qualifying[l - 1]
-    else:
-        f = -g * (l - len(qualifying))
-    return f, sum(1 for k in qualifying if k > 0)
+
+    def f(l):
+        if l <= len(qualifying):
+            return g * qualifying[l - 1]
+        return -g * (l - len(qualifying))
+
+    return f, sum(1 for k in qualifying if k > 0), len(qualifying)
 
 
 def assert_table_matches_dp(a, m):
+    # Every l up to two past the last nonnegative qualifier: the ends of
+    # frobenius's bisection and the switch to negative answers.
     coins = Coins(a)
     table = fr.apery_table(coins, m)
     for level in range(1, m + 1):
-        for l in range(1, 6):
-            want_f, want_g = dp_answers(coins, level, l)
-            assert table.frobenius(level, l) == want_f, (a, level, l)
-            assert table.genus(level) == want_g, (a, level)
+        want_f, want_g, nonnegative = dp_answers(coins, level)
+        assert table.genus(level) == want_g, (a, level)
+        for l in range(1, nonnegative + 3):
+            assert table.frobenius(level, l) == want_f(l), (a, level, l)
 
 
 def test_apery_table_agrees_with_capped_dp_at_every_level():
@@ -192,7 +197,7 @@ def test_apery_table_levels_and_limit():
 def test_generalized_frobenius_large_l():
     # Expected values are those of the capped DP. For (1000, 1001) there
     # are a * l = 10^9 candidates, and at m = 2 the l-th qualifier is found
-    # by a lazy walk that keeps no list of them.
+    # by bisection on the count of qualifiers above x, with no list of them.
     big = 10**6
     table = fr.apery_table(Coins([3, 5]), 2)
     assert table.frobenius(2, big) == -999981

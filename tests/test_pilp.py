@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofs
+from oracles import enumerate_lattice
 from parafrob import pilp
 from parafrob.errors import InputError, ResourceLimitError
 from parafrob.pilp import (
@@ -68,7 +69,7 @@ def box_scan(sys, t):
 
 
 def test_enumerate_triangle():
-    assert len(pilp.enumerate_lattice(triangle(), 2)) == 6
+    assert len(enumerate_lattice(triangle(), 2)) == 6
     for t in range(0, 12):
         assert pilp.lattice_profile(triangle(), t, None, None) == (
             (t + 1) * (t + 2) // 2, ())
@@ -76,33 +77,33 @@ def test_enumerate_triangle():
 
 def test_enumerate_equality_pin():
     sys = system(1, [Row((ONE,), LE, T), Row((ONE,), EQ, T)])
-    assert pilp.enumerate_lattice(sys, 5) == ((5,),)
+    assert enumerate_lattice(sys, 5) == ((5,),)
 
 
 def test_enumerate_unbounded_ray():
     sys = system(2, [Row((ONE, -ONE), EQ, ONE)])
     with pytest.raises(InputError, match=r"no finite bounds derivable for "
                                          r"coordinate\(s\) \[0, 1\]"):
-        pilp.enumerate_lattice(sys, 3)
+        enumerate_lattice(sys, 3)
 
 
 def test_enumerate_no_rows_unbounded():
     with pytest.raises(InputError, match=r"no finite bounds derivable for "
                                          r"coordinate\(s\) \[0\]"):
-        pilp.enumerate_lattice(system(1, []), 1)
+        enumerate_lattice(system(1, []), 1)
 
 
 def test_enumerate_contradictory_is_empty():
     sys = system(1, [Row((ONE,), LE, const(2)), Row((-ONE,), LE, const(-5))])
-    assert pilp.enumerate_lattice(sys, 1) == ()
+    assert enumerate_lattice(sys, 1) == ()
     # all-zero coefficient contradiction
     sys2 = system(1, [Row((ZERO,), EQ, ONE), Row((ONE,), LE, T)])
-    assert pilp.enumerate_lattice(sys2, 3) == ()
+    assert enumerate_lattice(sys2, 3) == ()
 
 
 def test_enumerate_point_cap():
     with pytest.raises(ResourceLimitError):
-        pilp.enumerate_lattice(triangle(), 50, point_cap=10)
+        enumerate_lattice(triangle(), 50, point_cap=10)
 
 
 def test_point_cap_counts_exact_work():
@@ -134,7 +135,7 @@ def test_point_cap_counts_exact_work():
         Row((ONE, ZERO, ZERO), LE, ONE),
     ])
     assert pilp.propagated_box(creep, 0) == ([0, 199, 200], [1, 200, 201])
-    assert pilp.enumerate_lattice(creep, 0, point_cap=1) == ()
+    assert enumerate_lattice(creep, 0, point_cap=1) == ()
 
 
 def test_enumeration_matches_box_scan_oracle():
@@ -154,7 +155,7 @@ def test_enumeration_matches_box_scan_oracle():
             rows.append(Row(coeffs, sense, rhs))
         sys = system(n, rows)
         t = rng.randint(0, 6)
-        got = pilp.enumerate_lattice(sys, t)
+        got = enumerate_lattice(sys, t)
         want = box_scan(sys, t)
         assert list(got) == want
         assert len(set(got)) == len(got)
@@ -308,6 +309,32 @@ def test_both_sys1_passes_match_brute_fibers(ex):
     assert full_keys(ex, 0, False) == want
 
 
+def test_exclusion_ranks_the_kept_stretches_of_a_run(monkeypatch):
+    # k == 3y with y <= 3 fills the keys 0, 3, 6 and 9 of sys2's one leaf
+    # run 0..20, which leaves the kept stretches 1..2, 4..5, 7..8 and
+    # 10..20: four offers, each a run, whatever the slope of c along it.
+    sys1 = boxed_system([20, 3], [((1, -3), EQ, 0)])
+    sys2 = boxed_system([20], [])
+    offers = []
+    real = pilp._Ranking.offer
+
+    def offer(self, first, step, length):
+        offers.append((first, length))
+        real(self, first, step, length)
+
+    monkeypatch.setattr(pilp._Ranking, "offer", offer)
+    for c in (1, -1, 2, -3):
+        ex = ExclusionProblem(1, 1, 1, sys1, sys2, (const(c),))
+        kept = brute_feasible(ex, 0)
+        assert kept == [(x,) for x in range(21) if x > 9 or x % 3]
+        for l in (1, 2, 3, 5, 11, 12, 30):
+            offers.clear()
+            got, top = pilp.exclusion_profile(ex, 0, l)
+            assert list(got) == kept
+            assert top == top_values(kept, [c], l)
+            assert offers == [((1,), 2), ((4,), 2), ((7,), 2), ((10,), 11)]
+
+
 def test_projection_runs_with_and_without_a_kept_move():
     # k + 2x - y == 6 (k, x, y free): the leaf collapses onto x, and
     # along a run k moves by -2, so runs of different y overlap on the keys.
@@ -338,7 +365,7 @@ def test_equality_pair_collapse_matches_box_scan():
         for coeffs in ((a, b), (b, a)):
             sys = boxed_system([6, 9], [(coeffs, EQ, rhs)], lows=[-3, -2])
             want = box_scan(sys, 0)
-            got = pilp.enumerate_lattice(sys, 0)
+            got = enumerate_lattice(sys, 0)
             assert list(got) == want
             for c, l in product(objectives, (1, 3, 12)):
                 size, top = pilp.lattice_profile(sys, 0, tuple(map(const, c)), l)
@@ -452,10 +479,10 @@ def test_digit_transform_bijection_on_lattice():
     r = 2
     transformed = proofs.digit_transform(sys, r)
     for t in (2, 3, 5):
-        original = set(pilp.enumerate_lattice(sys, t))
+        original = set(enumerate_lattice(sys, t))
         image = [
             proofs.digit_decode(y, t, r)
-            for y in pilp.enumerate_lattice(transformed, t)
+            for y in enumerate_lattice(transformed, t)
         ]
         assert len(image) == len(set(image))
         assert set(image) == original

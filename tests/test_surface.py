@@ -24,8 +24,8 @@ LIBRARY_SURFACE = {
                   "EXACT_LIMIT", "apery_table", "rep_count_exact",
                   "rep_count_table", "window_end"},
     "pilp": {"EQ", "ExclusionProblem", "LE", "MAX_SWEEPS",
-             "ParametricConstraintSystem", "Row", "enumerate_lattice",
-             "exclusion_profile", "lattice_profile", "propagated_box"},
+             "ParametricConstraintSystem", "Row", "exclusion_profile",
+             "lattice_profile", "propagated_box"},
     "qpoly": {"BOTTOM", "Poly", "QuasiPolynomial", "eventually_positive"},
     "reduction": {"CrosscheckReport", "CrosscheckRow", "DIFF", "EQUAL",
                   "G_OFFSET", "PolyFamily", "SKIPPED", "box_exponent",
