@@ -16,6 +16,7 @@ gives the usage lines and help pages. Each command imports the modules it
 runs inside its body, so a cold start loads only those.
 """
 
+import errno
 import os
 import sys
 from itertools import groupby
@@ -48,7 +49,9 @@ def _emit(lines, out: str | None):
         sys.stdout.flush()
         data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
         while data:
-            data = data[raw.write(data):]
+            if (n := raw.write(data)) is None:  # a non-blocking fd is full
+                raise BlockingIOError(errno.EAGAIN, "stdout would block")
+            data = data[n:]
 
 
 def compute(tuple_text, m, l, fmt, out):
@@ -94,10 +97,8 @@ def series(family_path, t_min, t_max, out_prefix):
     if t_min > t_max:
         raise InputError("empty t range")
     fam = formats.parse_family(Path(family_path).read_text())
-    targets = {
-        "fml": Path(f"{out_prefix}.fml.series"),
-        "gm": Path(f"{out_prefix}.gm.series"),
-    }
+    targets = {key: Path(f"{out_prefix}.{key}.series")
+               for key in ("fml", "gm")}
     existing = {}
     for key, path in targets.items():
         existing[key] = {}
@@ -143,8 +144,7 @@ def fit(series_path, d_max, deg_max, fmt, out):
 
     data = formats.parse_series(Path(series_path).read_text())
     result = eqpfit.fit_quasipolynomial(data, d_max, deg_max)
-    lines = fit_report_lines(result, fmt)
-    _emit(lines, out)
+    _emit(fit_report_lines(result, fmt), out)
 
 
 def fit_report_lines(result, fmt: str) -> list:
@@ -153,22 +153,16 @@ def fit_report_lines(result, fmt: str) -> list:
     if isinstance(result, eqpfit.Fit):
         qp = result.qp
         if fmt == "machine":
-            lines = [
-                "fit FIT",
-                f"period {qp.period}",
-                f"threshold {qp.threshold}",
-            ]
+            lines = ["fit FIT", f"period {qp.period}",
+                     f"threshold {qp.threshold}"]
             for i, comp in enumerate(qp.components):
                 body = "-inf" if comp is BOTTOM else formats.format_poly_list(comp)
                 lines.append(f"component {i} {body}")
             lines.append(f"training_checked {result.training_checked}")
             lines.append(f"holdout_checked {result.holdout_checked}")
             return lines
-        lines = [
-            "FIT",
-            f"  period    {qp.period}",
-            f"  threshold {qp.threshold} (valid for t > threshold)",
-        ]
+        lines = ["FIT", f"  period    {qp.period}",
+                 f"  threshold {qp.threshold} (valid for t > threshold)"]
         for i, comp in enumerate(qp.components):
             body = "-inf" if comp is BOTTOM else formats.format_poly_expr(comp)
             lines.append(f"  component t = {i} (mod {qp.period}):  {body}")
@@ -476,6 +470,9 @@ def main(args=None, prog_name=None):
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
+        if isinstance(exc, BlockingIOError) and sys.stdout is not None:
+            # A full non-blocking stdout: drop the rest, as above.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (KeyboardInterrupt, EOFError):
         print("\nAborted!", file=sys.stderr)
         code = 1

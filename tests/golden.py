@@ -34,7 +34,6 @@ from pathlib import Path
 SEED = 2015
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
-README = HERE.parent / "README.md"
 
 
 def _compute_cases(rng):
@@ -216,28 +215,33 @@ def _error_cases():
         ["compute", "--a", "5000,5001", "--m", "1001"]]]
 
 
-def _readme_case():
-    """README's command examples in order, on its grammar examples."""
-    text = README.read_text()
-
-    def block(after, lang):
-        section = text.split(after, 1)[1]
-        return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
-
-    files = {name: block(after, "text") for name, after in [
-        ("family.txt", "Family file"), ("system.txt", "Plain constraint system"),
-        ("exclusion.txt", "Exclusion problem")]}
-    steps = [shlex.split(line, comments=True)[1:]
-             for line in block("## Command line", "sh").splitlines()
-             if line.startswith("parafrob ")]
-    return files, steps
+# README's command examples, in order, on its grammar examples. They are
+# copied here so a docs edit leaves the record alone; test_readme keeps
+# README itself in step with the command line.
+README_FILES = {
+    "family.txt": "poly: [0, 1]        # t\npoly: t^2 + 2t - 1\nm: 1\nl: 1\n",
+    "system.txt": "vars: 2\nnonneg: all\nc: 1, 1\nrow: 1, 1 | <= | t\n",
+    "exclusion.txt": (
+        "m: 1\nn1: 1\nn2: 1\nc: 1\nsys1:\nrow: 3, -5 | <= | 0\n"
+        "row: -5, 8 | <= | 0\nrow: 1, 0 | <= | t\nsys2:\nrow: 1 | <= | t\n"),
+}
+README_COMMANDS = """\
+compute --a 6,10,15 --m 2 --l 1
+series --family family.txt --t-min 4 --t-max 120 --out fam
+fit fam.fml.series --d-max 12 --deg-max 6
+crosscheck --family family.txt --t-min 2 --t-max 12
+pilp system.txt --t 4
+pilp system.txt --t 9 --objective --l 2
+pilp exclusion.txt --t 10 --exclusion"""
 
 
 def corpus():
     """The cases, each (input files by name, argv of each step)."""
     rng = random.Random(SEED)
     return [*_compute_cases(rng), *_pilp_cases(rng), *_family_cases(rng),
-            *_error_cases(), _readme_case()]
+            *_error_cases(),
+            (README_FILES, [shlex.split(line) for line in
+                            README_COMMANDS.splitlines()])]
 
 
 def label(steps) -> str:

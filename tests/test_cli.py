@@ -1058,6 +1058,29 @@ def test_process_reader_that_closes_early(tmp_path):
             assert proc.wait(timeout=60) == 1 and err == b"", unbuffered
 
 
+def test_process_with_nonblocking_stdout_that_fills(tmp_path):
+    # A full non-blocking pipe makes a raw write return None: an OS error
+    # (exit 2), not a loop that never ends.
+    (tmp_path / "all.txt").write_text(ALL_POINTS)
+    argv, env = cli_process("pilp", "all.txt", "--t", "20000", "--exclusion")
+    for unbuffered in (None, "1"):
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        r, w = os.pipe()  # nothing reads r until the process has ended
+        os.set_blocking(w, False)
+        with open(r, "rb"), subprocess.Popen(argv, cwd=tmp_path, env=env,
+                                             stdout=w, stderr=subprocess.PIPE
+                                             ) as proc:
+            os.close(w)
+            try:
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()  # a no-op once the process has ended
+            err = proc.stderr.read()
+        assert code == 2 and err.startswith(b"error: "), (unbuffered, err)
+
+
 def test_process_with_stdout_closed(tmp_path):
     # sh's >&- starts the process with no fd 1, so sys.stdout is None.
     (tmp_path / "fam.txt").write_text(FAMILY_U_UM1)
