@@ -1,13 +1,14 @@
 """Detect and fit eventual quasi-polynomial structure in exact sample series.
 
 A fit is exact or it is no fit: a returned quasi-polynomial reproduces every
-training and holdout sample above its threshold with zero tolerance. A
+training and holdout sample above its threshold with zero tolerance, and
+each residue class is judged from its exact forward-difference table. A
 NO_FIT verdict only means no fit exists within the searched period/degree
 bounds; it is not a proof that the sampled function has no such structure.
 """
 
 from .errors import InputError, frozen
-from .qpoly import BOTTOM, Poly, QuasiPolynomial
+from .qpoly import BOTTOM, Poly, QuasiPolynomial, _divide
 
 
 @frozen
@@ -64,35 +65,19 @@ class NoFit:
     )
 
 
-def _newton_interpolate(points) -> Poly:
-    """Exact Newton-form interpolation through all given points."""
-    from fractions import Fraction
-
-    ts = [Fraction(t) for t, _ in points]
-    coeffs = [Fraction(v) for _, v in points]
-    # Divided differences in place.
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (ts[i] - ts[i - j])
-    poly = Poly()
-    basis = Poly.constant(1)
-    for i, c in enumerate(coeffs):
-        poly = poly + basis * c
-        basis = basis * (Poly.variable() - Poly.constant(ts[i]))
-    return poly
-
-
 def _fit_class(points, deg_max: int, first_t: int):
-    """Fit one residue class: (component, threshold) or (None, reason).
+    """Judge one residue class: (tail, threshold) or (None, reason).
 
     The class's suffix is its trailing run of points of the same kind,
     BOTTOM or finite, as its last point, and must hold at least
-    ``deg_max + 3`` points (min_support). A BOTTOM suffix gives the
-    component BOTTOM; a finite one must be interpolated exactly by the
-    polynomial through its earliest ``deg_max + 1`` points (no tail-window
+    ``deg_max + 3`` points (min_support). A BOTTOM suffix's tail is BOTTOM.
+    A finite suffix is equally spaced, so the polynomial of degree <=
+    deg_max through its earliest ``deg_max + 1`` points matches all of it
+    exactly when its (deg_max+1)-th differences vanish (no tail-window
     shopping: anchoring anywhere later would let any series with a long
-    polynomial stretch "fit"). The threshold is the last t before the
-    suffix (first_t - 1 when none).
+    polynomial stretch "fit"); its tail is (t0, heads), the suffix's first
+    t and its differences 0..deg_max there. The threshold is the last t
+    before the suffix (first_t - 1 when none).
     """
     bottom = points[-1][1] is BOTTOM
     start = len(points)
@@ -103,13 +88,27 @@ def _fit_class(points, deg_max: int, first_t: int):
     threshold = points[start - 1][0] if start else first_t - 1
     if bottom:
         return BOTTOM, threshold
-    poly = _newton_interpolate(points[start:start + deg_max + 1])
-    if any(poly(t) != v for t, v in points[start + deg_max + 1:]):
+    row, heads = [v for _, v in points[start:]], []
+    for _ in range(deg_max + 1):
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    if any(row):
         return None, (
             f"the polynomial of degree <= {deg_max} through the "
             f"earliest points does not match the rest of the class"
         )
-    return poly, threshold
+    return (points[start][0], heads), threshold
+
+
+def _forward_poly(t0: int, heads, step: int) -> Poly:
+    """The polynomial with forward differences ``heads`` at t0, for points
+    ``step`` apart: Newton's forward form, nested and scaled by n!*step^n
+    (n = len(heads) - 1) to stay over Z, then divided once."""
+    acc, scale = Poly(), 1
+    for j in reversed(range(len(heads))):
+        acc = acc * Poly((-t0 - j * step, 1)) + heads[j] * scale
+        scale *= j * step or 1
+    return Poly(_divide(c, scale) for c in acc.coeffs)
 
 
 def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
@@ -155,17 +154,18 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
         classes = {}
         for t, v in training:
             classes.setdefault(t % d, []).append((t, v))
-        components = []
-        threshold = series.t_min - 1
+        tails, threshold = [], series.t_min - 1
         for r in range(d):
-            comp, info = _fit_class(classes[r], deg_max, series.t_min)
-            if comp is None:
+            tail, info = _fit_class(classes[r], deg_max, series.t_min)
+            if tail is None:
                 diagnostics.append((d, r, info))
                 break
-            components.append(comp)
+            tails.append(tail)
             threshold = max(threshold, info)
         else:
-            qp = QuasiPolynomial(d, tuple(components), threshold)
+            qp = QuasiPolynomial(d, tuple(
+                tail if tail is BOTTOM else _forward_poly(*tail, d)
+                for tail in tails), threshold)
             miss = next((t for t, v in held if qp.eval(t) != v), None)
             if miss is None:
                 # The training t are contiguous and end at training[-1][0].

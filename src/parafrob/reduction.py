@@ -58,18 +58,18 @@ def _positive_from(p: Poly, low: int) -> int:
 
     Exact: p increases strictly from s on, s the same start for its forward
     difference p(t+1) - p(t). If p(s) <= 0, bisection finds the first
-    positive t in (s, 1 + ceil(B)], where B is the largest |c| / lead over
-    p's negative coefficients c: by Cauchy's bound every positive root lies
-    below 1 + B.
-    Otherwise the scan runs down from s and stops at the first t with
-    p(t) <= 0.
+    positive t in (s, R]: every positive root is at most 2 max over p's
+    negative c_{d-i} of (|c_{d-i}| / lead)^(1/i) (Kioustelidis, J. Comput.
+    Appl. Math. 16, 1986), and R takes each root as 2^ceil(b / i), b the
+    bit length of ceil(|c_{d-i}| / lead). Otherwise the scan runs down from
+    s and stops at the first t with p(t) <= 0.
     """
     if p.degree < 1:
         return low
     s = _positive_from(p.compose(Poly((1, 1))) - p, low)
     if p(s) <= 0:
-        negative = [-c for c in p.coeffs[:-1] if c < 0]
-        lo, hi = s, -(-max(negative) // p.leading_coefficient) + 1
+        lo, hi = s, max(2 << -(-(-(c // p.coeffs[-1])).bit_length() // i)
+                        for i, c in enumerate(p.coeffs[-2::-1], 1) if c < 0)
         while hi - lo > 1:  # p(lo) <= 0 < p(hi)
             mid = (lo + hi) // 2
             if p(mid) > 0:

@@ -11,7 +11,10 @@ The corpus covers ``compute`` over random tuples at m = 1..4, ``pilp`` on
 plain systems and on exclusion files in every mode (both sys1 passes,
 sys2 runs longer than one point, point caps on either side of a search's
 work), ``crosscheck`` windows, ``fit`` and ``series`` (with a resume) in
-both formats, a few usage errors, and the README commands.
+both formats, a few usage errors, the README commands, and then ``fit`` on
+drawn quasi-polynomials (default bounds and deg_max 0, periods 4-7 from a
+nonzero t_min, rational values), one NO_FIT per diagnostic reason, and
+``fit --out``.
 
     python tests/golden.py --record   # rewrite tests/golden.json
 
@@ -28,6 +31,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -207,6 +211,77 @@ def _family_cases(rng):
     return cases
 
 
+def _series_text(t_min, values) -> str:
+    return "".join(f"{t} {'-inf' if v is None else v}\n"
+                   for t, v in enumerate(values, t_min))
+
+
+def _quasi_values(rng, period, t_min, count, den, deg_max):
+    """count samples from t_min of a random quasi-polynomial: each class is
+    a polynomial of degree <= deg_max over den, after a head of up to two
+    -inf samples, or -inf throughout (rarely)."""
+    classes = []
+    for _ in range(period):
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, deg_max) + 1)]
+        head = t_min + period * rng.randint(0, 2)
+        classes.append((coeffs, head, rng.random() < 0.1))
+    values = []
+    for t in range(t_min, t_min + count):
+        coeffs, head, bottom = classes[t % period]
+        v = sum(c * t**i for i, c in enumerate(coeffs))
+        values.append(None if bottom or t < head else Fraction(v, den))
+    return values
+
+
+def _fit_cases(rng):
+    """fit under the default bounds and at deg_max 0, periods 4-7 from a
+    nonzero t_min, rational values, one NO_FIT per diagnostic reason, and
+    --out."""
+    cases = []
+    for i in range(8):
+        period = rng.randint(4, 7)
+        t_min = rng.choice([-1, 1]) * rng.randint(1, 15)
+        den = rng.randint(2, 6) if i % 4 else 1
+        text = _series_text(t_min, _quasi_values(rng, period, t_min, 140,
+                                                 den, 3))
+        cases.append(({"v.series": text},
+                      [["fit", "v.series", "--format",
+                        ("table", "machine")[i % 2]]]))
+    for i in range(3):
+        period = rng.randint(1, 7)
+        t_min = rng.randint(-20, 20)
+        text = _series_text(t_min, _quasi_values(rng, period, t_min, 60,
+                                                 rng.randint(1, 6), 0))
+        cases.append(({"v.series": text},
+                      [["fit", "v.series", "--d-max", "8", "--deg-max", "0",
+                        "--format", ("table", "machine")[i % 2]]]))
+    no_fits = [
+        # trailing values mix -inf and finite samples
+        _series_text(1, [None if t % 3 == 0 else t for t in range(1, 41)]),
+        # the polynomial through the earliest points misses the class
+        _series_text(-5, [t * t for t in range(-5, 45)]),
+        # ... and class 1 of period 2, after class 0 fitted
+        _series_text(0, [t if t % 2 == 0 else t**3 for t in range(60)]),
+        # every period fits its training samples, not the holdout
+        _series_text(3, [t if t < 83 else t + 1 for t in range(3, 87)]),
+        # no period is supported past the first few
+        _series_text(-7, [rng.randint(-99, 99) for _ in range(40)]),
+    ]
+    bounds = [["--d-max", "2", "--deg-max", "2"],
+              ["--d-max", "3", "--deg-max", "1"],
+              ["--d-max", "2", "--deg-max", "2"],
+              ["--d-max", "2", "--deg-max", "2"], []]
+    for text, extra in zip(no_fits, bounds):
+        for fmt in ("table", "machine"):
+            cases.append(({"v.series": text},
+                          [["fit", "v.series", *extra, "--format", fmt]]))
+    for text in (cases[0][0]["v.series"], no_fits[4]):
+        cases.append(({"v.series": text},
+                      [["fit", "v.series", "--d-max", "7", "--format",
+                        "machine", "--out", "fit.txt"]]))
+    return cases
+
+
 def _error_cases():
     return [({}, [argv]) for argv in [
         ["--help"], ["pilp", "--help"], ["compute"], ["compute", "--a", "0,3"],
@@ -241,7 +316,8 @@ def corpus():
     return [*_compute_cases(rng), *_pilp_cases(rng), *_family_cases(rng),
             *_error_cases(),
             (README_FILES, [shlex.split(line) for line in
-                            README_COMMANDS.splitlines()])]
+                            README_COMMANDS.splitlines()]),
+            *_fit_cases(rng)]
 
 
 def label(steps) -> str:

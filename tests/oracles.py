@@ -2,11 +2,12 @@
 
 enumerate_lattice lists the points of a system's leaf runs, for tests that
 check the search point by point. The rest share no code with the fitter:
-eventually_equal decides symbolically whether two quasi-polynomials agree
-for all large t; validate compares a quasi-polynomial with a sample series
-point by point. The closed forms are classical theorems, built as
-quasi-polynomials in t, that the fitted F and G series of their families
-must equal.
+newton_interpolate is the fitter's reference, Newton's divided differences
+over Fractions through any points; eventually_equal decides symbolically
+whether two quasi-polynomials agree for all large t; validate compares a
+quasi-polynomial with a sample series point by point. The closed forms are
+classical theorems, built as quasi-polynomials in t, that the fitted F and
+G series of their families must equal.
 """
 
 from fractions import Fraction
@@ -33,6 +34,22 @@ def enumerate_lattice(sys, t: int, point_cap: int = DEFAULT_POINT_CAP) -> tuple:
     pilp._stream(sys, t, collect, point_cap)
     points.sort()
     return tuple(points)
+
+
+def newton_interpolate(points) -> Poly:
+    """Exact Newton-form interpolation through all given points."""
+    ts = [Fraction(t) for t, _ in points]
+    coeffs = [Fraction(v) for _, v in points]
+    # Divided differences in place.
+    for j in range(1, len(points)):
+        for i in range(len(points) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (ts[i] - ts[i - j])
+    poly = Poly()
+    basis = Poly.constant(1)
+    for i, c in enumerate(coeffs):
+        poly = poly + basis * c
+        basis = basis * (Poly.variable() - Poly.constant(ts[i]))
+    return poly
 
 
 def lifted(q: QuasiPolynomial, factor: int) -> QuasiPolynomial:

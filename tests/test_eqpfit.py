@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import eventually_equal, lifted, validate
+from oracles import eventually_equal, lifted, newton_interpolate, validate
 from parafrob import eqpfit
 from parafrob.eqpfit import Fit, NoFit, SampleSeries
 from parafrob.errors import InputError
@@ -45,6 +47,100 @@ def test_interpolate_examples():
     assert fit(lambda t: t * t, 1).diagnostics == (
         (1, 0, "the polynomial of degree <= 1 through the earliest points "
                "does not match the rest of the class"),)
+
+
+MIX = "trailing values mix -inf and finite samples"
+
+
+def mismatch(deg_max):
+    return (f"the polynomial of degree <= {deg_max} through the earliest "
+            f"points does not match the rest of the class")
+
+
+def reference_class(points, deg_max):
+    """A class's component, or its reason for failing, by the fitter's rule
+    with Fraction interpolation: the class's trailing run of one kind holds
+    at least deg_max + 3 points, and a finite run is matched by the
+    polynomial through its earliest deg_max + 1 points."""
+    bottom = points[-1][1] is BOTTOM
+    start = len(points)
+    while start and (points[start - 1][1] is BOTTOM) == bottom:
+        start -= 1
+    if len(points) - start < deg_max + 3:
+        return MIX
+    if bottom:
+        return BOTTOM
+    poly = newton_interpolate(points[start:start + deg_max + 1])
+    if any(poly(t) != v for t, v in points[start + deg_max + 1:]):
+        return mismatch(deg_max)
+    return poly
+
+
+def fit_checked(series, d_max, deg_max):
+    """fit_quasipolynomial's verdict, after checking each class diagnostic
+    and each fitted component against reference_class."""
+    res = eqpfit.fit_quasipolynomial(series, d_max, deg_max)
+    holdout = min(2 * d_max, len(series) // 2)
+    training = series.items()[:len(series) - holdout]
+
+    def judged(d):
+        return [reference_class([(t, v) for t, v in training if t % d == r],
+                                deg_max) for r in range(d)]
+
+    if isinstance(res, Fit):
+        assert res.qp.components == tuple(judged(res.qp.period))
+    else:
+        for d, r, reason in res.diagnostics:
+            if r is not None:
+                got = judged(d)
+                assert got[r] == reason
+                assert not any(isinstance(g, str) for g in got[:r])
+    return res
+
+
+@st.composite
+def drawn_classes(draw):
+    """(d, deg_max, t_min, classes, values) of a quasi-polynomial of period
+    d = 1..6: each class is a rational polynomial of degree <= deg_max + 1
+    after a head of up to three -inf samples, or -inf throughout. Every
+    class has deg_max + 8 training points when 2d samples are held out."""
+    d, deg_max = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    t_min = draw(st.integers(-20, 20))
+    coefficient = st.fractions(-12, 12, max_denominator=6)
+    classes = [None if draw(st.integers(0, 9)) == 0 else
+               (draw(st.integers(0, 3)),
+                Poly(draw(st.lists(coefficient, min_size=1,
+                                   max_size=deg_max + 2))))
+               for _ in range(d)]
+    values = []
+    for i in range(d * (deg_max + 10)):
+        t, cls = t_min + i, classes[(t_min + i) % d]
+        values.append(BOTTOM if cls is None or i // d < cls[0] else cls[1](t))
+    return d, deg_max, t_min, classes, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_classes(), st.data())
+def test_fit_matches_the_fraction_reference(drawn, data):
+    # A class of degree <= deg_max fits with the reference's interpolant
+    # through the earliest deg_max + 1 points of its suffix, and a steeper
+    # one gets the reference's diagnostic. So does a class perturbed past
+    # every head and past those points.
+    d, deg_max, t_min, classes, values = drawn
+    finite = [r for r, cls in enumerate(classes) if cls is not None]
+    steep = any(classes[r][1].degree > deg_max for r in finite)
+    res = fit_checked(SampleSeries(t_min, tuple(values)), d, deg_max)
+    assert isinstance(res, NoFit if steep else Fit)
+    if steep or not finite:
+        return
+    r = data.draw(st.sampled_from(finite))
+    heads = max(classes[j][0] for j in finite)
+    k = data.draw(st.integers(heads + deg_max + 1, deg_max + 7))
+    i = (r - t_min) % d + k * d
+    values[i] += data.draw(st.sampled_from([1, -1, Fraction(1, 3)]))
+    res = fit_checked(SampleSeries(t_min, tuple(values)), d, deg_max)
+    assert isinstance(res, NoFit)
+    assert (d, r, mismatch(deg_max)) in res.diagnostics
 
 
 def test_fit_floor_half():

@@ -55,6 +55,11 @@ def test_positivity_start_examples():
     # A deep root of a steep entry is found by bisection, not by a scan.
     assert reduction.positivity_start(
         fam([U, U**2 - Poly.constant(10**12)])) == 10**6 + 1
+    # A 4400-digit constant under 2t^6: the bisection starts within a factor
+    # of 4 of the 2436-bit root, not near the 14617-bit constant.
+    p = 2 * U**6 - Poly.constant(7 * (10**4400 - 1) // 9)
+    start = reduction.positivity_start(fam([U, p]))
+    assert p(start - 1) <= 0 < p(start) and start.bit_length() == 2436
 
 
 @settings(max_examples=300, deadline=None)
