@@ -118,8 +118,7 @@ def series(family_path, t_min, t_max, out_prefix):
             path.unlink()
     have = set(existing["fml"]) & set(existing["gm"])
     missing = [t for t in range(t_min, t_max + 1) if t not in have]
-    # One direct_series call per run of consecutive missing t: each call
-    # finds the family's positivity start again.
+    # One direct_series call per run of consecutive missing t.
     for _, run in groupby(enumerate(missing), lambda it: it[1] - it[0]):
         ts = [t for _, t in run]
         f_new, g_new = reduction.direct_series(fam, ts[0], ts[-1])

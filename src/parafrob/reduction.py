@@ -1,12 +1,14 @@
 """From polynomial families to Frobenius series and exclusion problems.
 
 A family is a tuple of integer-valued, eventually-positive polynomials
-together with the multiplicity bound m and rank l. This module reduces a
-family by its gcd along residue classes, derives from Schur's bound on the
-Frobenius number the exponent r of a box [0, t^r) that eventually holds all
-answers, constructs the equivalent projection-exclusion problem, and
-cross-validates the two computation paths against each other, each t in
-the smallest box that holds its answers.
+together with the multiplicity bound m and rank l. Its answers exist at
+each t where every entry is positive, and the direct sampler checks that t
+by t. This module reduces a family by its gcd along residue classes,
+derives from Schur's bound on the Frobenius number the exponent r of a box
+[0, t^r) that eventually holds all answers, constructs the equivalent
+projection-exclusion problem, and cross-validates the two computation
+paths against each other, each t in the smallest box that holds its
+answers.
 """
 
 from math import gcd
@@ -44,60 +46,16 @@ class PolyFamily:
         return tuple(p(t) for p in self.polys)
 
 
-def positivity_start(fam: PolyFamily) -> int:
-    """Smallest t0 >= 1 with every family entry positive for all t >= t0."""
-    start = 1
-    for p in fam.polys:
-        start = _positive_from(p, start)
-    return start
-
-
-def _positive_from(p: Poly, low: int) -> int:
-    """Smallest t0 >= low with p(t) > 0 for all t >= t0; p's leading
-    coefficient is positive.
-
-    Exact: p increases strictly from s on, s the same start for its forward
-    difference p(t+1) - p(t). If p(s) <= 0, bisection finds the first
-    positive t in (s, R]: every positive root is at most 2 max over p's
-    negative c_{d-i} of (|c_{d-i}| / lead)^(1/i) (Kioustelidis, J. Comput.
-    Appl. Math. 16, 1986), and R takes each root as 2^ceil(b / i), b the
-    bit length of ceil(|c_{d-i}| / lead). Otherwise the scan runs down from
-    s and stops at the first t with p(t) <= 0.
-    """
-    if p.degree < 1:
-        return low
-    s = _positive_from(p.compose(Poly((1, 1))) - p, low)
-    if p(s) <= 0:
-        lo, hi = s, max(2 << -(-(-(c // p.coeffs[-1])).bit_length() // i)
-                        for i, c in enumerate(p.coeffs[-2::-1], 1) if c < 0)
-        while hi - lo > 1:  # p(lo) <= 0 < p(hi)
-            mid = (lo + hi) // 2
-            if p(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    while s > low and p(s - 1) > 0:
-        s -= 1
-    return s
-
-
-def _check_range(fam: PolyFamily, t_min: int, t_max: int):
+def _t_range(t_min: int, t_max: int) -> range:
     if t_min > t_max:
         raise InputError("empty t range")
-    t0 = positivity_start(fam)
-    if t_min < t0:
-        raise InputError(
-            f"t range must start at or above the positivity start {t0}"
-        )
+    return range(t_min, t_max + 1)
 
 
 def gcd_series(fam: PolyFamily, t_min: int, t_max: int) -> SampleSeries:
     """gcd(P_1(t), ..., P_n(t)) sampled on [t_min, t_max]."""
-    _check_range(fam, t_min, t_max)
     return SampleSeries(
-        t_min, tuple(gcd(*fam.values(t)) for t in range(t_min, t_max + 1))
-    )
+        t_min, tuple(gcd(*fam.values(t)) for t in _t_range(t_min, t_max)))
 
 
 def reduce_by_gcd(fam: PolyFamily, gcd_fit: QuasiPolynomial,
@@ -191,13 +149,21 @@ def direct_series(fam: PolyFamily, t_min: int, t_max: int):
     """(series of the l-th answers, series of the counts), computed directly.
 
     This is the oracle path: each t is handled independently by its own
-    residue table, never via the exclusion construction.
+    residue table, never via the exclusion construction. The answers are
+    defined at each t where every entry is positive, as at a crosscheck
+    row; the first t where one is not raises InputError, naming t and the
+    entry, before its table is built, so a range fails at its first such t
+    however far it reaches.
     """
-    _check_range(fam, t_min, t_max)
     f_vals = []
     g_vals = []
-    for t in range(t_min, t_max + 1):
-        table = frobenius.apery_table(Coins(fam.values(t)), fam.m)
+    for t in _t_range(t_min, t_max):
+        values = fam.values(t)
+        for i, v in enumerate(values, 1):
+            if v <= 0:
+                raise InputError(f"family entry {i} is not positive at "
+                                 f"t = {t}")
+        table = frobenius.apery_table(Coins(values), fam.m)
         f_vals.append(table.frobenius(fam.m, fam.l))
         g_vals.append(table.genus(fam.m))
     return SampleSeries(t_min, tuple(f_vals)), SampleSeries(t_min, tuple(g_vals))
@@ -276,8 +242,6 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
     """
     from . import pilp
 
-    if t_min > t_max:
-        raise InputError("empty t range")
     problems = {}  # r -> frobenius_to_exclusion(fam, r)
 
     def skipped(t, note, r=None):
@@ -324,4 +288,4 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
         return CrosscheckRow(t, status, f_shifted, f_direct, g_val, g_direct,
                              r=r)
 
-    return CrosscheckReport(tuple(row(t) for t in range(t_min, t_max + 1)))
+    return CrosscheckReport(tuple(row(t) for t in _t_range(t_min, t_max)))

@@ -11,10 +11,12 @@ The corpus covers ``compute`` over random tuples at m = 1..4, ``pilp`` on
 plain systems and on exclusion files in every mode (both sys1 passes,
 sys2 runs longer than one point, point caps on either side of a search's
 work), ``crosscheck`` windows, ``fit`` and ``series`` (with a resume) in
-both formats, a few usage errors, the README commands, and then ``fit`` on
+both formats, a few usage errors, the README commands, then ``fit`` on
 drawn quasi-polynomials (default bounds and deg_max 0, periods 4-7 from a
 nonzero t_min, rational values), one NO_FIT per diagnostic reason, and
-``fit --out``.
+``fit --out``, then family and system files in every grammar spelling,
+``--out`` on ``compute``, ``crosscheck`` and ``pilp``, and last ``series``
+where an entry is not positive at some t of the range.
 
     python tests/golden.py --record   # rewrite tests/golden.json
 
@@ -282,6 +284,86 @@ def _fit_cases(rng):
     return cases
 
 
+# Family and system files in the grammar's other spellings: coefficient
+# lists, rational entries, comments, blank lines and u as the variable.
+# Each family is positive from its first t.
+GRAMMAR_FAMILIES = [
+    ("# coefficient lists\npoly: [1, 1]      # t + 1\n\npoly: [1, 0, 1]\n"
+     "m: 2  # at most one representation\nl: 1\n", 2, 6),
+    ("poly: t\npoly: (1/2)t^2 + (1/2)t + 1\npoly: [1, 3/2, 1/2]\n"
+     "m: 1\nl: 2\n", 3, 7),
+    ("l: 1\npoly: 2u + 1\npoly: u^2+u+1\npoly: -1 + 3*u\nm: 2\n", 1, 5),
+]
+GRAMMAR_SYSTEMS = [
+    "# plain, x3 free\nvars: 3\nnonneg: 1, 1, 0\n"
+    "c: [0, 1], [0, -1/2, 1/2], -1\n"
+    "row: 1, [0], 0 | <= | [0, 1]   # x1 <= t\n"
+    "row: 0, 1, 0 | <= | (1/2)u^2 + (1/2)u\n"
+    "row: 0, 0, 1 | <= | 2\nrow: 0, 0, -1 | <= | 2\n"
+    "row: 1, -1, 1 | = | [0]\n",
+    "# exclusion in u\nm: 2\nn1: 1\nn2: 1\nc: [1]\nsys1:\nvars: 2\n"
+    "nonneg: all\nrow: 3, -5 | <= | [0]\nrow: -5, 8 | <= | 0\n"
+    "row: [1], 0 | <= | 2u   # k <= 2t\nsys2:\nnonneg: 1\n"
+    "row: 1 | <= | 2*u\n",
+]
+
+
+def _grammar_cases():
+    """crosscheck and series on each grammar family, pilp on each grammar
+    system, and --out on compute, crosscheck and pilp."""
+    cases = []
+    for text, t_min, t_max in GRAMMAR_FAMILIES:
+        window = ["--t-min", str(t_min), "--t-max", str(t_max)]
+        cases.append(({"fam.txt": text}, [
+            ["crosscheck", "--family", "fam.txt", *window],
+            ["crosscheck", "--family", "fam.txt", *window, "--format",
+             "machine", "--out", "x.txt"],
+            ["series", "--family", "fam.txt", *window, "--out", "s"]]))
+    for text in GRAMMAR_SYSTEMS:
+        exclusion = "sys1:" in text
+        mode = ["--exclusion" if exclusion else "--objective", "--l", "3"]
+        cases.append(({"sys.txt": text}, [
+            ["pilp", "sys.txt", "--t", "4"],
+            ["pilp", "sys.txt", "--t", "5", *mode],
+            ["pilp", "sys.txt", "--t", "6", *mode, "--format", "machine",
+             "--out", "p.txt"]]))
+    cases.append(({}, [
+        ["compute", "--a", "6,10,15", "--m", "2", "--l", "3", "--out",
+         "c.txt"],
+        ["compute", "--a", "[7, 9, 20]", "--format", "machine", "--out",
+         "d.txt"]]))
+    text = FAMILIES[3][0]
+    cases.append(({"fam.txt": text}, [
+        ["crosscheck", "--family", "fam.txt", "--t-min", "2", "--t-max", "5",
+         "--inject-mismatch", "--out", "x.txt"]]))
+    return cases
+
+
+def _positivity_cases():
+    """series on t where every entry is positive, below the entries'
+    eventual positivity too, and stopping at the first t where one is
+    not: with no output, on a resume, and on a 4400-digit coefficient."""
+    dip = "poly: t\npoly: t^2 - 10t + 24\nm: 1\nl: 1\n"  # (t - 4)(t - 6)
+    sevens = "7" * 4400
+    cases = [
+        ({"fam.txt": dip}, [series_steps(1, 3)]),
+        ({"fam.txt": dip}, [series_steps(1, 12)]),
+        ({"fam.txt": dip}, [series_steps(1, 3), series_steps(2, 5),
+                            series_steps(7, 9)]),
+        ({"fam.txt": "poly: t\npoly: t^2 - 200000t + 10000000001\nm: 1\n"
+                     "l: 1\n"}, [series_steps(1, 12)]),  # (t - 10^5)^2 + 1
+    ]
+    for entry in (f"t^2 - {sevens}t", f"2t^6 - {sevens}t^5"):
+        cases.append(({"fam.txt": f"poly: t\npoly: {entry}\nm: 1\nl: 1\n"},
+                      [series_steps(1, 12)]))
+    return cases
+
+
+def series_steps(t_min, t_max):
+    return ["series", "--family", "fam.txt", "--t-min", str(t_min),
+            "--t-max", str(t_max), "--out", "s"]
+
+
 def _error_cases():
     return [({}, [argv]) for argv in [
         ["--help"], ["pilp", "--help"], ["compute"], ["compute", "--a", "0,3"],
@@ -317,7 +399,8 @@ def corpus():
             *_error_cases(),
             (README_FILES, [shlex.split(line) for line in
                             README_COMMANDS.splitlines()]),
-            *_fit_cases(rng)]
+            *_fit_cases(rng), *_grammar_cases(),
+            *_positivity_cases()]
 
 
 def label(steps) -> str:

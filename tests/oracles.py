@@ -1,7 +1,9 @@
 """Test-side oracles.
 
 enumerate_lattice lists the points of a system's leaf runs, for tests that
-check the search point by point. The rest share no code with the fitter:
+check the search point by point. positivity_start finds where a family's
+entries stay positive by a scan, for tests that sample from there. The
+rest share no code with the fitter:
 newton_interpolate is the fitter's reference, Newton's divided differences
 over Fractions through any points; eventually_equal decides symbolically
 whether two quasi-polynomials agree for all large t; validate compares a
@@ -12,7 +14,7 @@ G series of their families must equal.
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 from parafrob import pilp
 from parafrob.errors import DEFAULT_POINT_CAP, InputError, frozen
@@ -34,6 +36,16 @@ def enumerate_lattice(sys, t: int, point_cap: int = DEFAULT_POINT_CAP) -> tuple:
     pilp._stream(sys, t, collect, point_cap)
     points.sort()
     return tuple(points)
+
+
+def positivity_start(family) -> int:
+    """Smallest t0 >= 1 with every entry of the family positive for all
+    t >= t0, by a scan up to Cauchy's bound 1 + max |c_i| / lead, past
+    which no entry has a root."""
+    ceiling = max(ceil(1 + Fraction(max(map(abs, p.coeffs[:-1]), default=0))
+                       / p.leading_coefficient) for p in family.polys)
+    return 1 + max((t for t in range(1, ceiling + 1)
+                    if any(p(t) <= 0 for p in family.polys)), default=0)
 
 
 def newton_interpolate(points) -> Poly:

@@ -166,20 +166,61 @@ def test_series_resume_fills_only_missing(tmp_path, monkeypatch):
 
 def test_series_runs_one_direct_pass_per_missing_span(tmp_path,
                                                       monkeypatch):
-    # Each direct pass finds the family's positivity start once.
     fam = tmp_path / "fam.txt"
     fam.write_text(FAMILY_U_UM1)
     out = str(tmp_path / "out")
     calls = []
-    real = reduction.positivity_start
-    monkeypatch.setattr(reduction, "positivity_start",
-                        lambda family: calls.append(family) or real(family))
+    real = reduction.direct_series
+    monkeypatch.setattr(reduction, "direct_series",
+                        lambda family, t_min, t_max: calls.append(
+                            (t_min, t_max)) or real(family, t_min, t_max))
     res = run("series", "--family", str(fam), "--t-min", "5", "--t-max", "8",
               "--out", out)
-    assert res.exit_code == 0 and len(calls) == 1
+    assert res.exit_code == 0 and calls == [(5, 8)]
     res = run("series", "--family", str(fam), "--t-min", "2", "--t-max", "12",
               "--out", out)
-    assert res.exit_code == 0 and len(calls) == 3  # t = 2..4 and 9..12
+    assert res.exit_code == 0 and calls == [(5, 8), (2, 4), (9, 12)]
+
+
+# t^2 - 10t + 24 = (t - 4)(t - 6) is positive at t = 1..3 and from t = 7.
+FAMILY_DIP = "poly: t\npoly: t^2 - 10t + 24\nm: 1\nl: 1\n"
+SEVENS = "7" * 4400
+
+
+def test_series_samples_wherever_the_entries_are_positive(tmp_path):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_DIP)
+    res = run("series", "--family", str(fam), "--t-min", "1", "--t-max", "3",
+              "--out", str(tmp_path / "out"))
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "out.fml.series").read_text() == "1 -1\n2 -2\n3 -3\n"
+    assert (tmp_path / "out.gm.series").read_text() == "1 0\n2 0\n3 0\n"
+
+
+def test_series_stops_at_the_first_entry_not_positive(tmp_path, monkeypatch):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_DIP)
+    built = count_tables(monkeypatch)
+    res = run("series", "--family", str(fam), "--t-min", "1", "--t-max",
+              "12", "--out", str(tmp_path / "out"))
+    assert res.exit_code == 2
+    assert res.output == "error: family entry 2 is not positive at t = 4\n"
+    assert built == [15, 8, 3]  # t = 1..3; none for t = 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.txt"]
+
+
+@pytest.mark.parametrize("entry", [f"t^2 - {SEVENS}t",
+                                   f"2t^6 - {SEVENS}t^5"],
+                         ids=["t^2", "2t^6"])
+def test_series_rejects_a_long_negative_coefficient_at_once(tmp_path,
+                                                            entry):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(f"poly: t\npoly: {entry}\nm: 1\nl: 1\n")
+    res = run("series", "--family", str(fam), "--t-min", "1", "--t-max",
+              "12", "--out", str(tmp_path / "out"))
+    assert res.exit_code == 2
+    assert res.output == "error: family entry 2 is not positive at t = 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.txt"]
 
 
 def test_series_refuses_a_gap_before_computing(tmp_path, monkeypatch):

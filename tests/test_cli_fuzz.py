@@ -135,12 +135,6 @@ def mutated(draw, text):
                                  "missing line", "repeated line", "empty",
                                  "never positive"]))
     numbers = list(NUMBER.finditer(text))
-    if kind == "4400 digits":
-        # Not in a family entry: on a term of positive degree, as in
-        # t^2 - <4400 sevens>t, the positivity start itself has thousands
-        # of digits, and bisecting to it one bit at a time takes seconds.
-        numbers = [m for m in numbers if not text[
-            text.rfind("\n", 0, m.start()) + 1:].startswith("poly:")]
     lines = text.splitlines(keepends=True)
     if kind in NUMBER_EDITS and numbers:
         m = draw(st.sampled_from(numbers))

@@ -1,11 +1,11 @@
 """Family pipeline: positivity, gcd reduction, box exponent, crosscheck."""
 
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 import oracles
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from parafrob import eqpfit, frobenius, pilp, reduction
 from parafrob.errors import InputError, ResourceLimitError
@@ -37,46 +37,6 @@ def test_family_validation():
         fam([U, Poly([0, Fraction(1, 2)])])  # not integer-valued
 
 
-def test_positivity_start_examples():
-    assert reduction.positivity_start(fam([U, U - Poly.constant(2)])) == 3
-    assert reduction.positivity_start(
-        fam([U**2 + Poly.constant(1), U**2 + 2 * U - Poly.constant(1)])
-    ) == 1
-    # a deep root pushes the start out
-    assert reduction.positivity_start(fam([U - Poly.constant(10), U])) == 11
-    for t in range(11, 40):
-        assert all(p(t) > 0 for p in (U - Poly.constant(10), U))
-    # the scan starts below the root bound of the negative coefficients only
-    assert reduction.positivity_start(fam([U, U - Poly.constant(10**6)])) == 10**6 + 1
-    assert reduction.positivity_start(fam([U, U**2 + Poly.constant(10**5)])) == 1
-    # The root bound is an exact ceiling, past the range of a float too.
-    assert reduction.positivity_start(
-        fam([U, U - Poly.constant(10**400)])) == 10**400 + 1
-    # A deep root of a steep entry is found by bisection, not by a scan.
-    assert reduction.positivity_start(
-        fam([U, U**2 - Poly.constant(10**12)])) == 10**6 + 1
-    # A 4400-digit constant under 2t^6: the bisection starts within a factor
-    # of 4 of the 2436-bit root, not near the 14617-bit constant.
-    p = 2 * U**6 - Poly.constant(7 * (10**4400 - 1) // 9)
-    start = reduction.positivity_start(fam([U, p]))
-    assert p(start - 1) <= 0 < p(start) and start.bit_length() == 2436
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.integers(-30, 30), min_size=0, max_size=3),
-                min_size=2, max_size=3),
-       st.lists(st.integers(1, 3), min_size=3, max_size=3))
-@example([[-100_000, 0], [0]], [1, 1, 1])  # t^2 - 100000 and t
-def test_positivity_start_matches_brute_scan(lowers, leads):
-    polys = [Poly(tuple(lower) + (lead,)) for lower, lead in zip(lowers, leads)]
-    # Past the Cauchy bound on all coefficients no entry has a root.
-    ceiling = max(ceil(1 + max(map(abs, p.coeffs[:-1]), default=0)
-                       / p.leading_coefficient) for p in polys)
-    brute = 1 + max((t for t in range(1, ceiling + 1)
-                     if any(p(t) <= 0 for p in polys)), default=0)
-    assert reduction.positivity_start(fam(polys)) == brute
-
-
 def test_gcd_series_examples():
     s = reduction.gcd_series(fam([U, U - Poly.constant(2)]), 3, 30)
     assert all(
@@ -89,12 +49,12 @@ def test_gcd_series_examples():
 
 
 def test_gcd_series_range_validation():
-    with pytest.raises(InputError):
-        reduction.gcd_series(fam([U, U - Poly.constant(2)]), 1, 10)
+    with pytest.raises(InputError, match="empty t range"):
+        reduction.gcd_series(fam([U, U - Poly.constant(2)]), 10, 1)
 
 
 def fit_gcd(family, t_min=None, t_max=40, **kw):
-    t_min = t_min if t_min is not None else reduction.positivity_start(family)
+    t_min = t_min if t_min is not None else oracles.positivity_start(family)
     series = reduction.gcd_series(family, t_min, t_max)
     res = eqpfit.fit_quasipolynomial(series, d_max=4, deg_max=2)
     assert isinstance(res, eqpfit.Fit)
@@ -197,7 +157,7 @@ def test_window_bound_holds_numerically():
         fam(MIXED5),  # F + 1 is 3168 at t = 12, above the old bound of 1544
     ):
         assert_window_bound_holds(
-            family, range(reduction.positivity_start(family) + 1, 15))
+            family, range(oracles.positivity_start(family) + 1, 15))
 
 
 def test_direct_series_matches_piecewise_formula():
@@ -209,6 +169,20 @@ def test_direct_series_matches_piecewise_formula():
         else:
             assert v == 2 * ((t // 2) * ((t - 2) // 2) - t // 2 - (t - 2) // 2)
     assert all(v >= 0 for _, v in g_series.items())
+
+
+def test_direct_series_samples_wherever_the_entries_are_positive():
+    # t^2 - 10t + 24 = (t - 4)(t - 6): positive at t = 1..3 and from t = 7.
+    family = fam([U, U**2 - 10 * U + 24 * ONE])
+    f_series, g_series = reduction.direct_series(family, 1, 3)
+    assert f_series.values == (-1, -2, -3) and g_series.values == (0, 0, 0)
+    # The first t with an entry not positive fails before its table, so a
+    # range fails there however far it reaches.
+    with pytest.raises(InputError, match="^family entry 2 is not positive "
+                                         "at t = 4$"):
+        reduction.direct_series(family, 1, 10**18)
+    with pytest.raises(InputError, match="at t = 5$"):
+        reduction.direct_series(family, 5, 5)
 
 
 def test_direct_series_stays_inside_cubic_box():
@@ -234,7 +208,7 @@ PAIR_FAMILIES = [
                               "t+1,t^2+t+1"])
 def test_fitted_pair_series_equal_the_closed_forms(polys, gcd_period, m):
     family = fam(polys, m)
-    t0 = reduction.positivity_start(family)
+    t0 = oracles.positivity_start(family)
     closed = oracles.pair_closed_forms(*polys, m, gcd_period, t0)
     for series, expected in zip(reduction.direct_series(family, t0, t0 + 300),
                                 closed):
@@ -483,7 +457,7 @@ def mixed_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(mixed_families())
 def test_window_bound_holds_on_mixed_families(family):
-    t0 = reduction.positivity_start(family)
+    t0 = oracles.positivity_start(family)
     assert_window_bound_holds(family, range(t0, t0 + 4))
 
 
@@ -494,7 +468,7 @@ def test_window_bound_poly_is_qualifying_bound_plus_l(family):
     # have gcd 1 and their concrete order is the eventual one.
     bound = reduction.window_bound_poly(family)
     ordered = sorted(family.polys, key=eventual_order)
-    t0 = reduction.positivity_start(family)
+    t0 = oracles.positivity_start(family)
     for t in range(t0, t0 + 6):
         values = family.values(t)
         if gcd(*values) != 1 or [p(t) for p in ordered] != sorted(values):

@@ -30,8 +30,7 @@ LIBRARY_SURFACE = {
     "reduction": {"CrosscheckReport", "CrosscheckRow", "DIFF", "EQUAL",
                   "G_OFFSET", "PolyFamily", "SKIPPED", "box_exponent",
                   "crosscheck", "direct_series", "frobenius_to_exclusion",
-                  "gcd_series", "positivity_start", "reduce_by_gcd",
-                  "window_bound_poly"},
+                  "gcd_series", "reduce_by_gcd", "window_bound_poly"},
 }
 
 
