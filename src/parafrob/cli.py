@@ -246,20 +246,17 @@ def pilp_cmd(system_path, t_value, mode, l_value, point_cap, fmt, out):
     """Lattice count, ranked objective values, or exclusion feasible set."""
     from . import pilp
 
-    parsed = formats.parse_system_file(Path(system_path).read_text())
+    kind, parsed = formats.parse_system_file(Path(system_path).read_text())
     l = None if mode == "count" else l_value
-    if parsed[0] == "exclusion":
-        feasible, top = pilp.exclusion_profile(parsed[1], t_value, l,
-                                               point_cap)
+    if kind == "exclusion":
+        feasible, top = pilp.exclusion_profile(parsed, t_value, l, point_cap)
         lines = [f"size {len(feasible)}"]
     else:
-        _, system, objective = parsed
         if mode == "exclusion":
             raise InputError("--exclusion needs an exclusion file")
-        if mode == "objective" and objective is None:
+        if mode == "objective" and not parsed.c:
             raise InputError("--objective needs a c: line in the file")
-        size, top = pilp.lattice_profile(system, t_value, objective, l,
-                                         point_cap)
+        size, top = pilp.lattice_profile(parsed, t_value, l, point_cap)
         lines = [f"count {size}"] if mode == "count" else []
     lines += [f"objective {i} {formats.format_extended(v)}"
               for i, v in enumerate(top, start=1)]

@@ -276,7 +276,9 @@ def _set_header(header: dict, key: str, value):
     header[key] = value
 
 
-def _build_system(header: dict, rows: list) -> "ParametricConstraintSystem":
+def _build_system(header: dict, rows: list,
+                  c=None) -> "ParametricConstraintSystem":
+    """The system of a header, its rows and the objective text c, if any."""
     from .pilp import ParametricConstraintSystem
 
     if "vars" not in header:
@@ -289,15 +291,17 @@ def _build_system(header: dict, rows: list) -> "ParametricConstraintSystem":
         raise InputError("a system needs at least one row")
     parsed = tuple(_parse_row(r, n) for r in rows)
     nonneg = _parse_nonneg(header.get("nonneg", "all"), n)
-    return ParametricConstraintSystem(n, parsed, nonneg)
+    objective = () if c is None else map(parse_poly, _split_top_level(c))
+    return ParametricConstraintSystem(parsed, nonneg, tuple(objective))
 
 
 def parse_system_file(text: str):
     """Parse a constraint-system file.
 
-    A plain file (header lines plus "row:" lines) yields
-    ("system", system, objective-or-None). A file with "sys1:"/"sys2:"
-    sections and m/n1/n2 headers yields ("exclusion", problem).
+    A plain file (header lines plus "row:" lines) yields ("system",
+    system), its "c:" line the system's objective. A file with
+    "sys1:"/"sys2:" sections and m/n1/n2 headers yields ("exclusion",
+    problem), its "c:" line sys2's objective.
     """
     lines = list(_content_lines(text))
     top = ([], {})  # rows, header
@@ -327,13 +331,7 @@ def parse_system_file(text: str):
     rows, header = top
     c = header.get("c")
     if not sections:
-        system = _build_system(header, rows)
-        objective = None
-        if c is not None:
-            objective = tuple(parse_poly(p) for p in _split_top_level(c))
-            if len(objective) != system.n:
-                raise InputError("objective width must match variable count")
-        return "system", system, objective
+        return "system", _build_system(header, rows, c)
 
     for key in ("m", "n1", "n2"):
         if key not in header:
@@ -341,15 +339,14 @@ def parse_system_file(text: str):
     m, n1, n2 = (_parse_int(key, header[key]) for key in ("m", "n1", "n2"))
     if c is None:
         raise InputError("exclusion file is missing 'c:'")
-    objective = tuple(parse_poly(p) for p in _split_top_level(c))
 
     from .pilp import ExclusionProblem
 
     systems = []
-    for name, n in (("sys1:", n1 + n2), ("sys2:", n2)):
+    for name, n, objective in (("sys1:", n1 + n2, None), ("sys2:", n2, c)):
         rows, header = sections[name]
         header.setdefault("vars", str(n))
         if _parse_int("vars", header["vars"]) != n:
             raise InputError("section vars: disagrees with n1/n2")
-        systems.append(_build_system(header, rows))
-    return "exclusion", ExclusionProblem(m, n1, n2, *systems, objective)
+        systems.append(_build_system(header, rows, objective))
+    return "exclusion", ExclusionProblem(m, *systems)

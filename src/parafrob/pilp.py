@@ -1,14 +1,17 @@
 """Desk-scale semantics for parametric integer linear constraint systems.
 
-A system is instantiated at a concrete integer parameter t, its integer
-points are enumerated exactly (interval bound propagation followed by
+A system holds its rows, a >= 0 flag per variable and its objective,
+every entry an integer-valued polynomial in t, checked once when built.
+It is instantiated at a concrete integer parameter t, its integer points
+are enumerated exactly (interval bound propagation followed by
 depth-first search), and counting / ranking / projection-exclusion
 questions are answered from one stream of leaf runs per system:
-lattice_profile gives the size and the l largest objective values (l =
-None for the size alone), and exclusion_profile the feasible set of an
-exclusion problem with its l largest values, its sys1 searched by a
-projection or a fiber search, whichever its box bounds smaller, and its
-sys2 runs cut at sys1's full keys. This is the engine behind the pilp and
+lattice_profile gives the size and the l largest values of the system's
+objective (l = None for the size alone), and exclusion_profile the
+feasible set of an exclusion problem (m, sys1, sys2) with the l largest
+values of sys2's objective over it, its sys1 searched by a projection or
+a fiber search, whichever its box bounds smaller, and its sys2 runs cut
+at sys1's full keys. This is the engine behind the pilp and
 crosscheck commands.
 """
 
@@ -47,44 +50,49 @@ class Row:
 
 @frozen
 class ParametricConstraintSystem:
-    """Constraint rows over n integer variables with per-variable >=0 flags."""
+    """Constraint rows over n = len(nonneg) integer variables, a >= 0 flag
+    per variable, and the objective c . x: one integer-valued polynomial
+    per variable, or c = () for none."""
 
-    n: int
     rows: tuple
     nonneg: tuple
+    c: tuple = ()
 
     def __post_init__(self):
         if self.n < 1:
             raise InputError("need at least one variable")
-        if len(self.nonneg) != self.n:
-            raise InputError("one nonneg flag per variable required")
         for row in self.rows:
             if len(row.coeffs) != self.n:
                 raise InputError("row width must match variable count")
+        if self.c and len(self.c) != self.n:
+            raise InputError("objective width must match variable count")
+        for p in self.c:
+            if not (isinstance(p, Poly) and p.is_integer_valued()):
+                raise InputError(
+                    "objective entries must be integer-valued polynomials")
 
-
-def _int_value(p: Poly, t: int) -> int:
-    v = p(t)
-    if not isinstance(v, int):
-        raise InputError("non-integer instantiation; t must be an integer")
-    return v
+    @property
+    def n(self) -> int:
+        return len(self.nonneg)
 
 
 def _instantiate(sys: ParametricConstraintSystem, t: int):
-    return [
-        (tuple(_int_value(c, t) for c in row.coeffs), row.sense, _int_value(row.rhs, t))
-        for row in sys.rows
-    ]
+    """The rows at an integer t, as ints: every entry is integer-valued."""
+    if not isinstance(t, int):
+        raise InputError("t must be an integer")
+    return [(tuple(c(t) for c in row.coeffs), row.sense, row.rhs(t))
+            for row in sys.rows]
 
 
-def _propagate(rows, nonneg, n):
+def _propagate(rows, nonneg):
     """Iterated single-row interval tightening to a fixpoint.
 
     Returns (lo, hi) integer bound lists, or None when a contradiction
     proves the region empty. Raises InputError when some coordinate still
     has no finite bound after MAX_SWEEPS sweeps.
     """
-    lo = [0 if nonneg[i] else None for i in range(n)]
+    n = len(nonneg)
+    lo = [0 if flag else None for flag in nonneg]
     hi = [None] * n
 
     les = []
@@ -148,7 +156,7 @@ def _propagate(rows, nonneg, n):
 
 def propagated_box(sys: ParametricConstraintSystem, t: int):
     """The (lo, hi) box the propagation derives at t; None if proven empty."""
-    return _propagate(_instantiate(sys, t), sys.nonneg, sys.n)
+    return _propagate(_instantiate(sys, t), sys.nonneg)
 
 
 def _search_order(lo, hi, n2=0):
@@ -375,7 +383,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
 def _stream(sys: ParametricConstraintSystem, t: int, visit, point_cap,
             fiber=None):
     rows = _instantiate(sys, t)
-    box = _propagate(rows, sys.nonneg, sys.n)
+    box = _propagate(rows, sys.nonneg)
     if box is not None:
         _iter_points(rows, *box, visit, point_cap, fiber)
 
@@ -384,7 +392,8 @@ class _Ranking:
     """Counts the points of the offered runs and keeps the l largest values
     of c . x over them, with multiplicity, in a min-heap of at most l
     values. l = None asks for the count only: no objective value is
-    computed. An l above point_cap is refused before any search."""
+    computed. An l above point_cap, or with no objective, is refused
+    before any search."""
 
     def __init__(self, c, t: int, l, point_cap):
         if l is not None and l < 1:
@@ -392,8 +401,10 @@ class _Ranking:
         if l is not None and l > point_cap:
             raise ResourceLimitError(
                 f"l exceeds the point cap of {point_cap}")
+        if l and not c:
+            raise InputError("ranking needs an objective")
         self.l = l or 0
-        self.c = [_int_value(p, t) for p in c] if l else ()
+        self.c = [p(t) for p in c] if l else ()
         self.heap = []
         self.size = 0
 
@@ -425,16 +436,15 @@ class _Ranking:
         return tuple(top) + (BOTTOM,) * (self.l - len(top))
 
 
-def lattice_profile(sys: ParametricConstraintSystem, t: int, c, l,
+def lattice_profile(sys: ParametricConstraintSystem, t: int, l,
                     point_cap: int = DEFAULT_POINT_CAP):
-    """(number of lattice points, the l largest objective values c . x).
+    """(number of lattice points, the l largest values of sys's objective).
 
     One enumeration. The values count multiplicity and are padded with
-    BOTTOM past the last point; l = None returns () for them.
+    BOTTOM past the last point; l = None returns () for them and needs no
+    objective.
     """
-    if l is not None and len(c) != sys.n:
-        raise InputError("objective width must match variable count")
-    ranking = _Ranking(c, t, l, point_cap)
+    ranking = _Ranking(sys.c, t, l, point_cap)
     _stream(sys, t, ranking.offer, point_cap)
     return ranking.size, ranking.top()
 
@@ -443,33 +453,26 @@ def lattice_profile(sys: ParametricConstraintSystem, t: int, c, l,
 class ExclusionProblem:
     """Exclude from one lattice set the heavily-covered fibers of another.
 
-    Variables of sys1 are ordered kept-block first: coordinates 1..n2 are
-    the projection target, coordinates n2+1..n1+n2 are projected out. The
+    Variables of sys1 are ordered kept-block first: its first sys2.n
+    coordinates are the projection target, the rest are projected out. The
     feasible set at t consists of the sys2 points whose fiber in the sys1
-    points has fewer than m elements.
+    points has fewer than m elements; it is ranked by sys2's objective.
     """
 
     m: int
-    n1: int
-    n2: int
     sys1: ParametricConstraintSystem
     sys2: ParametricConstraintSystem
-    c: tuple
 
     def __post_init__(self):
-        if self.m < 1 or self.n1 < 1 or self.n2 < 1:
-            raise InputError("m, n1, n2 must be >= 1")
-        if self.sys1.n != self.n1 + self.n2:
-            raise InputError("sys1 must have n1 + n2 variables")
-        if self.sys2.n != self.n2:
-            raise InputError("sys2 must have n2 variables")
-        if len(self.c) != self.n2:
-            raise InputError("objective must have n2 entries")
+        if self.m < 1:
+            raise InputError("m must be >= 1")
+        if self.sys1.n <= self.sys2.n:
+            raise InputError("sys1 must have more variables than sys2")
 
 
 def exclusion_profile(ex: ExclusionProblem, t: int, l,
                       point_cap: int = DEFAULT_POINT_CAP):
-    """(the feasible set, the l largest objective values over it).
+    """(the feasible set, the l largest values of sys2's objective over it).
 
     The feasible set is the sorted tuple of the sys2 points whose sys1 fiber
     has fewer than m points. Each system is searched once: sys1 by the
@@ -478,9 +481,9 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     lattice_profile. Each kept stretch of a sys2 leaf run, cut at the keys
     of sys1's full fibers, is ranked as one run.
     """
-    ranking = _Ranking(ex.c, t, l, point_cap)
+    ranking = _Ranking(ex.sys2.c, t, l, point_cap)
     full = set()  # keys with at least m sys1 points above them
-    _stream(ex.sys1, t, full.add, point_cap, (ex.n2, ex.m))
+    _stream(ex.sys1, t, full.add, point_cap, (ex.sys2.n, ex.m))
     kept = []
 
     def keep(first, step, length):

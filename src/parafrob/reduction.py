@@ -137,12 +137,11 @@ def frobenius_to_exclusion(fam: PolyFamily, r: int) -> "pilp.ExclusionProblem":
                         Poly.variable() ** r - one)
     equality = pilp.Row((one,) + tuple(-p for p in fam.polys), pilp.EQ,
                         Poly.constant(fam.l))
-    sys1 = pilp.ParametricConstraintSystem(n + 1, (equality, box_edge),
+    sys1 = pilp.ParametricConstraintSystem((equality, box_edge),
                                            (True,) * (n + 1))
     sys2 = pilp.ParametricConstraintSystem(
-        1, (pilp.Row((one,), pilp.LE, box_edge.rhs),), (True,)
-    )
-    return pilp.ExclusionProblem(fam.m, n, 1, sys1, sys2, (one,))
+        (pilp.Row((one,), pilp.LE, box_edge.rhs),), (True,), (one,))
+    return pilp.ExclusionProblem(fam.m, sys1, sys2)
 
 
 def direct_series(fam: PolyFamily, t_min: int, t_max: int):

@@ -15,8 +15,9 @@ both formats, a few usage errors, the README commands, then ``fit`` on
 drawn quasi-polynomials (default bounds and deg_max 0, periods 4-7 from a
 nonzero t_min, rational values), one NO_FIT per diagnostic reason, and
 ``fit --out``, then family and system files in every grammar spelling,
-``--out`` on ``compute``, ``crosscheck`` and ``pilp``, and last ``series``
-where an entry is not positive at some t of the range.
+``--out`` on ``compute``, ``crosscheck`` and ``pilp``, ``series`` where an
+entry is not positive at some t of the range, and last ``pilp`` on
+objectives that are not integer-valued or too wide.
 
     python tests/golden.py --record   # rewrite tests/golden.json
 
@@ -359,6 +360,19 @@ def _positivity_cases():
     return cases
 
 
+def _objective_cases():
+    """pilp in count and objective mode on a plain file whose objective
+    has a non-integer entry, and on exclusion files whose objective has
+    one or is too wide."""
+    exclusion = ("m: 1\nn1: 1\nn2: 1\nc: {}\nsys1:\nrow: 1, 0 | <= | t\n"
+                 "row: 0, 1 | <= | t\nsys2:\nrow: 1 | <= | t\n")
+    texts = ["vars: 2\nc: [0, 1], 1/2\nrow: 1, 1 | <= | t\n",
+             exclusion.format("1/2"), exclusion.format("1, 1")]
+    steps = [["pilp", "sys.txt", "--t", "5"],
+             ["pilp", "sys.txt", "--t", "5", "--objective"]]
+    return [({"sys.txt": text}, steps) for text in texts]
+
+
 def series_steps(t_min, t_max):
     return ["series", "--family", "fam.txt", "--t-min", str(t_min),
             "--t-max", str(t_max), "--out", "s"]
@@ -400,7 +414,7 @@ def corpus():
             (README_FILES, [shlex.split(line) for line in
                             README_COMMANDS.splitlines()]),
             *_fit_cases(rng), *_grammar_cases(),
-            *_positivity_cases()]
+            *_positivity_cases(), *_objective_cases()]
 
 
 def label(steps) -> str:

@@ -66,9 +66,10 @@ def digit_transform(sys: ParametricConstraintSystem, r: int) -> ParametricConstr
     """Rewrite each variable as r base-t digits.
 
     Variable i becomes digits (i*r .. i*r + r - 1), each constrained to
-    [0, t-1]; the coefficient of digit j is the original coefficient times
-    u^j. Valid for systems whose variables are all nonnegative (the digit
-    image covers exactly [0, t^r)^n).
+    [0, t-1]; the coefficient of digit j, in each row and in the
+    objective, is the original coefficient times u^j. Valid for systems
+    whose variables are all nonnegative (the digit image covers exactly
+    [0, t^r)^n).
     """
     if r < 1:
         raise InputError("digit count r must be >= 1")
@@ -81,19 +82,15 @@ def digit_transform(sys: ParametricConstraintSystem, r: int) -> ParametricConstr
         coeffs = [Poly()] * (sys.n * r)
         coeffs[pos] = Poly.constant(1)
         rows.append(Row(tuple(coeffs), LE, cap))
-    return ParametricConstraintSystem(sys.n * r, tuple(rows), (True,) * (sys.n * r))
+    return ParametricConstraintSystem(tuple(rows), (True,) * (sys.n * r),
+                                      _digit_weighted(sys.c, r))
 
 
 def digit_transform_exclusion(ex: ExclusionProblem, r: int) -> ExclusionProblem:
-    """Digit-rewrite both systems and the objective of an exclusion problem."""
-    return ExclusionProblem(
-        ex.m,
-        ex.n1 * r,
-        ex.n2 * r,
-        digit_transform(ex.sys1, r),
-        digit_transform(ex.sys2, r),
-        _digit_weighted(ex.c, r),
-    )
+    """Digit-rewrite both systems of an exclusion problem, objectives
+    included."""
+    return ExclusionProblem(ex.m, digit_transform(ex.sys1, r),
+                            digit_transform(ex.sys2, r))
 
 
 # DNF formulas over parametric inequalities, and disjoint expansion.

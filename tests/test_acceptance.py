@@ -40,8 +40,8 @@ def report(number, message):
     print(f"PASS criterion {number}: {message}")
 
 
-def system(n, rows):
-    return ParametricConstraintSystem(n, tuple(rows), (True,) * n)
+def system(n, rows, c=()):
+    return ParametricConstraintSystem(tuple(rows), (True,) * n, c)
 
 
 def test_criterion_01_sylvester_suite():
@@ -159,25 +159,28 @@ def test_criterion_05_dp_vs_enumeration_oracle():
 
 
 def _pilp_test_systems():
-    # (name, system, objective) with constant coefficient matrices
+    # (name, system with its objective), constant coefficient matrices
     return [
-        ("triangle", system(2, [Row((ONE, ONE), LE, U)]), (ONE, ONE)),
-        ("halfline-period-2", system(1, [Row((const(2),), LE, U)]), (const(2),)),
-        ("modular-period-3", system(2, [Row((ONE, const(3)), EQ, U)]), (ONE, ZERO)),
+        ("triangle", system(2, [Row((ONE, ONE), LE, U)], (ONE, ONE))),
+        ("halfline-period-2",
+         system(1, [Row((const(2),), LE, U)], (const(2),))),
+        ("modular-period-3",
+         system(2, [Row((ONE, const(3)), EQ, U)], (ONE, ZERO))),
         ("slab", system(3, [Row((ONE, ONE, ONE), EQ, U),
-                            Row((ZERO, ZERO, ONE), LE, const(2))]),
-         (ONE, ONE, ONE)),
+                            Row((ZERO, ZERO, ONE), LE, const(2))],
+                        (ONE, ONE, ONE))),
         ("grid-period-4", system(2, [Row((const(2), ZERO), LE, U),
-                                     Row((ZERO, const(4)), LE, U)]), (ONE, ONE)),
+                                     Row((ZERO, const(4)), LE, U)],
+                                 (ONE, ONE))),
     ]
 
 
 def test_criterion_06_pilp_eqp_realization():
     fits = 0
     periods = []
-    for name, sys, objective in _pilp_test_systems():
+    for name, sys in _pilp_test_systems():
         # t = 1..80 train the fit, t = 81..90 are predicted.
-        profiles = [pilp.lattice_profile(sys, t, objective, 2)
+        profiles = [pilp.lattice_profile(sys, t, 2)
                     for t in range(1, 91)]
         samples = {
             "size": [size for size, _ in profiles],
@@ -280,15 +283,15 @@ def test_criterion_09_digit_bijection():
         Row((const(-5), const(8)), LE, ZERO),
         Row((ONE, ZERO), LE, U),
     ])
-    example5_sys2 = system(1, [Row((ONE,), LE, U)])
+    example5_sys2 = system(1, [Row((ONE,), LE, U)], (ONE,))
     cases = [
-        ExclusionProblem(1, 1, 1, example5_sys1, example5_sys2, (ONE,)),
-        ExclusionProblem(2, 1, 1, system(2, [
+        ExclusionProblem(1, example5_sys1, example5_sys2),
+        ExclusionProblem(2, system(2, [
             Row((ONE, const(-3)), EQ, ONE),
             Row((ONE, ZERO), LE, edge),
             Row((ZERO, ONE), LE, edge),
-        ]), system(1, [Row((ONE,), LE, edge)]), (ONE,)),
-        ExclusionProblem(2, 1, 2, system(3, [
+        ]), system(1, [Row((ONE,), LE, edge)], (ONE,))),
+        ExclusionProblem(2, system(3, [
             Row((ONE, ONE, ONE), EQ, U),
             Row((ZERO, ZERO, ONE), LE, const(2)),
             Row((ONE, ZERO, ZERO), LE, edge),
@@ -298,7 +301,7 @@ def test_criterion_09_digit_bijection():
             Row((ONE, ZERO), LE, edge),
             Row((ZERO, ONE), LE, edge),
             Row((ONE, ONE), LE, U),
-        ]), (const(2), ONE)),
+        ], (const(2), ONE))),
     ]
     for ex in cases:
         transformed = proofs.digit_transform_exclusion(ex, 2)

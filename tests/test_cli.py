@@ -682,6 +682,12 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
      "row outside sys1:/sys2: section"),
     ("pilp", "vars: 2\nc: 1\nrow: 1, 1 | <= | t\n",
      "objective width must match variable count"),
+    ("pilp --objective", "vars: 2\nc: [0, 1], 1/2\nrow: 1, 1 | <= | t\n",
+     "objective entries must be integer-valued polynomials"),
+    ("pilp", exclusion_text().replace("c: 1\n", "c: 1/2\n"),
+     "objective entries must be integer-valued polynomials"),
+    ("pilp", exclusion_text().replace("c: 1\n", "c: 1, 1\n"),
+     "objective width must match variable count"),
     ("pilp", exclusion_text().replace("m: 1\n", "", 1),
      "exclusion file is missing 'm:'"),
     ("pilp", exclusion_text(vars="vars: 3\n"),
@@ -699,7 +705,9 @@ def test_malformed_integer_field_is_an_input_error(tmp_path, command, text,
 ], ids=["unterminated-list", "empty-poly", "bare-sign", "double-sign",
         "empty-tuple",
         "open-bracket", "extra-bracket", "series-fields", "series-t", "family-line", "row-bars", "nonneg",
-        "system-colon", "row-before-sys1", "objective-width", "exclusion-m",
+        "system-colon", "row-before-sys1", "objective-width",
+        "objective-not-integer", "exclusion-objective-not-integer",
+        "exclusion-objective-width", "exclusion-m",
         "section-vars", "fit-d-max", "fit-too-short", "zero-denominator-value",
         "zero-denominator-list", "zero-denominator-term", "no-rows",
         "vars-4400-digits"])

@@ -83,9 +83,8 @@ VALUE_CLASSES = [
     ("oracles", "ValidationReport",
      ("agree_count", "compared_count", "first_disagreement")),
     ("parafrob.pilp", "Row", ("coeffs", "sense", "rhs")),
-    ("parafrob.pilp", "ParametricConstraintSystem", ("n", "rows", "nonneg")),
-    ("parafrob.pilp", "ExclusionProblem",
-     ("m", "n1", "n2", "sys1", "sys2", "c")),
+    ("parafrob.pilp", "ParametricConstraintSystem", ("rows", "nonneg", "c")),
+    ("parafrob.pilp", "ExclusionProblem", ("m", "sys1", "sys2")),
     ("proofs", "Atom", ("coeffs", "rhs")),
     ("proofs", "DnfFormula", ("variables", "clauses")),
     ("parafrob.reduction", "PolyFamily", ("polys", "m", "l")),

@@ -1,6 +1,7 @@
 """Lattice enumeration, exclusion, digit bijections, DNF expansion."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -35,14 +36,24 @@ def const(c):
     return Poly.constant(c)
 
 
-def system(n, rows, nonneg=None):
+def system(n, rows, nonneg=None, c=()):
     return ParametricConstraintSystem(
-        n, tuple(rows), tuple(nonneg) if nonneg else (True,) * n
+        tuple(rows), tuple(nonneg) if nonneg else (True,) * n, c
     )
+
+
+def with_c(sys, c):
+    """sys with the objective c."""
+    return ParametricConstraintSystem(sys.rows, sys.nonneg, c)
 
 
 def triangle():
     return system(2, [Row((ONE, ONE), LE, T)])
+
+
+def seg():
+    """0 <= x <= t, with no objective."""
+    return system(1, [Row((ONE,), LE, T)])
 
 
 def box_scan(sys, t):
@@ -71,7 +82,7 @@ def box_scan(sys, t):
 def test_enumerate_triangle():
     assert len(enumerate_lattice(triangle(), 2)) == 6
     for t in range(0, 12):
-        assert pilp.lattice_profile(triangle(), t, None, None) == (
+        assert pilp.lattice_profile(triangle(), t, None) == (
             (t + 1) * (t + 2) // 2, ())
 
 
@@ -117,9 +128,9 @@ def test_point_cap_counts_exact_work():
     # README's exclusion example: the projection of sys1 does 22 (11 keys,
     # 7 nodes and 4 runs), sys2 11.
     sys1, sys2 = example5()
-    ex = ExclusionProblem(1, 1, 1, sys1, sys2, (ONE,))
+    ex = ExclusionProblem(1, sys1, sys2)
     for run, work in [
-        (lambda cap: pilp.lattice_profile(plain, 9, None, None, cap), 309),
+        (lambda cap: pilp.lattice_profile(plain, 9, None, cap), 309),
         (lambda cap: pilp.exclusion_profile(ex, 10, 1, cap), 22),
     ]:
         run(work)
@@ -162,19 +173,19 @@ def test_enumeration_matches_box_scan_oracle():
 
 
 def test_lth_largest_objective_examples():
-    tri = triangle()
-    assert pilp.lattice_profile(tri, 9, (ONE, ONE), 1) == (55, (9,))
-    size, top = pilp.lattice_profile(tri, 2, (ONE, ONE), 100)
+    tri = with_c(triangle(), (ONE, ONE))
+    assert pilp.lattice_profile(tri, 9, 1) == (55, (9,))
+    size, top = pilp.lattice_profile(tri, 2, 100)
     assert (size, top[:7]) == (6, (2, 2, 2, 1, 1, 0, BOTTOM))
     assert top[99] is BOTTOM
-    seg = system(1, [Row((ONE,), LE, T)])  # 0 <= x <= t
-    assert pilp.lattice_profile(seg, 5, (const(2),), 2) == (6, (10, 8))
+    assert pilp.lattice_profile(with_c(seg(), (const(2),)), 5, 2) \
+        == (6, (10, 8))
 
 
 def test_lth_largest_monotone_and_counts():
-    tri = triangle()
+    tri = with_c(triangle(), (const(2), const(3)))
     t = 5
-    size, values = pilp.lattice_profile(tri, t, (const(2), const(3)), 23)
+    size, values = pilp.lattice_profile(tri, t, 23)
     assert size == 21
     finite = [v for v in values if v is not BOTTOM]
     assert len(finite) == size
@@ -185,10 +196,45 @@ def test_lth_largest_monotone_and_counts():
 def test_lattice_profile_rejects_bad_rank():
     for l in (0, -2):
         with pytest.raises(InputError, match="l must be >= 1"):
-            pilp.lattice_profile(triangle(), 3, (ONE, ONE), l)
+            pilp.lattice_profile(with_c(triangle(), (ONE, ONE)), 3, l)
     with pytest.raises(InputError):
-        pilp.lattice_profile(triangle(), 3, (ONE,), 1)
-    assert pilp.lattice_profile(triangle(), 3, None, None) == (10, ())
+        with_c(triangle(), (ONE,))
+    assert pilp.lattice_profile(triangle(), 3, None) == (10, ())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Row((ONE,), "<", T), "sense must be '<=' or '=='"),
+    (lambda: Row((1,), LE, T), "row entries must be Poly"),
+    (lambda: Row((ONE,), LE, Poly([0, Fraction(1, 2)])),
+     "row entries must be integer-valued polynomials"),
+    (lambda: ParametricConstraintSystem((), ()), "need at least one variable"),
+    (lambda: system(2, [Row((ONE,), LE, T)]),
+     "row width must match variable count"),
+    (lambda: with_c(triangle(), (ONE,)),
+     "objective width must match variable count"),
+    (lambda: with_c(seg(), (Poly([0, Fraction(1, 2)]),)),
+     "objective entries must be integer-valued polynomials"),
+    (lambda: with_c(seg(), (1,)),
+     "objective entries must be integer-valued polynomials"),
+    (lambda: ExclusionProblem(0, *example5()), "m must be >= 1"),
+    (lambda: ExclusionProblem(1, seg(), seg()),
+     "sys1 must have more variables than sys2"),
+    (lambda: pilp.lattice_profile(triangle(), 3, 1),
+     "ranking needs an objective"),
+    (lambda: pilp.exclusion_profile(ExclusionProblem(1, triangle(), seg()),
+                                    3, 1),
+     "ranking needs an objective"),
+    (lambda: pilp.lattice_profile(triangle(), Fraction(5, 2), None),
+     "t must be an integer"),
+], ids=["row-sense", "row-entry-type", "row-entry-value", "no-variables",
+        "row-width", "objective-width", "objective-entry-value",
+        "objective-entry-type", "exclusion-m", "exclusion-widths",
+        "lattice-ranking-objective", "exclusion-ranking-objective",
+        "fractional-t"])
+def test_invalid_values_are_input_errors(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def boxed_system(bounds, extra, lows=None):
@@ -226,7 +272,8 @@ def ranked_systems(draw):
     bounds = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
     c = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     sys = boxed_system(bounds, draw(extra_rows(n)), draw(lower_bounds(n)))
-    return sys, tuple(map(const, c))
+    c = tuple(map(const, c))
+    return with_c(sys, c), c
 
 
 def top_values(points, c, l):
@@ -242,10 +289,10 @@ def test_lattice_profile_matches_box_scan(sys_c, l):
     sys, c = sys_c
     t = 0  # every entry is constant
     points = box_scan(sys, t)
-    size, top = pilp.lattice_profile(sys, t, c, l)
+    size, top = pilp.lattice_profile(sys, t, l)
     assert size == len(points)
     assert top == top_values(points, [int(ci(t)) for ci in c], l)
-    assert pilp.lattice_profile(sys, t, c, None) == (size, ())
+    assert pilp.lattice_profile(sys, t, None) == (size, ())
 
 
 @st.composite
@@ -260,14 +307,14 @@ def exclusion_problems(draw):
                         draw(lower_bounds(n1 + n2)))
     sys2 = boxed_system(bounds2, draw(extra_rows(n2)), draw(lower_bounds(n2)))
     c = tuple(const(draw(st.integers(-3, 3))) for _ in range(n2))
-    return ExclusionProblem(draw(st.integers(1, 4)), n1, n2, sys1, sys2, c)
+    return ExclusionProblem(draw(st.integers(1, 4)), sys1, with_c(sys2, c))
 
 
 def brute_full(ex, t):
     """The keys with at least m sys1 points above them, from a box scan."""
     fibers = {}
     for p in box_scan(ex.sys1, t):
-        fibers[p[:ex.n2]] = fibers.get(p[:ex.n2], 0) + 1
+        fibers[p[:ex.sys2.n]] = fibers.get(p[:ex.sys2.n], 0) + 1
     return {key for key, count in fibers.items() if count >= ex.m}
 
 
@@ -285,7 +332,7 @@ def full_keys(ex, t, project):
     box = pilp.propagated_box(ex.sys1, t)
     if box is not None:
         pilp._iter_points(pilp._instantiate(ex.sys1, t), *box, full.add,
-                          10**6, (ex.n2, ex.m), project)
+                          10**6, (ex.sys2.n, ex.m), project)
     return full
 
 
@@ -296,7 +343,7 @@ def test_exclusion_profile_matches_brute_fibers(ex, l):
     kept = brute_feasible(ex, t)
     got, top = pilp.exclusion_profile(ex, t, l)
     assert list(got) == kept
-    assert top == top_values(kept, [int(ci(t)) for ci in ex.c], l)
+    assert top == top_values(kept, [int(ci(t)) for ci in ex.sys2.c], l)
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,7 +371,7 @@ def test_exclusion_ranks_the_kept_stretches_of_a_run(monkeypatch):
 
     monkeypatch.setattr(pilp._Ranking, "offer", offer)
     for c in (1, -1, 2, -3):
-        ex = ExclusionProblem(1, 1, 1, sys1, sys2, (const(c),))
+        ex = ExclusionProblem(1, sys1, with_c(sys2, (const(c),)))
         kept = brute_feasible(ex, 0)
         assert kept == [(x,) for x in range(21) if x > 9 or x % 3]
         for l in (1, 2, 3, 5, 11, 12, 30):
@@ -343,14 +390,14 @@ def test_projection_runs_with_and_without_a_kept_move():
     # keeps its key and adds its whole length there.
     still = boxed_system([2, 9], [((1, 1), LE, 9)])
     sys2 = boxed_system([20], [], lows=[-6])
-    for sys1, n1, ms in ((moving, 2, (1, 2, 3)), (still, 1, (8, 9, 10, 11))):
+    for sys1, ms in ((moving, (1, 2, 3)), (still, (8, 9, 10, 11))):
         for m in ms:
-            ex = ExclusionProblem(m, n1, 1, sys1, sys2, (ONE,))
+            ex = ExclusionProblem(m, sys1, sys2)
             want = brute_full(ex, 0)
             assert full_keys(ex, 0, True) == full_keys(ex, 0, False) == want
-    assert brute_full(ExclusionProblem(2, 2, 1, moving, sys2, (ONE,)), 0) \
+    assert brute_full(ExclusionProblem(2, moving, sys2), 0) \
         == {(6,), (4,), (2,), (0,), (-2,)}
-    assert brute_full(ExclusionProblem(9, 1, 1, still, sys2, (ONE,)), 0) \
+    assert brute_full(ExclusionProblem(9, still, sys2), 0) \
         == {(0,), (1,)}
 
 
@@ -368,14 +415,15 @@ def test_equality_pair_collapse_matches_box_scan():
             got = enumerate_lattice(sys, 0)
             assert list(got) == want
             for c, l in product(objectives, (1, 3, 12)):
-                size, top = pilp.lattice_profile(sys, 0, tuple(map(const, c)), l)
+                size, top = pilp.lattice_profile(
+                    with_c(sys, tuple(map(const, c))), 0, l)
                 assert (size, top) == (len(want), top_values(want, c, l))
     # The same with a kept coordinate k in front: k - a x - b y == rhs.
     for a, b, rhs, m in product((1, 2, 3), (2, 3, 5), (-2, 0, 1), (1, 2, 3)):
         sys1 = boxed_system([12, 5, 6], [((1, -a, -b), EQ, rhs)],
                             lows=[-3, 0, -2])
         sys2 = boxed_system([12], [], lows=[-3])
-        ex = ExclusionProblem(m, 2, 1, sys1, sys2, (ONE,))
+        ex = ExclusionProblem(m, sys1, sys2)
         feasible = pilp.exclusion_profile(ex, 0, None)[0]
         assert list(feasible) == brute_feasible(ex, 0)
 
@@ -386,7 +434,7 @@ def example5():
         Row((const(-5), const(8)), LE, ZERO),   # 8 x1 <= 5 x2
         Row((ONE, ZERO), LE, T),                # x2 <= t
     ])
-    sys2 = system(1, [Row((ONE,), LE, T)])
+    sys2 = system(1, [Row((ONE,), LE, T)], c=(ONE,))
     return sys1, sys2
 
 
@@ -414,7 +462,7 @@ def ranked(ex, l, t):
 
 def test_exclusion_example5():
     sys1, sys2 = example5()
-    ex = ExclusionProblem(1, 1, 1, sys1, sys2, (ONE,))
+    ex = ExclusionProblem(1, sys1, sys2)
     got = feasible(ex, 10)
     assert (1,) in got
     assert list(got) == brute_example5_feasible(10, 1)
@@ -425,14 +473,14 @@ def test_exclusion_example5():
 
 def test_exclusion_large_m_keeps_everything():
     sys1, sys2 = example5()
-    ex = ExclusionProblem(50, 1, 1, sys1, sys2, (ONE,))
+    ex = ExclusionProblem(50, sys1, sys2)
     got = feasible(ex, 9)
     assert list(got) == [(x,) for x in range(10)]
 
 
 def test_exclusion_values_shape():
     sys1, sys2 = example5()
-    ex = ExclusionProblem(1, 1, 1, sys1, sys2, (ONE,))
+    ex = ExclusionProblem(1, sys1, sys2)
     values, size = ranked(ex, 12, 10)
     assert size == len(feasible(ex, 10))
     finite = [v for v in values if v is not BOTTOM]
@@ -496,8 +544,8 @@ def frobenius_like_exclusion(m):
         Row((ONE, ZERO), LE, edge),
         Row((ZERO, ONE), LE, edge),
     ])
-    sys2 = system(1, [Row((ONE,), LE, edge)])
-    return ExclusionProblem(m, 1, 1, sys1, sys2, (ONE,))
+    sys2 = system(1, [Row((ONE,), LE, edge)], c=(ONE,))
+    return ExclusionProblem(m, sys1, sys2)
 
 
 def two_kept_exclusion():
@@ -514,14 +562,14 @@ def two_kept_exclusion():
         Row((ONE, ZERO), LE, edge),
         Row((ZERO, ONE), LE, edge),
         Row((ONE, ONE), LE, T),
-    ])
-    return ExclusionProblem(2, 1, 2, sys1, sys2, (const(2), ONE))
+    ], c=(const(2), ONE))
+    return ExclusionProblem(2, sys1, sys2)
 
 
 def test_digit_transform_preserves_exclusion_answers():
     sys1, sys2 = example5()
     cases = [
-        ExclusionProblem(1, 1, 1, sys1, sys2, (ONE,)),
+        ExclusionProblem(1, sys1, sys2),
         frobenius_like_exclusion(1),
         frobenius_like_exclusion(2),
         two_kept_exclusion(),
@@ -656,7 +704,7 @@ def test_size_function_series_is_quasipolynomial():
     ]
     for sys in systems:
         series = eqpfit.SampleSeries(
-            1, tuple(pilp.lattice_profile(sys, t, None, None)[0]
+            1, tuple(pilp.lattice_profile(sys, t, None)[0]
                      for t in range(1, 61))
         )
         res = eqpfit.fit_quasipolynomial(series, d_max=6, deg_max=3)

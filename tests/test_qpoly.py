@@ -221,6 +221,18 @@ def test_qp_eval_below_threshold():
         q.eval(5)
 
 
+@pytest.mark.parametrize("period, components, message", [
+    (0, (), "period must be >= 1"),
+    (2, (U,), "component count must equal the period"),
+    (1, (3,), "components must be Poly or BOTTOM"),
+], ids=["period", "component-count", "component-type"])
+def test_invalid_quasipolynomial_is_an_input_error(period, components,
+                                                   message):
+    with pytest.raises(InputError) as info:
+        QuasiPolynomial(period, components, 0)
+    assert str(info.value) == message
+
+
 def test_eventually_equal_examples():
     q1 = QuasiPolynomial(1, (U,), 0)
     q2 = QuasiPolynomial(2, (U, U), 0)

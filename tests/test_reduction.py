@@ -5,6 +5,7 @@ from math import gcd
 
 import oracles
 import pytest
+from clirun import run_cli
 from hypothesis import given, settings, strategies as st
 
 from parafrob import eqpfit, frobenius, pilp, reduction
@@ -35,6 +36,23 @@ def test_family_validation():
         fam([U, -U])  # eventually negative
     with pytest.raises(InputError):
         fam([U, Poly([0, Fraction(1, 2)])])  # not integer-valued
+
+
+@pytest.mark.parametrize("polys, m, l, message", [
+    ((U,), 1, 1, "a family needs at least two polynomials"),
+    ((U, U), 0, 1, "m and l must be >= 1"),
+    ((U, U), 1, 0, "m and l must be >= 1"),
+    ((U, Poly()), 1, 1, "family entries must be nonzero polynomials"),
+    ((U, 3), 1, 1, "family entries must be nonzero polynomials"),
+    ((U, Poly([0, Fraction(1, 2)])), 1, 1,
+     "family entries must be integer-valued"),
+    ((U, -U), 1, 1, "family entries must be eventually positive"),
+], ids=["one-entry", "m", "l", "zero-entry", "entry-type", "entry-value",
+        "entry-sign"])
+def test_invalid_family_is_an_input_error(polys, m, l, message):
+    with pytest.raises(InputError) as info:
+        PolyFamily(polys, m, l)
+    assert str(info.value) == message
 
 
 def test_gcd_series_examples():
@@ -320,6 +338,48 @@ def test_frobenius_to_exclusion_matches_direct():
     assert statuses.count(reduction.EQUAL) == report.checked
 
 
+@pytest.mark.parametrize("corrupt, status", [
+    (lambda feasible, top: (feasible, (top[0] + 1,) + top[1:]),
+     reduction.DIFF),
+    (lambda feasible, top: (feasible[1:], top), reduction.G_OFFSET),
+], ids=["top-value", "feasible-size"])
+def test_crosscheck_classifies_a_wrong_exclusion_row(tmp_path, monkeypatch,
+                                                    corrupt, status):
+    # The exclusion answer at t = 4 alone is corrupted: its top value
+    # shifted by 1 is a DIFF, one feasible point fewer a G_OFFSET; either
+    # way the crosscheck fails, in the library and on the command line.
+    real = pilp.exclusion_profile
+
+    def profile(ex, t, l, point_cap):
+        answer = real(ex, t, l, point_cap)
+        return corrupt(*answer) if t == 4 else answer
+
+    monkeypatch.setattr(pilp, "exclusion_profile", profile)
+    report = reduction.crosscheck(fam([U, U - ONE]), 2, 6)
+    assert [row.status for row in report.rows] == \
+        [reduction.EQUAL] * 2 + [status] + [reduction.EQUAL] * 2
+    row = report.rows[2]
+    if status == reduction.DIFF:
+        assert row.f_exclusion == row.f_direct + 1
+        assert row.g_exclusion == row.g_direct
+        assert report.g_offsets == (0,)
+    else:
+        assert row.f_exclusion == row.f_direct
+        assert row.g_exclusion == row.g_direct - 1
+        assert report.g_offsets == (-1, 0)
+    assert report.f_all_equal == (status != reduction.DIFF)
+    assert not report.ok
+
+    path = tmp_path / "fam.txt"
+    path.write_text("poly: t\npoly: t - 1\nm: 1\nl: 1\n")
+    res = run_cli(["crosscheck", "--family", str(path), "--t-min", "2",
+                   "--t-max", "6", "--format", "machine"])
+    assert res.exit_code == 4
+    lines = res.output.splitlines()
+    assert lines[2].endswith(f" | {status}")
+    assert lines[-1] == "verdict MISMATCH"
+
+
 def test_crosscheck_report_totals_come_from_rows():
     row = reduction.CrosscheckRow
     skipped = row(2, reduction.SKIPPED, None, None, None, None, "entry gcd")
@@ -392,7 +452,7 @@ def test_crosscheck_fibers_stop_at_m():
     r = reduction.box_exponent(family)
     ex = reduction.frobenius_to_exclusion(family, r)
     cap = 20_000
-    assert 7**r <= cap < pilp.lattice_profile(ex.sys1, 7, None, None)[0]
+    assert 7**r <= cap < pilp.lattice_profile(ex.sys1, 7, None)[0]
     _, top = pilp.exclusion_profile(ex, 7, family.l, cap)
     table = frobenius.apery_table(Coins(family.values(7)), family.m)
     assert top[family.l - 1] - family.l == table.frobenius(family.m, family.l)
