@@ -143,12 +143,6 @@ def fit(series_path, d_max, deg_max, fmt, out):
 
     data = formats.parse_series(Path(series_path).read_text())
     result = eqpfit.fit_quasipolynomial(data, d_max, deg_max)
-    _emit(fit_report_lines(result, fmt), out)
-
-
-def fit_report_lines(result, fmt: str) -> list:
-    from . import eqpfit
-
     if isinstance(result, eqpfit.Fit):
         qp = result.qp
         if fmt == "machine":
@@ -159,30 +153,29 @@ def fit_report_lines(result, fmt: str) -> list:
                 lines.append(f"component {i} {body}")
             lines.append(f"training_checked {result.training_checked}")
             lines.append(f"holdout_checked {result.holdout_checked}")
-            return lines
-        lines = ["FIT", f"  period    {qp.period}",
-                 f"  threshold {qp.threshold} (valid for t > threshold)"]
-        for i, comp in enumerate(qp.components):
-            body = "-inf" if comp is BOTTOM else formats.format_poly_expr(comp)
-            lines.append(f"  component t = {i} (mod {qp.period}):  {body}")
-        lines.append(
-            f"  checked   {result.training_checked} training + "
-            f"{result.holdout_checked} holdout samples, all exact"
-        )
-        return lines
-    if fmt == "machine":
+        else:
+            lines = ["FIT", f"  period    {qp.period}",
+                     f"  threshold {qp.threshold} (valid for t > threshold)"]
+            for i, comp in enumerate(qp.components):
+                body = "-inf" if comp is BOTTOM else formats.format_poly_expr(comp)
+                lines.append(f"  component t = {i} (mod {qp.period}):  {body}")
+            lines.append(
+                f"  checked   {result.training_checked} training + "
+                f"{result.holdout_checked} holdout samples, all exact"
+            )
+    elif fmt == "machine":
         lines = ["fit NO_FIT"]
         for d, residue, reason in result.diagnostics:
             where = "-" if residue is None else str(residue)
             lines.append(f"diagnostic {d} {where} {reason}")
         lines.append(f"note {result.note}")
-        return lines
-    lines = ["NO_FIT"]
-    for d, residue, reason in result.diagnostics:
-        where = "" if residue is None else f", class {residue}"
-        lines.append(f"  period {d}{where}: {reason}")
-    lines.append(f"  note: {result.note}")
-    return lines
+    else:
+        lines = ["NO_FIT"]
+        for d, residue, reason in result.diagnostics:
+            where = "" if residue is None else f", class {residue}"
+            lines.append(f"  period {d}{where}: {reason}")
+        lines.append(f"  note: {result.note}")
+    _emit(lines, out)
 
 
 def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, fmt,
@@ -229,15 +222,22 @@ def crosscheck(family_path, t_min, t_max, point_cap, inject_mismatch, fmt,
 
 
 def _corrupt(report):
-    """Shift the first checked row's direct value; for exercising exit code 4."""
+    """Shift the first checked row's direct value; for exercising exit code 4.
+
+    Where the exclusion value already equals the shifted one, the row shows
+    the unshifted direct value there instead, so it still reads DIFF.
+    """
     from . import reduction
 
     rows = list(report.rows)
     for i, row in enumerate(rows):
         if row.status != reduction.SKIPPED:
+            f_direct = row.f_direct + 1
+            f_exclusion = (row.f_direct if row.f_exclusion == f_direct
+                           else row.f_exclusion)
             rows[i] = reduction.CrosscheckRow(
-                row.t, reduction.DIFF, row.f_exclusion, row.f_direct + 1,
-                row.g_exclusion, row.g_direct, "injected mismatch", row.r)
+                row.t, f_exclusion, f_direct, row.g_exclusion, row.g_direct,
+                "injected mismatch", row.r)
             break
     return reduction.CrosscheckReport(tuple(rows))
 

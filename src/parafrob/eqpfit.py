@@ -163,7 +163,7 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
             tails.append(tail)
             threshold = max(threshold, info)
         else:
-            qp = QuasiPolynomial(d, tuple(
+            qp = QuasiPolynomial(tuple(
                 tail if tail is BOTTOM else _forward_poly(*tail, d)
                 for tail in tails), threshold)
             miss = next((t for t, v in held if qp.eval(t) != v), None)

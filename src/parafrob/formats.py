@@ -11,7 +11,7 @@ comment in every file format.
 import re
 
 from .errors import InputError
-from .qpoly import BOTTOM, Poly, _normalize
+from .qpoly import BOTTOM, Poly, _divide
 
 # Each parser imports the domain class it builds, so a command loads only
 # the modules it runs.
@@ -27,9 +27,7 @@ def parse_rational(text: str) -> "int | Fraction":
     num, den = (int(part) for part in s.split("/"))
     if not den:
         raise InputError(f"zero denominator: {text!r}")
-    from fractions import Fraction
-
-    return _normalize(Fraction(num, den))
+    return _divide(num, den)
 
 
 def _parse_int(key: str, value: str) -> int:

@@ -113,18 +113,18 @@ def window_end(s1, s2, x_max, m):
 @frozen
 class AperyTable:
     """values[(j-1)*a + r] = w_r at level j: the least k = r (mod a) with
-    h(k) >= j on the reduced tuple, j = 1..m, a the smallest reduced entry.
-    As h(k + a) >= h(k), class r's qualifiers (h(k) < m) are its k < w_r;
-    C(x) = sum of (w_r - x) // a over w_r > x counts those >= x >= 0."""
+    h(k) >= j on the reduced tuple, j = 1..m, a the smallest reduced entry
+    and g the tuple's gcd. As h(k + a) >= h(k), class r's qualifiers (h(k) <
+    m) are its k < w_r; C(x) = sum of (w_r - x) // a over w_r > x counts
+    those >= x >= 0."""
 
-    coins: Coins
-    m: int
+    g: int
     a: int
     values: tuple
 
     def _level(self, m: int) -> tuple:
-        if not 1 <= m <= self.m:
-            raise InputError(f"the table answers m = 1..{self.m}")
+        if not 1 <= m <= (levels := len(self.values) // self.a):
+            raise InputError(f"the table answers m = 1..{levels}")
         return self.values[(m - 1) * self.a:m * self.a]
 
     def _count(self, w: tuple, x: int) -> int:
@@ -144,12 +144,12 @@ class AperyTable:
             raise InputError("l must be >= 1")
         w = self._level(m)
         if (nonnegative := self._count(w, 0)) < l:
-            return -self.coins.g * (l - nonnegative)
+            return -self.g * (l - nonnegative)
         lo, hi = max(0, max(w) - self.a * l), max(w) - self.a + 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if self._count(w, mid) >= l else (lo, mid)
-        return self.coins.g * lo
+        return self.g * lo
 
     def genus(self, m: int) -> int:
         """G_m = C(1): the number of positive multiples of the gcd with
@@ -188,4 +188,4 @@ def apery_table(coins: Coins, m: int) -> AperyTable:
             left -= 1
         for j in range(i, len(rest)):
             heappush(heap, (v + rest[j], (r + rest[j]) % a, j))
-    return AperyTable(coins, m, a, tuple(values))
+    return AperyTable(coins.g, a, tuple(values))

@@ -213,22 +213,24 @@ class QuasiPolynomial:
     """Periodic family of polynomial components valid beyond a threshold.
 
     ``components[t % period]`` gives the value at t for every t >
-    ``threshold``; a component may be BOTTOM, meaning the function is
-    constantly BOTTOM along that residue class.
+    ``threshold``, the period being the number of components; a component
+    may be BOTTOM, meaning the function is constantly BOTTOM along that
+    residue class.
     """
 
-    period: int
     components: tuple
     threshold: int
 
     def __post_init__(self):
-        if self.period < 1:
-            raise InputError("period must be >= 1")
-        if len(self.components) != self.period:
-            raise InputError("component count must equal the period")
+        if not self.components:
+            raise InputError("a quasi-polynomial needs at least one component")
         for comp in self.components:
             if not (comp is BOTTOM or isinstance(comp, Poly)):
                 raise InputError("components must be Poly or BOTTOM")
+
+    @property
+    def period(self) -> int:
+        return len(self.components)
 
     def eval(self, t: int):
         """Exact value at t; raises InputError for t <= threshold."""
@@ -236,7 +238,7 @@ class QuasiPolynomial:
             raise InputError(
                 f"t={t} is not above the threshold {self.threshold}"
             )
-        comp = self.components[t % self.period]
+        comp = self.components[t % len(self.components)]
         if comp is BOTTOM:
             return BOTTOM
         return comp(t)

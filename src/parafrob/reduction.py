@@ -14,7 +14,6 @@ answers.
 from math import gcd
 
 from . import frobenius
-from .eqpfit import SampleSeries
 from .errors import DEFAULT_POINT_CAP, InputError, ResourceLimitError, frozen
 from .frobenius import Coins
 from .qpoly import BOTTOM, Poly, QuasiPolynomial, eventually_positive
@@ -50,12 +49,6 @@ def _t_range(t_min: int, t_max: int) -> range:
     if t_min > t_max:
         raise InputError("empty t range")
     return range(t_min, t_max + 1)
-
-
-def gcd_series(fam: PolyFamily, t_min: int, t_max: int) -> SampleSeries:
-    """gcd(P_1(t), ..., P_n(t)) sampled on [t_min, t_max]."""
-    return SampleSeries(
-        t_min, tuple(gcd(*fam.values(t)) for t in _t_range(t_min, t_max)))
 
 
 def reduce_by_gcd(fam: PolyFamily, gcd_fit: QuasiPolynomial,
@@ -154,6 +147,8 @@ def direct_series(fam: PolyFamily, t_min: int, t_max: int):
     entry, before its table is built, so a range fails at its first such t
     however far it reaches.
     """
+    from .eqpfit import SampleSeries  # here: crosscheck does not load eqpfit
+
     f_vals = []
     g_vals = []
     for t in _t_range(t_min, t_max):
@@ -184,16 +179,25 @@ class CrosscheckRow:
     between them is reported as-is, never adjusted away. (For m >= 2 the
     feasible set also contains the value 0, which the direct count does
     not, so a constant gap of 1 is the expected outcome there.)
+    A row with no f_direct was skipped, and ``note`` says why.
     """
 
     t: int
-    status: str
     f_exclusion: object  # l-th answer via exclusion, shifted by -l
     f_direct: int | None
     g_exclusion: int | None  # raw feasible-set size
     g_direct: int | None  # direct count plus l
     note: str = ""
     r: int | None = None  # the row's box is [0, t^r); None if none was chosen
+
+    @property
+    def status(self) -> str:
+        """SKIPPED, DIFF, G_OFFSET or EQUAL, read off the columns."""
+        if self.f_direct is None:
+            return SKIPPED
+        if self.f_exclusion != self.f_direct:
+            return DIFF
+        return G_OFFSET if self.g_exclusion != self.g_direct else EQUAL
 
 
 @frozen
@@ -217,12 +221,10 @@ class CrosscheckReport:
                              for row in self.rows if row.status != SKIPPED}))
 
     @property
-    def g_offset_constant(self) -> bool:
-        return len(self.g_offsets) <= 1
-
-    @property
     def ok(self) -> bool:
-        return self.checked > 0 and self.f_all_equal and self.g_offset_constant
+        """Some row checked, no DIFF, and at most one g offset."""
+        return (self.checked > 0 and self.f_all_equal
+                and len(self.g_offsets) <= 1)
 
 
 def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
@@ -244,7 +246,7 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
     problems = {}  # r -> frobenius_to_exclusion(fam, r)
 
     def skipped(t, note, r=None):
-        return CrosscheckRow(t, SKIPPED, None, None, None, None, note, r)
+        return CrosscheckRow(t, None, None, None, None, note, r)
 
     def row(t):
         values = fam.values(t)
@@ -273,18 +275,9 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
         except ResourceLimitError:
             return skipped(t, "enumeration exceeded the point cap", r)
 
-        f_direct = table.frobenius(fam.m, fam.l)
-        g_direct = table.genus(fam.m) + fam.l
-        g_val = len(feasible)
         f_val = top[fam.l - 1]
         f_shifted = f_val - fam.l if f_val is not BOTTOM else BOTTOM
-        if f_shifted != f_direct:
-            status = DIFF
-        elif g_val != g_direct:
-            status = G_OFFSET
-        else:
-            status = EQUAL
-        return CrosscheckRow(t, status, f_shifted, f_direct, g_val, g_direct,
-                             r=r)
+        return CrosscheckRow(t, f_shifted, table.frobenius(fam.m, fam.l),
+                             len(feasible), table.genus(fam.m) + fam.l, r=r)
 
     return CrosscheckReport(tuple(row(t) for t in _t_range(t_min, t_max)))

@@ -69,7 +69,7 @@ def lifted(q: QuasiPolynomial, factor: int) -> QuasiPolynomial:
     if factor < 1:
         raise InputError("lift factor must be >= 1")
     comps = tuple(q.components[r % q.period] for r in range(q.period * factor))
-    return QuasiPolynomial(q.period * factor, comps, q.threshold)
+    return QuasiPolynomial(comps, q.threshold)
 
 
 def eventually_equal(q1: QuasiPolynomial, q2: QuasiPolynomial) -> bool:
@@ -126,8 +126,8 @@ def pair_closed_forms(p1: Poly, p2: Poly, m: int, gcd_period: int, t_min: int):
         f_comps.append((a * b * m - a - b) * g)
         g_comps.append(a * b * (m - 1) + (a - 1) * (b - 1) * Fraction(1, 2)
                        - (1 if m >= 2 else 0))
-    return (QuasiPolynomial(gcd_period, tuple(f_comps), t_min - 1),
-            QuasiPolynomial(gcd_period, tuple(g_comps), t_min - 1))
+    return (QuasiPolynomial(tuple(f_comps), t_min - 1),
+            QuasiPolynomial(tuple(g_comps), t_min - 1))
 
 
 def roberts_closed_form(s: int) -> QuasiPolynomial:
@@ -141,4 +141,4 @@ def roberts_closed_form(s: int) -> QuasiPolynomial:
     for r in range(s):
         c = 2 + (r - 2) % s
         comps.append(Poly((-1, 1 - Fraction(c, s), Fraction(1, s))))
-    return QuasiPolynomial(s, tuple(comps), 1)
+    return QuasiPolynomial(tuple(comps), 1)

@@ -3,6 +3,7 @@
 import ast
 import errno
 import importlib
+import inspect
 import io
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 from clirun import run_cli
 
 import parafrob
-from parafrob import cli, frobenius, pilp, reduction
+from parafrob import cli, eqpfit, frobenius, pilp, reduction
 from parafrob.errors import ResourceLimitError
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
@@ -615,7 +616,7 @@ def test_commands_load_only_their_modules(tmp_path):
                                      "fam.txt", "--t-min", "3", "--t-max",
                                      "6", "--format", "machine")
     assert output[-2:] == ["g_offsets 0", "verdict OK"]
-    assert modules == common | {"reduction", "frobenius", "eqpfit", "pilp"}
+    assert modules == common | {"reduction", "frobenius", "pilp"}
 
 
 EXCLUSION_TEMPLATE = """m: {m}
@@ -1028,6 +1029,30 @@ def test_inject_mismatch_on_all_skipped_window_stays_unchecked(tmp_path):
               "--t-max", "6", "--inject-mismatch", "--format", "machine")
     assert res.exit_code == 5
     assert res.output.splitlines()[-1] == "verdict UNCHECKED"
+
+
+@pytest.mark.parametrize("f_exclusion", [7, 8], ids=["equal", "shifted"])
+def test_inject_mismatch_always_makes_a_diff(f_exclusion):
+    # The first checked row gets its direct value 7 shifted to 8, and reads
+    # DIFF even where its exclusion value was 8 already; no other row moves.
+    row = reduction.CrosscheckRow
+    report = reduction.CrosscheckReport((
+        row(2, None, None, None, None, "entry gcd is not 1"),
+        row(3, f_exclusion, 7, 4, 4, r=2), row(4, 9, 9, 6, 6, r=2)))
+    corrupted = cli._corrupt(report)
+    rows = corrupted.rows
+    assert (rows[0], rows[2]) == (report.rows[0], report.rows[2])
+    assert (rows[1].f_direct, rows[1].status, rows[1].note) == \
+        (8, reduction.DIFF, "injected mismatch")
+    assert not corrupted.f_all_equal
+
+
+def test_fit_defaults_are_the_library_defaults():
+    # The grammar states fit's defaults again; they must stay the same.
+    grammar = {row[1]: row[3] for row in cli._COMMANDS["fit"][1]}
+    library = inspect.signature(eqpfit.fit_quasipolynomial).parameters
+    assert (grammar["d_max"], grammar["deg_max"]) == (24, 6)
+    assert (library["d_max"].default, library["deg_max"].default) == (24, 6)
 
 
 # The process entry, cli.entry, ends a process with os._exit after

@@ -249,7 +249,7 @@ def _random_qp(rng, d_max=4, deg_max=3):
             # keep values integral on its residue class: sample and use only
             # if integer-valued there; constants always work
             comps.append(p)
-    return QuasiPolynomial(d, tuple(comps), rng.randint(0, 4))
+    return QuasiPolynomial(tuple(comps), rng.randint(0, 4))
 
 
 def test_round_trip_random_quasipolynomials():
@@ -286,7 +286,7 @@ def test_fitted_period_divides_other_fitting_periods():
 
 
 def test_validate_reports():
-    qp = QuasiPolynomial(1, (U,), 0)
+    qp = QuasiPolynomial((U,), 0)
     s = series_of(lambda t: t, 1, 20)
     rep = validate(qp, s)
     assert rep.agree_count == rep.compared_count == 20
@@ -297,7 +297,7 @@ def test_validate_reports():
     assert rep2.agree_count == 0
     assert rep2.first_disagreement == (1, 2, 1)
 
-    qp3 = QuasiPolynomial(2, (BOTTOM, U), 0)
+    qp3 = QuasiPolynomial((BOTTOM, U), 0)
     s3 = SampleSeries(1, (1, BOTTOM, 3, BOTTOM))
     assert validate(qp3, s3).agree_count == 4
 

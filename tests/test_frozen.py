@@ -73,10 +73,9 @@ def test_frozen_matches_frozen_dataclass():
 # in order: how annotations are stored differs between Python versions, and
 # a class whose field list came out empty or short would break every command.
 VALUE_CLASSES = [
-    ("parafrob.qpoly", "QuasiPolynomial",
-     ("period", "components", "threshold")),
+    ("parafrob.qpoly", "QuasiPolynomial", ("components", "threshold")),
     ("parafrob.frobenius", "Coins", ("a",)),
-    ("parafrob.frobenius", "AperyTable", ("coins", "m", "a", "values")),
+    ("parafrob.frobenius", "AperyTable", ("g", "a", "values")),
     ("parafrob.eqpfit", "SampleSeries", ("t_min", "values")),
     ("parafrob.eqpfit", "Fit", ("qp", "training_checked", "holdout_checked")),
     ("parafrob.eqpfit", "NoFit", ("diagnostics",)),
@@ -89,8 +88,8 @@ VALUE_CLASSES = [
     ("proofs", "DnfFormula", ("variables", "clauses")),
     ("parafrob.reduction", "PolyFamily", ("polys", "m", "l")),
     ("parafrob.reduction", "CrosscheckRow",
-     ("t", "status", "f_exclusion", "f_direct", "g_exclusion", "g_direct",
-      "note", "r")),
+     ("t", "f_exclusion", "f_direct", "g_exclusion", "g_direct", "note",
+      "r")),
     ("parafrob.reduction", "CrosscheckReport", ("rows",)),
 ]
 

@@ -206,40 +206,39 @@ def test_bottom_ordering():
 
 
 def test_qp_eval_examples():
-    q = QuasiPolynomial(2, (Poly([0, Fraction(1, 2)]),
+    q = QuasiPolynomial((Poly([0, Fraction(1, 2)]),
                             Poly([Fraction(-1, 2), Fraction(1, 2)])), 0)
     assert q.eval(7) == 3
-    assert QuasiPolynomial(1, (U + Poly.constant(1),), 0).eval(41) == 42
-    q2 = QuasiPolynomial(2, (BOTTOM, U), 5)
+    assert QuasiPolynomial((U + Poly.constant(1),), 0).eval(41) == 42
+    q2 = QuasiPolynomial((BOTTOM, U), 5)
+    assert q2.period == 2
     assert q2.eval(8) is BOTTOM
     assert q2.eval(9) == 9
 
 
 def test_qp_eval_below_threshold():
-    q = QuasiPolynomial(2, (BOTTOM, U), 5)
+    q = QuasiPolynomial((BOTTOM, U), 5)
     with pytest.raises(InputError, match="t=5 is not above the threshold 5"):
         q.eval(5)
 
 
-@pytest.mark.parametrize("period, components, message", [
-    (0, (), "period must be >= 1"),
-    (2, (U,), "component count must equal the period"),
-    (1, (3,), "components must be Poly or BOTTOM"),
-], ids=["period", "component-count", "component-type"])
-def test_invalid_quasipolynomial_is_an_input_error(period, components,
-                                                   message):
+@pytest.mark.parametrize("components, message", [
+    ((), "a quasi-polynomial needs at least one component"),
+    ((3,), "components must be Poly or BOTTOM"),
+], ids=["period", "component-type"])
+def test_invalid_quasipolynomial_is_an_input_error(components, message):
     with pytest.raises(InputError) as info:
-        QuasiPolynomial(period, components, 0)
+        QuasiPolynomial(components, 0)
     assert str(info.value) == message
 
 
 def test_eventually_equal_examples():
-    q1 = QuasiPolynomial(1, (U,), 0)
-    q2 = QuasiPolynomial(2, (U, U), 0)
+    q1 = QuasiPolynomial((U,), 0)
+    q2 = QuasiPolynomial((U, U), 0)
     assert eventually_equal(q1, q2)
-    assert not eventually_equal(q1, QuasiPolynomial(1, (U + Poly.constant(1),), 0))
-    a = QuasiPolynomial(2, (BOTTOM, U**2), 3)
-    b = QuasiPolynomial(2, (BOTTOM, U**2), 9)
+    assert not eventually_equal(q1, QuasiPolynomial((U + Poly.constant(1),), 0))
+    a = QuasiPolynomial((BOTTOM, U**2), 3)
+    b = QuasiPolynomial((BOTTOM, U**2), 9)
     assert eventually_equal(a, b)
 
 
@@ -252,7 +251,7 @@ def _random_qp(rng):
         else:
             comps.append(Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                for _ in range(rng.randint(1, 3))]))
-    return QuasiPolynomial(d, tuple(comps), rng.randint(-1, 5))
+    return QuasiPolynomial(tuple(comps), rng.randint(-1, 5))
 
 
 def test_eventually_equal_is_an_equivalence_relation():

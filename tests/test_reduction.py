@@ -55,25 +55,10 @@ def test_invalid_family_is_an_input_error(polys, m, l, message):
     assert str(info.value) == message
 
 
-def test_gcd_series_examples():
-    s = reduction.gcd_series(fam([U, U - Poly.constant(2)]), 3, 30)
-    assert all(
-        v == (2 if t % 2 == 0 else 1) for t, v in s.items()
-    )
-    s2 = reduction.gcd_series(fam([U, U + Poly.constant(1)]), 1, 20)
-    assert set(s2.values) == {1}
-    s3 = reduction.gcd_series(fam([2 * U, 4 * U]), 1, 20)
-    assert all(v == 2 * t for t, v in s3.items())
-
-
-def test_gcd_series_range_validation():
-    with pytest.raises(InputError, match="empty t range"):
-        reduction.gcd_series(fam([U, U - Poly.constant(2)]), 10, 1)
-
-
 def fit_gcd(family, t_min=None, t_max=40, **kw):
     t_min = t_min if t_min is not None else oracles.positivity_start(family)
-    series = reduction.gcd_series(family, t_min, t_max)
+    series = eqpfit.SampleSeries(t_min, tuple(
+        gcd(*family.values(t)) for t in range(t_min, t_max + 1)))
     res = eqpfit.fit_quasipolynomial(series, d_max=4, deg_max=2)
     assert isinstance(res, eqpfit.Fit)
     return res.qp
@@ -107,12 +92,12 @@ def test_reduce_by_gcd_polynomial_divisor():
 
 def test_reduce_by_gcd_rejects_wrong_divisor():
     family = fam([U, U + Poly.constant(2)])
-    wrong = QuasiPolynomial(1, (Poly.constant(2),), 0)
+    wrong = QuasiPolynomial((Poly.constant(2),), 0)
     with pytest.raises(InputError, match="quotient is not integer-valued; "
                                          "fitted gcd too small"):
         reduction.reduce_by_gcd(family, wrong, 0)
     with pytest.raises(InputError):
-        reduction.reduce_by_gcd(family, QuasiPolynomial(1, (BOTTOM,), 0), 0)
+        reduction.reduce_by_gcd(family, QuasiPolynomial((BOTTOM,), 0), 0)
 
 
 def test_reduction_identity_numerically():
@@ -201,6 +186,8 @@ def test_direct_series_samples_wherever_the_entries_are_positive():
         reduction.direct_series(family, 1, 10**18)
     with pytest.raises(InputError, match="at t = 5$"):
         reduction.direct_series(family, 5, 5)
+    with pytest.raises(InputError, match="^empty t range$"):
+        reduction.direct_series(family, 3, 1)
 
 
 def test_direct_series_stays_inside_cubic_box():
@@ -382,34 +369,38 @@ def test_crosscheck_classifies_a_wrong_exclusion_row(tmp_path, monkeypatch,
 
 def test_crosscheck_report_totals_come_from_rows():
     row = reduction.CrosscheckRow
-    skipped = row(2, reduction.SKIPPED, None, None, None, None, "entry gcd")
-    equal = row(3, reduction.EQUAL, 5, 5, 8, 8)
-    offset = row(4, reduction.G_OFFSET, 9, 9, 13, 12)
-    diff = row(5, reduction.DIFF, 11, 12, 15, 15)
+    skipped = row(2, None, None, None, None, "entry gcd")
+    equal = row(3, 5, 5, 8, 8)
+    offset = row(4, 9, 9, 13, 12)
+    diff = row(5, 11, 12, 15, 15)
+    bottom = row(6, BOTTOM, 12, 15, 15)
+    assert [r.status for r in (skipped, equal, offset, diff, bottom)] == [
+        reduction.SKIPPED, reduction.EQUAL, reduction.G_OFFSET,
+        reduction.DIFF, reduction.DIFF]
 
     report = reduction.CrosscheckReport((skipped, equal, offset))
     assert report.checked == 2
     assert report.f_all_equal
     assert report.g_offsets == (0, 1)
-    assert not report.g_offset_constant and not report.ok
+    assert not report.ok
 
     report = reduction.CrosscheckReport((equal, skipped, diff))
     assert report.checked == 2
     assert not report.f_all_equal
     assert report.g_offsets == (0,)
-    assert report.g_offset_constant and not report.ok
+    assert not report.ok
 
     report = reduction.CrosscheckReport((offset, skipped, offset))
     assert report.checked == 2
     assert report.f_all_equal
     assert report.g_offsets == (1,)
-    assert report.g_offset_constant and report.ok
+    assert report.ok
 
     report = reduction.CrosscheckReport((skipped, skipped))
     assert report.checked == 0
     assert report.f_all_equal
     assert report.g_offsets == ()
-    assert report.g_offset_constant and not report.ok
+    assert not report.ok
 
 
 def test_crosscheck_reports_constant_g_offset_for_higher_m():
