@@ -69,7 +69,10 @@ def compute(tuple_text, m, l, fmt, out):
     fml = table.frobenius(m, l)
     gm = table.genus(m)
     cap = max(m, 2)
-    excerpt = frobenius.rep_count_table(coins, 16, cap)
+    excerpt = [1] + [0] * 16  # the capped coin DP over k = 0..16
+    for a in coins.a:
+        for k in range(a, 17):
+            excerpt[k] = min(excerpt[k] + excerpt[k - a], cap)
     if fmt == "machine":
         lines = [f"F {f}", f"G {g}", f"F_m_l {fml}", f"G_m {gm}"]
         lines += [f"h {k} {c}" for k, c in enumerate(excerpt)]

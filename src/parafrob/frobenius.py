@@ -5,7 +5,8 @@ sum b_i * a_i = k (ordered tuples: duplicate denominations count
 separately). F, G, F_{m,l} and G_m all come from one residue table per
 tuple and m: apery_table(coins, m).frobenius(m, l) is F_{m,l}, its
 .genus(m) is G_m, and m = l = 1 gives F and G, all from one count. The
-capped coin DP gives h(k) itself and is the table's oracle.
+capped coin DP that counts h(k) itself is the table's oracle in
+tests/oracles.py.
 window_end is the one bound past which every k has h(k) >= m; on Polys it
 gives the box exponent of the reduction module.
 """
@@ -15,8 +16,6 @@ from math import gcd
 
 from .errors import InputError, ResourceLimitError, frozen
 
-# A DP table larger than this many cells aborts instead of thrashing.
-CELL_LIMIT = 10**8
 # A residue table with a*m*n above this aborts: a the smallest reduced entry.
 APERY_LIMIT = 10**7
 # The brute-force oracle refuses k above this.
@@ -25,7 +24,7 @@ EXACT_LIMIT = 10**4
 
 @frozen
 class Coins:
-    """An ordered tuple a of n >= 2 positive integers with cached gcd g."""
+    """An ordered tuple a of n >= 2 positive integers; g is their gcd."""
 
     a: tuple
 
@@ -36,38 +35,10 @@ class Coins:
         if any(e <= 0 for e in a):
             raise InputError("entries must be strictly positive")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "g", gcd(*a))
 
-    def reduced(self) -> "Coins":
-        """The tuple divided through by its gcd."""
-        if self.g == 1:
-            return self
-        return Coins(e // self.g for e in self.a)
-
-
-def rep_count_table(coins: Coins, bound: int, cap: int) -> tuple:
-    """min(h(k), cap) for k = 0..bound, by coin DP, one pass per denomination.
-
-    Addition saturates at ``cap``, which keeps every cell small no matter
-    how large the true counts grow.
-    """
-    if bound < 0:
-        raise InputError("bound must be >= 0")
-    if cap < 1:
-        raise InputError("cap must be >= 1")
-    if bound + 1 > CELL_LIMIT:
-        raise ResourceLimitError(
-            f"table of {bound + 1} cells exceeds the limit of {CELL_LIMIT}"
-        )
-    counts = [0] * (bound + 1)
-    counts[0] = 1
-    for a in coins.a:
-        for k in range(a, bound + 1):
-            prev = counts[k - a]
-            if prev:
-                s = counts[k] + prev
-                counts[k] = s if s < cap else cap
-    return tuple(counts)
+    @property
+    def g(self) -> int:
+        return gcd(*self.a)
 
 
 def rep_count_exact(coins: Coins, k: int) -> int:
@@ -166,7 +137,8 @@ def apery_table(coins: Coins, m: int) -> AperyTable:
     outdo any later one with the same continuation."""
     if m < 1:
         raise InputError("m must be >= 1")
-    rest = sorted(coins.reduced().a)
+    g = coins.g
+    rest = sorted(e // g for e in coins.a)
     a = rest.pop(0)
     size = a * m * (len(rest) + 1)
     if size > APERY_LIMIT:
@@ -188,4 +160,4 @@ def apery_table(coins: Coins, m: int) -> AperyTable:
             left -= 1
         for j in range(i, len(rest)):
             heappush(heap, (v + rest[j], (r + rest[j]) % a, j))
-    return AperyTable(coins.g, a, tuple(values))
+    return AperyTable(g, a, tuple(values))

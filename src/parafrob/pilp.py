@@ -194,15 +194,15 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     With fiber = (n2, m) it calls visit(key) instead, once per key of
     coordinates 0..n2-1 with at least m points above it. Where B, the
     product of the ranges above the leaf in the default order, is at most
-    K, the number of keys in the box, the projection searches in that
-    order and credits each leaf run in O(1) to a difference array over
-    the flattened keys, chained by the run step. Otherwise the fiber
-    search takes the kept block first and stops each key at m points.
-    project = True or False forces one pass.
+    K, the number of keys in the box, and K fits the point cap, the
+    projection searches in that order and credits each leaf run in O(1)
+    to a difference array over the flattened keys, chained by the run
+    step. Otherwise the fiber search takes the kept block first and stops
+    each key at m points. project = True or False forces one pass.
 
     point_cap bounds the work: search nodes entered below the root plus
-    points taken; the projection counts K, before it allocates the
-    counts, then search nodes plus leaf runs.
+    points taken; the projection counts K, for its counts, then search
+    nodes plus leaf runs.
     """
     n = len(lo)
     # A <= row that holds at every corner of the box never tightens.
@@ -217,7 +217,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
         width = [h - l + 1 for l, h in zip(lo, hi)]
         keys = prod(width[:kept])
         if project is None:
-            project = prod(width[v] for v in order[:leaf]) <= keys
+            project = prod(width[v] for v in order[:leaf]) <= keys <= point_cap
         if not project:
             keys, n2, m = 0, kept, least
             order = _search_order(lo, hi, n2)
@@ -282,8 +282,6 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
 
     if keys:
         work = keys
-        if work > point_cap:
-            raise over_cap()
         # Key k is cell sum_j (k_j - lo_j) * weight[j]. A run moves it by
         # `move` cells a point: it adds its length to one cell, or 1 to every
         # step-th cell from its lowest, x: +1 at x and -1 past its end.
@@ -477,9 +475,10 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     The feasible set is the sorted tuple of the sys2 points whose sys1 fiber
     has fewer than m points. Each system is searched once: sys1 by the
     projection where its search above the leaf is no larger than its kept
-    box, else by the fiber search (see _iter_points), and sys2 as in
-    lattice_profile. Each kept stretch of a sys2 leaf run, cut at the keys
-    of sys1's full fibers, is ranked as one run.
+    box and the box fits the point cap, else by the fiber search (see
+    _iter_points), and sys2 as in lattice_profile. Each kept stretch of a
+    sys2 leaf run, cut at the keys of sys1's full fibers, is ranked as one
+    run.
     """
     ranking = _Ranking(ex.sys2.c, t, l, point_cap)
     full = set()  # keys with at least m sys1 points above them

@@ -11,8 +11,6 @@ paths against each other, each t in the smallest box that holds its
 answers.
 """
 
-from math import gcd
-
 from . import frobenius
 from .errors import DEFAULT_POINT_CAP, InputError, ResourceLimitError, frozen
 from .frobenius import Coins
@@ -252,10 +250,11 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
         values = fam.values(t)
         if any(v <= 0 for v in values):
             return skipped(t, "entry not positive")
-        if gcd(*values) != 1:
+        coins = Coins(values)
+        if coins.g != 1:
             return skipped(t, "entry gcd is not 1")
         try:
-            table = frobenius.apery_table(Coins(values), fam.m)
+            table = frobenius.apery_table(coins, fam.m)
         except ResourceLimitError as exc:
             return skipped(t, str(exc))
         largest = table.frobenius(fam.m, 1) + fam.l

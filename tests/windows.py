@@ -10,5 +10,6 @@ def qualifying_bound(coins: Coins, m: int) -> int:
     """B such that every multiple k of the gcd with k > B has h(k) >= m."""
     if m < 1:
         raise InputError("m must be >= 1")
-    xs = sorted(coins.reduced().a)
-    return coins.g * window_end(xs[0], xs[1], xs[-1], m)
+    g = coins.g
+    xs = sorted(e // g for e in coins.a)
+    return g * window_end(xs[0], xs[1], xs[-1], m)
