@@ -13,6 +13,7 @@ gives the box exponent of the reduction module.
 
 from heapq import heappop, heappush
 from math import gcd
+from operator import index
 
 from .errors import InputError, ResourceLimitError, frozen
 
@@ -29,7 +30,10 @@ class Coins:
     a: tuple
 
     def __post_init__(self):
-        a = tuple(int(e) for e in self.a)
+        try:
+            a = tuple(map(index, self.a))
+        except TypeError:
+            raise InputError("entries must be integers") from None
         if len(a) < 2:
             raise InputError("need at least two entries")
         if any(e <= 0 for e in a):

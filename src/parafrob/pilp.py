@@ -87,70 +87,51 @@ def _instantiate(sys: ParametricConstraintSystem, t: int):
 def _propagate(rows, nonneg):
     """Iterated single-row interval tightening to a fixpoint.
 
-    Returns (lo, hi) integer bound lists, or None when a contradiction
-    proves the region empty. Raises InputError when some coordinate still
-    has no finite bound after MAX_SWEEPS sweeps.
-    """
-    n = len(nonneg)
-    lo = [0 if flag else None for flag in nonneg]
-    hi = [None] * n
+    Each row is read as terms . x <= rhs over its nonzero terms (k, c), an
+    equality as that row and its negation. Its slack is rhs less the least
+    values of its terms bounded below. With two terms unbounded below the
+    row says nothing; with one, that term is at most the slack; with none,
+    each term is at most the slack plus its least value, and a negative
+    slack (a row with no terms and rhs < 0, say) proves the region empty.
 
-    les = []
-    for coeffs, sense, rhs in rows:
-        if all(c == 0 for c in coeffs):
-            if rhs < 0 or (sense == EQ and rhs != 0):
-                return None
-            continue
-        les.append((coeffs, rhs))
-        if sense == EQ:
-            les.append((tuple(-c for c in coeffs), -rhs))
+    Returns (lo, hi) integer bound lists, None when the region is proven
+    empty; raises InputError if a coordinate is unbounded after MAX_SWEEPS.
+    """
+    lo = [0 if flag else None for flag in nonneg]
+    hi = [None] * len(nonneg)
+    les = [([(k, s * c) for k, c in enumerate(coeffs) if c], s * rhs)
+           for coeffs, sense, rhs in rows
+           for s in ((1, -1) if sense == EQ else (1,))]
 
     for _ in range(MAX_SWEEPS):
-        changed = False
-        for coeffs, rhs in les:
-            # Minimum possible value of each term, None when unbounded below.
-            mins = []
-            total = 0
-            infinite = 0
-            for k, c in enumerate(coeffs):
-                if c == 0:
-                    mins.append(0)
-                    continue
-                bound = lo[k] if c > 0 else hi[k]
-                if bound is None:
-                    mins.append(None)
-                    infinite += 1
+        box = lo + hi
+        for terms, slack in les:
+            free = None
+            for k, c in terms:
+                least = lo[k] if c > 0 else hi[k]
+                if least is not None:
+                    slack -= c * least
+                elif free:
+                    break
                 else:
-                    mins.append(c * bound)
-                    total += c * bound
-            for j, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                others_infinite = infinite - (1 if mins[j] is None else 0)
-                if others_infinite:
-                    continue
-                rest = total - (mins[j] if mins[j] is not None else 0)
-                slack = rhs - rest
-                if c > 0:
-                    new_hi = slack // c
-                    if hi[j] is None or new_hi < hi[j]:
-                        hi[j] = new_hi
-                        changed = True
-                else:
-                    new_lo = -(slack // (-c))
-                    if lo[j] is None or new_lo > lo[j]:
-                        lo[j] = new_lo
-                        changed = True
-                if lo[j] is not None and hi[j] is not None and lo[j] > hi[j]:
+                    free = [(k, c)]
+            else:
+                if not free and slack < 0:
                     return None
-        if not changed:
+                for k, c in free or terms:
+                    room = slack if free else slack + c * (
+                        lo[k] if c > 0 else hi[k])
+                    if c > 0 and (hi[k] is None or room // c < hi[k]):
+                        hi[k] = room // c
+                    elif c < 0 and (lo[k] is None or -(room // -c) > lo[k]):
+                        lo[k] = -(room // -c)
+        if lo + hi == box:
             break
 
-    missing = [i for i in range(n) if lo[i] is None or hi[i] is None]
+    missing = [i for i, bounds in enumerate(zip(lo, hi)) if None in bounds]
     if missing:
-        raise InputError(
-            f"no finite bounds derivable for coordinate(s) {missing}"
-        )
+        raise InputError("no finite bounds derivable for coordinate(s) "
+                         f"{missing}")
     return lo, hi
 
 

@@ -1,10 +1,13 @@
 """Test-side oracles.
 
 enumerate_lattice lists the points of a system's leaf runs, for tests that
-check the search point by point. rep_count_table counts representations
-by the capped coin DP, the residue table's oracle. positivity_start finds
-where a family's entries stay positive by a scan, for tests that sample
-from there. The rest share no code with the fitter:
+check the search point by point; propagate_reference is the earlier bound
+propagation, the reference of pilp._propagate. rep_count_table counts
+representations by the capped coin DP, and dp_answers reads F_{m,l} and
+G_m off it: the residue table's oracle. frobenius_genus_3 gives F and G of
+three entries in O(log a) steps, for fits checked far past any table.
+positivity_start finds where a family's entries stay positive by a scan,
+for tests that sample from there. The rest share no code with the fitter:
 newton_interpolate is the fitter's reference, Newton's divided differences
 over Fractions through any points; eventually_equal decides symbolically
 whether two quasi-polynomials agree for all large t; validate compares a
@@ -20,7 +23,9 @@ from math import ceil, gcd, lcm
 from parafrob import pilp
 from parafrob.errors import DEFAULT_POINT_CAP, InputError, frozen
 from parafrob.frobenius import Coins
+from parafrob.pilp import EQ, MAX_SWEEPS
 from parafrob.qpoly import Poly, QuasiPolynomial
+from windows import qualifying_bound
 
 
 def enumerate_lattice(sys, t: int, point_cap: int = DEFAULT_POINT_CAP) -> tuple:
@@ -38,6 +43,78 @@ def enumerate_lattice(sys, t: int, point_cap: int = DEFAULT_POINT_CAP) -> tuple:
     pilp._stream(sys, t, collect, point_cap)
     points.sort()
     return tuple(points)
+
+
+def propagate_reference(rows, nonneg):
+    """Iterated single-row interval tightening to a fixpoint: the reference
+    of pilp._propagate, kept as it was before rows were read as sparse <=
+    rows.
+
+    Returns (lo, hi) integer bound lists, or None when a contradiction
+    proves the region empty. Raises InputError when some coordinate still
+    has no finite bound after MAX_SWEEPS sweeps.
+    """
+    n = len(nonneg)
+    lo = [0 if flag else None for flag in nonneg]
+    hi = [None] * n
+
+    les = []
+    for coeffs, sense, rhs in rows:
+        if all(c == 0 for c in coeffs):
+            if rhs < 0 or (sense == EQ and rhs != 0):
+                return None
+            continue
+        les.append((coeffs, rhs))
+        if sense == EQ:
+            les.append((tuple(-c for c in coeffs), -rhs))
+
+    for _ in range(MAX_SWEEPS):
+        changed = False
+        for coeffs, rhs in les:
+            # Minimum possible value of each term, None when unbounded below.
+            mins = []
+            total = 0
+            infinite = 0
+            for k, c in enumerate(coeffs):
+                if c == 0:
+                    mins.append(0)
+                    continue
+                bound = lo[k] if c > 0 else hi[k]
+                if bound is None:
+                    mins.append(None)
+                    infinite += 1
+                else:
+                    mins.append(c * bound)
+                    total += c * bound
+            for j, c in enumerate(coeffs):
+                if c == 0:
+                    continue
+                others_infinite = infinite - (1 if mins[j] is None else 0)
+                if others_infinite:
+                    continue
+                rest = total - (mins[j] if mins[j] is not None else 0)
+                slack = rhs - rest
+                if c > 0:
+                    new_hi = slack // c
+                    if hi[j] is None or new_hi < hi[j]:
+                        hi[j] = new_hi
+                        changed = True
+                else:
+                    new_lo = -(slack // (-c))
+                    if lo[j] is None or new_lo > lo[j]:
+                        lo[j] = new_lo
+                        changed = True
+                if lo[j] is not None and hi[j] is not None and lo[j] > hi[j]:
+                    return None
+        if not changed:
+            break
+
+    missing = [i for i in range(n) if lo[i] is None or hi[i] is None]
+    if missing:
+        raise InputError(
+            f"no finite bounds derivable for coordinate(s) {missing}"
+        )
+    return lo, hi
 
 
 def rep_count_table(coins: Coins, bound: int, cap: int) -> tuple:
@@ -59,6 +136,73 @@ def rep_count_table(coins: Coins, bound: int, cap: int) -> tuple:
                 s = counts[k] + prev
                 counts[k] = s if s < cap else cap
     return tuple(counts)
+
+
+def dp_answers(coins, m):
+    """(F_{m,l} as a function of l, G_m, the number of nonnegative
+    qualifiers) from one capped DP over the qualifying_bound window."""
+    g = coins.g
+    bound = max(qualifying_bound(coins, m) // g, 0)
+    counts = rep_count_table(Coins(e // g for e in coins.a), bound, cap=m)
+    qualifying = [k for k in range(bound, -1, -1) if counts[k] < m]
+
+    def f(l):
+        if l <= len(qualifying):
+            return g * qualifying[l - 1]
+        return -g * (l - len(qualifying))
+
+    return f, sum(1 for k in qualifying if k > 0), len(qualifying)
+
+
+def frobenius_genus_3(a1: int, a2: int, a3: int) -> tuple:
+    """(F, G) of three positive entries with gcd 1, in O(log a) steps.
+
+    Entries that share a factor d are first divided by it (Johnson):
+    F = d*F(a/d, b/d, c) + (d-1)*c and G = d*G(a/d, b/d, c) + (d-1)(c-1)/2.
+    For pairwise coprime entries, the ceiling Euclidean algorithm on a1
+    and s0 = a3 * a2^-1 mod a1, s_{i+1} = q*s_i - s_{i-1} and p_{i+1} =
+    q*p_i - p_{i-1} with q = ceil(s_{i-1}/s_i), from (s_{-1}, s_0) = (a1,
+    s0) and (p_{-1}, p_0) = (0, 1), stops at the v with s_{v+1}/p_{v+1} <=
+    a3/a2 < s_v/p_v. F is Rodseth's formula (J. reine angew. Math. 301,
+    1978), -a1 + a2(s_v - 1) + a3(p_{v+1} - 1) - min(a2 s_{v+1}, a3 p_v):
+    the largest element of the Apery set of a1, less a1. That set is the
+    grid x*a2 + y*a3, x < s_v, y < p_{v+1}, without the corner x >= s_v -
+    s_{v+1}, y >= p_{v+1} - p_v, and Selmer's formula gives G = (sum of the
+    set)/a1 - (a1 - 1)/2. A run of quotients q = 2 moves s and p
+    arithmetically, so it is taken in one jump.
+    """
+    a = (a1, a2, a3)
+    if min(a) < 1 or gcd(*a) != 1:
+        raise InputError("need three positive entries with gcd 1")
+    if 1 in a:
+        return -1, 0
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        d = gcd(a[i], a[j])
+        if d > 1:
+            f, g = frobenius_genus_3(a[i] // d, a[j] // d, a[k])
+            return d * f + (d - 1) * a[k], d * g + (d - 1) * (a[k] - 1) // 2
+    s_prev, p_prev, s, p = a1, 0, a3 * pow(a2, -1, a1) % a1, 1
+    while a2 * s > a3 * p:
+        q = -(-s_prev // s)
+        if q == 2:
+            ds, dp = s_prev - s, p - p_prev
+            # Steps stay at q = 2 while s >= ds; stop at the first step
+            # past the bracket, a2 * s <= a3 * p.
+            j = min(s // ds, -(-(a2 * s - a3 * p) // (a2 * ds + a3 * dp)))
+            s_prev, p_prev = s - (j - 1) * ds, p + (j - 1) * dp
+            s, p = s - j * ds, p + j * dp
+        else:
+            s_prev, p_prev, s, p = s, p, q * s - s_prev, q * p - p_prev
+    sv, pv, sw, pw = s_prev, p_prev, s, p
+
+    def grid_sum(x0, x1, y0, y1):
+        return (a2 * (y1 - y0) * ((x0 + x1 - 1) * (x1 - x0) // 2)
+                + a3 * (x1 - x0) * ((y0 + y1 - 1) * (y1 - y0) // 2))
+
+    apery = grid_sum(0, sv, 0, pw) - grid_sum(sv - sw, sv, pw - pv, pw)
+    genus, rest = divmod(2 * apery - a1 * (a1 - 1), 2 * a1)
+    assert rest == 0
+    return -a1 + a2 * (sv - 1) + a3 * (pw - 1) - min(a2 * sw, a3 * pv), genus
 
 
 def positivity_start(family) -> int:

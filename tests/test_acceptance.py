@@ -22,7 +22,7 @@ from parafrob.pilp import (
     ParametricConstraintSystem,
     Row,
 )
-from parafrob.qpoly import Poly
+from parafrob.qpoly import Poly, QuasiPolynomial
 from parafrob.reduction import PolyFamily
 from proofs import Atom, DnfFormula, base_map, truth_table_sets
 from windows import qualifying_bound
@@ -134,11 +134,15 @@ def test_criterion_04_bound_soundness():
 
 
 def test_criterion_05_dp_vs_enumeration_oracle():
+    # Each probed tuple's capped DP against brute-force enumeration, then
+    # the residue table, which every command reads, against the DP.
     caps = (1, 2, 4)
     checked = 0
+    tuples = []
     for a1 in range(1, 31):
         for a2 in range(a1, 31):
             coins = Coins([a1, a2])
+            tuples.append(coins)
             tables = {cap: oracles.rep_count_table(coins, 200, cap)
                       for cap in caps}
             for k in range(0, 201, 7):
@@ -150,12 +154,22 @@ def test_criterion_05_dp_vs_enumeration_oracle():
     for _ in range(40):
         a = sorted(rng.randint(1, 30) for _ in range(3))
         coins = Coins(a)
+        tuples.append(coins)
         counts = oracles.rep_count_table(coins, 200, 4)
         for k in rng.sample(range(201), 12):
             assert counts[k] == min(frobenius.rep_count_exact(coins, k), 4)
             checked += 1
+    for coins in tuples:
+        for m in caps:
+            table = frobenius.apery_table(coins, m)
+            f, g, _ = oracles.dp_answers(coins, m)
+            assert table.genus(m) == g, (coins.a, m)
+            for l in (1, 2):
+                assert table.frobenius(m, l) == f(l), (coins.a, m, l)
     report(5, f"capped DP equals capped brute-force enumeration on "
-              f"{checked} (tuple, k) probes with entries <= 30, k <= 200")
+              f"{checked} (tuple, k) probes with entries <= 30, k <= 200; "
+              f"the residue table's G_m and F_(m,l), l <= 2, equal the DP's "
+              f"on all {len(tuples)} tuples at m = 1, 2, 4")
 
 
 def _pilp_test_systems():
@@ -248,9 +262,23 @@ def test_criterion_07_exclusion_crosscheck():
               f"constant (0 for m=1, 1 for m=2, reported not adjusted)")
 
 
+# Past the t = 3..60 window: every t to 110, then 10^k - 1 and 10^k, one
+# of each parity, for k = 3..30.
+FAR_T = tuple(range(61, 111)) + tuple(
+    10**k + r for k in range(3, 31) for r in (-1, 0))
+
+
+def _far_misses(fam, qp, index):
+    """The t in FAR_T where qp differs from the oracle's F (index 0) or G
+    (index 1) of the family's three entries."""
+    return [t for t in FAR_T
+            if qp.eval(t) != oracles.frobenius_genus_3(*fam.values(t))[index]]
+
+
 def test_criterion_08_degree_two_family_witness():
     fam = PolyFamily((U, U**2 + ONE, U**2 + 2 * U - ONE), 1, 1)
     f_series, g_series = reduction.direct_series(fam, 3, 60)
+    fits = {}
     for t, v in f_series.items():
         assert 0 <= v < t**3
     for label, series in (("F", f_series), ("G", g_series)):
@@ -259,8 +287,19 @@ def test_criterion_08_degree_two_family_witness():
         assert res.qp.period == 2
         check = oracles.validate(res.qp, series)
         assert check.agree_count == check.compared_count
-    report(8, "the degree-2 family's F and G series over t=3..60 fit exactly "
-              "under the default config and 0 <= F(t) < t^3 at every t")
+        fits[label] = res.qp
+    # Far past any table: the O(log a) oracle for three entries.
+    for label, index in (("F", 0), ("G", 1)):
+        assert _far_misses(fam, fits[label], index) == [], label
+    # Guard: the check fails a fit with one coefficient off by 1.
+    comps = fits["F"].components
+    off = Poly(comps[0].coeffs[:-1] + (comps[0].coeffs[-1] + 1,))
+    wrong = QuasiPolynomial((off,) + comps[1:], fits["F"].threshold)
+    assert _far_misses(fam, wrong, 0)
+    report(8, f"the degree-2 family's F and G series over t=3..60 fit "
+              f"exactly under the default config, 0 <= F(t) < t^3 at every "
+              f"t, and both fits equal the three-entry oracle at "
+              f"{len(FAR_T)} t up to 10^30")
 
 
 def _ranked(ex, l, t):

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import count
 from math import gcd
 
@@ -11,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 from parafrob import frobenius as fr
 from parafrob.errors import InputError, ResourceLimitError
 from parafrob.frobenius import Coins
-from oracles import rep_count_table
+from oracles import (
+    dp_answers,
+    frobenius_genus_3,
+    rep_count_table,
+    roberts_closed_form,
+)
 from windows import qualifying_bound
 
 
@@ -34,6 +40,11 @@ def test_coins_validation():
         Coins([5])
     with pytest.raises(InputError):
         Coins([3, 0])
+    # Entries are converted with operator.index, never truncated: 3.9
+    # would otherwise become 3 and answer F(3, 5) = 7.
+    for entry in (3.9, 3.5, Fraction(7, 2), "3"):
+        with pytest.raises(InputError, match="entries must be integers"):
+            Coins([entry, 5])
     assert Coins([6, 10, 15]).g == 1
     assert vars(Coins([6, 10])) == {"a": (6, 10)}
     assert Coins([6, 10]).g == 2
@@ -130,22 +141,6 @@ def test_generalized_values_match_brute_force():
         assert table.genus(m) == sum(1 for k in qualifying if k > 0)
 
 
-def dp_answers(coins, m):
-    """(F_{m,l} as a function of l, G_m, the number of nonnegative
-    qualifiers) from one capped DP over the qualifying_bound window."""
-    g = coins.g
-    bound = max(qualifying_bound(coins, m) // g, 0)
-    counts = rep_count_table(Coins(e // g for e in coins.a), bound, cap=m)
-    qualifying = [k for k in range(bound, -1, -1) if counts[k] < m]
-
-    def f(l):
-        if l <= len(qualifying):
-            return g * qualifying[l - 1]
-        return -g * (l - len(qualifying))
-
-    return f, sum(1 for k in qualifying if k > 0), len(qualifying)
-
-
 def assert_table_matches_dp(a, m):
     # l = 1..5, and every l up to two past the last nonnegative qualifier:
     # the ends of frobenius's bisection and the switch to negative answers.
@@ -175,6 +170,29 @@ def test_apery_table_agrees_with_capped_dp_at_every_level():
        st.integers(1, 3), st.integers(1, 5))
 def test_apery_table_agrees_with_capped_dp_hypothesis(a, c, m):
     assert_table_matches_dp([c * e for e in a], m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 400), min_size=3, max_size=3)
+       .filter(lambda a: gcd(*a) == 1))
+def test_triple_oracle_matches_apery_table(a):
+    table = fr.apery_table(Coins(a), 1)
+    assert frobenius_genus_3(*a) == (table.frobenius(1, 1), table.genus(1))
+
+
+def test_triple_oracle_edges():
+    # An entry 1, duplicates and shared factors go through Johnson's
+    # reduction.
+    assert frobenius_genus_3(1, 7, 9) == (-1, 0)
+    assert frobenius_genus_3(6, 6, 7) == (29, 15)
+    assert frobenius_genus_3(6, 10, 15) == (29, 15)
+    with pytest.raises(InputError):
+        frobenius_genus_3(4, 6, 8)
+    # In the order (t+1, t, t+2), s0 = t = a1 - 1: about t quotients 2,
+    # taken as one jump. Roberts' formula gives F.
+    for t in (10**12, 10**12 + 1):
+        f, _ = frobenius_genus_3(t + 1, t, t + 2)
+        assert f == roberts_closed_form(2).eval(t)
 
 
 def test_apery_table_levels_and_limit():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofs
-from oracles import enumerate_lattice
+from oracles import enumerate_lattice, propagate_reference
 from parafrob import pilp
 from parafrob.errors import InputError, ResourceLimitError
 from parafrob.pilp import (
@@ -148,6 +148,32 @@ def test_point_cap_counts_exact_work():
     assert pilp.propagated_box(creep, 0) == ([0, 199, 200], [1, 200, 201])
     assert enumerate_lattice(creep, 0, point_cap=1) == ()
 
+
+def _outcome(propagate, rows, nonneg):
+    try:
+        return propagate(rows, nonneg)
+    except InputError as exc:
+        return str(exc)
+
+
+@st.composite
+def instantiated_rows(draw):
+    """Rows as _instantiate gives them, rows with no terms and equalities
+    included, with a nonneg flag per variable."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[st.sampled_from((0, 1, -1, 2, -3, 5))] * n),
+                    st.sampled_from((LE, EQ)), st.integers(-6, 12))
+    return (draw(st.lists(row, max_size=4)),
+            draw(st.tuples(*[st.booleans()] * n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(instantiated_rows())
+def test_propagate_matches_the_reference(rows_nonneg):
+    # The same box, the same None, or an InputError with the same text.
+    rows, nonneg = rows_nonneg
+    assert (_outcome(pilp._propagate, rows, nonneg)
+            == _outcome(propagate_reference, rows, nonneg))
 
 def test_enumeration_matches_box_scan_oracle():
     rng = random.Random(13)
