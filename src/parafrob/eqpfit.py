@@ -65,30 +65,28 @@ class NoFit:
     )
 
 
-def _fit_class(points, deg_max: int, first_t: int):
-    """Judge one residue class: (tail, threshold) or (None, reason).
+def _fit_class(values, deg_max: int):
+    """Judge one residue class's values: (heads, start) or (None, reason).
 
-    The class's suffix is its trailing run of points of the same kind,
-    BOTTOM or finite, as its last point, and must hold at least
-    ``deg_max + 3`` points (min_support). A BOTTOM suffix's tail is BOTTOM.
-    A finite suffix is equally spaced, so the polynomial of degree <=
-    deg_max through its earliest ``deg_max + 1`` points matches all of it
-    exactly when its (deg_max+1)-th differences vanish (no tail-window
-    shopping: anchoring anywhere later would let any series with a long
-    polynomial stretch "fit"); its tail is (t0, heads), the suffix's first
-    t and its differences 0..deg_max there. The threshold is the last t
-    before the suffix (first_t - 1 when none).
+    The class's suffix is its trailing run of values of the same kind,
+    BOTTOM or finite, as its last value; it begins at index ``start`` and
+    must hold at least ``deg_max + 3`` values (min_support). A BOTTOM
+    suffix's heads are BOTTOM. A finite suffix is equally spaced, so the
+    polynomial of degree <= deg_max through its earliest ``deg_max + 1``
+    values matches all of it exactly when its (deg_max+1)-th differences
+    vanish (no tail-window shopping: anchoring anywhere later would let any
+    series with a long polynomial stretch "fit"); its heads are its
+    differences 0..deg_max at ``start``.
     """
-    bottom = points[-1][1] is BOTTOM
-    start = len(points)
-    while start and (points[start - 1][1] is BOTTOM) == bottom:
+    bottom = values[-1] is BOTTOM
+    start = len(values)
+    while start and (values[start - 1] is BOTTOM) == bottom:
         start -= 1
-    if len(points) - start < deg_max + 3:
+    if len(values) - start < deg_max + 3:
         return None, "trailing values mix -inf and finite samples"
-    threshold = points[start - 1][0] if start else first_t - 1
     if bottom:
-        return BOTTOM, threshold
-    row, heads = [v for _, v in points[start:]], []
+        return BOTTOM, start
+    row, heads = values[start:], []
     for _ in range(deg_max + 1):
         heads.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
@@ -97,7 +95,7 @@ def _fit_class(points, deg_max: int, first_t: int):
             f"the polynomial of degree <= {deg_max} through the "
             f"earliest points does not match the rest of the class"
         )
-    return (points[start][0], heads), threshold
+    return heads, start
 
 
 def _forward_poly(t0: int, heads, step: int) -> Poly:
@@ -123,12 +121,14 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
     ``min_support = deg_max + 3`` training points: ``deg_max + 1`` fix its
     polynomial and at least two more confirm it.
 
-    A candidate period splits the training samples by residue class and
-    fits each class on its own; it succeeds when every class fits and
-    the assembled quasi-polynomial reproduces every holdout sample, all of
-    which lie above its threshold. Only the holdout is compared: the
-    training samples above the threshold lie in their classes' suffixes
-    and agree by construction.
+    A candidate period d splits the training samples by residue class,
+    each a stride-d slice of the values from its first t, and fits each
+    class on its own; a class's threshold is the last t before its
+    suffix. The period succeeds when every class fits and the assembled
+    quasi-polynomial reproduces every holdout sample, all of which lie
+    above its threshold. Only the holdout is compared: the training
+    samples above the threshold lie in their classes' suffixes and agree
+    by construction.
 
     Every class of period d holds at least N // d of the N training
     points, and some class holds no more, so a class falls short of
@@ -139,43 +139,41 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
         raise InputError("d_max must be >= 1 and deg_max >= 0")
     holdout = min(2 * d_max, len(series) // 2)
     min_support = deg_max + 3
-    items = series.items()
-    split = len(items) - holdout
-    training, held = items[:split], items[split:]
-    if len(training) < min_support:
+    t_min, values = series.t_min, series.values
+    split = len(values) - holdout
+    if split < min_support:
         raise InputError(
-            f"{len(training)} training samples cannot support any fit "
+            f"{split} training samples cannot support any fit "
             f"(min_support={min_support})"
         )
 
     diagnostics = []
-    supported = len(training) // min_support
+    supported = split // min_support
     for d in range(1, min(d_max, supported) + 1):
-        classes = {}
-        for t, v in training:
-            classes.setdefault(t % d, []).append((t, v))
-        tails, threshold = [], series.t_min - 1
+        tails, threshold = [], t_min - 1
         for r in range(d):
-            tail, info = _fit_class(classes[r], deg_max, series.t_min)
-            if tail is None:
-                diagnostics.append((d, r, info))
+            first = t_min + (r - t_min) % d
+            heads, start = _fit_class(values[first - t_min:split:d], deg_max)
+            if heads is None:
+                diagnostics.append((d, r, start))  # start is the reason
                 break
-            tails.append(tail)
-            threshold = max(threshold, info)
+            tails.append(heads if heads is BOTTOM
+                         else (first + start * d, heads))
+            threshold = max(threshold, first + (start - 1) * d)
         else:
             qp = QuasiPolynomial(tuple(
                 tail if tail is BOTTOM else _forward_poly(*tail, d)
                 for tail in tails), threshold)
-            miss = next((t for t, v in held if qp.eval(t) != v), None)
+            miss = next((t for t, v in enumerate(values[split:], t_min + split)
+                         if qp.eval(t) != v), None)
             if miss is None:
-                # The training t are contiguous and end at training[-1][0].
-                return Fit(qp, training[-1][0] - threshold, holdout)
+                return Fit(qp, t_min + split - 1 - threshold, holdout)
             diagnostics.append((d, None, f"holdout mismatch at t={miss}"))
     if d_max > supported:
         d = supported + 1
         diagnostics.append(
             (d, None,
              f"up to period {d_max}, each period has a class of at most "
-             f"{len(training) // d} training points (min_support={min_support})"))
+             f"{split // d} training points (min_support={min_support})"))
     return NoFit(tuple(diagnostics))
 
