@@ -140,7 +140,10 @@ def fit(series_path, d_max, deg_max, fmt, out):
 
     Of the N samples, the last min(2*d_max, N // 2) are held out and must be
     reproduced exactly; each residue class of a period needs deg_max + 3
-    training points.
+    training points. A class may settle late: its polynomial covers its
+    longest final run of degree <= deg_max, and the threshold is the last
+    t before such a run in any class. A period whose threshold lies past
+    the midpoint of the training samples is refused.
     """
     from . import eqpfit
 

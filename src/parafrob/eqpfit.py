@@ -68,15 +68,15 @@ class NoFit:
 def _fit_class(values, deg_max: int):
     """Judge one residue class's values: (heads, start) or (None, reason).
 
-    The class's suffix is its trailing run of values of the same kind,
-    BOTTOM or finite, as its last value; it begins at index ``start`` and
-    must hold at least ``deg_max + 3`` values (min_support). A BOTTOM
-    suffix's heads are BOTTOM. A finite suffix is equally spaced, so the
-    polynomial of degree <= deg_max through its earliest ``deg_max + 1``
-    values matches all of it exactly when its (deg_max+1)-th differences
-    vanish (no tail-window shopping: anchoring anywhere later would let any
-    series with a long polynomial stretch "fit"); its heads are its
-    differences 0..deg_max at ``start``.
+    The class's suffix lies in its trailing run of values of the same
+    kind, BOTTOM or finite, as its last value; it begins at index
+    ``start`` and must hold at least ``deg_max + 3`` values (min_support).
+    A BOTTOM suffix is the whole run, and its heads are BOTTOM. A finite
+    run is equally spaced, so a stretch of it is one polynomial of degree
+    <= deg_max exactly when the (deg_max+1)-th differences inside it
+    vanish: the suffix starts just past the last nonzero one, whose entry
+    at j involves values j..j+deg_max+1. Its heads are its differences
+    0..deg_max at ``start``.
     """
     bottom = values[-1] is BOTTOM
     start = len(values)
@@ -86,16 +86,15 @@ def _fit_class(values, deg_max: int):
         return None, "trailing values mix -inf and finite samples"
     if bottom:
         return BOTTOM, start
-    row, heads = values[start:], []
+    rows = [values[start:]]
     for _ in range(deg_max + 1):
-        heads.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    if any(row):
-        return None, (
-            f"the polynomial of degree <= {deg_max} through the "
-            f"earliest points does not match the rest of the class"
-        )
-    return heads, start
+        rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
+    last = rows.pop()
+    skip = next((j + 1 for j in reversed(range(len(last))) if last[j]), 0)
+    if len(values) - start - skip < deg_max + 3:
+        return None, (f"no run of {deg_max + 3} points of degree <= "
+                      f"{deg_max} ends the class")
+    return [row[skip] for row in rows], start + skip
 
 
 def _forward_poly(t0: int, heads, step: int) -> Poly:
@@ -124,11 +123,13 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
     A candidate period d splits the training samples by residue class,
     each a stride-d slice of the values from its first t, and fits each
     class on its own; a class's threshold is the last t before its
-    suffix. The period succeeds when every class fits and the assembled
-    quasi-polynomial reproduces every holdout sample, all of which lie
-    above its threshold. Only the holdout is compared: the training
-    samples above the threshold lie in their classes' suffixes and agree
-    by construction.
+    suffix. The period is refused when its threshold, the largest of its
+    classes', lies past the midpoint of the training window: at least
+    half the training samples must confirm the fit. Otherwise it succeeds
+    when the assembled quasi-polynomial reproduces every holdout sample,
+    all of which lie above its threshold. Only the holdout is compared:
+    the training samples above the threshold lie in their classes'
+    suffixes and agree by construction.
 
     Every class of period d holds at least N // d of the N training
     points, and some class holds no more, so a class falls short of
@@ -161,6 +162,10 @@ def fit_quasipolynomial(series: SampleSeries, d_max: int = 24,
                          else (first + start * d, heads))
             threshold = max(threshold, first + (start - 1) * d)
         else:
+            if 2 * threshold > 2 * t_min + split - 1:
+                diagnostics.append((d, None, "threshold past the first half "
+                                             "of the training window"))
+                continue
             qp = QuasiPolynomial(tuple(
                 tail if tail is BOTTOM else _forward_poly(*tail, d)
                 for tail in tails), threshold)

@@ -16,8 +16,9 @@ drawn quasi-polynomials (default bounds and deg_max 0, periods 4-7 from a
 nonzero t_min, rational values), one NO_FIT per diagnostic reason, and
 ``fit --out``, then family and system files in every grammar spelling,
 ``--out`` on ``compute``, ``crosscheck`` and ``pilp``, ``series`` where an
-entry is not positive at some t of the range, and last ``pilp`` on
-objectives that are not integer-valued or too wide.
+entry is not positive at some t of the range, ``pilp`` on objectives
+that are not integer-valued or too wide, and last ``fit`` on series whose
+classes settle late.
 
     python tests/golden.py --record   # rewrite tests/golden.json
 
@@ -264,7 +265,7 @@ def _fit_cases(rng):
     no_fits = [
         # trailing values mix -inf and finite samples
         _series_text(1, [None if t % 3 == 0 else t for t in range(1, 41)]),
-        # the polynomial through the earliest points misses the class
+        # no run of deg_max + 3 points of degree <= deg_max ends the class
         _series_text(-5, [t * t for t in range(-5, 45)]),
         # ... and class 1 of period 2, after class 0 fitted
         _series_text(0, [t if t % 2 == 0 else t**3 for t in range(60)]),
@@ -376,6 +377,24 @@ def _objective_cases():
     return [({"sys.txt": text}, steps) for text in texts]
 
 
+def _late_fit_cases():
+    """fit where classes settle late: the F and G series of (t, t+3, t+7),
+    which fit with period 7 after their first finite samples, and a series
+    refused for a threshold past the midpoint of its training samples."""
+    family = "poly: t\npoly: t + 3\npoly: t + 7\nm: 1\nl: 1\n"
+    settled = _series_text(1, [999 if t < 31 else 3 * t + 1
+                               for t in range(1, 61)])
+    bounds = ["--d-max", "12", "--deg-max", "4"]
+    return [
+        ({"fam.txt": family}, [
+            series_steps(2, 150),
+            ["fit", "s.fml.series", *bounds, "--format", "machine"],
+            ["fit", "s.gm.series", *bounds, "--format", "table"]]),
+        ({"v.series": settled}, [["fit", "v.series", "--d-max", "1",
+                                  "--deg-max", "3", "--format", "machine"]]),
+    ]
+
+
 def series_steps(t_min, t_max):
     return ["series", "--family", "fam.txt", "--t-min", str(t_min),
             "--t-max", str(t_max), "--out", "s"]
@@ -417,7 +436,7 @@ def corpus():
             (README_FILES, [shlex.split(line) for line in
                             README_COMMANDS.splitlines()]),
             *_fit_cases(rng), *_grammar_cases(),
-            *_positivity_cases(), *_objective_cases()]
+            *_positivity_cases(), *_objective_cases(), *_late_fit_cases()]
 
 
 def label(steps) -> str:

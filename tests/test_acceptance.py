@@ -11,6 +11,7 @@ from math import gcd
 
 import oracles
 import proofs
+import pytest
 from clirun import run_cli
 from parafrob import eqpfit, formats, frobenius, pilp, reduction
 from parafrob.eqpfit import Fit, NoFit, SampleSeries
@@ -301,6 +302,45 @@ def test_criterion_08_degree_two_family_witness():
               f"t, and both fits equal the three-entry oracle at "
               f"{len(FAR_T)} t up to 10^30")
 
+
+
+# Three-entry families whose F and G settle only after a few finite
+# samples, with the period and threshold of their fits over t = 2..400.
+LATE_FAMILIES = [
+    ((U, U + const(3), U + const(7)), 7, 11),
+    ((2 * U + ONE, 3 * U + const(2), 5 * U + ONE), 7, 2),
+    ((U + ONE, 2 * U**2 + const(3), 3 * U**2 + U + ONE), 5, 17),
+    ((3 * U + ONE, 4 * U + const(3), 7 * U + const(2)), 13, 11),
+]
+
+
+@pytest.mark.parametrize("polys, period, threshold", LATE_FAMILIES,
+                         ids=["t,t+3,t+7", "2t+1,3t+2,5t+1",
+                              "t+1,2t^2+3,3t^2+t+1", "3t+1,4t+3,7t+2"])
+def test_late_settling_families_fit_past_their_threshold(polys, period,
+                                                         threshold):
+    # Criterion 8's far-t check, for families whose fit needs a threshold.
+    fam = PolyFamily(polys, 1, 1)
+    for index, series in enumerate(reduction.direct_series(fam, 2, 400)):
+        res = eqpfit.fit_quasipolynomial(series, d_max=40, deg_max=4)
+        assert isinstance(res, Fit), index
+        assert (res.qp.period, res.qp.threshold) == (period, threshold)
+        assert _far_misses(fam, res.qp, index) == [], index
+
+
+def test_late_settling_series_at_m_2():
+    # No oracle covers m = 2: the residue table past the sampled range is
+    # the check.
+    fam = PolyFamily((U, U + const(3), U + const(7)), 2, 1)
+    f_fit, g_fit = (eqpfit.fit_quasipolynomial(series, d_max=40, deg_max=4)
+                    for series in reduction.direct_series(fam, 2, 400))
+    assert isinstance(f_fit, Fit) and isinstance(g_fit, Fit)
+    assert f_fit.qp.period == g_fit.qp.period == 7
+    assert f_fit.qp.threshold == g_fit.qp.threshold == 38
+    for t in range(401, 601):
+        table = frobenius.apery_table(Coins(fam.values(t)), 2)
+        assert f_fit.qp.eval(t) == table.frobenius(2, 1), t
+        assert g_fit.qp.eval(t) == table.genus(2), t
 
 def _ranked(ex, l, t):
     feasible, top = pilp.exclusion_profile(ex, t, l)

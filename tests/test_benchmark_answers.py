@@ -1,7 +1,8 @@
 """The benchmark's answers, once, in process: every workload of
 ``perfbench/workloads.py`` at seed 1 and size full passes its checks, and
 its answer digest equals the one in ``perfbench/digests.json``, which the
-benchmark compares against. Only reads ``perfbench/``."""
+benchmark compares against; and every sweep family the workload can draw
+fits as its checks require. Only reads ``perfbench/``."""
 
 import hashlib
 import json
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from parafrob.cli import main
+from parafrob.eqpfit import Fit, SampleSeries, fit_quasipolynomial
+from parafrob.frobenius import Coins, apery_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -43,3 +46,18 @@ def test_workload_answers_match_the_recorded_digest(name, tmp_path,
         answers += lines
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
     assert digest == DIGESTS[name]
+
+
+def test_every_sweep_family_fits_from_the_first_sampled_t():
+    # The sweep workload draws one family per seed and checks that both of
+    # its series fit from t = 3 with period <= 2 under the default bounds.
+    # Every family it can draw is held to that here, at any seed.
+    for b, c in workloads.SWEEP_FAMILIES:
+        tables = [apery_table(Coins(workloads.family_values(b, c, t)),
+                              workloads.M) for t in range(3, 41)]
+        for values in ([table.frobenius(workloads.M, workloads.L)
+                        for table in tables],
+                       [table.genus(workloads.M) for table in tables]):
+            res = fit_quasipolynomial(SampleSeries(3, tuple(values)))
+            assert isinstance(res, Fit), (b, c)
+            assert res.qp.period <= 2 and res.qp.threshold < 3, (b, c)

@@ -45,23 +45,25 @@ def test_interpolate_examples():
     assert fit(lambda t: t + 1, 1).qp.components == (U + Poly.constant(1),)
     assert fit(lambda t: t * t, 2).qp.components == (U**2,)
     assert fit(lambda t: t * t, 1).diagnostics == (
-        (1, 0, "the polynomial of degree <= 1 through the earliest points "
-               "does not match the rest of the class"),)
+        (1, 0, "no run of 4 points of degree <= 1 ends the class"),)
 
 
 MIX = "trailing values mix -inf and finite samples"
+PAST_HALF = "threshold past the first half of the training window"
 
 
-def mismatch(deg_max):
-    return (f"the polynomial of degree <= {deg_max} through the earliest "
-            f"points does not match the rest of the class")
+def no_run(deg_max):
+    return (f"no run of {deg_max + 3} points of degree <= {deg_max} ends "
+            f"the class")
 
 
 def reference_class(points, deg_max):
-    """A class's component, or its reason for failing, by the fitter's rule
-    with Fraction interpolation: the class's trailing run of one kind holds
-    at least deg_max + 3 points, and a finite run is matched by the
-    polynomial through its earliest deg_max + 1 points."""
+    """A class's (component, last t before its suffix or None), or its
+    reason for failing, by the fitter's rule with Fraction interpolation:
+    the class's trailing run of one kind holds at least deg_max + 3 points,
+    and a finite run's suffix is its longest tail, of deg_max + 3 points at
+    least, that the polynomial through the tail's earliest deg_max + 1
+    points matches."""
     bottom = points[-1][1] is BOTTOM
     start = len(points)
     while start and (points[start - 1][1] is BOTTOM) == bottom:
@@ -69,32 +71,44 @@ def reference_class(points, deg_max):
     if len(points) - start < deg_max + 3:
         return MIX
     if bottom:
-        return BOTTOM
-    poly = newton_interpolate(points[start:start + deg_max + 1])
-    if any(poly(t) != v for t, v in points[start + deg_max + 1:]):
-        return mismatch(deg_max)
-    return poly
+        return BOTTOM, points[start - 1][0] if start else None
+    for s in range(start, len(points) - deg_max - 2):
+        poly = newton_interpolate(points[s:s + deg_max + 1])
+        if all(poly(t) == v for t, v in points[s + deg_max + 1:]):
+            return poly, points[s - 1][0] if s else None
+    return no_run(deg_max)
 
 
 def fit_checked(series, d_max, deg_max):
-    """fit_quasipolynomial's verdict, after checking each class diagnostic
-    and each fitted component against reference_class."""
+    """fit_quasipolynomial's verdict, after checking each class diagnostic,
+    each fitted component, the fitted threshold and the midpoint guard
+    against reference_class."""
     res = eqpfit.fit_quasipolynomial(series, d_max, deg_max)
     holdout = min(2 * d_max, len(series) // 2)
     training = series.items()[:len(series) - holdout]
+    midpoint_2 = series.t_min + training[-1][0]  # twice the midpoint
 
     def judged(d):
         return [reference_class([(t, v) for t, v in training if t % d == r],
                                 deg_max) for r in range(d)]
 
+    def threshold(classes):
+        return max([series.t_min - 1] + [t for _, t in classes
+                                         if t is not None])
+
     if isinstance(res, Fit):
-        assert res.qp.components == tuple(judged(res.qp.period))
+        classes = judged(res.qp.period)
+        assert res.qp.components == tuple(comp for comp, _ in classes)
+        assert res.qp.threshold == threshold(classes)
+        assert 2 * res.qp.threshold <= midpoint_2
     else:
         for d, r, reason in res.diagnostics:
             if r is not None:
                 got = judged(d)
                 assert got[r] == reason
                 assert not any(isinstance(g, str) for g in got[:r])
+            elif reason == PAST_HALF:
+                assert 2 * threshold(judged(d)) > midpoint_2
     return res
 
 
@@ -102,20 +116,25 @@ def fit_checked(series, d_max, deg_max):
 def drawn_classes(draw):
     """(d, deg_max, t_min, classes, values) of a quasi-polynomial of period
     d = 1..6: each class is a rational polynomial of degree <= deg_max + 1
-    after a head of up to three -inf samples, or -inf throughout. Every
-    class has deg_max + 8 training points when 2d samples are held out."""
+    after a head of up to three samples, or -inf throughout. A head is -inf
+    (offset None) or off the polynomial by a nonzero offset. Every class
+    has deg_max + 8 training points when 2d samples are held out."""
     d, deg_max = draw(st.integers(1, 6)), draw(st.integers(0, 4))
     t_min = draw(st.integers(-20, 20))
     coefficient = st.fractions(-12, 12, max_denominator=6)
+    offset = st.one_of(st.none(), st.sampled_from([1, -2, Fraction(1, 2)]))
     classes = [None if draw(st.integers(0, 9)) == 0 else
-               (draw(st.integers(0, 3)),
+               (draw(st.integers(0, 3)), draw(offset),
                 Poly(draw(st.lists(coefficient, min_size=1,
                                    max_size=deg_max + 2))))
                for _ in range(d)]
     values = []
     for i in range(d * (deg_max + 10)):
         t, cls = t_min + i, classes[(t_min + i) % d]
-        values.append(BOTTOM if cls is None or i // d < cls[0] else cls[1](t))
+        if cls is None or (i // d < cls[0] and cls[1] is None):
+            values.append(BOTTOM)
+        else:
+            values.append(cls[2](t) + (cls[1] if i // d < cls[0] else 0))
     return d, deg_max, t_min, classes, values
 
 
@@ -123,24 +142,29 @@ def drawn_classes(draw):
 @given(drawn_classes(), st.data())
 def test_fit_matches_the_fraction_reference(drawn, data):
     # A class of degree <= deg_max fits with the reference's interpolant
-    # through the earliest deg_max + 1 points of its suffix, and a steeper
-    # one gets the reference's diagnostic. So does a class perturbed past
-    # every head and past those points.
+    # through the earliest deg_max + 1 points of its suffix, past its head,
+    # and a steeper one gets the reference's diagnostic. A class perturbed
+    # at one point past every head matches the reference too: a fit starts
+    # its suffix after that point and agrees with the unperturbed fit.
     d, deg_max, t_min, classes, values = drawn
     finite = [r for r, cls in enumerate(classes) if cls is not None]
-    steep = any(classes[r][1].degree > deg_max for r in finite)
+    steep = any(classes[r][2].degree > deg_max for r in finite)
     res = fit_checked(SampleSeries(t_min, tuple(values)), d, deg_max)
     assert isinstance(res, NoFit if steep else Fit)
     if steep or not finite:
         return
     r = data.draw(st.sampled_from(finite))
     heads = max(classes[j][0] for j in finite)
-    k = data.draw(st.integers(heads + deg_max + 1, deg_max + 7))
+    k = data.draw(st.integers(heads, deg_max + 7))
     i = (r - t_min) % d + k * d
     values[i] += data.draw(st.sampled_from([1, -1, Fraction(1, 3)]))
-    res = fit_checked(SampleSeries(t_min, tuple(values)), d, deg_max)
-    assert isinstance(res, NoFit)
-    assert (d, r, mismatch(deg_max)) in res.diagnostics
+    perturbed = fit_checked(SampleSeries(t_min, tuple(values)), d, deg_max)
+    if isinstance(perturbed, Fit):
+        assert perturbed.qp.threshold >= t_min + i
+        assert eventually_equal(perturbed.qp, res.qp)
+    else:
+        assert {(d, r, no_run(deg_max)), (d, None, PAST_HALF)} & set(
+            perturbed.diagnostics)
 
 
 def test_fit_floor_half():
@@ -162,15 +186,29 @@ def test_fit_non_eqp_log_series():
     assert any(d == 1 for d, _, _ in res.diagnostics)
 
 
-def test_fit_refuses_finite_transient_head():
-    # Interpolation anchors at the earliest finite points: a finite garbage
-    # head is a refusal, not a threshold (only BOTTOM heads lift thresholds).
+def test_fit_thresholds_a_finite_transient_head():
+    # A finite garbage head lifts the threshold as a BOTTOM head does: the
+    # suffix starts past the last nonzero (deg_max+1)-th difference.
     def f(t):
         return 999 if t < 7 else 3 * t + 1
 
     s = series_of(f, 1, 70)
     res = eqpfit.fit_quasipolynomial(s, d_max=4, deg_max=3)
-    assert isinstance(res, NoFit)
+    assert isinstance(res, Fit)
+    assert res.qp.threshold == 6
+    assert res.qp.components == (3 * U + Poly.constant(1),)
+
+
+def test_fit_refuses_a_threshold_past_the_training_midpoint():
+    # 3t + 1 from t = s on: 2 of 60 samples are held out, so training is
+    # t = 1..58 with midpoint 29.5. From s = 31 the suffix holds 28 points
+    # but its threshold is 30; from s = 30 the threshold 29 is allowed.
+    def fit(s):
+        series = series_of(lambda t: 999 if t < s else 3 * t + 1, 1, 60)
+        return eqpfit.fit_quasipolynomial(series, d_max=1, deg_max=3)
+
+    assert fit(31).diagnostics == ((1, None, PAST_HALF),)
+    assert fit(30).qp.threshold == 29
 
 
 def test_fit_bottom_heads_and_components():

@@ -735,3 +735,50 @@ def test_size_function_series_is_quasipolynomial():
         )
         res = eqpfit.fit_quasipolynomial(series, d_max=6, deg_max=3)
         assert isinstance(res, eqpfit.Fit)
+
+
+# Rational polytopes P = {x >= 0 : a.x <= b for each row (a, b)}, with the
+# least D for which D*P is integral and vol(P). The count of a.x <= b*t is
+# P's Ehrhart quasi-polynomial in t (Ehrhart 1962; Beck & Robins,
+# "Computing the Continuous Discretely", ch. 3-4).
+EHRHART_POLYTOPES = [
+    ([((1, 2), 1)], 120, {}, 2, Fraction(1, 4)),
+    ([((2, 0), 1), ((0, 3), 1)], 150, {}, 6, Fraction(1, 6)),
+    ([((2, 3, 5), 1)], 400, {"d_max": 30, "deg_max": 3}, 30,
+     Fraction(1, 180)),
+]
+
+
+@pytest.mark.parametrize("rows, t_max, bounds, lcd, volume",
+                         EHRHART_POLYTOPES,
+                         ids=["x+2y<=t", "2x<=t,3y<=t", "2x+3y+5z<=t"])
+def test_count_series_obey_ehrhart_theory(rows, t_max, bounds, lcd, volume):
+    # Theory fixes four facts of the fit, independently of the fitter: it
+    # holds from t = 0 (threshold -1), its period divides D, its leading
+    # coefficient is vol(P), and Ehrhart-Macdonald reciprocity L_P(-t) =
+    # (-1)^dim L_int(P)(t), where the interior's points are those of the
+    # tightened system a.x <= b*t - 1, x >= 1.
+    from parafrob import eqpfit
+
+    n = len(rows[0][0])
+
+    def count(t, interior):
+        tight = [Row(tuple(map(const, a)), LE, b * T - const(interior))
+                 for a, b in rows]
+        if interior:
+            tight += [Row(tuple(const(-(i == j)) for j in range(n)), LE,
+                          const(-1)) for i in range(n)]
+        return pilp.lattice_profile(system(n, tight), t, None)[0]
+
+    series = eqpfit.SampleSeries(0, tuple(count(t, 0)
+                                          for t in range(t_max + 1)))
+    res = eqpfit.fit_quasipolynomial(series, **bounds)
+    assert isinstance(res, eqpfit.Fit)
+    qp = res.qp
+    assert qp.threshold == -1
+    assert lcd % qp.period == 0
+    assert all(c.degree == n and c.leading_coefficient == volume
+               for c in qp.components)
+    for t in range(1, 80):
+        assert (qp.components[-t % qp.period](-t)
+                == (-1) ** n * count(t, 1)), t

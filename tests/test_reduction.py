@@ -6,7 +6,7 @@ from math import gcd
 import oracles
 import pytest
 from clirun import run_cli
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from parafrob import eqpfit, frobenius, pilp, reduction
 from parafrob.errors import InputError, ResourceLimitError
@@ -230,6 +230,62 @@ def test_fitted_arithmetic_series_equal_roberts(s):
     assert isinstance(res, eqpfit.Fit)
     assert oracles.eventually_equal(res.qp, oracles.roberts_closed_form(s))
 
+
+
+def resultant_period(p1, p2):
+    """A period of gcd(p1(t), p2(t)) for integer p1 of degree <= 1 and p2:
+    the gcd divides R = Res(p1, p2) = lead(p1)^deg(p2) * p2(root of p1),
+    or p1^deg(p2) for a constant p1, and so is periodic mod |R|. None when
+    R = 0, a common factor over Q."""
+    if p1.degree == 0:
+        return abs(p1.coeffs[0] ** p2.degree)
+    b, a = p1.coeffs
+    return abs(int(a**p2.degree * p2(Fraction(-b, a)))) or None
+
+
+@st.composite
+def pair_families(draw):
+    """(p1, p2, m, R): p1 of degree 0 or 1 and p2 of degree 1 or 2, with
+    small integer coefficients and positive leads, coprime over Q, m <= 3,
+    and R a period of their gcd. A linear or constant p1 keeps each t's
+    table small."""
+    small = st.integers(-3, 3)
+    p1 = Poly((draw(small), draw(st.integers(1, 2))) if draw(st.booleans())
+              else (draw(st.integers(1, 6)),))
+    p2 = Poly([draw(small) for _ in range(draw(st.integers(1, 2)))]
+              + [draw(st.integers(1, 3))])
+    period = resultant_period(p1, p2)
+    assume(period is not None and period <= 12)
+    return p1, p2, draw(st.integers(1, 3)), period
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_families())
+def test_fitted_drawn_pair_series_equal_the_closed_forms(drawn):
+    p1, p2, m, period = drawn
+    family = fam((p1, p2), m)
+    t0 = oracles.positivity_start(family)
+    closed = oracles.pair_closed_forms(p1, p2, m, period, t0)
+    for series, expected in zip(reduction.direct_series(family, t0, t0 + 150),
+                                closed):
+        res = eqpfit.fit_quasipolynomial(series, d_max=12, deg_max=3)
+        assert isinstance(res, eqpfit.Fit)
+        assert oracles.eventually_equal(res.qp, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 30), st.data())
+def test_fitted_drawn_arithmetic_series_equal_roberts(s, t_min, data):
+    # Any window from t = 2 on and any bounds that admit period s and
+    # degree 2 recover Roberts' closed form.
+    d_max = data.draw(st.integers(s, 8))
+    deg_max = data.draw(st.integers(2, 6))
+    t_max = t_min + 2 * d_max + 3 * (deg_max + 3) * s
+    family = fam([U + k * ONE for k in range(s + 1)])
+    f_series, _ = reduction.direct_series(family, t_min, t_max)
+    res = eqpfit.fit_quasipolynomial(f_series, d_max, deg_max)
+    assert isinstance(res, eqpfit.Fit)
+    assert oracles.eventually_equal(res.qp, oracles.roberts_closed_form(s))
 
 @pytest.mark.parametrize("polys, m, t_max", [
     ((U, U + 3 * ONE), 1, 55),
