@@ -74,9 +74,9 @@ def _fit_class(values, deg_max: int):
     A BOTTOM suffix is the whole run, and its heads are BOTTOM. A finite
     run is equally spaced, so a stretch of it is one polynomial of degree
     <= deg_max exactly when the (deg_max+1)-th differences inside it
-    vanish: the suffix starts just past the last nonzero one, whose entry
-    at j involves values j..j+deg_max+1. Its heads are its differences
-    0..deg_max at ``start``.
+    vanish. Entry j of that row involves values j..j+deg_max+1, so the
+    suffix starts just past the row's last nonzero entry. Its heads are
+    its differences 0..deg_max at ``start``.
     """
     bottom = values[-1] is BOTTOM
     start = len(values)

@@ -382,15 +382,15 @@ def _late_fit_cases():
     which fit with period 7 after their first finite samples, and a series
     refused for a threshold past the midpoint of its training samples."""
     family = "poly: t\npoly: t + 3\npoly: t + 7\nm: 1\nl: 1\n"
-    settled = _series_text(1, [999 if t < 31 else 3 * t + 1
-                               for t in range(1, 61)])
+    too_late = _series_text(1, [999 if t < 31 else 3 * t + 1
+                                for t in range(1, 61)])
     bounds = ["--d-max", "12", "--deg-max", "4"]
     return [
         ({"fam.txt": family}, [
             series_steps(2, 150),
             ["fit", "s.fml.series", *bounds, "--format", "machine"],
             ["fit", "s.gm.series", *bounds, "--format", "table"]]),
-        ({"v.series": settled}, [["fit", "v.series", "--d-max", "1",
+        ({"v.series": too_late}, [["fit", "v.series", "--d-max", "1",
                                   "--deg-max", "3", "--format", "machine"]]),
     ]
 
