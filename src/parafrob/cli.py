@@ -19,7 +19,6 @@ runs inside its body, so a cold start loads only those.
 import errno
 import os
 import sys
-from itertools import groupby
 from pathlib import Path
 
 from . import formats
@@ -29,7 +28,7 @@ from .errors import (
     ParafrobError,
     ResourceLimitError,
 )
-from .qpoly import BOTTOM
+from .qpoly import BOTTOM, SampleSeries
 
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
@@ -95,8 +94,6 @@ def series(family_path, t_min, t_max, out_prefix):
     Re-running with an existing output only computes the missing t values
     and rewrites the merged, sorted series.
     """
-    from . import eqpfit, reduction
-
     if t_min > t_max:
         raise InputError("empty t range")
     fam = formats.parse_family(Path(family_path).read_text())
@@ -119,17 +116,12 @@ def series(family_path, t_min, t_max, out_prefix):
             pass
         if new:
             path.unlink()
-    have = set(existing["fml"]) & set(existing["gm"])
-    missing = [t for t in range(t_min, t_max + 1) if t not in have]
-    # One direct_series call per run of consecutive missing t.
-    for _, run in groupby(enumerate(missing), lambda it: it[1] - it[0]):
-        ts = [t for _, t in run]
-        f_new, g_new = reduction.direct_series(fam, ts[0], ts[-1])
-        existing["fml"].update(f_new.items())
-        existing["gm"].update(g_new.items())
+    for t in range(t_min, t_max + 1):
+        if t not in existing["fml"] or t not in existing["gm"]:
+            existing["fml"][t], existing["gm"][t] = fam.answers(t)
     lines = []
     for key, path in targets.items():
-        merged = eqpfit.SampleSeries.from_pairs(existing[key].items())
+        merged = SampleSeries.from_pairs(existing[key].items())
         path.write_text(formats.format_series(merged))
         lines.append(f"wrote {path} ({len(merged)} samples)")
     _emit(lines, None)

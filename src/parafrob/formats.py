@@ -11,10 +11,10 @@ comment in every file format.
 import re
 
 from .errors import InputError
-from .qpoly import BOTTOM, Poly, _divide
+from .qpoly import BOTTOM, Poly, SampleSeries, _divide
 
-# Each parser imports the domain class it builds, so a command loads only
-# the modules it runs.
+# Each parser imports the domain class it builds from outside qpoly, so a
+# command loads only the modules it runs.
 
 
 def parse_rational(text: str) -> "int | Fraction":
@@ -181,9 +181,7 @@ def format_coins(coins: "Coins") -> str:
     return "a: [" + ", ".join(str(e) for e in coins.a) + "]"
 
 
-def parse_series(text: str) -> "SampleSeries":
-    from .eqpfit import SampleSeries
-
+def parse_series(text: str) -> SampleSeries:
     pairs = []
     for line in _content_lines(text):
         fields = line.split()
@@ -199,7 +197,7 @@ def parse_series(text: str) -> "SampleSeries":
     return SampleSeries.from_pairs(pairs)
 
 
-def format_series(series: "SampleSeries") -> str:
+def format_series(series: SampleSeries) -> str:
     lines = [f"{t} {format_extended(v)}" for t, v in series.items()]
     return "\n".join(lines) + "\n"
 

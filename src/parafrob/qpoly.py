@@ -242,3 +242,35 @@ class QuasiPolynomial:
         if comp is BOTTOM:
             return BOTTOM
         return comp(t)
+
+
+@frozen
+class SampleSeries:
+    """Exact values on a contiguous integer range [t_min, t_min + len - 1]."""
+
+    t_min: int
+    values: tuple
+
+    def __post_init__(self):
+        if not self.values:
+            raise InputError("series must be nonempty")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "SampleSeries":
+        items = sorted(pairs)
+        ts = [t for t, _ in items]
+        if not items:
+            raise InputError("series must be nonempty")
+        if ts != list(range(ts[0], ts[0] + len(ts))):
+            raise InputError("sample keys must be contiguous integers")
+        return cls(ts[0], tuple(v for _, v in items))
+
+    @property
+    def t_max(self) -> int:
+        return self.t_min + len(self.values) - 1
+
+    def items(self):
+        return [(self.t_min + i, v) for i, v in enumerate(self.values)]
+
+    def __len__(self):
+        return len(self.values)

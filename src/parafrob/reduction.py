@@ -42,11 +42,21 @@ class PolyFamily:
     def values(self, t: int) -> tuple:
         return tuple(p(t) for p in self.polys)
 
+    def answers(self, t: int) -> tuple:
+        """(F_{m,l}, G_m) of the entries at t, computed directly.
 
-def _t_range(t_min: int, t_max: int) -> range:
-    if t_min > t_max:
-        raise InputError("empty t range")
-    return range(t_min, t_max + 1)
+        This is the oracle path: t is handled by its own residue table,
+        never via the exclusion construction. The answers are defined where
+        every entry is positive, as at a crosscheck row; where one is not,
+        InputError names t and the entry before any table is built.
+        """
+        values = self.values(t)
+        for i, v in enumerate(values, 1):
+            if v <= 0:
+                raise InputError(f"family entry {i} is not positive at "
+                                 f"t = {t}")
+        table = frobenius.apery_table(Coins(values), self.m)
+        return table.frobenius(self.m, self.l), table.genus(self.m)
 
 
 def reduce_by_gcd(fam: PolyFamily, gcd_fit: QuasiPolynomial,
@@ -135,32 +145,6 @@ def frobenius_to_exclusion(fam: PolyFamily, r: int) -> "pilp.ExclusionProblem":
     return pilp.ExclusionProblem(fam.m, sys1, sys2)
 
 
-def direct_series(fam: PolyFamily, t_min: int, t_max: int):
-    """(series of the l-th answers, series of the counts), computed directly.
-
-    This is the oracle path: each t is handled independently by its own
-    residue table, never via the exclusion construction. The answers are
-    defined at each t where every entry is positive, as at a crosscheck
-    row; the first t where one is not raises InputError, naming t and the
-    entry, before its table is built, so a range fails at its first such t
-    however far it reaches.
-    """
-    from .eqpfit import SampleSeries  # here: crosscheck does not load eqpfit
-
-    f_vals = []
-    g_vals = []
-    for t in _t_range(t_min, t_max):
-        values = fam.values(t)
-        for i, v in enumerate(values, 1):
-            if v <= 0:
-                raise InputError(f"family entry {i} is not positive at "
-                                 f"t = {t}")
-        table = frobenius.apery_table(Coins(values), fam.m)
-        f_vals.append(table.frobenius(fam.m, fam.l))
-        g_vals.append(table.genus(fam.m))
-    return SampleSeries(t_min, tuple(f_vals)), SampleSeries(t_min, tuple(g_vals))
-
-
 EQUAL = "EQUAL"
 G_OFFSET = "G_OFFSET"  # f equal, g columns differ (reported, not adjusted)
 DIFF = "DIFF"  # the l-th answers differ: hard failure
@@ -239,6 +223,8 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
     t^1 holds the answer, the box is too large for the point cap, or the
     enumeration hits its limit.
     """
+    if t_min > t_max:
+        raise InputError("empty t range")
     from . import pilp
 
     problems = {}  # r -> frobenius_to_exclusion(fam, r)
@@ -279,4 +265,4 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
         return CrosscheckRow(t, f_shifted, table.frobenius(fam.m, fam.l),
                              len(feasible), table.genus(fam.m) + fam.l, r=r)
 
-    return CrosscheckReport(tuple(row(t) for t in _t_range(t_min, t_max)))
+    return CrosscheckReport(tuple(row(t) for t in range(t_min, t_max + 1)))

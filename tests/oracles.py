@@ -7,7 +7,8 @@ representations by the capped coin DP, and dp_answers reads F_{m,l} and
 G_m off it: the residue table's oracle. frobenius_genus_3 gives F and G of
 three entries in O(log a) steps, for fits checked far past any table.
 positivity_start finds where a family's entries stay positive by a scan,
-for tests that sample from there. The rest share no code with the fitter:
+for tests that sample from there, and direct_series samples its answers
+over a t range. The rest share no code with the fitter:
 newton_interpolate is the fitter's reference, Newton's divided differences
 over Fractions through any points; eventually_equal decides symbolically
 whether two quasi-polynomials agree for all large t; validate compares a
@@ -24,7 +25,7 @@ from parafrob import pilp
 from parafrob.errors import DEFAULT_POINT_CAP, InputError, frozen
 from parafrob.frobenius import Coins
 from parafrob.pilp import EQ, MAX_SWEEPS
-from parafrob.qpoly import Poly, QuasiPolynomial
+from parafrob.qpoly import Poly, QuasiPolynomial, SampleSeries
 from windows import qualifying_bound
 
 
@@ -213,6 +214,13 @@ def positivity_start(family) -> int:
                        / p.leading_coefficient) for p in family.polys)
     return 1 + max((t for t in range(1, ceiling + 1)
                     if any(p(t) <= 0 for p in family.polys)), default=0)
+
+
+def direct_series(family, t_min: int, t_max: int) -> tuple:
+    """The family's F_{m,l} and G_m series over t_min..t_max, one
+    ``answers`` call per t."""
+    answers = [family.answers(t) for t in range(t_min, t_max + 1)]
+    return tuple(SampleSeries(t_min, values) for values in zip(*answers))
 
 
 def newton_interpolate(points) -> Poly:

@@ -14,7 +14,7 @@ import proofs
 import pytest
 from clirun import run_cli
 from parafrob import eqpfit, formats, frobenius, pilp, reduction
-from parafrob.eqpfit import Fit, NoFit, SampleSeries
+from parafrob.eqpfit import Fit, NoFit
 from parafrob.frobenius import Coins
 from parafrob.pilp import (
     EQ,
@@ -23,7 +23,7 @@ from parafrob.pilp import (
     ParametricConstraintSystem,
     Row,
 )
-from parafrob.qpoly import Poly, QuasiPolynomial
+from parafrob.qpoly import Poly, QuasiPolynomial, SampleSeries
 from parafrob.reduction import PolyFamily
 from proofs import Atom, DnfFormula, base_map, truth_table_sets
 from windows import qualifying_bound
@@ -278,7 +278,7 @@ def _far_misses(fam, qp, index):
 
 def test_criterion_08_degree_two_family_witness():
     fam = PolyFamily((U, U**2 + ONE, U**2 + 2 * U - ONE), 1, 1)
-    f_series, g_series = reduction.direct_series(fam, 3, 60)
+    f_series, g_series = oracles.direct_series(fam, 3, 60)
     fits = {}
     for t, v in f_series.items():
         assert 0 <= v < t**3
@@ -321,7 +321,7 @@ def test_late_settling_families_fit_past_their_threshold(polys, period,
                                                          threshold):
     # Criterion 8's far-t check, for families whose fit needs a threshold.
     fam = PolyFamily(polys, 1, 1)
-    for index, series in enumerate(reduction.direct_series(fam, 2, 400)):
+    for index, series in enumerate(oracles.direct_series(fam, 2, 400)):
         res = eqpfit.fit_quasipolynomial(series, d_max=40, deg_max=4)
         assert isinstance(res, Fit), index
         assert (res.qp.period, res.qp.threshold) == (period, threshold)
@@ -333,7 +333,7 @@ def test_late_settling_series_at_m_2():
     # the check.
     fam = PolyFamily((U, U + const(3), U + const(7)), 2, 1)
     f_fit, g_fit = (eqpfit.fit_quasipolynomial(series, d_max=40, deg_max=4)
-                    for series in reduction.direct_series(fam, 2, 400))
+                    for series in oracles.direct_series(fam, 2, 400))
     assert isinstance(f_fit, Fit) and isinstance(g_fit, Fit)
     assert f_fit.qp.period == g_fit.qp.period == 7
     assert f_fit.qp.threshold == g_fit.qp.threshold == 38

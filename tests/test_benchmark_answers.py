@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from parafrob.cli import main
-from parafrob.eqpfit import Fit, SampleSeries, fit_quasipolynomial
+from parafrob.eqpfit import Fit, fit_quasipolynomial
 from parafrob.frobenius import Coins, apery_table
+from parafrob.qpoly import SampleSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))

@@ -176,22 +176,21 @@ def test_series_resume_fills_only_missing(tmp_path, monkeypatch):
     assert len(values) == 22
 
 
-def test_series_runs_one_direct_pass_per_missing_span(tmp_path,
-                                                      monkeypatch):
+def test_series_samples_each_missing_t_once(tmp_path, monkeypatch):
     fam = tmp_path / "fam.txt"
     fam.write_text(FAMILY_U_UM1)
     out = str(tmp_path / "out")
     calls = []
-    real = reduction.direct_series
-    monkeypatch.setattr(reduction, "direct_series",
-                        lambda family, t_min, t_max: calls.append(
-                            (t_min, t_max)) or real(family, t_min, t_max))
+    real = reduction.PolyFamily.answers
+    monkeypatch.setattr(reduction.PolyFamily, "answers",
+                        lambda family, t: calls.append(t) or real(family, t))
     res = run("series", "--family", str(fam), "--t-min", "5", "--t-max", "8",
               "--out", out)
-    assert res.exit_code == 0 and calls == [(5, 8)]
+    assert res.exit_code == 0 and calls == [5, 6, 7, 8]
+    calls.clear()
     res = run("series", "--family", str(fam), "--t-min", "2", "--t-max", "12",
               "--out", out)
-    assert res.exit_code == 0 and calls == [(5, 8), (2, 4), (9, 12)]
+    assert res.exit_code == 0 and calls == [2, 3, 4, 9, 10, 11, 12]
 
 
 # t^2 - 10t + 24 = (t - 4)(t - 6) is positive at t = 1..3 and from t = 7.
@@ -244,7 +243,7 @@ def test_series_refuses_a_gap_before_computing(tmp_path, monkeypatch):
     files = sorted(tmp_path.glob("out.*.series"))
     before = [p.read_text() for p in files]
     calls = []
-    monkeypatch.setattr(reduction, "direct_series",
+    monkeypatch.setattr(reduction.PolyFamily, "answers",
                         lambda *args: calls.append(args))
     for t_min, t_max in [(20, 30), (12, 12), (-5, 1)]:
         res = run("series", "--family", str(fam), "--t-min", str(t_min),
@@ -271,7 +270,7 @@ def test_series_checks_its_outputs_before_sampling(tmp_path, monkeypatch):
     def sampled(*args):
         raise AssertionError("sampled before the outputs were checked")
 
-    monkeypatch.setattr(reduction, "direct_series", sampled)
+    monkeypatch.setattr(reduction.PolyFamily, "answers", sampled)
     for out, reason in ((tmp_path / "no" / "x", "No such file or directory"),
                         (tmp_path / "out", "Is a directory")):
         res = run("series", "--family", str(fam), "--t-min", "3",
@@ -286,7 +285,7 @@ def test_series_checks_its_outputs_before_sampling(tmp_path, monkeypatch):
     def limited(*args):
         raise ResourceLimitError("sampling stopped")
 
-    monkeypatch.setattr(reduction, "direct_series", limited)
+    monkeypatch.setattr(reduction.PolyFamily, "answers", limited)
     assert run("series", "--family", str(fam), "--t-min", "3", "--t-max",
                "5", "--out", str(tmp_path / "new")).exit_code == 3
     assert not list(tmp_path.glob("new.*"))
@@ -638,7 +637,7 @@ def test_commands_load_only_their_modules(tmp_path):
                                      "6", "--out", "out")
     assert output == ["wrote out.fml.series (4 samples)",
                       "wrote out.gm.series (4 samples)"]
-    assert modules == common | {"reduction", "frobenius", "eqpfit"}
+    assert modules == common | {"reduction", "frobenius"}
     output, modules = loaded_modules(tmp_path, "crosscheck", "--family",
                                      "fam.txt", "--t-min", "3", "--t-max",
                                      "6", "--format", "machine")

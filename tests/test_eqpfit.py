@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import eventually_equal, lifted, newton_interpolate, validate
 from parafrob import eqpfit
-from parafrob.eqpfit import Fit, NoFit, SampleSeries
+from parafrob.eqpfit import Fit, NoFit
 from parafrob.errors import InputError
-from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial
+from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial, SampleSeries
 
 U = Poly.variable()
 

@@ -76,7 +76,7 @@ VALUE_CLASSES = [
     ("parafrob.qpoly", "QuasiPolynomial", ("components", "threshold")),
     ("parafrob.frobenius", "Coins", ("a",)),
     ("parafrob.frobenius", "AperyTable", ("g", "a", "values")),
-    ("parafrob.eqpfit", "SampleSeries", ("t_min", "values")),
+    ("parafrob.qpoly", "SampleSeries", ("t_min", "values")),
     ("parafrob.eqpfit", "Fit", ("qp", "training_checked", "holdout_checked")),
     ("parafrob.eqpfit", "NoFit", ("diagnostics",)),
     ("oracles", "ValidationReport",

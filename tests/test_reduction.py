@@ -165,7 +165,7 @@ def test_window_bound_holds_numerically():
 
 def test_direct_series_matches_piecewise_formula():
     family = fam([U, U - Poly.constant(2)])
-    f_series, g_series = reduction.direct_series(family, 4, 60)
+    f_series, g_series = oracles.direct_series(family, 4, 60)
     for t, v in f_series.items():
         if t % 2 == 1:
             assert v == t * (t - 2) - t - (t - 2)
@@ -174,25 +174,24 @@ def test_direct_series_matches_piecewise_formula():
     assert all(v >= 0 for _, v in g_series.items())
 
 
-def test_direct_series_samples_wherever_the_entries_are_positive():
+def test_answers_exist_wherever_the_entries_are_positive(monkeypatch):
     # t^2 - 10t + 24 = (t - 4)(t - 6): positive at t = 1..3 and from t = 7.
     family = fam([U, U**2 - 10 * U + 24 * ONE])
-    f_series, g_series = reduction.direct_series(family, 1, 3)
-    assert f_series.values == (-1, -2, -3) and g_series.values == (0, 0, 0)
-    # The first t with an entry not positive fails before its table, so a
-    # range fails there however far it reaches.
-    with pytest.raises(InputError, match="^family entry 2 is not positive "
-                                         "at t = 4$"):
-        reduction.direct_series(family, 1, 10**18)
-    with pytest.raises(InputError, match="at t = 5$"):
-        reduction.direct_series(family, 5, 5)
+    assert [family.answers(t) for t in (1, 2, 3)] == [(-1, 0), (-2, 0),
+                                                      (-3, 0)]
+    # An entry not positive fails before any table is built.
+    monkeypatch.setattr(frobenius, "apery_table", None)
+    for t in (4, 5, 6):
+        with pytest.raises(InputError, match="^family entry 2 is not "
+                                             f"positive at t = {t}$"):
+            family.answers(t)
     with pytest.raises(InputError, match="^empty t range$"):
-        reduction.direct_series(family, 3, 1)
+        reduction.crosscheck(family, 3, 1)
 
 
 def test_direct_series_stays_inside_cubic_box():
     family = fam([U, U**2 + Poly.constant(1), U**2 + 2 * U - Poly.constant(1)])
-    f_series, _ = reduction.direct_series(family, 3, 25)
+    f_series, _ = oracles.direct_series(family, 3, 25)
     for t, v in f_series.items():
         assert 0 <= v < t**3
 
@@ -215,7 +214,7 @@ def test_fitted_pair_series_equal_the_closed_forms(polys, gcd_period, m):
     family = fam(polys, m)
     t0 = oracles.positivity_start(family)
     closed = oracles.pair_closed_forms(*polys, m, gcd_period, t0)
-    for series, expected in zip(reduction.direct_series(family, t0, t0 + 300),
+    for series, expected in zip(oracles.direct_series(family, t0, t0 + 300),
                                 closed):
         res = eqpfit.fit_quasipolynomial(series, d_max=40)
         assert isinstance(res, eqpfit.Fit)
@@ -225,7 +224,7 @@ def test_fitted_pair_series_equal_the_closed_forms(polys, gcd_period, m):
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_fitted_arithmetic_series_equal_roberts(s):
     family = fam([U + k * ONE for k in range(s + 1)])
-    f_series, _ = reduction.direct_series(family, 2, 200)
+    f_series, _ = oracles.direct_series(family, 2, 200)
     res = eqpfit.fit_quasipolynomial(f_series)
     assert isinstance(res, eqpfit.Fit)
     assert oracles.eventually_equal(res.qp, oracles.roberts_closed_form(s))
@@ -266,7 +265,7 @@ def test_fitted_drawn_pair_series_equal_the_closed_forms(drawn):
     family = fam((p1, p2), m)
     t0 = oracles.positivity_start(family)
     closed = oracles.pair_closed_forms(p1, p2, m, period, t0)
-    for series, expected in zip(reduction.direct_series(family, t0, t0 + 150),
+    for series, expected in zip(oracles.direct_series(family, t0, t0 + 150),
                                 closed):
         res = eqpfit.fit_quasipolynomial(series, d_max=12, deg_max=3)
         assert isinstance(res, eqpfit.Fit)
@@ -282,7 +281,7 @@ def test_fitted_drawn_arithmetic_series_equal_roberts(s, t_min, data):
     deg_max = data.draw(st.integers(2, 6))
     t_max = t_min + 2 * d_max + 3 * (deg_max + 3) * s
     family = fam([U + k * ONE for k in range(s + 1)])
-    f_series, _ = reduction.direct_series(family, t_min, t_max)
+    f_series, _ = oracles.direct_series(family, t_min, t_max)
     res = eqpfit.fit_quasipolynomial(f_series, d_max, deg_max)
     assert isinstance(res, eqpfit.Fit)
     assert oracles.eventually_equal(res.qp, oracles.roberts_closed_form(s))
@@ -296,7 +295,7 @@ def test_exclusion_path_past_the_fitted_window(polys, m, t_max):
     # shares no code with the fitter, lands on their values.
     family = fam(polys, m)
     fits = [eqpfit.fit_quasipolynomial(series, deg_max=2)
-            for series in reduction.direct_series(family, 2, 50)]
+            for series in oracles.direct_series(family, 2, 50)]
     assert all(isinstance(res, eqpfit.Fit) for res in fits)
     f_fit, g_fit = (res.qp for res in fits)
     report = reduction.crosscheck(family, 51, t_max)
@@ -317,7 +316,7 @@ def test_one_table_per_t(monkeypatch):
 
     monkeypatch.setattr(frobenius, "apery_table", counting)
     family = fam([U, U - Poly.constant(1)], m=2, l=2)
-    reduction.direct_series(family, 2, 10)
+    oracles.direct_series(family, 2, 10)
     assert built == [(t, t - 1) for t in range(2, 11)]
     # One table per row with positive entries of gcd 1: the row reads its
     # box from the table; rows skipped for positivity or gcd build none.

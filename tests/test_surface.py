@@ -13,7 +13,7 @@ LIBRARY_SURFACE = {
     "cli": {"EXIT_INPUT", "EXIT_MISMATCH", "EXIT_RESOURCE", "EXIT_UNCHECKED",
             "compute", "crosscheck", "entry", "fit", "main", "pilp_cmd",
             "series"},
-    "eqpfit": {"Fit", "NoFit", "SampleSeries", "fit_quasipolynomial"},
+    "eqpfit": {"Fit", "NoFit", "fit_quasipolynomial"},
     "errors": {"DEFAULT_POINT_CAP", "InputError", "ParafrobError",
                "ResourceLimitError", "frozen"},
     "formats": {"format_coins", "format_extended", "format_poly_expr",
@@ -25,11 +25,12 @@ LIBRARY_SURFACE = {
     "pilp": {"EQ", "ExclusionProblem", "LE", "MAX_SWEEPS",
              "ParametricConstraintSystem", "Row", "exclusion_profile",
              "lattice_profile", "propagated_box"},
-    "qpoly": {"BOTTOM", "Poly", "QuasiPolynomial", "eventually_positive"},
+    "qpoly": {"BOTTOM", "Poly", "QuasiPolynomial", "SampleSeries",
+              "eventually_positive"},
     "reduction": {"CrosscheckReport", "CrosscheckRow", "DIFF", "EQUAL",
                   "G_OFFSET", "PolyFamily", "SKIPPED", "box_exponent",
-                  "crosscheck", "direct_series", "frobenius_to_exclusion",
-                  "reduce_by_gcd", "window_bound_poly"},
+                  "crosscheck", "frobenius_to_exclusion", "reduce_by_gcd",
+                  "window_bound_poly"},
 }
 
 
