@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from parafrob.pilp import (
     ParametricConstraintSystem,
     Row,
 )
-from parafrob.qpoly import BOTTOM, Poly
+from parafrob.qpoly import BOTTOM, Poly, SampleSeries
 from proofs import (
     Atom,
     DnfFormula,
@@ -749,10 +750,19 @@ EHRHART_POLYTOPES = [
 ]
 
 
-@pytest.mark.parametrize("rows, t_max, bounds, lcd, volume",
-                         EHRHART_POLYTOPES,
-                         ids=["x+2y<=t", "2x<=t,3y<=t", "2x+3y+5z<=t"])
-def test_count_series_obey_ehrhart_theory(rows, t_max, bounds, lcd, volume):
+def ehrhart_count(rows, t, interior):
+    """Points of a.x <= b*t, x >= 0 for the rows (a, b); with interior, of
+    the tightened system a.x <= b*t - 1, x >= 1."""
+    n = len(rows[0][0])
+    tight = [Row(tuple(map(const, a)), LE, b * T - const(interior))
+             for a, b in rows]
+    if interior:
+        tight += [Row(tuple(const(-(i == j)) for j in range(n)), LE,
+                      const(-1)) for i in range(n)]
+    return pilp.lattice_profile(system(n, tight), t, None)[0]
+
+
+def assert_ehrhart_facts(rows, t_max, bounds, lcd, volume, reciprocity_t):
     # Theory fixes four facts of the fit, independently of the fitter: it
     # holds from t = 0 (threshold -1), its period divides D, its leading
     # coefficient is vol(P), and Ehrhart-Macdonald reciprocity L_P(-t) =
@@ -761,17 +771,8 @@ def test_count_series_obey_ehrhart_theory(rows, t_max, bounds, lcd, volume):
     from parafrob import eqpfit
 
     n = len(rows[0][0])
-
-    def count(t, interior):
-        tight = [Row(tuple(map(const, a)), LE, b * T - const(interior))
-                 for a, b in rows]
-        if interior:
-            tight += [Row(tuple(const(-(i == j)) for j in range(n)), LE,
-                          const(-1)) for i in range(n)]
-        return pilp.lattice_profile(system(n, tight), t, None)[0]
-
-    series = eqpfit.SampleSeries(0, tuple(count(t, 0)
-                                          for t in range(t_max + 1)))
+    series = SampleSeries(0, tuple(ehrhart_count(rows, t, 0)
+                                   for t in range(t_max + 1)))
     res = eqpfit.fit_quasipolynomial(series, **bounds)
     assert isinstance(res, eqpfit.Fit)
     qp = res.qp
@@ -779,6 +780,43 @@ def test_count_series_obey_ehrhart_theory(rows, t_max, bounds, lcd, volume):
     assert lcd % qp.period == 0
     assert all(c.degree == n and c.leading_coefficient == volume
                for c in qp.components)
-    for t in range(1, 80):
+    for t in range(1, reciprocity_t + 1):
         assert (qp.components[-t % qp.period](-t)
-                == (-1) ** n * count(t, 1)), t
+                == (-1) ** n * ehrhart_count(rows, t, 1)), t
+
+
+@pytest.mark.parametrize("rows, t_max, bounds, lcd, volume",
+                         EHRHART_POLYTOPES,
+                         ids=["x+2y<=t", "2x<=t,3y<=t", "2x+3y+5z<=t"])
+def test_count_series_obey_ehrhart_theory(rows, t_max, bounds, lcd, volume):
+    assert_ehrhart_facts(rows, t_max, bounds, lcd, volume, 79)
+
+
+@st.composite
+def ehrhart_polytopes(draw):
+    """(rows, D, vol(P)) for a simplex a.x <= b or a box a_i x_i <= b_i in
+    dimension n <= 3, with a_i in 1..3 and b in 1..2. A vertex coordinate
+    is some b/a_i, so D = lcm(a_i / gcd(a_i, b))."""
+    n = draw(st.integers(1, 3))
+    a = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        b = [draw(st.integers(1, 2))] * n
+        rows = [(tuple(a), b[0])]
+        volume = Fraction(b[0] ** n, factorial(n) * prod(a))
+    else:
+        b = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        rows = [(tuple(a_i * (i == j) for j in range(n)), b_i)
+                for i, (a_i, b_i) in enumerate(zip(a, b))]
+        volume = prod(Fraction(b_i, a_i) for a_i, b_i in zip(a, b))
+    lcd = lcm(*(a_i // gcd(a_i, b_i) for a_i, b_i in zip(a, b)))
+    return rows, lcd, volume
+
+
+@settings(max_examples=60, deadline=None)
+@given(ehrhart_polytopes())
+def test_drawn_count_series_obey_ehrhart_theory(drawn):
+    rows, lcd, volume = drawn
+    n = len(rows[0][0])
+    t_max = 4 * lcd + 2 * (n + 3) * lcd + 2
+    assert_ehrhart_facts(rows, t_max, {"d_max": lcd, "deg_max": n}, lcd,
+                         volume, 3 * lcd + 3)
