@@ -10,12 +10,14 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import oracles
 import pytest
 from clirun import run_cli
+from hypothesis import given, settings, strategies as st
 
 import parafrob
 from parafrob import cli, eqpfit, frobenius, pilp, reduction
@@ -191,6 +193,50 @@ def test_series_samples_each_missing_t_once(tmp_path, monkeypatch):
     res = run("series", "--family", str(fam), "--t-min", "2", "--t-max", "12",
               "--out", out)
     assert res.exit_code == 0 and calls == [2, 3, 4, 9, 10, 11, 12]
+
+
+# (t + 1, t^2 + 1) is positive from t = 0, so every window samples.
+FAMILY_POSITIVE = "poly: t + 1\npoly: t^2 + 1\nm: 2\nl: 2\n"
+
+
+@st.composite
+def touching_windows(draw):
+    """Two t windows within 1..25 that overlap or touch."""
+    lo1 = draw(st.integers(1, 25))
+    hi1 = draw(st.integers(lo1, 25))
+    lo2 = draw(st.integers(1, min(hi1 + 1, 25)))
+    hi2 = draw(st.integers(max(lo2, lo1 - 1), 25))
+    return (lo1, hi1), (lo2, hi2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(touching_windows())
+def test_a_resumed_series_equals_one_run(windows):
+    (lo1, hi1), (lo2, hi2) = windows
+    with (tempfile.TemporaryDirectory() as tmp,
+          pytest.MonkeyPatch.context() as monkeypatch):
+        tmp = Path(tmp)
+        fam = tmp / "fam.txt"
+        fam.write_text(FAMILY_POSITIVE)
+
+        def series(lo, hi, out):
+            res = run("series", "--family", str(fam), "--t-min", str(lo),
+                      "--t-max", str(hi), "--out", str(tmp / out))
+            assert res.exit_code == 0, res.output
+
+        series(min(lo1, lo2), max(hi1, hi2), "whole")
+        series(lo1, hi1, "resumed")
+        calls = []
+        real = reduction.PolyFamily.answers
+        monkeypatch.setattr(reduction.PolyFamily, "answers",
+                            lambda family, t: calls.append(t)
+                            or real(family, t))
+        series(lo2, hi2, "resumed")
+        assert calls == [t for t in range(lo2, hi2 + 1)
+                         if not lo1 <= t <= hi1]
+        for key in ("fml", "gm"):
+            assert ((tmp / f"resumed.{key}.series").read_bytes()
+                    == (tmp / f"whole.{key}.series").read_bytes())
 
 
 # t^2 - 10t + 24 = (t - 4)(t - 6) is positive at t = 1..3 and from t = 7.

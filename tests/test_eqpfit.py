@@ -25,6 +25,8 @@ def test_sample_series_contiguity():
     assert s.t_min == 3 and s.t_max == 5 and s.values == (1, 2, 3)
     with pytest.raises(InputError):
         SampleSeries.from_pairs([(1, 0), (3, 0)])
+    with pytest.raises(InputError, match="^series must be nonempty$"):
+        SampleSeries(1, ())
 
 
 def test_fit_bounds_validation():

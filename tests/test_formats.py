@@ -26,6 +26,7 @@ def test_poly_list_grammar():
     assert formats.format_poly_list(p) == "[1, -3/2, 1/2]"
     assert formats.parse_poly("poly: [0, 1]") == U
     assert formats.parse_poly("[0]") == Poly()
+    assert formats.parse_poly("[]") == Poly()
     assert formats.format_poly_list(Poly()) == "[0]"
 
 

@@ -71,6 +71,7 @@ def test_rep_count_exact_examples():
     assert fr.rep_count_exact(Coins([1, 1]), 4) == 5
     assert fr.rep_count_exact(Coins([3, 5]), 8) == 1
     assert fr.rep_count_exact(Coins([6, 10, 15]), 29) == 0
+    assert fr.rep_count_exact(Coins([2, 3]), -1) == 0
     with pytest.raises(ResourceLimitError):
         fr.rep_count_exact(Coins([2, 3]), fr.EXACT_LIMIT + 1)
 

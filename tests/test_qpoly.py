@@ -182,6 +182,13 @@ def test_poly_arith_round_trips():
     assert (p + q) - q == p
     assert (p * q)(7) == p(7) * q(7)
     assert divmod(p * q, q) == (p, Poly())
+    assert 1 - U == Poly([1, -1])
+    assert hash(U) == hash(Poly([0, 1]))
+    assert repr(U**2 - 1) == "Poly('t^2 - 1')"
+    with pytest.raises(InputError, match="^negative polynomial power$"):
+        U ** -1
+    with pytest.raises(ZeroDivisionError):
+        divmod(p, Poly())
 
 
 def test_poly_compose():
@@ -200,9 +207,11 @@ def test_bottom_ordering():
     assert BOTTOM < Fraction(-10**9)
     assert not (BOTTOM < BOTTOM)
     assert BOTTOM <= BOTTOM
+    assert BOTTOM >= BOTTOM and not (BOTTOM >= -10**9)
     assert BOTTOM == BOTTOM
     assert 5 > BOTTOM
     assert sorted([3, BOTTOM, -7])[0] is BOTTOM
+    assert repr(BOTTOM) == "-inf"
 
 
 def test_qp_eval_examples():

@@ -98,6 +98,12 @@ def test_reduce_by_gcd_rejects_wrong_divisor():
         reduction.reduce_by_gcd(family, wrong, 0)
     with pytest.raises(InputError):
         reduction.reduce_by_gcd(family, QuasiPolynomial((BOTTOM,), 0), 0)
+    with pytest.raises(InputError, match="^fitted gcd does not divide the "
+                                         "family symbolically$"):
+        reduction.reduce_by_gcd(family, QuasiPolynomial((U,), 0), 0)
+    with pytest.raises(InputError, match=r"^residue must lie in \[0, "
+                                         r"period\)$"):
+        reduction.reduce_by_gcd(family, fit_gcd(family), 2)
 
 
 def test_reduction_identity_numerically():
@@ -187,6 +193,31 @@ def test_answers_exist_wherever_the_entries_are_positive(monkeypatch):
             family.answers(t)
     with pytest.raises(InputError, match="^empty t range$"):
         reduction.crosscheck(family, 3, 1)
+
+
+@st.composite
+def dipping_families(draw):
+    """(t + k, t^2 - b*t + c), sometimes with 2t + j, and m, l <= 2: the
+    entries of many draws are not positive somewhere in t = 0..9."""
+    polys = [U + draw(st.integers(0, 3)) * ONE,
+             U**2 - draw(st.integers(0, 9)) * U
+             + draw(st.integers(-2, 20)) * ONE]
+    if draw(st.booleans()):
+        polys.append(2 * U + draw(st.integers(-1, 3)) * ONE)
+    return fam(polys, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dipping_families())
+def test_series_and_crosscheck_share_one_positivity_rule(family):
+    for row in reduction.crosscheck(family, 0, 9).rows:
+        if row.note == "entry not positive":
+            with pytest.raises(InputError, match="is not positive"):
+                family.answers(row.t)
+            continue
+        answers = family.answers(row.t)
+        if row.status != reduction.SKIPPED:
+            assert (row.f_direct, row.g_direct - family.l) == answers
 
 
 def test_direct_series_stays_inside_cubic_box():
