@@ -1,5 +1,8 @@
 """Detect and fit eventual quasi-polynomial structure in exact sample series.
 
+This module is the fitter only: ``SampleSeries`` lives in qpoly, so the
+commands that read or write series do not load it.
+
 A fit is exact or it is no fit: a returned quasi-polynomial reproduces every
 training and holdout sample above its threshold with zero tolerance, and
 each residue class is judged from its exact forward-difference table. A

@@ -1,5 +1,6 @@
 """Exact rational arithmetic substrate: one-variable polynomials with
-rational coefficients, the BOTTOM value, and quasi-polynomials.
+rational coefficients, the BOTTOM value, quasi-polynomials, and sample
+series, the exact values of a function on a contiguous t range.
 
 Everything here is exact: ints, and fractions.Fraction only for numbers
 that are not integral; no floating point is used anywhere in the package.

@@ -2,13 +2,13 @@
 
 A family is a tuple of integer-valued, eventually-positive polynomials
 together with the multiplicity bound m and rank l. Its answers exist at
-each t where every entry is positive, and the direct sampler checks that t
-by t. This module reduces a family by its gcd along residue classes,
-derives from Schur's bound on the Frobenius number the exponent r of a box
-[0, t^r) that eventually holds all answers, constructs the equivalent
-projection-exclusion problem, and cross-validates the two computation
-paths against each other, each t in the smallest box that holds its
-answers.
+each t where every entry is positive, and ``PolyFamily.answers``, the
+direct path, gives them one t at a time. This module reduces a family by
+its gcd along residue classes, derives from Schur's bound on the Frobenius
+number the exponent r of a box [0, t^r) that eventually holds all answers,
+constructs the equivalent projection-exclusion problem, and cross-validates
+the two computation paths against each other, each t in the smallest box
+that holds its answers.
 """
 
 from . import frobenius
