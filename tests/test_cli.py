@@ -178,14 +178,20 @@ def test_series_resume_fills_only_missing(tmp_path, monkeypatch):
     assert len(values) == 22
 
 
-def test_series_samples_each_missing_t_once(tmp_path, monkeypatch):
-    fam = tmp_path / "fam.txt"
-    fam.write_text(FAMILY_U_UM1)
-    out = str(tmp_path / "out")
+def record_answers(monkeypatch):
+    """Record the t of every PolyFamily.answers call."""
     calls = []
     real = reduction.PolyFamily.answers
     monkeypatch.setattr(reduction.PolyFamily, "answers",
                         lambda family, t: calls.append(t) or real(family, t))
+    return calls
+
+
+def test_series_samples_each_missing_t_once(tmp_path, monkeypatch):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    out = str(tmp_path / "out")
+    calls = record_answers(monkeypatch)
     res = run("series", "--family", str(fam), "--t-min", "5", "--t-max", "8",
               "--out", out)
     assert res.exit_code == 0 and calls == [5, 6, 7, 8]
@@ -226,11 +232,7 @@ def test_a_resumed_series_equals_one_run(windows):
 
         series(min(lo1, lo2), max(hi1, hi2), "whole")
         series(lo1, hi1, "resumed")
-        calls = []
-        real = reduction.PolyFamily.answers
-        monkeypatch.setattr(reduction.PolyFamily, "answers",
-                            lambda family, t: calls.append(t)
-                            or real(family, t))
+        calls = record_answers(monkeypatch)
         series(lo2, hi2, "resumed")
         assert calls == [t for t in range(lo2, hi2 + 1)
                          if not lo1 <= t <= hi1]
