@@ -97,11 +97,15 @@ def series(family_path, t_min, t_max, out_prefix):
     if t_min > t_max:
         raise InputError("empty t range")
     fam = formats.parse_family(Path(family_path).read_text())
-    targets = {key: Path(f"{out_prefix}.{key}.series")
-               for key in ("fml", "gm")}
-    existing = {}
+    _sample_series(("fml", "gm"), fam.answers, t_min, t_max, out_prefix)
+
+
+def _sample_series(keys, sample, t_min, t_max, out_prefix):
+    """Merge sample(t), one value per key in order, into each
+    <out_prefix>.<key>.series where some output lacks t; print what it wrote."""
+    targets = {key: Path(f"{out_prefix}.{key}.series") for key in keys}
+    existing = {key: {} for key in keys}
     for key, path in targets.items():
-        existing[key] = {}
         new = not path.exists()
         if not new:
             old = formats.parse_series(path.read_text())
@@ -109,7 +113,7 @@ def series(family_path, t_min, t_max, out_prefix):
                 raise InputError(
                     f"t = {t_min}..{t_max} and the t = {old.t_min}..{old.t_max}"
                     f" in {path} would leave a gap in the merged series")
-            existing[key] = dict(old.items())
+            existing[key].update(old.items())
         # An unwritable output fails here, before any sampling. A file this
         # opens new is removed again, so a failed run leaves none behind.
         with open(path, "a"):
@@ -117,8 +121,9 @@ def series(family_path, t_min, t_max, out_prefix):
         if new:
             path.unlink()
     for t in range(t_min, t_max + 1):
-        if t not in existing["fml"] or t not in existing["gm"]:
-            existing["fml"][t], existing["gm"][t] = fam.answers(t)
+        if any(t not in existing[key] for key in keys):
+            for key, value in zip(keys, sample(t)):
+                existing[key][t] = value
     lines = []
     for key, path in targets.items():
         merged = SampleSeries.from_pairs(existing[key].items())

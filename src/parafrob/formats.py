@@ -63,14 +63,10 @@ def _parse_term(term: str):
     if m is None or (not m.group("coef") and not m.group("var")):
         raise InputError(f"bad polynomial term: {term!r}")
     coef_text = m.group("coef").replace("(", "").replace(")", "")
-    if coef_text in ("", "+"):
-        coef = 1
-    elif coef_text == "-":
-        coef = -1
-    else:
-        coef = parse_rational(coef_text)
+    bare = {"": 1, "+": 1, "-": -1}  # a bare sign's coefficient
+    coef = bare[coef_text] if coef_text in bare else parse_rational(coef_text)
     if m.group("var") is None:
-        if coef_text in ("", "+", "-"):
+        if coef_text in bare:
             raise InputError(f"bad polynomial term: {term!r}")
         return coef, 0
     exp = int(m.group("exp")) if m.group("exp") else 1

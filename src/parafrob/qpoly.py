@@ -259,12 +259,10 @@ class SampleSeries:
     @classmethod
     def from_pairs(cls, pairs) -> "SampleSeries":
         items = sorted(pairs)
-        ts = [t for t, _ in items]
-        if not items:
-            raise InputError("series must be nonempty")
-        if ts != list(range(ts[0], ts[0] + len(ts))):
+        t_min = items[0][0] if items else 0  # no items: cls refuses them
+        if [t for t, _ in items] != list(range(t_min, t_min + len(items))):
             raise InputError("sample keys must be contiguous integers")
-        return cls(ts[0], tuple(v for _, v in items))
+        return cls(t_min, tuple(v for _, v in items))
 
     @property
     def t_max(self) -> int:

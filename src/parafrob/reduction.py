@@ -1,14 +1,14 @@
 """From polynomial families to Frobenius series and exclusion problems.
 
 A family is a tuple of integer-valued, eventually-positive polynomials
-together with the multiplicity bound m and rank l. Its answers exist at
-each t where every entry is positive, and ``PolyFamily.answers``, the
-direct path, gives them one t at a time. This module reduces a family by
-its gcd along residue classes, derives from Schur's bound on the Frobenius
-number the exponent r of a box [0, t^r) that eventually holds all answers,
-constructs the equivalent projection-exclusion problem, and cross-validates
-the two computation paths against each other, each t in the smallest box
-that holds its answers.
+together with the multiplicity bound m and rank l. ``PolyFamily.coins(t)``
+gives its entries at a t where all are positive, as its answers need, and
+both the direct path ``PolyFamily.answers`` and each crosscheck row start
+from it. This module reduces a family by its gcd along residue classes,
+derives from Schur's bound on the Frobenius number the exponent r of a box
+[0, t^r) that eventually holds all answers, constructs the equivalent
+projection-exclusion problem, and cross-validates the two paths against
+each other, each t in the smallest box that holds its answers.
 """
 
 from . import frobenius
@@ -42,20 +42,20 @@ class PolyFamily:
     def values(self, t: int) -> tuple:
         return tuple(p(t) for p in self.polys)
 
-    def answers(self, t: int) -> tuple:
-        """(F_{m,l}, G_m) of the entries at t, computed directly.
-
-        This is the oracle path: t is handled by its own residue table,
-        never via the exclusion construction. The answers are defined where
-        every entry is positive, as at a crosscheck row; where one is not,
-        InputError names t and the entry before any table is built.
-        """
+    def coins(self, t: int) -> Coins:
+        """The entries at t, where the answers exist: all positive. Where one
+        is not, InputError names t and the entry before anything is built."""
         values = self.values(t)
         for i, v in enumerate(values, 1):
             if v <= 0:
                 raise InputError(f"family entry {i} is not positive at "
                                  f"t = {t}")
-        table = frobenius.apery_table(Coins(values), self.m)
+        return Coins(values)
+
+    def answers(self, t: int) -> tuple:
+        """(F_{m,l}, G_m) at t, directly from its own residue table: the
+        oracle path, never via the exclusion construction."""
+        table = frobenius.apery_table(self.coins(t), self.m)
         return table.frobenius(self.m, self.l), table.genus(self.m)
 
 
@@ -233,10 +233,10 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
         return CrosscheckRow(t, None, None, None, None, note, r)
 
     def row(t):
-        values = fam.values(t)
-        if any(v <= 0 for v in values):
+        try:
+            coins = fam.coins(t)
+        except InputError:
             return skipped(t, "entry not positive")
-        coins = Coins(values)
         if coins.g != 1:
             return skipped(t, "entry gcd is not 1")
         try:

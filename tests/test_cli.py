@@ -21,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 import parafrob
 from parafrob import cli, eqpfit, frobenius, pilp, reduction
-from parafrob.errors import ResourceLimitError
+from parafrob.errors import InputError, ResourceLimitError
 from parafrob.frobenius import Coins
+from parafrob.qpoly import BOTTOM
 
 FAMILY_U_UM1 = "poly: [0, 1]\npoly: [-1, 1]\nm: 1\nl: 1\n"
 TRIANGLE = "vars: 2\nnonneg: all\nc: 1, 1\nrow: 1, 1 | <= | t\n"
@@ -239,6 +240,85 @@ def test_a_resumed_series_equals_one_run(windows):
         for key in ("fml", "gm"):
             assert ((tmp / f"resumed.{key}.series").read_bytes()
                     == (tmp / f"whole.{key}.series").read_bytes())
+
+
+def test_series_resumes_with_one_output_missing(tmp_path, monkeypatch):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_POSITIVE)
+    out = tmp_path / "out"
+    args = ("series", "--family", str(fam), "--t-min", "3", "--t-max", "10",
+            "--out", str(out))
+    assert run(*args).exit_code == 0
+    first = {key: (tmp_path / f"out.{key}.series").read_bytes()
+             for key in ("fml", "gm")}
+    (tmp_path / "out.gm.series").unlink()
+    calls = record_answers(monkeypatch)
+    assert run(*args).exit_code == 0
+    assert calls == list(range(3, 11))
+    for key, text in first.items():
+        assert (tmp_path / f"out.{key}.series").read_bytes() == text
+
+
+def keyed_sampler(calls):
+    """A test-only sampler with a system's keys, not a family's: a count
+    and a first objective, -inf at every third t."""
+    def sample(t):
+        calls.append(t)
+        return t * t + 1, BOTTOM if t % 3 == 0 else 5 - t
+    return ("count", "obj1"), sample
+
+
+@settings(max_examples=20, deadline=None)
+@given(touching_windows())
+def test_the_sampler_loop_resumes_any_keys(windows):
+    (lo1, hi1), (lo2, hi2) = windows
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        calls = []
+        keys, sample = keyed_sampler(calls)
+        cli._sample_series(keys, sample, min(lo1, lo2), max(hi1, hi2),
+                           f"{tmp}/whole")
+        cli._sample_series(keys, sample, lo1, hi1, f"{tmp}/resumed")
+        calls.clear()
+        cli._sample_series(keys, sample, lo2, hi2, f"{tmp}/resumed")
+        assert calls == [t for t in range(lo2, hi2 + 1)
+                         if not lo1 <= t <= hi1]
+        for key in keys:
+            assert (Path(f"{tmp}/resumed.{key}.series").read_bytes()
+                    == Path(f"{tmp}/whole.{key}.series").read_bytes())
+
+
+def test_the_sampler_loop_checks_before_sampling(tmp_path, capsys):
+    calls = []
+    keys, sample = keyed_sampler(calls)
+    cli._sample_series(keys, sample, 3, 10, str(tmp_path / "out"))
+    assert capsys.readouterr().out == (
+        f"wrote {tmp_path}/out.count.series (8 samples)\n"
+        f"wrote {tmp_path}/out.obj1.series (8 samples)\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    (tmp_path / "dir.obj1.series").mkdir()
+
+    def refused(t):
+        raise AssertionError("sampled before the outputs were checked")
+
+    with pytest.raises(InputError, match=re.escape(
+            f"t = 12..20 and the t = 3..10 in {tmp_path}/out.count.series "
+            "would leave a gap in the merged series")):
+        cli._sample_series(keys, refused, 12, 20, str(tmp_path / "out"))
+    with pytest.raises(FileNotFoundError):
+        cli._sample_series(keys, refused, 3, 5, str(tmp_path / "no" / "x"))
+    with pytest.raises(IsADirectoryError):
+        cli._sample_series(keys, refused, 3, 5, str(tmp_path / "dir"))
+
+    def limited(t):
+        raise ResourceLimitError("sampling stopped")
+
+    with pytest.raises(ResourceLimitError):
+        cli._sample_series(keys, limited, 3, 5, str(tmp_path / "new"))
+    # Nothing changed: no probe and no new output is left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*before, "dir.obj1.series"])
+    assert all((tmp_path / name).read_bytes() == text
+               for name, text in before.items())
 
 
 # t^2 - 10t + 24 = (t - 4)(t - 6) is positive at t = 1..3 and from t = 7.

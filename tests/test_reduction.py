@@ -368,6 +368,34 @@ def test_one_table_per_t(monkeypatch):
                      "enumeration exceeded the point cap"}
 
 
+def test_crosscheck_rows_start_from_the_family_coins(monkeypatch):
+    # Each row asks PolyFamily.coins for its entries, once, before any
+    # table: the positivity rule of answers is the crosscheck's too.
+    events = []
+    real_coins, real_table = PolyFamily.coins, frobenius.apery_table
+
+    def coins(family, t):
+        events.append(("coins", t))
+        return real_coins(family, t)
+
+    def table(coins, m):
+        events.append(("table", coins.a))
+        return real_table(coins, m)
+
+    monkeypatch.setattr(PolyFamily, "coins", coins)
+    monkeypatch.setattr(frobenius, "apery_table", table)
+    # (t - 4)(t - 6) is 0 or below at t = 4..6, and t shares a factor
+    # with it at t = 2, 3, 8 and 9: a table is built at t = 1 and 7 only.
+    family = fam([U, U**2 - 10 * U + Poly.constant(24)], m=2, l=2)
+    notes = [row.note for row in reduction.crosscheck(family, 0, 9).rows]
+    assert [t for t in range(10) if notes[t] == "entry not positive"] == [
+        0, 4, 5, 6]
+    assert [t for t in range(10) if notes[t] == "entry gcd is not 1"] == [
+        2, 3, 8, 9]
+    assert events == [event for t in range(10) for event in (
+        [("coins", t)] + [("table", family.values(t))] * (t in (1, 7)))]
+
+
 def test_crosscheck_below_t_two_terminates():
     # No power of t grows at t <= 1, so there only the box t^1 is tried.
     family = fam([2 * U + ONE, 3 * U + Poly.constant(2), 5 * U + ONE], m=2, l=2)
