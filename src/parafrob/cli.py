@@ -309,8 +309,8 @@ _RANGE = (("--family", "family_path", _existing_path, _REQUIRED,
           ("--t-min", "t_min", _int, _REQUIRED, "First t."),
           ("--t-max", "t_max", _int, _REQUIRED, "Last t."))
 _POINT_CAP = ("--point-cap", "point_cap", _point_cap, DEFAULT_POINT_CAP,
-              "Work cap per system: search nodes plus points (a sys1 "
-              "projection: kept keys plus nodes plus leaf runs).")
+              "Work cap per search: its nodes plus, per leaf run, 1 to count "
+              "it, the values tried to rank it, or its points to list them.")
 _COMMANDS = {
     "compute": (compute, (
         ("--a", "tuple_text", str, _REQUIRED,

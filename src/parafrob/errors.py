@@ -4,7 +4,7 @@ The CLI maps the exceptions onto exit codes (see cli.py): input problems
 exit 2, resource limits exit 3.
 """
 
-# Default work cap of one lattice search (see pilp._iter_points).
+# Default cap on one search's nodes plus its leaf runs' work (pilp).
 DEFAULT_POINT_CAP = 1_000_000
 
 

@@ -11,8 +11,8 @@ objective (l = None for the size alone), and exclusion_profile the
 feasible set of an exclusion problem (m, sys1, sys2) with the l largest
 values of sys2's objective over it, its sys1 searched by a projection or
 a fiber search, whichever its box bounds smaller, and its sys2 runs cut
-at sys1's full keys. This is the engine behind the pilp and
-crosscheck commands.
+at sys1's full keys. Each search is capped on its nodes plus the work
+each leaf run's consumer reports. This is the engine of pilp and crosscheck.
 """
 
 from heapq import heappush, heapreplace
@@ -162,8 +162,8 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     """Depth-first enumeration over the propagated box of the lattice
     points satisfying all rows. They come in leaf runs, arithmetic
     progressions along the last search level: visit(first, step, length)
-    gets the points first + k * step for k = 0..length-1 at once, step
-    being the same tuple for every run. Returns the work done.
+    gets the points first + k * step, k = 0..length-1, with one step for
+    all runs, and returns its work on them (>= 1). Returns the total work.
 
     The last level is never searched: once every other coordinate is set,
     the tightened range of the last one is exact, so all its values are
@@ -181,9 +181,9 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     step. Otherwise the fiber search takes the kept block first and stops
     each key at m points. project = True or False forces one pass.
 
-    point_cap bounds the work: search nodes entered below the root plus
-    points taken; the projection counts K, for its counts, then search
-    nodes plus leaf runs.
+    point_cap bounds the work: search nodes entered below the root plus,
+    per leaf run, what visit returns (1 in the projection), or 1 at a
+    fiber-search leaf; K <= point_cap bounds the projection's counts.
     """
     n = len(lo)
     # A <= row that holds at every corner of the box never tightens.
@@ -255,14 +255,10 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     work = 0
     found = 0  # points of the current fiber; stays 0 outside fiber mode
 
-    def over_cap():
-        counted = ("kept keys plus search nodes plus leaf runs" if keys
-                   else "search nodes plus lattice points")
-        return ResourceLimitError(
-            f"search exceeded the point cap of {point_cap} ({counted})")
+    over_cap = (f"search exceeded the point cap of {point_cap} "
+                "(search nodes plus the work of each leaf run)")
 
     if keys:
-        work = keys
         # Key k is cell sum_j (k_j - lo_j) * weight[j]. A run moves it by
         # `move` cells a point: it adds its length to one cell, or 1 to every
         # step-th cell from its lowest, x: +1 at x and -1 past its end.
@@ -279,6 +275,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
             counts[x] += 1 if move else length
             if move and x + length * step < keys:
                 counts[x + length * step] -= 1
+            return 1
 
     def rec(i):
         nonlocal work, found
@@ -317,16 +314,15 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
                 return
             take = (hi_i - first) // stride + 1
             if m is not None:
-                take = min(take, m - found)
-                found += take
-            work += 1 if keys else take
-            if work > point_cap:
-                raise over_cap()
-            if m is None:
+                found = min(found + take, m)
+                work += 1
+            else:
                 point[v] = first
                 if i < n - 1:
                     point[y] = (s - ca * first) // cb
-                visit(tuple(point), run_step, take)
+                work += visit(tuple(point), run_step, take)
+            if work > point_cap:
+                raise ResourceLimitError(over_cap)
             return
         point[v] = lo_i
         for r, c in on_level:
@@ -338,7 +334,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
                     psum[r] += c
             work += 1
             if work > point_cap:
-                raise over_cap()
+                raise ResourceLimitError(over_cap)
             rec(i + 1)
             if i == n2 - 1:
                 if found == m:
@@ -388,19 +384,19 @@ class _Ranking:
         self.size = 0
 
     def offer(self, first, step, length):
-        """Take the run first + k * step, k = 0..length-1. The objective is
-        linear along it, so its values are tried from the better end, at
-        most l of them, until one cannot enter the heap."""
+        """Take the run first + k * step, k = 0..length-1. c . x is linear
+        along it, so its values are tried from the better end, at most l,
+        until one cannot enter the heap. Returns how many, 1 if counting."""
         self.size += length
         if not self.l:
-            return
+            return 1
         value = sum(map(mul, self.c, first))
         slope = sum(map(mul, self.c, step))
         if slope > 0:
             value += (length - 1) * slope
             slope = -slope
         heap = self.heap
-        for _ in range(min(length, self.l)):
+        for tried in range(1, min(length, self.l) + 1):
             if len(heap) < self.l:
                 heappush(heap, value)
             elif value > heap[0]:
@@ -408,6 +404,7 @@ class _Ranking:
             else:
                 break
             value += slope
+        return tried
 
     def top(self) -> tuple:
         """The kept values, largest first, padded with BOTTOM to length l."""
@@ -466,7 +463,9 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     _stream(ex.sys1, t, full.add, point_cap, (ex.sys2.n, ex.m))
     kept = []
 
-    def keep(first, step, length):
+    def keep(first, step, length):  # builds each point: its work is length
+        if length > point_cap:
+            return length  # unbuilt: the charge alone stops the search
         points = zip(*(range(a, a + d * length, d) if d else repeat(a, length)
                        for a, d in zip(first, step)))
         for excluded, stretch in groupby(points, full.__contains__):
@@ -474,6 +473,7 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
                 stretch = list(stretch)
                 kept.extend(stretch)
                 ranking.offer(stretch[0], step, len(stretch))
+        return length
 
     _stream(ex.sys2, t, keep, point_cap)
     kept.sort()

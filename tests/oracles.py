@@ -33,13 +33,15 @@ def enumerate_lattice(sys, t: int, point_cap: int = DEFAULT_POINT_CAP) -> tuple:
     """All integer points of the instantiated system, sorted.
 
     Raises InputError when propagation cannot bound every coordinate and
-    ResourceLimitError once search nodes plus points pass point_cap.
+    ResourceLimitError once search nodes plus points pass point_cap: the
+    collector builds each point of a run, so its work is the run length.
     """
     points = []
 
     def collect(first, step, length):
         points.extend(zip(*(range(a, a + d * length, d) if d else repeat(a)
                             for a, d in zip(first, step))))
+        return length
 
     pilp._stream(sys, t, collect, point_cap)
     points.sort()

@@ -555,19 +555,48 @@ def test_crosscheck_gates_rows_on_the_largest_answer(tmp_path):
 
 def test_pilp_point_cap_counts_search_nodes(tmp_path):
     # 2x - 2y is even, so sys1 has no point at all, yet its search does
-    # work: the 1001 keys x of its box do not fit the cap, so the fiber
-    # search runs, and the cap stops it at its 101st search node.
+    # work. Propagation stops at MAX_SWEEPS with x in 100..902: below its
+    # 803 keys the fiber search runs, and it enters the 802 nodes x in
+    # 100..901, each with an empty leaf, so it does 802 work.
     sysfile = tmp_path / "even.txt"
     sysfile.write_text("m: 1\nn1: 1\nn2: 1\nc: 1\nsys1:\n"
                        "row: 2, -2 | == | 1\nrow: 1, 0 | <= | t\n"
                        "row: 0, 1 | <= | t\nsys2:\nrow: 1 | <= | 3\n")
-    res = run("pilp", str(sysfile), "--t", "1000", "--exclusion")
-    assert res.exit_code == 0 and res.output.startswith("size 4\n")
+    for cap in ("1000000", "802"):
+        res = run("pilp", str(sysfile), "--t", "1000", "--exclusion",
+                  "--point-cap", cap)
+        assert res.exit_code == 0 and res.output.startswith("size 4\n")
     res = run("pilp", str(sysfile), "--t", "1000", "--exclusion",
-              "--point-cap", "100")
+              "--point-cap", "801")
     assert res.exit_code == 3
-    assert res.output == ("error: search exceeded the point cap of 100 "
-                          "(search nodes plus lattice points)\n")
+    assert res.output == ("error: search exceeded the point cap of 801 "
+                          "(search nodes plus the work of each leaf run)\n")
+
+
+def test_pilp_knapsack_at_large_t_fits_the_default_cap(tmp_path):
+    # 2x + 3y + 5z <= t: a count search charges its nodes plus 1 per leaf
+    # run, about t^2/15 in all, not its t^3/180 points.
+    sysfile = tmp_path / "knapsack.txt"
+    sysfile.write_text("vars: 3\nnonneg: all\nc: 5, -3, 7\n"
+                       "row: 2, 3, 5 | <= | t\n")
+    for t, count in ((600, 1233271), (2500, 87379598)):
+        assert count == sum((t - 3 * y - 5 * z) // 2 + 1
+                            for z in range(t // 5 + 1)
+                            for y in range((t - 5 * z) // 3 + 1))
+        assert run("pilp", str(sysfile), "--t", str(t), "--count") == (
+            0, f"count {count}\n")
+    assert run("pilp", str(sysfile), "--t", "2500", "--objective", "--l",
+               "3") == (0, "objective 1 6250\nobjective 2 6245\n"
+                           "objective 3 6242\n")
+    # x < y < x: propagation creeps 2 per sweep and stops at MAX_SWEEPS,
+    # so the search of this empty region still passes the cap.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("vars: 2\nnonneg: all\nrow: 1, -1 | <= | -1\n"
+                     "row: -1, 1 | <= | -1\nrow: 1, 1 | <= | t\n")
+    res = run("pilp", str(empty), "--t", "4000000", "--count")
+    assert res.exit_code == 3
+    assert res.output == ("error: search exceeded the point cap of 1000000 "
+                          "(search nodes plus the work of each leaf run)\n")
 
 
 def test_pilp_count_runs_the_fiber_search_where_the_keys_pass_the_cap(

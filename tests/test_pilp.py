@@ -119,20 +119,22 @@ def test_enumerate_point_cap():
 
 
 def test_point_cap_counts_exact_work():
-    # The work is search nodes plus points taken; the cap trips one below it.
+    # The work is search nodes plus each leaf run's work: 1 to count the
+    # run, its length to list its points. The cap trips one below it.
     # a + 2c <= t skips b and d, and b + c + 2d == 2t, the only row on b
-    # (searched last), collapses the last two levels.
+    # (searched last), collapses the last two levels: 274 points in 65
+    # nodes and runs.
     plain = system(4, [
         Row((ONE, ZERO, const(2), ZERO), LE, T),
         Row((ZERO, ONE, ONE, const(2)), EQ, 2 * T),
     ])
-    # README's exclusion example: the projection of sys1 does 22 (11 keys,
-    # 7 nodes and 4 runs), sys2 11.
+    # README's exclusion example: the projection of sys1 does 11 (7 nodes
+    # and 4 runs, its 11 keys uncharged), and sys2 lists its one run of 11.
     sys1, sys2 = example5()
     ex = ExclusionProblem(1, sys1, sys2)
     for run, work in [
-        (lambda cap: pilp.lattice_profile(plain, 9, None, cap), 309),
-        (lambda cap: pilp.exclusion_profile(ex, 10, 1, cap), 22),
+        (lambda cap: pilp.lattice_profile(plain, 9, None, cap), 65),
+        (lambda cap: pilp.exclusion_profile(ex, 10, 1, cap), 11),
     ]:
         run(work)
         with pytest.raises(ResourceLimitError):
@@ -381,6 +383,84 @@ def test_both_sys1_passes_match_brute_fibers(ex):
     want = brute_full(ex, 0)
     assert full_keys(ex, 0, True) == want
     assert full_keys(ex, 0, False) == want
+
+
+CAP_MESSAGE = (r"^search exceeded the point cap of -?\d+ "
+               r"\(search nodes plus the work of each leaf run\)$")
+
+
+def search_work(sys, t, visit, point_cap, fiber=None, project=None):
+    """The work _iter_points reports for one search of sys at t; 0 where
+    propagation proves the region empty."""
+    box = pilp.propagated_box(sys, t)
+    if box is None:
+        return 0
+    return pilp._iter_points(pilp._instantiate(sys, t), *box, visit,
+                             point_cap, fiber, project)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ranked_systems(), st.integers(1, 40), exclusion_problems())
+def test_the_work_meter_is_exact_in_every_mode(sys_c, l, ex):
+    # Per mode, a fresh consumer per search: the work W it reports fits a
+    # cap of W and trips W - 1 with the one message. W less the leaf runs'
+    # work is the search nodes, the same whatever consumes the runs.
+    sys, _ = sys_c
+
+    def recorded(visit, charges):
+        def record(*run):
+            charges.append(visit(*run))
+            return charges[-1]
+        return record
+
+    def listing(first, step, length):
+        return length
+
+    consumers = (lambda: pilp._Ranking(sys.c, 0, None, 10**6).offer,  # count
+                 lambda: pilp._Ranking(sys.c, 0, l, 10**6).offer,  # rank
+                 lambda: listing)
+    nodes = set()
+    for make in consumers:
+        charges = []
+        work = search_work(sys, 0, recorded(make(), charges), 10**6)
+        assert all(charge >= 1 for charge in charges)
+        nodes.add(work - sum(charges))
+        assert search_work(sys, 0, make(), work) == work
+        if work:
+            with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+                search_work(sys, 0, make(), work - 1)
+    assert len(nodes) == 1
+    # The projection is sys1's count search, each run credited for 1, and
+    # its K keys are not charged.
+    fiber = (ex.sys2.n, ex.m)
+    count = pilp._Ranking((), 0, None, 10**6).offer
+    assert search_work(ex.sys1, 0, set().add, 10**6, fiber, True) == (
+        search_work(ex.sys1, 0, count, 10**6))
+    for project in (True, False):
+        work = search_work(ex.sys1, 0, set().add, 10**6, fiber, project)
+        assert search_work(ex.sys1, 0, set().add, work, fiber, project) == work
+        if work:
+            with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+                search_work(ex.sys1, 0, set().add, work - 1, fiber, project)
+
+
+def test_offer_reports_the_values_tried():
+    # Counting a run is 1. Ranking tries values from the better end until
+    # one cannot enter the heap, at most l of them.
+    assert pilp._Ranking((), 0, None, 10).offer((0,), (1,), 9) == 1
+    ranking = pilp._Ranking((ONE,), 0, 2, 10)
+    assert ranking.offer((0,), (1,), 9) == 2  # 8 and 7 enter
+    assert ranking.offer((0,), (1,), 1) == 1  # 0 does not
+    assert ranking.offer((0,), (2,), 5) == 2  # 8 enters, 6 does not
+    assert ranking.top() == (8, 8)
+
+
+def test_exclusion_listing_charges_a_run_over_the_cap_unbuilt():
+    # sys2's one run 0..10^12 is charged its length without its points
+    # being built, so the cap stops the listing at once.
+    ex = ExclusionProblem(1, boxed_system([0, 0], []), seg())
+    with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
+        pilp.exclusion_profile(ex, 10**12, None)
 
 
 def test_exclusion_ranks_the_kept_stretches_of_a_run(monkeypatch):

@@ -351,11 +351,13 @@ def test_one_table_per_t(monkeypatch):
     assert built == [(t, t - 1) for t in range(2, 11)]
     # One table per row with positive entries of gcd 1: the row reads its
     # box from the table; rows skipped for positivity or gcd build none.
+    # The last family's t^4 box at t = 4 fits a cap of 256, but its search
+    # does 267 work, so that row's enumeration stops.
     notes = set()
     for case, point_cap in ((family, 150),
                             (fam([U, U + Poly.constant(2)]), 10**6),
                             (fam([2 * U + ONE, 3 * U + Poly.constant(2),
-                                  5 * U + ONE], m=2, l=2), 10**6)):
+                                  5 * U + ONE], m=2, l=2), 256)):
         built.clear()
         report = reduction.crosscheck(case, 1, 10, point_cap)
         notes |= {row.note.split(",")[0] for row in report.rows}
@@ -550,8 +552,8 @@ def test_crosscheck_skips_when_box_over_cap():
 def test_crosscheck_fibers_stop_at_m():
     # In the t^4 box at t = 7 the exclusion system sys1 of this family has
     # 114030 points, far above the cap, but its search never takes them one
-    # by one: the projection does 2399 keys + 1011 nodes + 972 runs = 4382
-    # work, and the fiber search stops each fiber at m points. (crosscheck
+    # by one: the projection does 1011 nodes + 972 runs = 1983 work, and
+    # the fiber search stops each fiber at m points. (crosscheck
     # runs this row in its own box, t^3, where sys1 has 487 points.)
     family = fam([U, U**2 + ONE, U**2 + 2 * U - ONE], m=2, l=2)
     r = reduction.box_exponent(family)
@@ -567,16 +569,16 @@ def test_crosscheck_fibers_stop_at_m():
 
 def test_crosscheck_sys1_takes_the_projection(monkeypatch):
     # The crosscheck benchmark's seed-1 family. Each row's search above the
-    # leaf is smaller than its kept box, so sys1 takes the projection: 1595
-    # work over t = 3..8, where the fiber search takes 5728. Each row's work
-    # is exact: the cap trips one below it, on the projection's quantities.
+    # leaf is smaller than its kept box, so sys1 takes the projection: 266
+    # work over t = 3..8, where the fiber search takes 5688. Each row's work
+    # is exact: the cap trips one below it, with the one cap message.
     works = []
     real = pilp._iter_points
 
     def recording(rows, lo, hi, visit, point_cap, fiber=None):
         work = real(rows, lo, hi, visit, point_cap, fiber)
         if fiber:
-            with pytest.raises(ResourceLimitError, match="kept keys plus"):
+            with pytest.raises(ResourceLimitError, match="nodes plus the work of each"):
                 real(rows, lo, hi, set().add, work - 1, fiber)
             fibers = real(rows, lo, hi, set().add, point_cap, fiber, False)
             works.append((work, fibers))
@@ -587,7 +589,7 @@ def test_crosscheck_sys1_takes_the_projection(monkeypatch):
     report = reduction.crosscheck(family, 3, 8)
     assert report.checked == 6 and report.ok
     assert len(works) == 6
-    assert [sum(column) for column in zip(*works)] == [1595, 5728]
+    assert [sum(column) for column in zip(*works)] == [266, 5688]
 
 
 def test_crosscheck_mixed_degree_family_reports_no_diff():
