@@ -148,31 +148,6 @@ class Poly:
             result = result * self
         return result
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by u^k."""
-        if self.is_zero():
-            return self
-        return Poly((0,) * k + self.coeffs)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Substitute ``inner`` for the variable."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
-
-    def __divmod__(self, other: "Poly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quo = Poly()
-        rem = self
-        while not rem.is_zero() and rem.degree >= other.degree:
-            c = _divide(rem.leading_coefficient, other.leading_coefficient)
-            term = Poly.constant(c).shift(rem.degree - other.degree)
-            quo = quo + term
-            rem = rem - term * other
-        return quo, rem
-
     @staticmethod
     def _coerce(value) -> "Poly":
         if isinstance(value, Poly):

@@ -4,17 +4,19 @@ A family is a tuple of integer-valued, eventually-positive polynomials
 together with the multiplicity bound m and rank l. ``PolyFamily.coins(t)``
 gives its entries at a t where all are positive, as its answers need, and
 both the direct path ``PolyFamily.answers`` and each crosscheck row start
-from it. This module reduces a family by its gcd along residue classes,
-derives from Schur's bound on the Frobenius number the exponent r of a box
-[0, t^r) that eventually holds all answers, constructs the equivalent
-projection-exclusion problem, and cross-validates the two paths against
-each other, each t in the smallest box that holds its answers.
+from it. This module derives from Schur's bound on the Frobenius number
+the exponent r of a box [0, t^r) that eventually holds all answers,
+constructs the equivalent projection-exclusion problem, and
+cross-validates the two paths against each other at each t: on that t's
+entries divided by their gcd, in the smallest box that holds their
+answers. F_{m,l} of the entries is their gcd times that of the quotients,
+and G_m of both is the same.
 """
 
 from . import frobenius
 from .errors import DEFAULT_POINT_CAP, InputError, ResourceLimitError, frozen
 from .frobenius import Coins
-from .qpoly import BOTTOM, Poly, QuasiPolynomial, eventually_positive
+from .qpoly import BOTTOM, Poly, eventually_positive
 
 
 @frozen
@@ -59,38 +61,6 @@ class PolyFamily:
         return table.frobenius(self.m, self.l), table.genus(self.m)
 
 
-def reduce_by_gcd(fam: PolyFamily, gcd_fit: QuasiPolynomial,
-                  residue: int) -> PolyFamily:
-    """The family along t = residue + s*d, divided by the fitted gcd.
-
-    d is the fitted period; the result is a family in the variable s whose
-    entry gcd is eventually 1 along the class. Exact polynomial division
-    with an integer-valued quotient is required; anything else means the
-    fit was not the true gcd and raises InputError.
-    """
-    d = gcd_fit.period
-    if not 0 <= residue < d:
-        raise InputError("residue must lie in [0, period)")
-    divisor = gcd_fit.components[residue]
-    if divisor is BOTTOM:
-        raise InputError("gcd fit has a -inf component; not a gcd")
-    substitution = Poly((residue, d))  # t = residue + d*s
-    divisor_s = divisor.compose(substitution)
-    reduced = []
-    for p in fam.polys:
-        quo, rem = divmod(p.compose(substitution), divisor_s)
-        if not rem.is_zero():
-            raise InputError(
-                "fitted gcd does not divide the family symbolically"
-            )
-        if not quo.is_integer_valued():
-            raise InputError(
-                "quotient is not integer-valued; fitted gcd too small"
-            )
-        reduced.append(quo)
-    return PolyFamily(tuple(reduced), fam.m, fam.l)
-
-
 def window_bound_poly(fam: PolyFamily) -> Poly:
     """l + frobenius.window_end over the entries in eventual order.
 
@@ -107,8 +77,8 @@ def box_exponent(fam: PolyFamily) -> int:
     """Smallest r with the window bound eventually below t^r.
 
     Ties at equal degree resolve upward: t^r must strictly dominate the
-    bound for large t. Intended for families whose entry gcd is eventually
-    1 (reduce first).
+    bound for large t. Intended for families whose entry gcd is
+    eventually 1.
     """
     bound = window_bound_poly(fam)
     r = 1
@@ -155,17 +125,18 @@ SKIPPED = "SKIPPED"
 class CrosscheckRow:
     """One t of the exclusion-path versus direct-path comparison.
 
-    f columns both show the family's l-th answer (the exclusion value is
-    shifted back by -l). g columns show the raw feasible-set size next to
-    the direct count plus l, the quantity claimed equal to it; any gap
-    between them is reported as-is, never adjusted away. (For m >= 2 the
-    feasible set also contains the value 0, which the direct count does
-    not, so a constant gap of 1 is the expected outcome there.)
+    f columns both show the family's l-th answer (the exclusion value, on
+    the entries divided by their gcd g, is shifted back by -l and scaled
+    by g). g columns show the raw feasible-set size next to the direct
+    count plus l, the quantity claimed equal to it; any gap between them
+    is reported as-is, never adjusted away. (For m >= 2 the feasible set
+    also contains the value 0, which the direct count does not, so a
+    constant gap of 1 is the expected outcome there.)
     A row with no f_direct was skipped, and ``note`` says why.
     """
 
     t: int
-    f_exclusion: object  # l-th answer via exclusion, shifted by -l
+    f_exclusion: object  # l-th answer via exclusion, shifted by -l, times g
     f_direct: int | None
     g_exclusion: int | None  # raw feasible-set size
     g_direct: int | None  # direct count plus l
@@ -213,21 +184,20 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
                point_cap: int = DEFAULT_POINT_CAP) -> CrosscheckReport:
     """Compare exclusion-path and direct-path answers on a t window.
 
-    Each row reads l plus the largest answer, F_{m,1}(t) + l, from the
-    direct path's residue table and runs the exclusion construction in the
-    smallest box [0, t^r) that holds it, where the construction is exact;
-    rows that share r share one construction. At small t that r may lie
-    above box_exponent, which Schur's bound proves only eventually.
+    Each row divides that t's entries by their gcd g and runs the exclusion
+    construction on the quotients, as constants, in the smallest box
+    [0, t^r) that holds l plus their largest answer, F_{m,1}(t) / g + l,
+    read from the direct path's residue table; there the construction is
+    exact, and g times its l-th answer is the family's. At small t that r
+    may lie above box_exponent, which Schur's bound proves only eventually.
     Rows are SKIPPED (with the reason) where an entry is nonpositive, the
-    entry gcd is not 1, the residue table hits its limit, t < 2 and no box
-    t^1 holds the answer, the box is too large for the point cap, or the
-    enumeration hits its limit.
+    residue table hits its limit, t < 2 and no box t^1 holds the answer,
+    the box is too large for the point cap, or the enumeration hits its
+    limit.
     """
     if t_min > t_max:
         raise InputError("empty t range")
     from . import pilp
-
-    problems = {}  # r -> frobenius_to_exclusion(fam, r)
 
     def skipped(t, note, r=None):
         return CrosscheckRow(t, None, None, None, None, note, r)
@@ -237,13 +207,12 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             coins = fam.coins(t)
         except InputError:
             return skipped(t, "entry not positive")
-        if coins.g != 1:
-            return skipped(t, "entry gcd is not 1")
         try:
             table = frobenius.apery_table(coins, fam.m)
         except ResourceLimitError as exc:
             return skipped(t, str(exc))
-        largest = table.frobenius(fam.m, 1) + fam.l
+        g = coins.g
+        largest = table.frobenius(fam.m, 1) // g + fam.l
         r = 1
         while t >= 2 and largest >= t**r:
             r += 1
@@ -252,17 +221,17 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
                               f"{largest}, at t < 2")
         if t**r > point_cap:
             return skipped(t, f"box size t^{r} exceeds the point cap", r)
-        if r not in problems:
-            problems[r] = frobenius_to_exclusion(fam, r)
+        reduced = PolyFamily(tuple(Poly.constant(a // g) for a in coins.a),
+                             fam.m, fam.l)
         try:
-            feasible, top = pilp.exclusion_profile(problems[r], t, fam.l,
-                                                   point_cap)
+            feasible, top = pilp.exclusion_profile(
+                frobenius_to_exclusion(reduced, r), t, fam.l, point_cap)
         except ResourceLimitError:
             return skipped(t, "enumeration exceeded the point cap", r)
 
         f_val = top[fam.l - 1]
-        f_shifted = f_val - fam.l if f_val is not BOTTOM else BOTTOM
-        return CrosscheckRow(t, f_shifted, table.frobenius(fam.m, fam.l),
+        f_scaled = g * (f_val - fam.l) if f_val is not BOTTOM else BOTTOM
+        return CrosscheckRow(t, f_scaled, table.frobenius(fam.m, fam.l),
                              len(feasible), table.genus(fam.m) + fam.l, r=r)
 
     return CrosscheckReport(tuple(row(t) for t in range(t_min, t_max + 1)))

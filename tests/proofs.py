@@ -59,7 +59,7 @@ def digit_encode(x, t: int, r: int) -> tuple:
 
 def _digit_weighted(polys, r: int) -> tuple:
     """Each polynomial times u^j for digit j = 0..r-1, in digit order."""
-    return tuple(p.shift(j) for p in polys for j in range(r))
+    return tuple(p * Poly.variable() ** j for p in polys for j in range(r))
 
 
 def digit_transform(sys: ParametricConstraintSystem, r: int) -> ParametricConstraintSystem:

@@ -510,15 +510,27 @@ def test_crosscheck_skip_over_point_cap(tmp_path):
     assert "SKIPPED" in res.output
 
 
+UNPOSITIVE_FAMILY = "poly: t - 10\npoly: t + 1\nm: 1\nl: 1\n"
+
+
 def test_crosscheck_all_skipped_window_is_unchecked(tmp_path):
-    # The entries 2t and 2t + 2 share the factor 2 at every t, so every
-    # row is skipped: nothing was compared, which is no mismatch.
+    # The entries 2t and 2t + 2 share the factor 2 at every t; each row
+    # divides it out, so this window is checked, not skipped.
     fam = tmp_path / "fam.txt"
     fam.write_text("poly: 2t\npoly: 2t + 2\nm: 1\nl: 1\n")
-    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
-              "--t-max", "6", "--format", "machine")
+    args = ("crosscheck", "--family", str(fam), "--t-min", "2", "--t-max",
+            "6", "--format", "machine")
+    res = run(*args)
+    assert res.exit_code == 0
+    assert "SKIPPED" not in res.output
+    assert res.output.splitlines()[-4:] == [
+        "checked 5", "f_all_equal True", "g_offsets 0", "verdict OK"]
+    # The entry t - 10 is not positive at any t of 2..6, so every row is
+    # skipped: nothing was compared, which is no mismatch.
+    fam.write_text(UNPOSITIVE_FAMILY)
+    res = run(*args)
     assert res.exit_code == 5
-    assert res.output.count("SKIPPED (entry gcd is not 1)") == 5
+    assert res.output.count("SKIPPED (entry not positive)") == 5
     assert res.output.splitlines()[-4:] == [
         "checked 0", "f_all_equal True", "g_offsets -", "verdict UNCHECKED"]
 
@@ -1207,7 +1219,7 @@ def test_crosscheck_table_header(tmp_path):
 def test_inject_mismatch_on_all_skipped_window_stays_unchecked(tmp_path):
     # No row is checked, so there is no row to corrupt.
     fam = tmp_path / "fam.txt"
-    fam.write_text("poly: 2t\npoly: 2t + 2\nm: 1\nl: 1\n")
+    fam.write_text(UNPOSITIVE_FAMILY)
     res = run("crosscheck", "--family", str(fam), "--t-min", "2",
               "--t-max", "6", "--inject-mismatch", "--format", "machine")
     assert res.exit_code == 5
@@ -1220,7 +1232,7 @@ def test_inject_mismatch_always_makes_a_diff(f_exclusion):
     # DIFF even where its exclusion value was 8 already; no other row moves.
     row = reduction.CrosscheckRow
     report = reduction.CrosscheckReport((
-        row(2, None, None, None, None, "entry gcd is not 1"),
+        row(2, None, None, None, None, "entry not positive"),
         row(3, f_exclusion, 7, 4, 4, r=2), row(4, 9, 9, 6, 6, r=2)))
     corrupted = cli._corrupt(report)
     rows = corrupted.rows
@@ -1261,7 +1273,7 @@ row: 1 | <= | t
     (("compute", "--a", "3,5", "--m", "99999999"), 3),
     (("crosscheck", "--family", "fam.txt", "--t-min", "2", "--t-max", "6",
       "--inject-mismatch"), 4),
-    (("crosscheck", "--family", "gcd.txt", "--t-min", "2", "--t-max", "4",
+    (("crosscheck", "--family", "dip.txt", "--t-min", "2", "--t-max", "4",
       "--format", "machine"), 5),
     (("--help",), 0),
     (("compute", "--bogus"), 2),
@@ -1270,7 +1282,7 @@ row: 1 | <= | t
 def test_process_matches_in_process(tmp_path, monkeypatch, args, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fam.txt").write_text(FAMILY_U_UM1)
-    (tmp_path / "gcd.txt").write_text("poly: 2t\npoly: 2t + 2\nm: 1\nl: 1\n")
+    (tmp_path / "dip.txt").write_text(UNPOSITIVE_FAMILY)
     argv, env = cli_process(*args)
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
     got, out, err = run_split(*args)

@@ -1,4 +1,4 @@
-"""Family pipeline: positivity, gcd reduction, box exponent, crosscheck."""
+"""Family pipeline: positivity, gcd scaling, box exponent, crosscheck."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from parafrob import eqpfit, frobenius, pilp, reduction
 from parafrob.errors import InputError, ResourceLimitError
 from parafrob.frobenius import Coins
-from parafrob.qpoly import BOTTOM, Poly, QuasiPolynomial
+from parafrob.qpoly import BOTTOM, Poly
 from parafrob.reduction import PolyFamily
 from windows import qualifying_bound
 
@@ -55,70 +55,24 @@ def test_invalid_family_is_an_input_error(polys, m, l, message):
     assert str(info.value) == message
 
 
-def fit_gcd(family, t_min=None, t_max=40, **kw):
-    t_min = t_min if t_min is not None else oracles.positivity_start(family)
-    series = eqpfit.SampleSeries(t_min, tuple(
-        gcd(*family.values(t)) for t in range(t_min, t_max + 1)))
-    res = eqpfit.fit_quasipolynomial(series, d_max=4, deg_max=2)
-    assert isinstance(res, eqpfit.Fit)
-    return res.qp
-
-
-def test_reduce_by_gcd_even_odd():
-    family = fam([U, U + Poly.constant(2)])
-    qp = fit_gcd(family)
-    assert qp.period == 2
-    even = reduction.reduce_by_gcd(family, qp, 0)
-    assert even.polys == (U, U + Poly.constant(1))
-    odd = reduction.reduce_by_gcd(family, qp, 1)
-    assert odd.polys == (2 * U + Poly.constant(1), 2 * U + Poly.constant(3))
-
-
-def test_reduce_by_gcd_trivial_gcd_is_substitution():
-    family = fam([U, U + Poly.constant(1)])
-    qp = fit_gcd(family)
-    assert qp.period == 1
-    red = reduction.reduce_by_gcd(family, qp, 0)
-    # t = 0 + 1*s: unchanged
-    assert red.polys == family.polys
-
-
-def test_reduce_by_gcd_polynomial_divisor():
-    family = fam([2 * U, 4 * U])
-    qp = fit_gcd(family)
-    red = reduction.reduce_by_gcd(family, qp, 0)
-    assert red.polys == (Poly.constant(1), Poly.constant(2))
-
-
-def test_reduce_by_gcd_rejects_wrong_divisor():
-    family = fam([U, U + Poly.constant(2)])
-    wrong = QuasiPolynomial((Poly.constant(2),), 0)
-    with pytest.raises(InputError, match="quotient is not integer-valued; "
-                                         "fitted gcd too small"):
-        reduction.reduce_by_gcd(family, wrong, 0)
-    with pytest.raises(InputError):
-        reduction.reduce_by_gcd(family, QuasiPolynomial((BOTTOM,), 0), 0)
-    with pytest.raises(InputError, match="^fitted gcd does not divide the "
-                                         "family symbolically$"):
-        reduction.reduce_by_gcd(family, QuasiPolynomial((U,), 0), 0)
-    with pytest.raises(InputError, match=r"^residue must lie in \[0, "
-                                         r"period\)$"):
-        reduction.reduce_by_gcd(family, fit_gcd(family), 2)
-
-
 def test_reduction_identity_numerically():
-    # F_{m,l}(P(t)) = h(t) * F_{m,l}(P(t)/h(t)) along each residue class.
-    family = fam([U, U + Poly.constant(2)], m=2, l=2)
-    qp = fit_gcd(family)
-    for residue in (0, 1):
-        red = reduction.reduce_by_gcd(family, qp, residue)
-        for s in range(3, 12):
-            t = residue + qp.period * s
-            h = gcd(*family.values(t))
-            whole = frobenius.apery_table(Coins(family.values(t)), 2)
-            part = frobenius.apery_table(Coins(red.values(s)), 2)
-            assert whole.frobenius(2, 2) == h * part.frobenius(2, 2)
-            assert whole.genus(2) == part.genus(2)
+    # F_{m,l}(a) = g * F_{m,l}(a / g) and G_m(a) = G_m(a / g) at each t,
+    # g the entries' gcd: the crosscheck's scaling rests on this.
+    for family in (fam([U, U + Poly.constant(2)], m=2, l=2),
+                   fam([2 * U, 2 * U + 2 * ONE, 3 * U + ONE], m=2, l=3),
+                   fam([6 * U + 3 * ONE, 4 * U**2 + 2 * ONE], m=3, l=2)):
+        gcds = set()
+        for t in range(1, 16):
+            coins = family.coins(t)
+            g = coins.g
+            gcds.add(g)
+            whole = frobenius.apery_table(coins, family.m)
+            part = frobenius.apery_table(
+                Coins(tuple(a // g for a in coins.a)), family.m)
+            assert (whole.frobenius(family.m, family.l)
+                    == g * part.frobenius(family.m, family.l)), (family, t)
+            assert whole.genus(family.m) == part.genus(family.m), (family, t)
+        assert max(gcds) > 1, family
 
 
 MIXED5 = (U, 2 * U**2 + ONE, 2 * U**2 + U, 2 * U**2 + 2 * U, 2 * U**2 + 3 * U)
@@ -218,6 +172,45 @@ def test_series_and_crosscheck_share_one_positivity_rule(family):
         answers = family.answers(row.t)
         if row.status != reduction.SKIPPED:
             assert (row.f_direct, row.g_direct - family.l) == answers
+
+
+@st.composite
+def common_factor_families(draw):
+    """k * (P_1, ..., P_n) with k in 2..4 and P_i of degree 1 or 2, all
+    positive from t = 1 on, and half the time one more entry Q = c + d*t,
+    not scaled, so that the gcd varies with t as it does for (2t, 2t + 2,
+    3t + 1); m, l <= 2."""
+    def entry():
+        coeffs = [draw(st.integers(0, 3))]
+        if draw(st.booleans()):
+            coeffs.append(draw(st.integers(0, 2)))
+        return Poly(coeffs + [draw(st.integers(1, 2))])
+
+    k = draw(st.integers(2, 4))
+    polys = [k * entry() for _ in range(draw(st.integers(2, 3)))]
+    if draw(st.booleans()):
+        polys.append(Poly((draw(st.integers(0, 3)), draw(st.integers(1, 3)))))
+    return fam(polys, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(common_factor_families(), st.integers(1, 4))
+def test_crosscheck_checks_rows_whatever_their_gcd(family, t_min):
+    # No row is skipped for its gcd: every row is checked, save where a cap
+    # or t < 2 stops it, and its F is g times that of the entries over g.
+    report = reduction.crosscheck(family, t_min, t_min + 4, point_cap=20_000)
+    assert report.ok, report
+    for row in report.rows:
+        if row.status == reduction.SKIPPED:
+            assert row.note.startswith((
+                "box size t^", "enumeration exceeded the point cap",
+                "no box t^r holds")), row
+            continue
+        coins = family.coins(row.t)
+        reduced = frobenius.apery_table(
+            Coins(tuple(a // coins.g for a in coins.a)), family.m)
+        assert row.f_exclusion == row.f_direct == coins.g * reduced.frobenius(
+            family.m, family.l), row
 
 
 def test_direct_series_stays_inside_cubic_box():
@@ -330,9 +323,8 @@ def test_exclusion_path_past_the_fitted_window(polys, m, t_max):
     assert all(isinstance(res, eqpfit.Fit) for res in fits)
     f_fit, g_fit = (res.qp for res in fits)
     report = reduction.crosscheck(family, 51, t_max)
-    checked = [row for row in report.rows if row.status != reduction.SKIPPED]
-    assert len(checked) == 3
-    for row in checked:
+    assert report.checked == t_max - 50  # every row, its gcd whatever it is
+    for row in report.rows:
         assert row.f_exclusion == f_fit.eval(row.t)
         assert row.g_exclusion - g_fit.eval(row.t) == family.l + (m >= 2)
 
@@ -349,8 +341,8 @@ def test_one_table_per_t(monkeypatch):
     family = fam([U, U - Poly.constant(1)], m=2, l=2)
     oracles.direct_series(family, 2, 10)
     assert built == [(t, t - 1) for t in range(2, 11)]
-    # One table per row with positive entries of gcd 1: the row reads its
-    # box from the table; rows skipped for positivity or gcd build none.
+    # One table per row with positive entries, whatever their gcd: the row
+    # reads its box from the table; rows skipped for positivity build none.
     # The last family's t^4 box at t = 4 fits a cap of 256, but its search
     # does 267 work, so that row's enumeration stops.
     notes = set()
@@ -361,10 +353,10 @@ def test_one_table_per_t(monkeypatch):
         built.clear()
         report = reduction.crosscheck(case, 1, 10, point_cap)
         notes |= {row.note.split(",")[0] for row in report.rows}
-        gated = [row for row in report.rows if not row.note.startswith(
-            ("entry not positive", "entry gcd"))]
+        gated = [row for row in report.rows
+                 if row.note != "entry not positive"]
         assert built == [case.values(row.t) for row in gated]
-    assert notes == {"", "entry not positive", "entry gcd is not 1",
+    assert notes == {"", "entry not positive",
                      "box size t^3 exceeds the point cap",
                      "no box t^r holds the largest answer plus l",
                      "enumeration exceeded the point cap"}
@@ -386,16 +378,19 @@ def test_crosscheck_rows_start_from_the_family_coins(monkeypatch):
 
     monkeypatch.setattr(PolyFamily, "coins", coins)
     monkeypatch.setattr(frobenius, "apery_table", table)
-    # (t - 4)(t - 6) is 0 or below at t = 4..6, and t shares a factor
-    # with it at t = 2, 3, 8 and 9: a table is built at t = 1 and 7 only.
+    # (t - 4)(t - 6) is 0 or below at t = 4..6, and t is 0 at t = 0; t
+    # shares a factor with it at t = 2, 3, 8 and 9, which are checked all
+    # the same: a table is built at t = 1, 2, 3, 7, 8 and 9, and every
+    # row but t = 1, which no box t^1 holds, is checked.
     family = fam([U, U**2 - 10 * U + Poly.constant(24)], m=2, l=2)
-    notes = [row.note for row in reduction.crosscheck(family, 0, 9).rows]
+    report = reduction.crosscheck(family, 0, 9)
+    notes = [row.note for row in report.rows]
     assert [t for t in range(10) if notes[t] == "entry not positive"] == [
         0, 4, 5, 6]
-    assert [t for t in range(10) if notes[t] == "entry gcd is not 1"] == [
-        2, 3, 8, 9]
+    assert report.checked == 5 and report.ok
     assert events == [event for t in range(10) for event in (
-        [("coins", t)] + [("table", family.values(t))] * (t in (1, 7)))]
+        [("coins", t)] + [("table", family.values(t))] * (t in (1, 2, 3, 7,
+                                                                8, 9)))]
 
 
 def test_crosscheck_below_t_two_terminates():
@@ -485,7 +480,7 @@ def test_crosscheck_classifies_a_wrong_exclusion_row(tmp_path, monkeypatch,
 
 def test_crosscheck_report_totals_come_from_rows():
     row = reduction.CrosscheckRow
-    skipped = row(2, None, None, None, None, "entry gcd")
+    skipped = row(2, None, None, None, None, "entry not positive")
     equal = row(3, 5, 5, 8, 8)
     offset = row(4, 9, 9, 13, 12)
     diff = row(5, 11, 12, 15, 15)
@@ -530,11 +525,14 @@ def test_crosscheck_reports_constant_g_offset_for_higher_m():
 
 
 def test_crosscheck_skips_below_validity():
-    family = fam([U, U + Poly.constant(2)])  # gcd 2 on even t: skipped rows
+    # gcd 2 on even t puts no row below validity: each row divides its
+    # entries by their gcd, so all 10 are checked.
+    family = fam([U, U + Poly.constant(2)])
     report = reduction.crosscheck(family, 3, 12)
-    skipped = [row for row in report.rows if row.status == reduction.SKIPPED]
-    assert any("gcd" in row.note for row in skipped)
-    assert report.checked == len([t for t in range(3, 13) if t % 2 == 1])
+    assert report.checked == 10 and report.ok
+    for row in report.rows[1::2]:  # t = 4, 6, ..., 12: 2 * F(s, s + 1)
+        s = row.t // 2
+        assert row.f_exclusion == 2 * (s * s - s - 1), row
 
 
 def test_crosscheck_skips_when_box_over_cap():

@@ -29,8 +29,7 @@ LIBRARY_SURFACE = {
               "eventually_positive"},
     "reduction": {"CrosscheckReport", "CrosscheckRow", "DIFF", "EQUAL",
                   "G_OFFSET", "PolyFamily", "SKIPPED", "box_exponent",
-                  "crosscheck", "frobenius_to_exclusion", "reduce_by_gcd",
-                  "window_bound_poly"},
+                  "crosscheck", "frobenius_to_exclusion", "window_bound_poly"},
 }
 
 
@@ -59,9 +58,6 @@ def test_library_surface_is_pinned():
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# Names that stay public with no caller yet: the crosscheck of the gcd
-# classes (ROADMAP item 2) is to use it.
-AWAITING_CALLERS = {"reduce_by_gcd"}
 
 
 def referenced_names(paths) -> set:
@@ -84,4 +80,4 @@ def test_every_public_name_has_a_caller_that_ships():
     used = referenced_names(shipped)
     unused = {name for surface in LIBRARY_SURFACE.values() for name in surface
               if name not in used}
-    assert unused == AWAITING_CALLERS
+    assert unused == set()
