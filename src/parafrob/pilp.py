@@ -12,7 +12,9 @@ feasible set of an exclusion problem (m, sys1, sys2) with the l largest
 values of sys2's objective over it, its sys1 searched by a projection or
 a fiber search, whichever its box bounds smaller, and its sys2 runs cut
 at sys1's full keys. Each search is capped on its nodes plus the work
-each leaf run's consumer reports. This is the engine of pilp and crosscheck.
+each leaf run's consumer reports. Propagation and search read the rows by
+one rule, _halves: coeffs . x <= rhs, an equality as two such halves.
+This is the engine of pilp and crosscheck.
 """
 
 from heapq import heappush, heapreplace
@@ -84,24 +86,31 @@ def _instantiate(sys: ParametricConstraintSystem, t: int):
             for row in sys.rows]
 
 
+def _halves(rows):
+    """The instantiated rows as (coeffs, rhs), each read coeffs . x <= rhs:
+    an equality as the row itself and then its negation."""
+    return [(tuple(s * c for c in coeffs), s * rhs)
+            for coeffs, sense, rhs in rows
+            for s in ((1, -1) if sense == EQ else (1,))]
+
+
 def _propagate(rows, nonneg):
     """Iterated single-row interval tightening to a fixpoint.
 
-    Each row is read as terms . x <= rhs over its nonzero terms (k, c), an
-    equality as that row and its negation. Its slack is rhs less the least
-    values of its terms bounded below. With two terms unbounded below the
-    row says nothing; with one, that term is at most the slack; with none,
-    each term is at most the slack plus its least value, and a negative
-    slack (a row with no terms and rhs < 0, say) proves the region empty.
+    Each of the rows' _halves is read as terms . x <= rhs over its nonzero
+    terms (k, c). Its slack is rhs less the least values of its terms
+    bounded below. With two terms unbounded below the row says nothing;
+    with one, that term is at most the slack; with none, each term is at
+    most the slack plus its least value, and a negative slack (a row with
+    no terms and rhs < 0, say) proves the region empty.
 
     Returns (lo, hi) integer bound lists, None when the region is proven
     empty; raises InputError if a coordinate is unbounded after MAX_SWEEPS.
     """
     lo = [0 if flag else None for flag in nonneg]
     hi = [None] * len(nonneg)
-    les = [([(k, s * c) for k, c in enumerate(coeffs) if c], s * rhs)
-           for coeffs, sense, rhs in rows
-           for s in ((1, -1) if sense == EQ else (1,))]
+    les = [([(k, c) for k, c in enumerate(coeffs) if c], rhs)
+           for coeffs, rhs in _halves(rows)]
 
     for _ in range(MAX_SWEEPS):
         box = lo + hi
@@ -183,7 +192,9 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
 
     point_cap bounds the work: search nodes entered below the root plus,
     per leaf run, what visit returns (1 in the projection), or 1 at a
-    fiber-search leaf; K <= point_cap bounds the projection's counts.
+    fiber-search leaf. After its search the projection scans all K cells,
+    accumulating each chain and testing every key, uncharged: K <=
+    point_cap is what bounds that scan.
     """
     n = len(lo)
     # A <= row that holds at every corner of the box never tightens.
@@ -204,44 +215,33 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
             order = _search_order(lo, hi, n2)
             leaf = _leaf(rows, order, n2)
 
-    # Per-row data in search order: coefficients, suffix min/max of the
-    # still-unassigned terms, running partial sums.
-    coeffs = [[row[0][v] for v in order] for row in rows]
-    senses = [row[1] for row in rows]
-    rhss = [row[2] for row in rows]
-    nrows = len(rows)
-    sufmin = []
-    sufmax = []
-    for r in range(nrows):
-        mins = [0] * (n + 1)
-        maxs = [0] * (n + 1)
+    # Per level, (half, coefficient, room) for the rows' halves with a
+    # nonzero coefficient there: room is the half's rhs less the least
+    # value of its later terms over the box, so the level's term is at most
+    # room less the half's partial sum. Any other half is as satisfiable as
+    # its own last level (or the box, before its first) left it.
+    halves = _halves(rows)
+    levels = [[] for _ in range(n)]
+    for r, (coeffs, room) in enumerate(halves):
         for i in range(n - 1, -1, -1):
-            c = coeffs[r][i]
             v = order[i]
-            cmin = c * lo[v] if c >= 0 else c * hi[v]
-            cmax = c * hi[v] if c >= 0 else c * lo[v]
-            mins[i] = mins[i + 1] + cmin
-            maxs[i] = maxs[i + 1] + cmax
-        if mins[0] > rhss[r] or senses[r] == EQ and maxs[0] < rhss[r]:
+            c = coeffs[v]
+            if c:
+                levels[i].append((r, c, room))
+                room -= c * (lo[v] if c > 0 else hi[v])
+        if room < 0:
             return 0  # broken at the root: MAX_SWEEPS cut propagation short
-        sufmin.append(mins)
-        sufmax.append(maxs)
-    # Per level, (row, coefficient) for the rows with a nonzero coefficient
-    # there; any other row is still as satisfiable as its own last level
-    # (or the box, before its first) left it.
-    levels = [[(r, coeffs[r][i]) for r in range(nrows) if coeffs[r][i]]
-              for i in range(n)]
 
-    # At a collapsed leaf the equality e, the only row on the last
-    # coordinate y, reads ca * x + cb * y == s: the points are the x in the
-    # tightened range with ca * x == s (mod cb), one residue class mod
-    # stride, each with y = (s - ca * x) / cb. Along a run x steps by
-    # stride and y by -ca * stride / cb.
+    # At a collapsed leaf the equality's own half e (its negation comes
+    # after it), the only row on the last coordinate y, reads ca * x + cb *
+    # y == s: the points are the x in the tightened range with ca * x == s
+    # (mod cb), one residue class mod stride, each with y = (s - ca * x) /
+    # cb. Along a run x steps by stride and y by -ca * stride / cb.
     stride = 1
     run_step = [0] * n
     if leaf < n - 1:
-        (e, cb), = levels[n - 1]
-        ca = coeffs[e][n - 2]
+        e, cb, rhs = levels[n - 1][0]
+        ca = halves[e][0][order[n - 2]]
         g = gcd(ca, cb)
         stride = abs(cb) // g
         inverse = pow(ca // g, -1, stride)
@@ -250,7 +250,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     run_step[order[leaf]] = stride
     run_step = tuple(run_step)
 
-    psum = [0] * nrows
+    psum = [0] * len(halves)
     point = [0] * n
     work = 0
     found = 0  # points of the current fiber; stays 0 outside fiber mode
@@ -282,31 +282,22 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
         v = order[i]
         lo_i, hi_i = lo[v], hi[v]
         on_level = levels[i]
-        for r, c in on_level:
-            slack = rhss[r] - psum[r]
+        for r, c, room in on_level:
             if c > 0:
-                b = (slack - sufmin[r][i + 1]) // c
+                b = (room - psum[r]) // c
                 if b < hi_i:
                     hi_i = b
-                if senses[r] == EQ:
-                    b = -((sufmax[r][i + 1] - slack) // c)
-                    if b > lo_i:
-                        lo_i = b
             else:
-                b = -((slack - sufmin[r][i + 1]) // (-c))
+                b = -((room - psum[r]) // -c)
                 if b > lo_i:
                     lo_i = b
-                if senses[r] == EQ:
-                    b = (sufmax[r][i + 1] - slack) // (-c)
-                    if b < hi_i:
-                        hi_i = b
         if lo_i > hi_i:
             return
         if i == leaf:
             if i == n - 1:
                 first = lo_i
             else:
-                s = rhss[e] - psum[e]
+                s = rhs - psum[e]
                 if s % g:
                     return
                 first = lo_i + (s // g * inverse - lo_i) % stride
@@ -325,12 +316,12 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
                 raise ResourceLimitError(over_cap)
             return
         point[v] = lo_i
-        for r, c in on_level:
+        for r, c, _ in on_level:
             psum[r] += c * lo_i
         for value in range(lo_i, hi_i + 1):
             if value != lo_i:
                 point[v] = value
-                for r, c in on_level:
+                for r, c, _ in on_level:
                     psum[r] += c
             work += 1
             if work > point_cap:
@@ -342,7 +333,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
                 found = 0
             elif found == m:
                 break
-        for r, c in on_level:
+        for r, c, _ in on_level:
             psum[r] -= c * point[v]
 
     rec(0)
