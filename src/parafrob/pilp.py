@@ -12,9 +12,9 @@ feasible set of an exclusion problem (m, sys1, sys2) with the l largest
 values of sys2's objective over it, its sys1 searched by a projection or
 a fiber search, whichever its box bounds smaller, and its sys2 runs cut
 at sys1's full keys. Each search is capped on its nodes plus the work
-each leaf run's consumer reports. Propagation and search read the rows by
-one rule, _halves: coeffs . x <= rhs, an equality as two such halves.
-This is the engine of pilp and crosscheck.
+each leaf run's consumer reports. Propagation and search read one row
+form, the halves _instantiate gives: coeffs . x <= rhs, an equality as
+two such halves. This is the engine of pilp and crosscheck.
 """
 
 from heapq import heappush, heapreplace
@@ -79,30 +79,28 @@ class ParametricConstraintSystem:
 
 
 def _instantiate(sys: ParametricConstraintSystem, t: int):
-    """The rows at an integer t, as ints: every entry is integer-valued."""
+    """The rows at an integer t as halves: (coeffs, rhs) ints, each read
+    coeffs . x <= rhs, an equality as the row itself and then its negation."""
     if not isinstance(t, int):
         raise InputError("t must be an integer")
-    return [(tuple(c(t) for c in row.coeffs), row.sense, row.rhs(t))
-            for row in sys.rows]
-
-
-def _halves(rows):
-    """The instantiated rows as (coeffs, rhs), each read coeffs . x <= rhs:
-    an equality as the row itself and then its negation."""
-    return [(tuple(s * c for c in coeffs), s * rhs)
-            for coeffs, sense, rhs in rows
-            for s in ((1, -1) if sense == EQ else (1,))]
+    halves = []
+    for row in sys.rows:
+        coeffs, rhs = tuple(c(t) for c in row.coeffs), row.rhs(t)
+        halves.append((coeffs, rhs))
+        if row.sense == EQ:
+            halves.append((tuple(-c for c in coeffs), -rhs))
+    return halves
 
 
 def _propagate(rows, nonneg):
     """Iterated single-row interval tightening to a fixpoint.
 
-    Each of the rows' _halves is read as terms . x <= rhs over its nonzero
-    terms (k, c). Its slack is rhs less the least values of its terms
-    bounded below. With two terms unbounded below the row says nothing;
-    with one, that term is at most the slack; with none, each term is at
-    most the slack plus its least value, and a negative slack (a row with
-    no terms and rhs < 0, say) proves the region empty.
+    Each row, a half as _instantiate gives it, is read as terms . x <= rhs
+    over its nonzero terms (k, c). Its slack is rhs less the least values
+    of its terms bounded below. With two terms unbounded below the row
+    says nothing; with one, that term is at most the slack; with none, each
+    term is at most the slack plus its least value, and a negative slack (a
+    row with no terms and rhs < 0, say) proves the region empty.
 
     Returns (lo, hi) integer bound lists, None when the region is proven
     empty; raises InputError if a coordinate is unbounded after MAX_SWEEPS.
@@ -110,7 +108,7 @@ def _propagate(rows, nonneg):
     lo = [0 if flag else None for flag in nonneg]
     hi = [None] * len(nonneg)
     les = [([(k, c) for k, c in enumerate(coeffs) if c], rhs)
-           for coeffs, rhs in _halves(rows)]
+           for coeffs, rhs in rows]
 
     for _ in range(MAX_SWEEPS):
         box = lo + hi
@@ -161,10 +159,12 @@ def _search_order(lo, hi, n2=0):
 
 def _leaf(rows, order, n2):
     """The level where a search in this order stops: the second-last when
-    an equality is the only row on the last coordinate, unless kept."""
-    on_last = [sense for coeffs, sense, _ in rows if coeffs[order[-1]]]
+    an equality's two halves alone reach the last coordinate, unless kept."""
+    on_last = [half for half in rows if half[0][order[-1]]]
     n = len(order)
-    return n - 2 if n - 2 >= n2 and on_last == [EQ] else n - 1
+    equality = len(on_last) == 2 and on_last[1] == (
+        tuple(-c for c in on_last[0][0]), -on_last[0][1])
+    return n - 2 if n - 2 >= n2 and equality else n - 1
 
 
 def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
@@ -176,10 +176,10 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
 
     The last level is never searched: once every other coordinate is set,
     the tightened range of the last one is exact, so all its values are
-    points. When the only row on the last coordinate is an equality, the
-    last two levels collapse together: the points are the values of the
-    second-last coordinate in one residue class, each fixing the last, so
-    a run steps both coordinates.
+    points. When the only halves on the last coordinate are an equality's,
+    the last two levels collapse together: the points are the values of
+    the second-last coordinate in one residue class, each fixing the last,
+    so a run steps both coordinates.
 
     With fiber = (n2, m) it calls visit(key) instead, once per key of
     coordinates 0..n2-1 with at least m points above it. Where B, the
@@ -197,10 +197,10 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     point_cap is what bounds that scan.
     """
     n = len(lo)
-    # A <= row that holds at every corner of the box never tightens.
-    rows = [(coeffs, sense, rhs) for coeffs, sense, rhs in rows
-            if sense == EQ or rhs < sum(c * (hi[v] if c > 0 else lo[v])
-                                        for v, c in enumerate(coeffs))]
+    # A half from _instantiate that holds at every corner never tightens.
+    rows = [(coeffs, rhs) for coeffs, rhs in rows
+            if rhs < sum(c * (hi[v] if c > 0 else lo[v])
+                         for v, c in enumerate(coeffs))]
     n2, m, keys = 0, None, 0  # fiber search: kept block, stop; projection: K
     order = _search_order(lo, hi)
     leaf = _leaf(rows, order, 0)
@@ -215,14 +215,13 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
             order = _search_order(lo, hi, n2)
             leaf = _leaf(rows, order, n2)
 
-    # Per level, (half, coefficient, room) for the rows' halves with a
-    # nonzero coefficient there: room is the half's rhs less the least
-    # value of its later terms over the box, so the level's term is at most
-    # room less the half's partial sum. Any other half is as satisfiable as
-    # its own last level (or the box, before its first) left it.
-    halves = _halves(rows)
+    # Per level, (half, coefficient, room) for the halves with a nonzero
+    # coefficient there: room is the half's rhs less the least value of its
+    # later terms over the box, so the level's term is at most room less
+    # the half's partial sum. Any other half is as satisfiable as its own
+    # last level (or the box, before its first) left it.
     levels = [[] for _ in range(n)]
-    for r, (coeffs, room) in enumerate(halves):
+    for r, (coeffs, room) in enumerate(rows):
         for i in range(n - 1, -1, -1):
             v = order[i]
             c = coeffs[v]
@@ -232,16 +231,16 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
         if room < 0:
             return 0  # broken at the root: MAX_SWEEPS cut propagation short
 
-    # At a collapsed leaf the equality's own half e (its negation comes
-    # after it), the only row on the last coordinate y, reads ca * x + cb *
-    # y == s: the points are the x in the tightened range with ca * x == s
+    # At a collapsed leaf the equality's first half e, whose negation is
+    # the only other half on the last coordinate y, reads ca * x + cb * y
+    # == s: the points are the x in the tightened range with ca * x == s
     # (mod cb), one residue class mod stride, each with y = (s - ca * x) /
     # cb. Along a run x steps by stride and y by -ca * stride / cb.
     stride = 1
     run_step = [0] * n
     if leaf < n - 1:
         e, cb, rhs = levels[n - 1][0]
-        ca = halves[e][0][order[n - 2]]
+        ca = rows[e][0][order[n - 2]]
         g = gcd(ca, cb)
         stride = abs(cb) // g
         inverse = pow(ca // g, -1, stride)
@@ -250,7 +249,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     run_step[order[leaf]] = stride
     run_step = tuple(run_step)
 
-    psum = [0] * len(halves)
+    psum = [0] * len(rows)
     point = [0] * n
     work = 0
     found = 0  # points of the current fiber; stays 0 outside fiber mode

@@ -1185,6 +1185,23 @@ def test_pilp_per_variable_nonneg_and_equality_alias(tmp_path):
     assert (res.exit_code, res.output) == (0, "count 6\n")
 
 
+def test_an_equality_and_its_two_halves_search_alike(tmp_path):
+    # 3z == x + 2y, written as == or as its two <= rows, is one pair of
+    # halves to the engine: the same count in the same 602 work at t = 300.
+    head = ("vars: 3\nnonneg: all\nrow: 1, 0, 0 | <= | t\n"
+            "row: 0, 1, 0 | <= | t\n")
+    for name, rows in (("eq.txt", "row: -1, -2, 3 | == | 0\n"),
+                       ("twin.txt", "row: -1, -2, 3 | <= | 0\n"
+                                    "row: 1, 2, -3 | <= | 0\n")):
+        path = tmp_path / name
+        path.write_text(head + rows)
+        args = ("pilp", str(path), "--t", "300", "--point-cap")
+        assert run(*args, "602") == (0, "count 30201\n"), name
+        assert run(*args, "601") == (
+            3, "error: search exceeded the point cap of 601 "
+               "(search nodes plus the work of each leaf run)\n"), name
+
+
 def test_pilp_mode_needs_matching_file(tmp_path):
     plain = tmp_path / "sys.txt"
     plain.write_text("vars: 2\nnonneg: all\nrow: 1, 1 | <= | t\n")

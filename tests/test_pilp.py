@@ -161,8 +161,8 @@ def _outcome(propagate, rows, nonneg):
 
 @st.composite
 def instantiated_rows(draw):
-    """Rows as _instantiate gives them, rows with no terms and equalities
-    included, with a nonneg flag per variable."""
+    """Constant rows as (coeffs, sense, rhs) ints, rows with no terms and
+    equalities included, with a nonneg flag per variable."""
     n = draw(st.integers(1, 4))
     row = st.tuples(st.tuples(*[st.sampled_from((0, 1, -1, 2, -3, 5))] * n),
                     st.sampled_from((LE, EQ)), st.integers(-6, 12))
@@ -173,9 +173,14 @@ def instantiated_rows(draw):
 @settings(max_examples=400, deadline=None)
 @given(instantiated_rows())
 def test_propagate_matches_the_reference(rows_nonneg):
-    # The same box, the same None, or an InputError with the same text.
+    # The same box, the same None, or an InputError with the same text:
+    # _propagate reads the halves _instantiate gives of the system the rows
+    # make, the reference the rows themselves.
     rows, nonneg = rows_nonneg
-    assert (_outcome(pilp._propagate, rows, nonneg)
+    sys = system(len(nonneg), [Row(tuple(map(const, coeffs)), sense,
+                                   const(rhs)) for coeffs, sense, rhs in rows],
+                 nonneg)
+    assert (_outcome(pilp._propagate, pilp._instantiate(sys, 0), nonneg)
             == _outcome(propagate_reference, rows, nonneg))
 
 def test_enumeration_matches_box_scan_oracle():
@@ -399,6 +404,19 @@ def search_work(sys, t, visit, point_cap, fiber=None, project=None):
                              point_cap, fiber, project)
 
 
+def listing(first, step, length):
+    """A consumer that lists each run: its work is the run's length."""
+    return length
+
+
+def consumers(c, l):
+    """Fresh-consumer makers: one counts, one ranks the l largest values
+    of c . x, one lists."""
+    return (lambda: pilp._Ranking(c, 0, None, 10**6).offer,
+            lambda: pilp._Ranking(c, 0, l, 10**6).offer,
+            lambda: listing)
+
+
 @settings(max_examples=80, deadline=None)
 @given(ranked_systems(), st.integers(1, 40), exclusion_problems())
 def test_the_work_meter_is_exact_in_every_mode(sys_c, l, ex):
@@ -413,14 +431,8 @@ def test_the_work_meter_is_exact_in_every_mode(sys_c, l, ex):
             return charges[-1]
         return record
 
-    def listing(first, step, length):
-        return length
-
-    consumers = (lambda: pilp._Ranking(sys.c, 0, None, 10**6).offer,  # count
-                 lambda: pilp._Ranking(sys.c, 0, l, 10**6).offer,  # rank
-                 lambda: listing)
     nodes = set()
-    for make in consumers:
+    for make in consumers(sys.c, l):
         charges = []
         work = search_work(sys, 0, recorded(make(), charges), 10**6)
         assert all(charge >= 1 for charge in charges)
@@ -469,27 +481,14 @@ def as_two_halves(sys):
 @settings(max_examples=150, deadline=None)
 @given(systems_with_an_equality(), st.integers(1, 40))
 def test_an_equality_searches_as_its_two_halves(sys, l):
-    # The search reads every row as <=, an equality as its two halves, so
-    # the twin that spells them out finds the same points in the same
-    # nodes. Only the collapse of the last two levels, which an equality
-    # alone on the last coordinate allows, tells the two apart: it emits
-    # runs that step the second-last coordinate, and saves work.
+    # _instantiate gives an equality as the row and then its negation, the
+    # twin's two <= rows, and the engine reads nothing else: the two are one
+    # list of halves, searched in the same work whatever takes the runs.
     twin = as_two_halves(sys)
-    assert pilp.lattice_profile(sys, 0, l) == pilp.lattice_profile(twin, 0, l)
-
-    def counted(spelling):
-        steps = set()
-
-        def count(first, step, length):
-            steps.add(step)
-            return 1
-        return search_work(spelling, 0, count, 10**6), steps
-
-    (work, steps), (twin_work, twin_steps) = counted(sys), counted(twin)
-    if steps and steps == twin_steps:  # the leaf did not collapse
-        assert work == twin_work
-    else:
-        assert work <= twin_work
+    assert pilp._instantiate(sys, 0) == pilp._instantiate(twin, 0)
+    for make in consumers(sys.c, l):
+        assert (search_work(sys, 0, make(), 10**6)
+                == search_work(twin, 0, make(), 10**6))
 
 
 def test_offer_reports_the_values_tried():

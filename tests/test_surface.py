@@ -81,3 +81,18 @@ def test_every_public_name_has_a_caller_that_ships():
     unused = {name for surface in LIBRARY_SURFACE.values() for name in surface
               if name not in used}
     assert unused == set()
+
+
+def test_only_row_and_instantiate_read_a_rows_sense():
+    # pilp's engine reads one row form, the <= halves _instantiate gives:
+    # past Row's check and _instantiate, nothing tells == from <=.
+    source = (Path(parafrob.__file__).parent / "pilp.py").read_text()
+    readers = set()
+    for statement in ast.parse(source).body:
+        for node in ast.walk(statement):
+            if (isinstance(node, ast.Name) and node.id == "EQ"
+                    and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "sense"):
+                readers.add(getattr(statement, "name", None))
+    assert readers == {"Row", "_instantiate"}
