@@ -3,20 +3,19 @@
 A family is a tuple of integer-valued, eventually-positive polynomials
 together with the multiplicity bound m and rank l. ``PolyFamily.coins(t)``
 gives its entries at a t where all are positive, as its answers need, and
-both the direct path ``PolyFamily.answers`` and each crosscheck row start
-from it. This module derives from Schur's bound on the Frobenius number
-the exponent r of a box [0, t^r) that eventually holds all answers,
-constructs the equivalent projection-exclusion problem, and
-cross-validates the two paths against each other at each t: on that t's
-entries divided by their gcd, in the smallest box that holds their
-answers. F_{m,l} of the entries is their gcd times that of the quotients,
+``PolyFamily.answers`` is the direct path from them. This module derives
+from Schur's bound the exponent r of a box [0, t^r) that eventually holds
+all answers, constructs the equivalent projection-exclusion problem, and
+checks it against the direct path at each t: on that t's entries divided
+by their gcd g, in the smallest box that the construction proves holds
+their answers. F_{m,l} of the entries is g times that of the quotients,
 and G_m of both is the same.
 """
 
 from . import frobenius
 from .errors import DEFAULT_POINT_CAP, InputError, ResourceLimitError, frozen
 from .frobenius import Coins
-from .qpoly import BOTTOM, Poly, eventually_positive
+from .qpoly import Poly, eventually_positive
 
 
 @frozen
@@ -61,14 +60,17 @@ class PolyFamily:
         return table.frobenius(self.m, self.l), table.genus(self.m)
 
 
+def _eventual_order(p: Poly) -> tuple:  # given a positive leading coeff
+    return p.degree, p.coeffs[::-1]
+
+
 def window_bound_poly(fam: PolyFamily) -> Poly:
     """l + frobenius.window_end over the entries in eventual order.
 
     It bounds l + F_{m,l}(t) at every t where the entries are positive with
     gcd 1 and their concrete order matches the eventual one.
     """
-    # With positive leading coefficients this key is the eventual order.
-    ordered = sorted(fam.polys, key=lambda p: (p.degree, p.coeffs[::-1]))
+    ordered = sorted(fam.polys, key=_eventual_order)
     return fam.l + frobenius.window_end(ordered[0], ordered[1], ordered[-1],
                                         fam.m)
 
@@ -91,21 +93,22 @@ def frobenius_to_exclusion(fam: PolyFamily, r: int) -> "pilp.ExclusionProblem":
     """The exclusion problem whose answers shift the family's by +l.
 
     Variables are (k, b_1, ..., b_n), all nonnegative, with two rows: the
-    equality k - sum b_i P_i(t) = l and the box edge k <= t^r - 1. Where
-    every entry is positive, the equality bounds each b_i by
-    (t^r - 1 - l) / P_i(t). The kept coordinate k runs over l plus the
-    integers representable in each multiplicity. Fibers of size below m
-    survive, hence the l-th largest surviving k is l plus the family's
-    l-th answer, valid exactly where l plus the largest answer, F_{m,1}(t)
-    + l, stays below t^r. crosscheck picks the smallest such r at each t;
-    box_exponent gives one r that holds eventually.
+    equality k - sum b_i P_i(t) = l and the box edge k <= t^r + P(t) - 1,
+    P the eventually smallest entry. The kept coordinate k runs over l plus
+    the integers representable in each multiplicity. Fibers of size below
+    m survive, so the l-th largest surviving k is l plus the family's l-th
+    answer once the box holds l plus every answer. The box proves that
+    itself: as h(k + P(t)) >= h(k), its largest surviving k lies below t^r
+    exactly when l + F_{m,1}(t) does. box_exponent gives one r where it
+    eventually does.
     """
     from . import pilp  # here, so that `series` does not load the engine
 
     n = len(fam.polys)
     one = Poly.constant(1)
     box_edge = pilp.Row((one,) + (Poly(),) * n, pilp.LE,
-                        Poly.variable() ** r - one)
+                        Poly.variable() ** r
+                        + min(fam.polys, key=_eventual_order) - one)
     equality = pilp.Row((one,) + tuple(-p for p in fam.polys), pilp.EQ,
                         Poly.constant(fam.l))
     sys1 = pilp.ParametricConstraintSystem((equality, box_edge),
@@ -141,7 +144,7 @@ class CrosscheckRow:
     g_exclusion: int | None  # raw feasible-set size
     g_direct: int | None  # direct count plus l
     note: str = ""
-    r: int | None = None  # the row's box is [0, t^r); None if none was chosen
+    r: int | None = None  # r_t if checked, else the last r tried, if any
 
     @property
     def status(self) -> str:
@@ -184,14 +187,14 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
                point_cap: int = DEFAULT_POINT_CAP) -> CrosscheckReport:
     """Compare exclusion-path and direct-path answers on a t window.
 
-    Each row divides that t's entries by their gcd g and runs the exclusion
-    construction on the quotients, as constants, in the smallest box
-    [0, t^r) that holds l plus their largest answer, F_{m,1}(t) / g + l,
-    read from the direct path's residue table; there the construction is
-    exact, and g times its l-th answer is the family's. At small t that r
-    may lie above box_exponent, which Schur's bound proves only eventually.
+    Each row takes its direct columns from ``fam.answers(t)``. It runs the
+    exclusion construction on that t's entries divided by their gcd g, as
+    constants, from the smallest r with t^r above l plus their l-th answer,
+    and grows r until the box proves that it holds l plus every answer
+    (see frobenius_to_exclusion). That r is r_t, the smallest exact box; at
+    small t it may lie above box_exponent, which holds only eventually.
     Rows are SKIPPED (with the reason) where an entry is nonpositive, the
-    residue table hits its limit, t < 2 and no box t^1 holds the answer,
+    residue table hits its limit, t < 2 and no box t^1 holds the answers,
     the box is too large for the point cap, or the enumeration hits its
     limit.
     """
@@ -204,34 +207,31 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
 
     def row(t):
         try:
-            coins = fam.coins(t)
+            f_direct, g_direct = fam.answers(t)
         except InputError:
             return skipped(t, "entry not positive")
-        try:
-            table = frobenius.apery_table(coins, fam.m)
         except ResourceLimitError as exc:
             return skipped(t, str(exc))
-        g = coins.g
-        largest = table.frobenius(fam.m, 1) // g + fam.l
-        r = 1
-        while t >= 2 and largest >= t**r:
-            r += 1
-        if largest >= t**r:  # t < 2: no power of t grows, t^1 was the one try
-            return skipped(t, f"no box t^r holds the largest answer plus l, "
-                              f"{largest}, at t < 2")
-        if t**r > point_cap:
-            return skipped(t, f"box size t^{r} exceeds the point cap", r)
+        g = (coins := fam.coins(t)).g
         reduced = PolyFamily(tuple(Poly.constant(a // g) for a in coins.a),
                              fam.m, fam.l)
-        try:
-            feasible, top = pilp.exclusion_profile(
-                frobenius_to_exclusion(reduced, r), t, fam.l, point_cap)
-        except ResourceLimitError:
-            return skipped(t, "enumeration exceeded the point cap", r)
-
-        f_val = top[fam.l - 1]
-        f_scaled = g * (f_val - fam.l) if f_val is not BOTTOM else BOTTOM
-        return CrosscheckRow(t, f_scaled, table.frobenius(fam.m, fam.l),
-                             len(feasible), table.genus(fam.m) + fam.l, r=r)
+        r = 1
+        while t >= 2 and fam.l + f_direct // g >= t**r:
+            r += 1
+        # No power of t grows at t < 2: there t^1 is the one try.
+        while t >= 2 or (r == 1 and fam.l + f_direct // g < t):
+            if t**r + min(coins.a) // g > point_cap:
+                return skipped(t, f"box size t^{r} exceeds the point cap", r)
+            try:
+                feasible, top = pilp.exclusion_profile(
+                    frobenius_to_exclusion(reduced, r), t, fam.l, point_cap)
+            except ResourceLimitError:
+                return skipped(t, "enumeration exceeded the point cap", r)
+            if top[0] < t**r:  # proven; keys below l are kept: l values
+                return CrosscheckRow(t, g * (top[fam.l - 1] - fam.l),
+                                     f_direct, len(feasible),
+                                     g_direct + fam.l, r=r)
+            r += 1
+        return skipped(t, "no box t^r holds the answers at t < 2")
 
     return CrosscheckReport(tuple(row(t) for t in range(t_min, t_max + 1)))

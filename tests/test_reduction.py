@@ -341,15 +341,16 @@ def test_one_table_per_t(monkeypatch):
     family = fam([U, U - Poly.constant(1)], m=2, l=2)
     oracles.direct_series(family, 2, 10)
     assert built == [(t, t - 1) for t in range(2, 11)]
-    # One table per row with positive entries, whatever their gcd: the row
-    # reads its box from the table; rows skipped for positivity build none.
-    # The last family's t^4 box at t = 4 fits a cap of 256, but its search
-    # does 267 work, so that row's enumeration stops.
+    # One table per row with positive entries, whatever their gcd: the
+    # row's answers build it; rows skipped for positivity build none. The
+    # last family's box at t = 4, t^4 plus a margin of 9 keys (its smallest
+    # entry), fits a cap of 265, but its search does 279 work, so that
+    # row's enumeration stops.
     notes = set()
     for case, point_cap in ((family, 150),
                             (fam([U, U + Poly.constant(2)]), 10**6),
                             (fam([2 * U + ONE, 3 * U + Poly.constant(2),
-                                  5 * U + ONE], m=2, l=2), 256)):
+                                  5 * U + ONE], m=2, l=2), 265)):
         built.clear()
         report = reduction.crosscheck(case, 1, 10, point_cap)
         notes |= {row.note.split(",")[0] for row in report.rows}
@@ -358,13 +359,15 @@ def test_one_table_per_t(monkeypatch):
         assert built == [case.values(row.t) for row in gated]
     assert notes == {"", "entry not positive",
                      "box size t^3 exceeds the point cap",
-                     "no box t^r holds the largest answer plus l",
+                     "no box t^r holds the answers at t < 2",
                      "enumeration exceeded the point cap"}
 
 
 def test_crosscheck_rows_start_from_the_family_coins(monkeypatch):
-    # Each row asks PolyFamily.coins for its entries, once, before any
-    # table: the positivity rule of answers is the crosscheck's too.
+    # Each row takes its direct columns from answers, which asks
+    # PolyFamily.coins before it builds a table, and then asks coins again
+    # for the entries it divides by their gcd: the positivity rule of
+    # answers is the crosscheck's too.
     events = []
     real_coins, real_table = PolyFamily.coins, frobenius.apery_table
 
@@ -389,8 +392,8 @@ def test_crosscheck_rows_start_from_the_family_coins(monkeypatch):
         0, 4, 5, 6]
     assert report.checked == 5 and report.ok
     assert events == [event for t in range(10) for event in (
-        [("coins", t)] + [("table", family.values(t))] * (t in (1, 2, 3, 7,
-                                                                8, 9)))]
+        [("coins", t)] + [("table", family.values(t)), ("coins", t)] * (
+            t in (1, 2, 3, 7, 8, 9)))]
 
 
 def test_crosscheck_below_t_two_terminates():
@@ -400,8 +403,7 @@ def test_crosscheck_below_t_two_terminates():
     assert [(row.t, row.r) for row in report.rows] == [
         (0, None), (1, None), (2, 5), (3, 4), (4, 4)]
     assert [row.note for row in report.rows[:2]] == [
-        "no box t^r holds the largest answer plus l, 2, at t < 2",
-        "no box t^r holds the largest answer plus l, 15, at t < 2"]
+        "no box t^r holds the answers at t < 2"] * 2
     assert report.checked == 3 and report.ok
     # Schur's bound gives r = 3, yet it lies above t^3 at t = 2, 3 and 4,
     # where the entries are already in their eventual order.
@@ -476,6 +478,37 @@ def test_crosscheck_classifies_a_wrong_exclusion_row(tmp_path, monkeypatch,
     lines = res.output.splitlines()
     assert lines[2].endswith(f" | {status}")
     assert lines[-1] == "verdict MISMATCH"
+
+
+def test_crosscheck_box_does_not_trust_the_direct_table(monkeypatch):
+    # A residue table that says F = 3 at t = 5, where F(5, 6) is 19, does
+    # not shrink the box: the exclusion path proves its own, t^2, and finds
+    # 19 there.
+    monkeypatch.setattr(frobenius.AperyTable, "frobenius",
+                        lambda table, m, l: 3)
+    (row,) = reduction.crosscheck(fam([U, U + ONE]), 5, 5).rows
+    assert (row.status, row.r, row.f_exclusion, row.f_direct) == (
+        reduction.DIFF, 2, 19, 3)
+
+
+def test_crosscheck_checks_the_direct_path_it_ships(tmp_path, monkeypatch):
+    # The direct columns are what `series` prints: answers off by one make
+    # every row a DIFF, and the command exits 4.
+    real = PolyFamily.answers
+
+    def shifted(family, t):
+        f, g = real(family, t)
+        return f + 1, g
+
+    monkeypatch.setattr(PolyFamily, "answers", shifted)
+    report = reduction.crosscheck(fam([U, U + ONE]), 2, 6)
+    assert [row.status for row in report.rows] == [reduction.DIFF] * 5
+    path = tmp_path / "fam.txt"
+    path.write_text("poly: t\npoly: t + 1\nm: 1\nl: 1\n")
+    res = run_cli(["crosscheck", "--family", str(path), "--t-min", "2",
+                   "--t-max", "6", "--format", "machine"])
+    assert res.exit_code == 4
+    assert res.output.splitlines()[-1] == "verdict MISMATCH"
 
 
 def test_crosscheck_report_totals_come_from_rows():
@@ -567,8 +600,8 @@ def test_crosscheck_fibers_stop_at_m():
 
 def test_crosscheck_sys1_takes_the_projection(monkeypatch):
     # The crosscheck benchmark's seed-1 family. Each row's search above the
-    # leaf is smaller than its kept box, so sys1 takes the projection: 266
-    # work over t = 3..8, where the fiber search takes 5688. Each row's work
+    # leaf is smaller than its kept box, so sys1 takes the projection: 268
+    # work over t = 3..8, where the fiber search takes 5852. Each row's work
     # is exact: the cap trips one below it, with the one cap message.
     works = []
     real = pilp._iter_points
@@ -587,7 +620,7 @@ def test_crosscheck_sys1_takes_the_projection(monkeypatch):
     report = reduction.crosscheck(family, 3, 8)
     assert report.checked == 6 and report.ok
     assert len(works) == 6
-    assert [sum(column) for column in zip(*works)] == [266, 5688]
+    assert [sum(column) for column in zip(*works)] == [268, 5852]
 
 
 def test_crosscheck_mixed_degree_family_reports_no_diff():
@@ -660,10 +693,40 @@ def test_crosscheck_never_reports_diff(family, t_min):
         if row.r is None:
             assert t < 2 and largest >= t, row
             continue
-        # The row's box is the smallest t^r_t above l + F_{m,1}(t) ...
-        assert largest < t**row.r, row
+        # A checked row's box is the smallest t^r_t above l + F_{m,1}(t),
+        # and a skipped row stopped at an r no larger ...
+        assert row.status == reduction.SKIPPED or largest < t**row.r, row
         assert row.r == 1 or t**(row.r - 1) <= largest, row
         # ... and Schur's bound holds it wherever the bound lies below t^r
         # and the entries are in their eventual order.
         if bound(t) < t**r and [p(t) for p in ordered] == sorted(values):
             assert row.r <= r, row
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_families(), st.integers(1, 4))
+def test_crosscheck_box_is_exact_from_any_start(family, t_min):
+    # answers that under-report F start every row at r = 1: the box grows
+    # to the same r_t, the smallest r with t^r above l + F_{m,1}(t) / g,
+    # and the exclusion columns do not change.
+    honest = reduction.crosscheck(family, t_min, t_min + 3, point_cap=3000)
+    real = PolyFamily.answers
+
+    def under(self, t):
+        return -10**9, real(self, t)[1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PolyFamily, "answers", under)
+        low = reduction.crosscheck(family, t_min, t_min + 3, point_cap=3000)
+    for row, start in zip(honest.rows, low.rows):
+        assert (row.status == reduction.SKIPPED) == (
+            start.status == reduction.SKIPPED), (row, start)
+        if row.status == reduction.SKIPPED:
+            continue
+        assert (start.r, start.f_exclusion, start.g_exclusion) == (
+            row.r, row.f_exclusion, row.g_exclusion), (row, start)
+        coins = family.coins(row.t)
+        f, _, _ = oracles.dp_answers(coins, family.m)
+        largest = family.l + f(1) // coins.g
+        assert largest < row.t**row.r, row
+        assert row.r == 1 or row.t**(row.r - 1) <= largest, row
