@@ -9,12 +9,13 @@ questions are answered from one stream of leaf runs per system:
 lattice_profile gives the size and the l largest values of the system's
 objective (l = None for the size alone), and exclusion_profile the
 feasible set of an exclusion problem (m, sys1, sys2) with the l largest
-values of sys2's objective over it, its sys1 searched by a projection or
-a fiber search, whichever its box bounds smaller, and its sys2 runs cut
-at sys1's full keys. Each search is capped on its nodes plus the work
-each leaf run's consumer reports. Propagation and search read one row
-form, the halves _instantiate gives: coeffs . x <= rhs, an equality as
-two such halves. This is the engine of pilp and crosscheck.
+values of sys2's objective over it: its sys2 runs recorded first, then
+its sys1 searched by a projection or a fiber search, whichever its box
+bounds smaller, and the runs cut at sys1's full keys. Each search is
+capped on its nodes plus the work each leaf run's consumer reports.
+Propagation and search read one row form, the halves _instantiate gives:
+coeffs . x <= rhs, an equality as two such halves. This is the engine of
+pilp and crosscheck.
 """
 
 from heapq import heappush, heapreplace
@@ -441,21 +442,27 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
     """(the feasible set, the l largest values of sys2's objective over it).
 
     The feasible set is the sorted tuple of the sys2 points whose sys1 fiber
-    has fewer than m points. Each system is searched once: sys1 by the
-    projection where its search above the leaf is no larger than its kept
-    box and the box fits the point cap, else by the fiber search (see
-    _iter_points), and sys2 as in lattice_profile. Each kept stretch of a
-    sys2 leaf run, cut at the keys of sys1's full fibers, is ranked as one
+    has fewer than m points. Each system is searched once. sys2 goes first,
+    as in lattice_profile: its leaf runs are recorded, each charged its
+    length, the points it will build, so an oversized sys2 stops the search
+    before sys1's. sys1 goes next, by the projection where its search above
+    the leaf is no larger than its kept box and the box fits the point cap,
+    else by the fiber search (see _iter_points). Each kept stretch of a
+    recorded run, cut at the keys of sys1's full fibers, is ranked as one
     run.
     """
     ranking = _Ranking(ex.sys2.c, t, l, point_cap)
+    runs = []
+
+    def record(first, step, length):
+        runs.append((first, step, length))
+        return length
+
+    _stream(ex.sys2, t, record, point_cap)
     full = set()  # keys with at least m sys1 points above them
     _stream(ex.sys1, t, full.add, point_cap, (ex.sys2.n, ex.m))
     kept = []
-
-    def keep(first, step, length):  # builds each point: its work is length
-        if length > point_cap:
-            return length  # unbuilt: the charge alone stops the search
+    for first, step, length in runs:
         points = zip(*(range(a, a + d * length, d) if d else repeat(a, length)
                        for a, d in zip(first, step)))
         for excluded, stretch in groupby(points, full.__contains__):
@@ -463,8 +470,5 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
                 stretch = list(stretch)
                 kept.extend(stretch)
                 ranking.offer(stretch[0], step, len(stretch))
-        return length
-
-    _stream(ex.sys2, t, keep, point_cap)
     kept.sort()
     return tuple(kept), ranking.top()

@@ -195,8 +195,9 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
     small t it may lie above box_exponent, which holds only eventually.
     Rows are SKIPPED (with the reason) where an entry is nonpositive, the
     residue table hits its limit, t < 2 and no box t^1 holds the answers,
-    the box is too large for the point cap, or the enumeration hits its
-    limit.
+    or the enumeration hits the point cap: the work meter alone decides
+    that, and a box too large for the cap trips it on sys2's one leaf run,
+    before sys1 is searched.
     """
     if t_min > t_max:
         raise InputError("empty t range")
@@ -220,8 +221,6 @@ def crosscheck(fam: PolyFamily, t_min: int, t_max: int,
             r += 1
         # No power of t grows at t < 2: there t^1 is the one try.
         while t >= 2 or (r == 1 and fam.l + f_direct // g < t):
-            if t**r + min(coins.a) // g > point_cap:
-                return skipped(t, f"box size t^{r} exceeds the point cap", r)
             try:
                 feasible, top = pilp.exclusion_profile(
                     frobenius_to_exclusion(reduced, r), t, fam.l, point_cap)

@@ -735,7 +735,21 @@ def test_pilp_enumerates_each_system_once(tmp_path, monkeypatch):
     sysfile.write_text(EXAMPLE5)
     res = run("pilp", str(sysfile), "--t", "10", "--exclusion", "--l", "3")
     assert res.exit_code == 0 and "size 7" in res.output
-    assert [hi for _, hi in boxes] == [(10, 6), (10,)]  # sys1, then sys2
+    assert [hi for _, hi in boxes] == [(10,), (10, 6)]  # sys2, then sys1
+
+
+def test_pilp_oversized_sys2_stops_before_sys1(tmp_path, monkeypatch):
+    # sys2's one run, x = 0..10, is charged its 11 points on the meter: over
+    # a cap of 10, the search stops there, and sys1 is never searched.
+    boxes = count_enumerations(monkeypatch)
+    sysfile = tmp_path / "ex5.txt"
+    sysfile.write_text(EXAMPLE5)
+    res = run("pilp", str(sysfile), "--t", "10", "--exclusion",
+              "--point-cap", "10")
+    assert (res.exit_code, res.output) == (
+        3, "error: search exceeded the point cap of 10 "
+           "(search nodes plus the work of each leaf run)\n")
+    assert boxes == [((0,), (10,))]
 
 
 def test_crosscheck_enumerates_two_systems_per_checked_t(tmp_path, monkeypatch):
@@ -746,6 +760,21 @@ def test_crosscheck_enumerates_two_systems_per_checked_t(tmp_path, monkeypatch):
               "--t-max", "10", "--format", "machine")
     assert res.exit_code == 0 and "checked 9" in res.output
     assert len(boxes) == 2 * 9
+
+
+def test_crosscheck_box_over_the_cap_is_an_enumeration_skip(tmp_path,
+                                                            monkeypatch):
+    # At t = 4 the row needs r = 2, a box of t^2 plus a margin of 3 keys:
+    # 19 > 10. The work meter alone skips it, on sys2's one run, with the
+    # r it tried; sys1 is not searched for that row.
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    boxes = count_enumerations(monkeypatch)
+    res = run("crosscheck", "--family", str(fam), "--t-min", "2",
+              "--t-max", "4", "--point-cap", "10")
+    assert res.output.splitlines()[3] == (
+        "4 | 2 | - | - | - | - | SKIPPED (enumeration exceeded the point cap)")
+    assert len(boxes) == 2 * 2 + 1 and boxes[-1] == ((0,), (18,))
 
 
 # Runs one command in a fresh interpreter, then prints the parafrob modules
@@ -1224,13 +1253,13 @@ def test_crosscheck_table_header(tmp_path):
         "t | r_t | f_l(t)-l | F_direct | g(t) | G_direct+l | status",
         "2 | 1 | -1 | -1 | 1 | 1 | EQUAL",
         "3 | 1 | 1 | 1 | 2 | 2 | EQUAL",
-        "4 | 2 | - | - | - | - | SKIPPED (box size t^2 exceeds the point cap)"]
+        "4 | 2 | - | - | - | - | SKIPPED (enumeration exceeded the point cap)"]
     # Machine rows keep their six fields, without r_t.
     res = run(*args, "--format", "machine")
     assert res.output.splitlines()[:3] == [
         "2 | -1 | -1 | 1 | 1 | EQUAL",
         "3 | 1 | 1 | 2 | 2 | EQUAL",
-        "4 | - | - | - | - | SKIPPED (box size t^2 exceeds the point cap)"]
+        "4 | - | - | - | - | SKIPPED (enumeration exceeded the point cap)"]
 
 
 def test_inject_mismatch_on_all_skipped_window_stays_unchecked(tmp_path):
@@ -1243,20 +1272,32 @@ def test_inject_mismatch_on_all_skipped_window_stays_unchecked(tmp_path):
     assert res.output.splitlines()[-1] == "verdict UNCHECKED"
 
 
-@pytest.mark.parametrize("f_exclusion", [7, 8], ids=["equal", "shifted"])
-def test_inject_mismatch_always_makes_a_diff(f_exclusion):
-    # The first checked row gets its direct value 7 shifted to 8, and reads
-    # DIFF even where its exclusion value was 8 already; no other row moves.
-    row = reduction.CrosscheckRow
-    report = reduction.CrosscheckReport((
-        row(2, None, None, None, None, "entry not positive"),
-        row(3, f_exclusion, 7, 4, 4, r=2), row(4, 9, 9, 6, 6, r=2)))
-    corrupted = cli._corrupt(report)
-    rows = corrupted.rows
-    assert (rows[0], rows[2]) == (report.rows[0], report.rows[2])
-    assert (rows[1].f_direct, rows[1].status, rows[1].note) == \
-        (8, reduction.DIFF, "injected mismatch")
-    assert not corrupted.f_all_equal
+@pytest.mark.parametrize("point_cap", ["1000000", "40"])
+def test_inject_mismatch_makes_every_checked_row_diff(tmp_path, point_cap):
+    # The flag hands the crosscheck a direct path one below F: the real
+    # comparison reads DIFF on every checked row, next to the true F of the
+    # exclusion path. Skipped rows, and the r of each row, do not move.
+    fam = tmp_path / "fam.txt"
+    fam.write_text(FAMILY_U_UM1)
+    args = ("crosscheck", "--family", str(fam), "--t-min", "2",
+            "--t-max", "10", "--point-cap", point_cap)
+    plain = run(*args).output.splitlines()
+    res = run(*args, "--inject-mismatch")
+    assert res.exit_code == 4
+    lines = res.output.splitlines()
+    assert len(lines) == len(plain) and lines[-4:] == [
+        f"checked {sum('SKIPPED' not in row for row in plain[1:-4])}",
+        "f_all_equal False", "g_offsets 0", "verdict MISMATCH"]
+    checked = 0
+    for t, row, before in zip(range(2, 11), lines[1:-4], plain[1:-4]):
+        if "SKIPPED" in before:
+            assert row == before
+            continue
+        checked += 1
+        f = oracles.dp_answers(Coins((t, t - 1)), 1)[0](1)
+        r, _, _, g, g_direct, _ = before.split(" | ")[1:]
+        assert row == f"{t} | {r} | {f} | {f - 1} | {g} | {g_direct} | DIFF"
+    assert checked == (9 if point_cap == "1000000" else 4)
 
 
 def test_fit_defaults_are_the_library_defaults():

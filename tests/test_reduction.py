@@ -203,8 +203,7 @@ def test_crosscheck_checks_rows_whatever_their_gcd(family, t_min):
     for row in report.rows:
         if row.status == reduction.SKIPPED:
             assert row.note.startswith((
-                "box size t^", "enumeration exceeded the point cap",
-                "no box t^r holds")), row
+                "enumeration exceeded the point cap", "no box t^r holds")), row
             continue
         coins = family.coins(row.t)
         reduced = frobenius.apery_table(
@@ -343,9 +342,10 @@ def test_one_table_per_t(monkeypatch):
     assert built == [(t, t - 1) for t in range(2, 11)]
     # One table per row with positive entries, whatever their gcd: the
     # row's answers build it; rows skipped for positivity build none. The
-    # last family's box at t = 4, t^4 plus a margin of 9 keys (its smallest
-    # entry), fits a cap of 265, but its search does 279 work, so that
-    # row's enumeration stops.
+    # work meter stops each box over the cap on its sys2 run (the first
+    # family's t^3 past t = 5, say), and the last family's box at t = 4,
+    # t^4 plus a margin of 9 keys (its smallest entry), which fits the cap,
+    # in its sys1 search, at 279 work.
     notes = set()
     for case, point_cap in ((family, 150),
                             (fam([U, U + Poly.constant(2)]), 10**6),
@@ -358,7 +358,6 @@ def test_one_table_per_t(monkeypatch):
                  if row.note != "entry not positive"]
         assert built == [case.values(row.t) for row in gated]
     assert notes == {"", "entry not positive",
-                     "box size t^3 exceeds the point cap",
                      "no box t^r holds the answers at t < 2",
                      "enumeration exceeded the point cap"}
 

@@ -96,3 +96,16 @@ def test_only_row_and_instantiate_read_a_rows_sense():
                     and node.attr == "sense"):
                 readers.add(getattr(statement, "name", None))
     assert readers == {"Row", "_instantiate"}
+
+
+def test_only_reduction_makes_crosscheck_verdicts():
+    # Every row and report of a crosscheck comes from its comparison: no
+    # other module builds a CrosscheckRow or a CrosscheckReport.
+    builders = set()
+    for path in Path(parafrob.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if name in ("CrosscheckRow", "CrosscheckReport"):
+                    builders.add(path.stem)
+    assert builders == {"reduction"}
