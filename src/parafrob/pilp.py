@@ -10,12 +10,12 @@ lattice_profile gives the size and the l largest values of the system's
 objective (l = None for the size alone), and exclusion_profile the
 feasible set of an exclusion problem (m, sys1, sys2) with the l largest
 values of sys2's objective over it: its sys2 runs recorded first, then
-its sys1 searched by a projection or a fiber search, whichever its box
-bounds smaller, and the runs cut at sys1's full keys. Each search is
-capped on its nodes plus the work each leaf run's consumer reports.
-Propagation and search read one row form, the halves _instantiate gives:
-coeffs . x <= rhs, an equality as two such halves. This is the engine of
-pilp and crosscheck.
+sys1 searched by the projection where B <= K <= point cap, else by the
+fiber search (see _iter_points), both filling one set of sys1's full
+keys, at which the runs are cut. Each search is capped on its nodes plus
+the work each leaf run's consumer reports. Propagation and search read
+one row form, the halves _instantiate gives: coeffs . x <= rhs, an
+equality as two such halves. This is the engine of pilp and crosscheck.
 """
 
 from heapq import heappush, heapreplace
@@ -148,24 +148,19 @@ def propagated_box(sys: ParametricConstraintSystem, t: int):
     return _propagate(_instantiate(sys, t), sys.nonneg)
 
 
-def _search_order(lo, hi, n2=0):
-    """Static variable order for the search: smallest range first, except
-    that coordinates 0..n2-1 (the kept block of a fiber search) come first.
-
-    Output order does not depend on this (points are re-sorted); it only
-    controls how early equality rows pin their last free variable.
-    """
-    return sorted(range(len(lo)), key=lambda i: (i >= n2, hi[i] - lo[i], i))
-
-
-def _leaf(rows, order, n2):
-    """The level where a search in this order stops: the second-last when
+def _plan(rows, lo, hi, n2=0):
+    """(order, leaf) of a search: its static variable order, smallest range
+    first except that coordinates 0..n2-1 (the kept block of a fiber search)
+    come first, and the level where it stops. Output order does not depend
+    on the order (points are re-sorted); it only controls how early equality
+    rows pin their last free variable. The leaf is the second-last level when
     an equality's two halves alone reach the last coordinate, unless kept."""
+    order = sorted(range(len(lo)), key=lambda i: (i >= n2, hi[i] - lo[i], i))
     on_last = [half for half in rows if half[0][order[-1]]]
     n = len(order)
     equality = len(on_last) == 2 and on_last[1] == (
         tuple(-c for c in on_last[0][0]), -on_last[0][1])
-    return n - 2 if n - 2 >= n2 and equality else n - 1
+    return order, n - 2 if n - 2 >= n2 and equality else n - 1
 
 
 def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
@@ -182,14 +177,15 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
     the second-last coordinate in one residue class, each fixing the last,
     so a run steps both coordinates.
 
-    With fiber = (n2, m) it calls visit(key) instead, once per key of
-    coordinates 0..n2-1 with at least m points above it. Where B, the
-    product of the ranges above the leaf in the default order, is at most
-    K, the number of keys in the box, and K fits the point cap, the
-    projection searches in that order and credits each leaf run in O(1)
-    to a difference array over the flattened keys, chained by the run
-    step. Otherwise the fiber search takes the kept block first and stops
-    each key at m points. project = True or False forces one pass.
+    With fiber = (n2, m, full) visit is None and not called: either pass
+    adds to the set full each key of coordinates 0..n2-1 with at least m
+    points above it. Where B, the product of the ranges above the leaf in
+    the default order, is at most K, the number of keys in the box, and K
+    fits the point cap, the projection searches in that order, credits
+    each leaf run in O(1) to a difference array over the flattened keys,
+    chained by the run step, and adds the full keys in one update.
+    Otherwise the fiber search takes the kept block first and stops each
+    key at m points. project = True or False forces one pass.
 
     point_cap bounds the work: search nodes entered below the root plus,
     per leaf run, what visit returns (1 in the projection), or 1 at a
@@ -203,18 +199,16 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
             if rhs < sum(c * (hi[v] if c > 0 else lo[v])
                          for v, c in enumerate(coeffs))]
     n2, m, keys = 0, None, 0  # fiber search: kept block, stop; projection: K
-    order = _search_order(lo, hi)
-    leaf = _leaf(rows, order, 0)
+    order, leaf = _plan(rows, lo, hi)
     if fiber:
-        kept, least = fiber
+        kept, least, full = fiber
         width = [h - l + 1 for l, h in zip(lo, hi)]
         keys = prod(width[:kept])
         if project is None:
             project = prod(width[v] for v in order[:leaf]) <= keys <= point_cap
         if not project:
             keys, n2, m = 0, kept, least
-            order = _search_order(lo, hi, n2)
-            leaf = _leaf(rows, order, n2)
+            order, leaf = _plan(rows, lo, hi, n2)
 
     # Per level, (half, coefficient, room) for the halves with a nonzero
     # coefficient there: room is the half's rhs less the least value of its
@@ -267,7 +261,6 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
         move = sum(map(mul, run_step, weight))
         step = abs(move)
         counts = [0] * keys
-        full = visit  # gets the keys; the search's runs go to the counts
 
         def visit(first, _, length):
             x = (sum(map(mul, first, weight)) - offset
@@ -329,7 +322,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
             rec(i + 1)
             if i == n2 - 1:
                 if found == m:
-                    visit(tuple(point[:n2]))
+                    full.add(tuple(point[:n2]))
                 found = 0
             elif found == m:
                 break
@@ -341,8 +334,7 @@ def _iter_points(rows, lo, hi, visit, point_cap, fiber=None, project=None):
         for r in range(min(step, keys)):  # a step of 0 or >= K chains nothing
             counts[r::step] = accumulate(counts[r::step])
         box = product(*(range(lo[j], hi[j] + 1) for j in range(kept)))
-        for key in compress(box, map(least.__le__, counts)):
-            full(key)  # the box in cell order, reaching m
+        full.update(compress(box, map(least.__le__, counts)))
     return work
 
 
@@ -460,7 +452,7 @@ def exclusion_profile(ex: ExclusionProblem, t: int, l,
 
     _stream(ex.sys2, t, record, point_cap)
     full = set()  # keys with at least m sys1 points above them
-    _stream(ex.sys1, t, full.add, point_cap, (ex.sys2.n, ex.m))
+    _stream(ex.sys1, t, None, point_cap, (ex.sys2.n, ex.m, full))
     kept = []
     for first, step, length in runs:
         points = zip(*(range(a, a + d * length, d) if d else repeat(a, length)

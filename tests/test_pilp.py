@@ -365,8 +365,8 @@ def full_keys(ex, t, project):
     full = set()
     box = pilp.propagated_box(ex.sys1, t)
     if box is not None:
-        pilp._iter_points(pilp._instantiate(ex.sys1, t), *box, full.add,
-                          10**6, (ex.sys2.n, ex.m), project)
+        pilp._iter_points(pilp._instantiate(ex.sys1, t), *box, None,
+                          10**6, (ex.sys2.n, ex.m, full), project)
     return full
 
 
@@ -444,16 +444,16 @@ def test_the_work_meter_is_exact_in_every_mode(sys_c, l, ex):
     assert len(nodes) == 1
     # The projection is sys1's count search, each run credited for 1, and
     # its K keys are not charged.
-    fiber = (ex.sys2.n, ex.m)
+    fiber = (ex.sys2.n, ex.m, set())
     count = pilp._Ranking((), 0, None, 10**6).offer
-    assert search_work(ex.sys1, 0, set().add, 10**6, fiber, True) == (
+    assert search_work(ex.sys1, 0, None, 10**6, fiber, True) == (
         search_work(ex.sys1, 0, count, 10**6))
     for project in (True, False):
-        work = search_work(ex.sys1, 0, set().add, 10**6, fiber, project)
-        assert search_work(ex.sys1, 0, set().add, work, fiber, project) == work
+        work = search_work(ex.sys1, 0, None, 10**6, fiber, project)
+        assert search_work(ex.sys1, 0, None, work, fiber, project) == work
         if work:
             with pytest.raises(ResourceLimitError, match=CAP_MESSAGE):
-                search_work(ex.sys1, 0, set().add, work - 1, fiber, project)
+                search_work(ex.sys1, 0, None, work - 1, fiber, project)
 
 
 @st.composite

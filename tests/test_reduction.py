@@ -608,9 +608,10 @@ def test_crosscheck_sys1_takes_the_projection(monkeypatch):
     def recording(rows, lo, hi, visit, point_cap, fiber=None):
         work = real(rows, lo, hi, visit, point_cap, fiber)
         if fiber:
+            spare = fiber[:2] + (set(),)
             with pytest.raises(ResourceLimitError, match="nodes plus the work of each"):
-                real(rows, lo, hi, set().add, work - 1, fiber)
-            fibers = real(rows, lo, hi, set().add, point_cap, fiber, False)
+                real(rows, lo, hi, None, work - 1, spare)
+            fibers = real(rows, lo, hi, None, point_cap, spare, False)
             works.append((work, fibers))
         return work
 
@@ -620,6 +621,42 @@ def test_crosscheck_sys1_takes_the_projection(monkeypatch):
     assert report.checked == 6 and report.ok
     assert len(works) == 6
     assert [sum(column) for column in zip(*works)] == [268, 5852]
+
+
+@st.composite
+def constant_constructions(draw):
+    """(family, t, r): 2-4 constant entries in 2..12, m and l in 1..3, t in
+    2..6 and r with t^r <= 216."""
+    entries = draw(st.lists(st.integers(2, 12), min_size=2, max_size=4))
+    family = fam([Poly.constant(a) for a in entries],
+                 m=draw(st.integers(1, 3)), l=draw(st.integers(1, 3)))
+    t = draw(st.integers(2, 6))
+    r = draw(st.integers(1, max(r for r in range(1, 8) if t**r <= 216)))
+    return family, t, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_constructions())
+def test_construction_passes_match_the_dp(drawn):
+    # The crosscheck's own construction on three paths: each sys1 pass,
+    # forced, fills the keys k in l..t^r + a - 1 with h(k - l) >= m, and
+    # exclusion_profile keeps the rest of 0..t^r + a - 1, as the DP does.
+    family, t, r = drawn
+    ex = reduction.frobenius_to_exclusion(family, r)
+    coins = family.coins(t)
+    top_k = t**r + min(coins.a) - 1
+    h = oracles.rep_count_table(coins, top_k, family.m)
+    l, m = family.l, family.m
+    want = {(k,) for k in range(l, top_k + 1) if h[k - l] >= m}
+    rows = pilp._instantiate(ex.sys1, t)
+    box = pilp.propagated_box(ex.sys1, t)
+    for project in (True, False):
+        full = set()
+        pilp._iter_points(rows, *box, None, 10**6, (1, m, full), project)
+        assert full == want
+    feasible = [(k,) for k in range(top_k + 1) if (k,) not in want]
+    top = tuple(k for (k,) in feasible[:-l - 1:-1])  # 0..l-1 are feasible
+    assert pilp.exclusion_profile(ex, t, l) == (tuple(feasible), top)
 
 
 def test_crosscheck_mixed_degree_family_reports_no_diff():

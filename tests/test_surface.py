@@ -98,6 +98,27 @@ def test_only_row_and_instantiate_read_a_rows_sense():
     assert readers == {"Row", "_instantiate"}
 
 
+def test_visit_only_ever_consumes_leaf_runs():
+    # In pilp.py visit has one meaning, visit(first, step, length): every
+    # call passes three arguments, and visit is read nowhere else but as
+    # the argument _stream hands to _iter_points, so no other name is
+    # bound to it.
+    source = (Path(parafrob.__file__).parent / "pilp.py").read_text()
+    allowed, reads = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None)
+            if name == "visit":
+                assert len(node.args) == 3 and not node.keywords
+                allowed.add(node.func)
+            elif name == "_iter_points":
+                allowed.update(node.args)
+        elif (isinstance(node, ast.Name) and node.id == "visit"
+              and isinstance(node.ctx, ast.Load)):
+            reads.append(node)
+    assert reads and all(node in allowed for node in reads)
+
+
 def test_only_reduction_makes_crosscheck_verdicts():
     # Every row and report of a crosscheck comes from its comparison: no
     # other module builds a CrosscheckRow or a CrosscheckReport.
